@@ -58,8 +58,7 @@ _SCHEMA = {
              "lambda_guard"},
     "hypothesis": {"condition", "delta", "c"},
     "exterior": {"radii", "probe_radii"},
-    "density": {"state", "h", "halfwidth", "time_gap", "cutoff", "offset",
-                "slope"},
+    "density": {"state", "h", "halfwidth", "time_gap", "cutoff", "offset"},
 }
 
 

@@ -234,14 +234,12 @@ def run_solve(cfg: RunConfig, out_dir: str, force: bool = False) -> int:
 def _common_region_diff(prev_state: flow.GraphState,
                         state: flow.GraphState, radius: float) -> float:
     """Sup difference over shared lattice nodes with |x| <= radius."""
-    index = {}
-    for k in range(state.grid.num_interior):
-        index[tuple(np.round(state.grid.interior_pos[k], 9))] = k
+    index = {tuple(c): k for k, c in enumerate(state.grid.lattice_coords().tolist())}
     worst = 0.0
-    pos = prev_state.grid.interior_pos
-    inside = np.linalg.norm(pos, axis=1) <= radius
+    coords = prev_state.grid.lattice_coords().tolist()
+    inside = np.linalg.norm(prev_state.grid.interior_pos, axis=1) <= radius
     for k in np.nonzero(inside)[0]:
-        k2 = index.get(tuple(np.round(pos[k], 9)))
+        k2 = index.get(tuple(coords[k]))
         if k2 is not None:
             worst = max(worst, float(
                 np.abs(prev_state.f[k] - state.f[k2]).max()))
@@ -308,15 +306,15 @@ def exterior_pipeline(cfg: RunConfig, force: bool = False) -> ExteriorReport:
 
     # Asymptotic gradient: least squares (the mean) over the outermost ring.
     final = shells[-1]
-    bundle = flow.compute_fields(final.state)
+    J = flow.compute_fields(final.state).J
     ring = _probe_ring(final.grid, max(cfg.probe_radii))
-    l_est = bundle.J[ring].mean(axis=0)
-    fit_rms = float(np.sqrt(((bundle.J[ring] - l_est) ** 2).sum(axis=(1, 2))
+    l_est = J[ring].mean(axis=0)
+    fit_rms = float(np.sqrt(((J[ring] - l_est) ** 2).sum(axis=(1, 2))
                             .mean()))
     table = []
     for rho in sorted(cfg.probe_radii):
         ring = _probe_ring(final.grid, rho)
-        dev = bundle.J[ring] - l_est
+        dev = J[ring] - l_est
         sup = float(np.linalg.svd(dev, compute_uv=False)[:, 0].max()) \
             if ring.size else float("nan")
         table.append((rho, sup))

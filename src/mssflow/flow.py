@@ -34,14 +34,6 @@ from .grid import Grid
 DEFAULT_LAMBDA_GUARD = 10.0
 
 
-class FlowBlowUp(RuntimeError):
-    """Largest singular value exceeded the blow-up guard."""
-
-
-class FlowNonFinite(RuntimeError):
-    """A non-finite value appeared in the evolved field."""
-
-
 @dataclass
 class GraphState:
     """Discrete flow state: interior values plus the pinned boundary trace.
@@ -91,25 +83,6 @@ def make_state(grid: Grid, psi, t: float = 0.0) -> GraphState:
     return GraphState(grid=grid, t=t, f=f0, arm_values=arm_values,
                       psi_lo=allv.min(axis=0), psi_hi=allv.max(axis=0),
                       dep_bval=dep_bval, psi=psi)
-
-
-def state_from_arrays(grid: Grid, f: np.ndarray, arm_values: dict,
-                      dep_bval: np.ndarray = None, t: float = 0.0) -> GraphState:
-    """State backed by explicit arrays (dilated / reflected constructions)."""
-    if dep_bval is None:
-        dep_bval = np.zeros((0, f.shape[1]))
-    samples = [f]
-    for (di, sign), vals in arm_values.items():
-        arm = grid.directions[di].plus if sign > 0 else grid.directions[di].minus
-        used = arm.nbr < 0
-        if used.any():
-            samples.append(vals[used])
-    if dep_bval.size:
-        samples.append(dep_bval)
-    allv = np.vstack(samples)
-    return GraphState(grid=grid, t=t, f=f, arm_values=arm_values,
-                      psi_lo=allv.min(axis=0), psi_hi=allv.max(axis=0),
-                      dep_bval=dep_bval)
 
 
 # ---------------------------------------------------------------------------
@@ -173,40 +146,46 @@ def _arm_pair(state: GraphState, di: int, e: dict) -> tuple[np.ndarray, np.ndarr
     return up, um
 
 
-def jets_all(state: GraphState) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobian (K, m, n) and Hessian (K, m, n, n) at every interior node."""
+def _differences(state: GraphState) -> tuple[list, dict]:
+    """One divided-difference pass over every stencil direction.
+
+    Returns the Jacobian as n columns J[i] = df/dx_i and the Hessian as
+    columns H[i, j] = d2f/dx_i dx_j for i <= j, each of shape (K, m).
+    """
     grid = state.grid
-    n = grid.n
-    K = grid.num_interior
-    m = state.m
-    J = np.empty((K, m, n))
-    H = np.zeros((K, m, n, n))
+    hs = grid.hs
     F = state.f
-    sten = _stencils(grid, m)
-    d2_diag = {}
-    for di, e in enumerate(sten.dirs):
+    J = [None] * grid.n
+    H = {}
+    for di, e in enumerate(_stencils(grid, state.m).dirs):
         up, um = _arm_pair(state, di, e)
         d2 = e["c2p"] * up + e["c2m"] * um + e["c20"] * F
         axes = e["axes"]
         if len(axes) == 1:
             i = axes[0]
-            d1 = e["c1p"] * up + e["c1m"] * um + e["c10"] * F
-            J[:, :, i] = d1 / grid.hs[i]
-            H[:, :, i, i] = d2 / (grid.hs[i] ** 2)
+            J[i] = (e["c1p"] * up + e["c1m"] * um + e["c10"] * F) / hs[i]
+            H[i, i] = d2 / (hs[i] * hs[i])
+        elif e["offset"][axes[1]] > 0:
+            d2_plus = d2          # the grid lists (+,+) before (+,-)
         else:
-            d2_diag[e["offset"]] = d2
-    for e in sten.dirs:
-        axes = e["axes"]
-        if len(axes) != 2:
-            continue
-        i, j = axes
-        off = e["offset"]
-        if off[i] * off[j] > 0:                 # the (+,+) diagonal
-            minus_off = tuple(o if k != j else -o for k, o in enumerate(off))
-            hij = (d2_diag[off] - d2_diag[minus_off]) / (4.0 * grid.hs[i] * grid.hs[j])
-            H[:, :, i, j] = hij
-            H[:, :, j, i] = hij
+            i, j = axes
+            H[i, j] = (d2_plus - d2) / (4.0 * hs[i] * hs[j])
     return J, H
+
+
+def _symmetric(tri: dict, n: int) -> np.ndarray:
+    """(..., n, n) stack from its upper triangle {(i, j): (...)}, i <= j."""
+    out = np.empty(next(iter(tri.values())).shape + (n, n))
+    for (i, j), v in tri.items():
+        out[..., i, j] = v
+        out[..., j, i] = v
+    return out
+
+
+def jets_all(state: GraphState) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobian (K, m, n) and Hessian (K, m, n, n) at every interior node."""
+    J, H = _differences(state)
+    return np.stack(J, axis=-1), _symmetric(H, state.grid.n)
 
 
 def jet_at(state: GraphState, node: int) -> jets_mod.PointJet:
@@ -216,47 +195,84 @@ def jet_at(state: GraphState, node: int) -> jets_mod.PointJet:
                              value=state.f[node], jac=J[node], hess=H[node])
 
 
-def _inv_det_sym(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse and determinant of stacked small SPD matrices."""
-    n = g.shape[-1]
+def _accumulate(terms) -> np.ndarray:
+    """Left-to-right sum of fresh arrays; the fixed order keeps runs bitwise."""
+    terms = iter(terms)
+    out = next(terms)
+    for t in terms:
+        out += t
+    return out
+
+
+def _coldot_sum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return _accumulate(u[:, A] * v[:, A] for A in range(u.shape[1]))
+
+
+def _metric(cols: list) -> dict:
+    """Upper triangle of g = I + J^T J from the n Jacobian columns (K, m)."""
+    n = len(cols)
+    return {(i, j): 1.0 + _coldot_sum(cols[i], cols[i]) if i == j
+            else _coldot_sum(cols[i], cols[j])
+            for i in range(n) for j in range(i, n)}
+
+
+def _metric_inverse(g: dict, n: int) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Upper triangle of g^-1, det g and the largest eigenvalue of g.
+
+    Closed forms for n <= 2; LAPACK for larger n.
+    """
     if n == 1:
-        det = g[:, 0, 0]
-        return (1.0 / det)[:, None, None], det
+        a = g[0, 0]
+        return {(0, 0): 1.0 / a}, a, a
     if n == 2:
-        a, b, c = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
+        a, b, c = g[0, 0], g[0, 1], g[1, 1]
         det = a * c - b * b
-        inv = np.empty_like(g)
-        inv[:, 0, 0] = c
-        inv[:, 1, 1] = a
-        inv[:, 0, 1] = -b
-        inv[:, 1, 0] = -b
-        return inv / det[:, None, None], det
-    return np.linalg.inv(g), np.linalg.det(g)
+        lam = 0.5 * ((a + c) + np.sqrt((a - c) ** 2 + 4.0 * b * b))
+        return {(0, 0): c / det, (0, 1): -b / det, (1, 1): a / det}, det, lam
+    full = _symmetric(g, n)
+    inv = np.linalg.inv(full)
+    return ({(i, j): inv[:, i, j] for i, j in g}, np.linalg.det(full),
+            np.linalg.eigvalsh(full)[:, -1])
+
+
+def _pair_weights(gi: dict) -> dict:
+    """Weights of a symmetric contraction over i <= j: g^ii and 2 g^ij."""
+    return {(i, j): v if i == j else 2.0 * v for (i, j), v in gi.items()}
 
 
 @dataclass
 class FieldBundle:
     """Per-node flow fields shared by the update and the monitors.
 
+    jac holds the n Jacobian columns (K, m) and gi the upper triangle of
+    the inverse metric, (i, j) -> (K,) for i <= j, in lexicographic order.
     residual_sup only counts stepped unknowns: interpolated near-boundary
     nodes do not satisfy the discrete system, they satisfy their
     interpolation rule.
     """
 
-    J: np.ndarray
-    ginv: np.ndarray
+    jac: list
+    gi: dict
     detg: np.ndarray
     residual: np.ndarray      # (K, m) system residual g^{ij} f_ij
     lam_max_sq: np.ndarray    # (K,) largest eigenvalue of J^T J
-    stepped: np.ndarray = None
+    stepped: np.ndarray
+
+    @property
+    def J(self) -> np.ndarray:
+        """Jacobian stack (K, m, n)."""
+        return np.stack(self.jac, axis=-1)
+
+    @property
+    def ginv(self) -> np.ndarray:
+        """Inverse metric stack (K, n, n)."""
+        return _symmetric(self.gi, len(self.jac))
 
     @property
     def residual_sup(self) -> float:
         if self.residual.size == 0:
             return 0.0
-        r = _colsq_sum(self.residual)
-        if self.stepped is not None:
-            r = r[self.stepped]
+        r = _coldot_sum(self.residual, self.residual)[self.stepped]
         return float(np.sqrt(r.max())) if r.size else 0.0
 
     @property
@@ -265,83 +281,18 @@ class FieldBundle:
             if self.lam_max_sq.size else 0.0
 
 
-def _colsq_sum(u: np.ndarray) -> np.ndarray:
-    out = u[:, 0] * u[:, 0]
-    for j in range(1, u.shape[1]):
-        out = out + u[:, j] * u[:, j]
-    return out
-
-
-def _coldot_sum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = u[:, 0] * v[:, 0]
-    for j in range(1, u.shape[1]):
-        out = out + u[:, j] * v[:, j]
-    return out
-
-
-def _fields_2d(state: GraphState, sten: "_StencilCache") -> FieldBundle:
-    """Fused Jacobian/Hessian/metric/residual path for n = 2 grids."""
-    grid = state.grid
-    F = state.f
-    hx, hy = grid.hs[0], grid.hs[1]
-    d1 = {}
-    d2 = {}
-    for di, e in enumerate(sten.dirs):
-        up, um = _arm_pair(state, di, e)
-        off = e["offset"]
-        d2[off] = e["c2p"] * up + e["c2m"] * um + e["c20"] * F
-        if len(e["axes"]) == 1:
-            d1[off] = e["c1p"] * up + e["c1m"] * um + e["c10"] * F
-    Jx = d1[(1, 0)] / hx
-    Jy = d1[(0, 1)] / hy
-    Hxx = d2[(1, 0)] / (hx * hx)
-    Hyy = d2[(0, 1)] / (hy * hy)
-    Hxy = (d2[(1, 1)] - d2[(1, -1)]) / (4.0 * hx * hy)
-
-    a = 1.0 + _colsq_sum(Jx)                # g_xx
-    b = _coldot_sum(Jx, Jy)                 # g_xy
-    c = 1.0 + _colsq_sum(Jy)                # g_yy
-    detg = a * c - b * b
-    gixx = c / detg
-    gixy = -b / detg
-    giyy = a / detg
-    residual = np.empty_like(F)
-    gixy2 = 2.0 * gixy
-    for j in range(F.shape[1]):
-        residual[:, j] = gixx * Hxx[:, j] + gixy2 * Hxy[:, j] + giyy * Hyy[:, j]
-    # eigenvalues of J^T J = eigenvalues of g minus 1
-    lam_max_sq = 0.5 * ((a + c) + np.sqrt((a - c) ** 2 + 4.0 * b * b)) - 1.0
-
-    K = F.shape[0]
-    J = np.empty((K, state.m, 2))
-    J[:, :, 0] = Jx
-    J[:, :, 1] = Jy
-    ginv = np.empty((K, 2, 2))
-    ginv[:, 0, 0] = gixx
-    ginv[:, 0, 1] = gixy
-    ginv[:, 1, 0] = gixy
-    ginv[:, 1, 1] = giyy
-    return FieldBundle(J=J, ginv=ginv, detg=detg, residual=residual,
-                       lam_max_sq=np.maximum(lam_max_sq, 0.0),
-                       stepped=grid.stepped)
-
-
 def compute_fields(state: GraphState) -> FieldBundle:
-    n = state.grid.n
-    sten = _stencils(state.grid, state.m)
-    if n == 2:
-        return _fields_2d(state, sten)
-    J, H = jets_all(state)
-    g = np.einsum("kAi,kAj->kij", J, J)
-    g[:, np.arange(n), np.arange(n)] += 1.0
-    ginv, detg = _inv_det_sym(g)
-    residual = np.einsum("kij,kAij->kA", ginv, H)
-    if n == 1:
-        lam = g[:, 0, 0] - 1.0
-    else:
-        lam = np.linalg.eigvalsh(g)[:, -1] - 1.0
-    return FieldBundle(J=J, ginv=ginv, detg=detg, residual=residual,
-                       lam_max_sq=np.maximum(lam, 0.0), stepped=state.grid.stepped)
+    """Metric, inverse metric, system residual and top singular value."""
+    J, H = _differences(state)
+    gi, detg, lam_g = _metric_inverse(_metric(J), state.grid.n)
+    weights = _pair_weights(gi)
+    residual = np.empty_like(state.f)
+    for A in range(state.m):
+        residual[:, A] = _accumulate(w * H[p][:, A] for p, w in weights.items())
+    # eigenvalues of J^T J = eigenvalues of g minus 1
+    return FieldBundle(jac=J, gi=gi, detg=detg, residual=residual,
+                       lam_max_sq=np.maximum(lam_g - 1.0, 0.0),
+                       stepped=state.grid.stepped)
 
 
 def pinned_boundary_cells(state: GraphState):
@@ -364,9 +315,7 @@ def pinned_boundary_cells(state: GraphState):
     bp = grid.boundary_nodes_pos[sel]
     vals, jac, _ = state.psi.jets(bp)
     z = np.concatenate([bp, vals], axis=1)
-    g = np.einsum("kAi,kAj->kij", jac, jac)
-    g[:, np.arange(n), np.arange(n)] += 1.0
-    detb = np.linalg.det(g)
+    _, detb, _ = _metric_inverse(_metric([jac[:, :, i] for i in range(n)]), n)
     w = grid.boundary_nodes_frac[sel] * grid.cellvol * np.sqrt(detb)
     return z, w
 
@@ -375,24 +324,13 @@ def dissipation_rate(state: GraphState, bundle: FieldBundle) -> float:
     """Instantaneous dissipation integral sum |H|^2 sqrt(det g) cellvol."""
     R = bundle.residual
     grid = state.grid
-    if R.shape[1] == 1 and grid.n == 2:
-        JtR0 = bundle.J[:, 0, 0] * R[:, 0]
-        JtR1 = bundle.J[:, 0, 1] * R[:, 0]
-    else:
-        JtR0 = _coldot_sum(bundle.J[:, :, 0], R)
-        JtR1 = _coldot_sum(bundle.J[:, :, 1], R) if grid.n >= 2 else None
-    if grid.n == 2:
-        gi = bundle.ginv
-        quad = gi[:, 0, 0] * JtR0 * JtR0 + 2.0 * gi[:, 0, 1] * JtR0 * JtR1 \
-            + gi[:, 1, 1] * JtR1 * JtR1
-    else:
-        JtR = np.einsum("kAi,kA->ki", bundle.J, R)
-        quad = np.einsum("ki,kij,kj->k", JtR, bundle.ginv, JtR)
-    hsq = _colsq_sum(R) - quad
-    if grid.dep_idx is not None and grid.dep_idx.size:
-        # Second derivatives at interpolated nodes are unreliable by
-        # construction; borrow the inward neighbor's dissipation density.
-        hsq[grid.dep_idx] = hsq[grid.dep_opp]
+    JtR = [_coldot_sum(col, R) for col in bundle.jac]
+    quad = _accumulate(w * JtR[i] * JtR[j]
+                       for (i, j), w in _pair_weights(bundle.gi).items())
+    hsq = _coldot_sum(R, R) - quad
+    # Second derivatives at interpolated nodes are unreliable by
+    # construction; borrow the inward neighbor's dissipation density.
+    hsq[grid.dep_idx] = hsq[grid.dep_opp]
     return float((hsq * np.sqrt(bundle.detg) * grid.cell_fractions()).sum()
                  * grid.cellvol)
 
@@ -412,7 +350,7 @@ def stable_dt(grid: Grid, cfl: float) -> float:
             continue
         i = axes[0]
         total += 2.0 / (d.plus.theta * d.minus.theta * grid.hs[i] ** 2)
-    if grid.stepped is not None and grid.stepped.any():
+    if grid.stepped.any():
         total = total[grid.stepped]
     return cfl / float(total.max())
 
@@ -453,7 +391,8 @@ class FlowMonitors:
     Carries the condition margin eps (for the strict-margin tensor), the
     band geometry for the boundary log-barrier, and the pinned-data
     sup-norms needed by the barrier weight.  All of it is frozen at run
-    start; records are then pure functions of the state.
+    start; records are then pure functions of the state.  delta, when
+    given, must lie in (0, eta0]; the barrier needs boundary data (psi).
     """
 
     def __init__(self, state: GraphState, eps: float | None = None,
@@ -466,10 +405,13 @@ class FlowMonitors:
         _, wb = pinned_boundary_cells(state)
         self.static_boundary_area = float(wb.sum())
         self.band_idx = None
-        if delta is not None and state.psi is not None:
+        if delta is not None:
             geom = estimate_c0_eta0(grid.spec)
+            if not 0.0 < delta <= geom.eta0:
+                raise ValueError(f"delta = {delta} outside (0, eta0 = {geom.eta0}]")
+        if delta is not None and state.psi is not None:
             self.band_idx = np.nonzero(grid.band_mask(delta))[0]
-            self.band_d = grid.d_bdry[self.band_idx]
+            band_d = grid.d_bdry[self.band_idx]
             pts = grid.interior_pos[self.band_idx]
             self.band_psi = state.psi.values(pts) if self.band_idx.size else \
                 np.zeros((0, state.m))
@@ -487,6 +429,10 @@ class FlowMonitors:
             self.nu = np.array([
                 barrier_nu(self.omega[A], delta, mu, geom.c0, grid.n, d2_comp[A])
                 for A in range(state.m)])
+            # static barrier part nu log(1 + k d) + (omega / delta) d, k = 1/delta
+            k = 1.0 / delta
+            self.band_base = self.nu[None, :] * np.log1p(k * band_d)[:, None] \
+                + (self.omega[None, :] / delta) * band_d[:, None]
 
     @staticmethod
     def _boundary_adjacent(grid: Grid) -> np.ndarray:
@@ -501,19 +447,30 @@ class FlowMonitors:
         pts = np.vstack([grid.interior_pos, grid.boundary_samples]) \
             if grid.boundary_samples.size else grid.interior_pos
         _, jac, _ = psi.jets(pts)
-        g = np.einsum("kAi,kAj->kij", jac, jac)
-        g[:, np.arange(grid.n), np.arange(grid.n)] += 1.0
-        _, detg = _inv_det_sym(g)
+        _, detg, _ = _metric_inverse(
+            _metric([jac[:, :, i] for i in range(grid.n)]), grid.n)
         return float((1.0 / np.sqrt(detg)).min())
 
+    def barrier_fields(self, state: GraphState) -> tuple[np.ndarray, np.ndarray]:
+        """Log-barrier fields (S, S_mirror) over the band, (B, m) each.
+
+        S        = nu log(1 + k d) + (psi^A - f^A) + (omega^A / delta) d
+        S_mirror = nu log(1 + k d) + (f^A - psi^A) + (omega^A / delta) d
+        with k = 1/delta; both stay non-negative on the band while the
+        boundary gradient estimate is in force.  Needs delta and psi.
+        """
+        diff = self.band_psi - state.f[self.band_idx]
+        return self.band_base + diff, self.band_base - diff
+
     def record(self, state: GraphState, bundle: FieldBundle, dt: float,
+               dissipation: float,
                diss_integral: float = float("nan")) -> MonitorRecord:
+        """Monitor record of state; dissipation is dissipation_rate(state, bundle)."""
         grid = state.grid
         lam_sq = bundle.lam_max_sq
         detg = bundle.detg
         area = float((np.sqrt(detg) * grid.cell_fractions()).sum()
                      * grid.cellvol) + self.static_boundary_area
-        dissipation = dissipation_rate(state, bundle)
 
         if self.eps is not None and 0.0 < self.eps <= 1.0:
             r = (1.0 - self.eps) ** 2
@@ -528,11 +485,8 @@ class FlowMonitors:
 
         barrier_min = np.nan
         if self.band_idx is not None and self.band_idx.size:
-            k = 1.0 / self.delta
-            base = self.nu[None, :] * np.log1p(k * self.band_d)[:, None] \
-                + (self.omega[None, :] / self.delta) * self.band_d[:, None]
-            diff = self.band_psi - state.f[self.band_idx]
-            barrier_min = float(np.minimum(base + diff, base - diff).min())
+            S, S_mirror = self.barrier_fields(state)
+            barrier_min = float(np.minimum(S, S_mirror).min())
 
         return MonitorRecord(
             t=state.t,
@@ -554,39 +508,20 @@ class FlowMonitors:
 # stepping
 # ---------------------------------------------------------------------------
 
-def _euler_update(state: GraphState, bundle: FieldBundle, dt: float) -> np.ndarray:
-    """Explicit update of the stepped unknowns plus the interpolation rule."""
+def euler_step(state: GraphState, bundle: FieldBundle, dt: float,
+               t: float) -> GraphState:
+    """The state at time t after one explicit update of the stepped unknowns.
+
+    bundle is compute_fields(state) and dt at most stable_dt(grid, cfl).
+    Interpolated nodes then follow their rule u_q + (u_b - u_q) / (1 + t),
+    which is affine-exact and bit-exact on constants.
+    """
     grid = state.grid
     f_new = state.f + dt * bundle.residual
-    if grid.stepped is None or grid.dep_idx is None or not grid.dep_idx.size:
-        return f_new
-    # u_q + (u_b - u_q) / (1 + t): affine-exact and bit-exact on constants
-    t = grid.dep_t[:, None]
+    tq = grid.dep_t[:, None]
     uq = f_new[grid.dep_opp]
-    f_new[grid.dep_idx] = uq + (state.dep_bval - uq) / (1.0 + t)
-    return f_new
-
-
-def step(state: GraphState, cfl: float, monitors: FlowMonitors | None = None,
-         lambda_guard: float = DEFAULT_LAMBDA_GUARD
-         ) -> tuple[GraphState, MonitorRecord]:
-    """One explicit Euler update; monitors are computed on the new state."""
-    dt = stable_dt(state.grid, cfl)
-    bundle = compute_fields(state)
-    if bundle.max_lambda > lambda_guard:
-        raise FlowBlowUp(f"max singular value {bundle.max_lambda} exceeds "
-                         f"the guard {lambda_guard} at t = {state.t}")
-    f_new = _euler_update(state, bundle, dt)
-    if not np.isfinite(f_new).all():
-        raise FlowNonFinite(f"non-finite field value at t = {state.t + dt}")
-    new_state = state.replace_values(f_new, state.t + dt)
-    if monitors is None:
-        monitors = FlowMonitors(new_state)
-    rec = monitors.record(new_state, compute_fields(new_state), dt)
-    if rec.max_lambda > lambda_guard:
-        raise FlowBlowUp(f"max singular value {rec.max_lambda} exceeds "
-                         f"the guard {lambda_guard} at t = {new_state.t}")
-    return new_state, rec
+    f_new[grid.dep_idx] = uq + (state.dep_bval - uq) / (1.0 + tq)
+    return state.replace_values(f_new, t)
 
 
 def run_to_steady(state0: GraphState, tol_residual: float, max_steps: int,
@@ -610,7 +545,7 @@ def run_to_steady(state0: GraphState, tol_residual: float, max_steps: int,
     bundle = compute_fields(state)
     diss = dissipation_rate(state, bundle)
     diss_integral = 0.0
-    records = [monitors.record(state, bundle, dt, diss_integral)]
+    records = [monitors.record(state, bundle, dt, diss, diss_integral)]
     if bundle.max_lambda > lambda_guard:
         return state, records, "BlowUp"
     if bundle.residual_sup < tol_residual:
@@ -620,74 +555,21 @@ def run_to_steady(state0: GraphState, tol_residual: float, max_steps: int,
         if bundle.max_lambda > lambda_guard:
             outcome = "BlowUp"
             break
-        f_new = _euler_update(state, bundle, dt)
-        if not np.isfinite(f_new).all():
+        new = euler_step(state, bundle, dt, state0.t + k * dt)
+        if not np.isfinite(new.f).all():
             outcome = "BlowUp"
             break
-        state = state.replace_values(f_new, state0.t + k * dt)
+        state = new
         bundle = compute_fields(state)
         diss_prev, diss = diss, dissipation_rate(state, bundle)
         diss_integral += 0.5 * dt * (diss_prev + diss)
         done = bundle.residual_sup < tol_residual
         if done or k % monitor_every == 0 or k == max_steps:
-            records.append(monitors.record(state, bundle, dt, diss_integral))
+            records.append(monitors.record(state, bundle, dt, diss, diss_integral))
         if done:
             outcome = "Converged"
             break
     return state, records, outcome
-
-
-# ---------------------------------------------------------------------------
-# boundary barrier fields
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BarrierField:
-    component: int
-    band_idx: np.ndarray
-    S: np.ndarray
-    S_mirror: np.ndarray
-    min_S: float
-    min_S_mirror: float
-
-
-def barrier_values(state: GraphState, psi, delta: float, component: int,
-                   mu: float = 1.0) -> BarrierField:
-    """Log-barrier fields for one component over the boundary band.
-
-    S       = nu log(1 + k d) + (psi^A - f^A) + (omega^A / delta) d
-    S_mirror= nu log(1 + k d) + (f^A - psi^A) + (omega^A / delta) d
-    with k = 1/delta; both stay non-negative on the band while the
-    boundary gradient estimate is in force.  Minima are nan on an empty
-    band (band thinner than the mesh).
-    """
-    grid = state.grid
-    geom = estimate_c0_eta0(grid.spec)
-    if not 0.0 < delta <= max(geom.eta0, 0.0):
-        raise ValueError(f"delta = {delta} outside (0, eta0 = {geom.eta0}]")
-    band = np.nonzero(grid.band_mask(delta))[0]
-    dvals = grid.d_bdry[band]
-    pts = grid.interior_pos[band]
-    psi_vals = psi.values(pts)[:, component] if band.size else np.zeros(0)
-
-    sample_pts = np.vstack([grid.interior_pos, grid.boundary_samples]) \
-        if grid.boundary_samples.size else grid.interior_pos
-    vals = psi.values(sample_pts)[:, component]
-    omega_A = float(vals.max() - vals.min())
-    band_pts = np.vstack([pts, grid.boundary_samples]) \
-        if grid.boundary_samples.size else pts
-    _, _, hb = psi.jets(band_pts)
-    d2_A = float(np.abs(np.linalg.eigvalsh(hb[:, component])).max()) \
-        if band_pts.shape[0] else 0.0
-    nu = barrier_nu(omega_A, delta, mu, geom.c0, grid.n, d2_A)
-
-    base = nu * np.log1p(dvals / delta) + (omega_A / delta) * dvals
-    diff = psi_vals - state.f[band, component]
-    S = base + diff
-    S_m = base - diff
-    return BarrierField(component=component, band_idx=band, S=S, S_mirror=S_m,
-                        min_S=float(S.min()) if band.size else np.nan,
-                        min_S_mirror=float(S_m.min()) if band.size else np.nan)
 
 
 # ---------------------------------------------------------------------------

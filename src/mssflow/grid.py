@@ -118,9 +118,18 @@ class Grid:
                 axes = [i for i, o in enumerate(d.offset) if o != 0]
                 if len(axes) != 1:
                     continue
-                frac *= np.minimum(d.plus.theta, 0.5)                     + np.minimum(d.minus.theta, 0.5)
+                frac *= np.minimum(d.plus.theta, 0.5) + np.minimum(d.minus.theta, 0.5)
             self._cell_frac = frac
         return self._cell_frac
+
+    def lattice_coords(self) -> np.ndarray:
+        """(K, n) integer coordinates of the interior nodes, x = coords * hs.
+
+        Grids with equal spacings on origin-aligned lattices share these
+        coordinates, so nodes match across grids by exact integer keys.
+        """
+        local = np.stack(np.unravel_index(self.interior_flat, self.dims), axis=1)
+        return local + np.round(self.los / self.hs).astype(np.int64)
 
     def axis_coords(self, i: int) -> np.ndarray:
         return self.los[i] + self.hs[i] * np.arange(self.dims[i])

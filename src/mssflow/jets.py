@@ -268,21 +268,6 @@ def tangent_frame(jet: PointJet, sd: SingularData | None = None) -> np.ndarray:
     return E
 
 
-def normal_frame(jet: PointJet, sd: SingularData | None = None) -> np.ndarray:
-    """Orthonormal normal frame of the graph, as (n+m, m) columns."""
-    if sd is None:
-        sd = singular_values(jet)
-    n, m = jet.n, jet.m
-    N = np.zeros((n + m, m))
-    for a in range(m):
-        lam = sd.lambdas[a] if a < n else 0.0
-        s = np.sqrt(1.0 + lam * lam)
-        if a < n:
-            N[:n, a] = -lam * sd.u_frame[:, a] / s
-        N[n:, a] = sd.v_frame[:, a] / s
-    return N
-
-
 def second_fundamental(jet: PointJet) -> SecondFundamental:
     """Second fundamental form components in the adapted frames.
 

@@ -308,24 +308,25 @@ def reflect_halfspace(state: GraphState) -> tuple[GraphState, float]:
     doubled_lo[n - 1] = -hi[n - 1]
     doubled = DomainSpec.box(hi - doubled_lo, lo=doubled_lo)
     grid2 = build_grid(doubled, float(grid.hs.max()))
+    if not np.array_equal(grid2.hs, grid.hs):
+        raise ValueError(f"the doubled box is meshed at {grid2.hs}, not at the "
+                         f"state's spacing {grid.hs}")
     odd = OddReflectionMap(state.psi, n)
     out = make_state(grid2, odd, t=state.t)
 
     # Carry the evolved interior values across (make_state seeded them
     # with the boundary family itself, which is only right at t = 0).
-    index = {}
-    for k in range(grid.num_interior):
-        index[tuple(np.round(grid.interior_pos[k], 9))] = k
+    # Both lattices have x_n = 0 as their coordinate plane c_n = 0.
+    coords = grid.lattice_coords().tolist()
+    index = {tuple(c): k for k, c in enumerate(coords)}
     f2 = out.f.copy()
     h_n = grid.hs[n - 1]
-    for k2 in range(grid2.num_interior):
-        x = grid2.interior_pos[k2].copy()
-        xn = x[n - 1]
-        if xn > CLS_TOL:
-            f2[k2] = state.f[index[tuple(np.round(x, 9))]]
-        elif xn < -CLS_TOL:
-            x[n - 1] = -xn
-            f2[k2] = -state.f[index[tuple(np.round(x, 9))]]
+    for k2, c in enumerate(grid2.lattice_coords().tolist()):
+        cn = c[n - 1]
+        if cn > 0:
+            f2[k2] = state.f[index[tuple(c)]]
+        elif cn < 0:
+            f2[k2] = -state.f[index[(*c[:-1], -cn)]]
         else:
             f2[k2] = 0.0
     out = out.replace_values(f2, state.t)
@@ -333,12 +334,9 @@ def reflect_halfspace(state: GraphState) -> tuple[GraphState, float]:
     # Kink estimate: 2 |f_nn(0+)| from the first two interior layers.
     kink = np.nan
     rows = []
-    for k in range(grid.num_interior):
-        x = grid.interior_pos[k]
-        if abs(x[n - 1] - h_n) <= CLS_TOL:
-            x2 = x.copy()
-            x2[n - 1] = 2.0 * h_n
-            k2 = index.get(tuple(np.round(x2, 9)))
+    for k, c in enumerate(coords):
+        if c[n - 1] == 1:
+            k2 = index.get((*c[:-1], 2))
             if k2 is not None:
                 rows.append(np.abs(state.f[k2] - 2.0 * state.f[k]).max())
     if rows:

@@ -65,10 +65,15 @@ def test_load_solve_config(tmp_path):
     assert cfg.delta == 0.1 and cfg.tol_residual == 1e-5
 
 
-def test_unknown_key_is_hard_error(tmp_path):
-    bad = BALL_SOLVE.replace("[grid]\nh = 0.0625", "[grid]\nh = 0.0625\nspeed = 9")
+@pytest.mark.parametrize("bad, mode", [
+    (BALL_SOLVE.replace("[grid]\nh = 0.0625", "[grid]\nh = 0.0625\nspeed = 9"),
+     "solve"),
+    ("[run]\nmode = density_oracle\n\n[density]\nstate = plane\nslope = 0.3\n",
+     "density_oracle"),
+], ids=["grid-speed", "density-slope"])
+def test_unknown_key_is_hard_error(tmp_path, bad, mode):
     with pytest.raises(ConfigError, match="unknown key"):
-        load_config(write_cfg(tmp_path, bad), mode="solve")
+        load_config(write_cfg(tmp_path, bad), mode=mode)
 
 
 def test_unknown_section_is_hard_error(tmp_path):

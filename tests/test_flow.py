@@ -4,8 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mssflow import boundary as bd, flow
+from mssflow import boundary as bd, flow, jets, shrinker
 from mssflow.domains import DomainSpec, estimate_c0_eta0
 from mssflow.grid import build_grid
 
@@ -63,6 +64,93 @@ def test_jet_richardson_order_two():
     assert errs[0] / errs[1] > 3.5
 
 
+_ORACLE_GRIDS = {}
+
+
+def _oracle_grid(kind, n):
+    """Small box / ball grids, cached: box grids cut arms onto face nodes,
+    ball grids clip arms and interpolate near-boundary nodes."""
+    if (kind, n) not in _ORACLE_GRIDS:
+        spec = DomainSpec.box([1.0] * n) if kind == "box" else DomainSpec.ball(1.0, n)
+        h = {1: 1.0 / 16, 2: 1.0 / 10, 3: 1.0 / 9}[n] if kind == "box" \
+            else {1: 1.0 / 8, 2: 1.0 / 8, 3: 0.2}[n]
+        _ORACLE_GRIDS[(kind, n)] = build_grid(spec, h)
+    return _ORACLE_GRIDS[(kind, n)]
+
+
+@st.composite
+def _oracle_maps(draw, n, m):
+    unit = st.floats(-1.0, 1.0)
+    if draw(st.booleans()):
+        amps = [draw(st.floats(-0.6, 0.6)) for _ in range(m)]
+        waves = [[draw(st.floats(-3.0, 3.0)) for _ in range(n)] for _ in range(m)]
+        phases = [draw(st.floats(0.0, 2.0 * np.pi)) for _ in range(m)]
+        return bd.TrigMap(amps, waves, phases)
+    terms = []
+    for _ in range(m):
+        expos = draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n)
+                              .filter(lambda e: sum(e) <= 4),
+                              min_size=1, max_size=4))
+        terms.append(([draw(unit) for _ in expos], expos))
+    return bd.PolynomialMap(terms, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_field_kernel_matches_pointwise_reference(data):
+    """compute_fields, shrinker_residual_field and dissipation_rate at a
+    node agree with jets.py evaluated on that node's discrete jet."""
+    kind = data.draw(st.sampled_from(["box", "ball"]))
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 3))
+    grid = _oracle_grid(kind, n)
+    psi = data.draw(_oracle_maps(n, m))
+    c = data.draw(st.floats(0.0, 1.0))
+    state = flow.make_state(grid, psi)
+    bundle = flow.compute_fields(state)
+    shrink = shrinker.shrinker_residual_field(state, c)
+
+    cut = np.zeros(grid.num_interior, dtype=bool)
+    for d in grid.directions:
+        cut |= (d.plus.nbr < 0) | (d.minus.nbr < 0)
+    nodes = data.draw(st.lists(st.sampled_from(np.nonzero(cut)[0].tolist()),
+                               min_size=1, max_size=3))
+    nodes += data.draw(st.lists(st.integers(0, grid.num_interior - 1),
+                                min_size=1, max_size=3))
+    for k in nodes:
+        jet = flow.jet_at(state, k)
+        metric = jets.induced_metric(jet)
+        hscale = 1.0 + np.abs(jet.hess).max()
+        np.testing.assert_allclose(bundle.residual[k], jets.mss_residual(jet),
+                                   rtol=0, atol=1e-12 * hscale)
+        np.testing.assert_allclose(bundle.detg[k], metric.detg, rtol=1e-12)
+        np.testing.assert_allclose(bundle.ginv[k], metric.ginv, rtol=0, atol=1e-12)
+        lam_sq = jets.singular_values(jet).lambdas[0] ** 2
+        np.testing.assert_allclose(bundle.lam_max_sq[k], lam_sq,
+                                   rtol=0, atol=1e-12 * (1.0 + lam_sq))
+        xscale = hscale + np.abs(jet.x).max() + np.abs(jet.value).max()
+        np.testing.assert_allclose(shrink[k], jets.shrinker_residual(jet, c),
+                                   rtol=0, atol=1e-12 * xscale)
+
+    # dissipation: the same cut-cell quadrature of the pointwise |H|^2
+    J, H = flow.jets_all(state)
+    hsq = np.empty(grid.num_interior)
+    sqrt_detg = np.empty(grid.num_interior)
+    hmax_sq = np.empty(grid.num_interior)
+    for k in range(grid.num_interior):
+        jet = jets.PointJet(x=grid.interior_pos[k], value=state.f[k],
+                            jac=J[k], hess=H[k])
+        hsq[k] = jets.mean_curvature(jet)[1]
+        sqrt_detg[k] = np.sqrt(jets.induced_metric(jet).detg)
+        hmax_sq[k] = np.abs(H[k]).max() ** 2
+    hsq[grid.dep_idx] = hsq[grid.dep_opp]
+    weights = sqrt_detg * grid.cell_fractions() * grid.cellvol
+    scale = float((hmax_sq * weights).sum()) + 1e-290    # subnormal floor
+    np.testing.assert_allclose(flow.dissipation_rate(state, bundle),
+                               float((hsq * weights).sum()),
+                               rtol=0, atol=1e-12 * scale)
+
+
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
@@ -70,15 +158,18 @@ def test_jet_richardson_order_two():
 def test_step_linear_data_is_stationary():
     grid = build_grid(BALL, 1.0 / 16)
     state = flow.make_state(grid, bd.LinearMap([[0.2, -0.1], [0.05, 0.3]]))
-    new, rec = flow.step(state, 0.9)
+    dt = flow.stable_dt(grid, 0.9)
+    new = flow.euler_step(state, flow.compute_fields(state), dt, dt)
+    assert new.t == dt
     assert np.abs(new.f - state.f).max() <= 1e-14
-    assert rec.residual_sup <= 1e-12
+    assert flow.compute_fields(new).residual_sup <= 1e-12
 
 
 def test_step_constant_data_is_exact_fixed_point():
     grid = build_grid(BALL, 1.0 / 16)
     state = flow.make_state(grid, bd.ConstantMap([0.7, -0.2], 2))
-    new, _ = flow.step(state, 0.9)
+    dt = flow.stable_dt(grid, 0.9)
+    new = flow.euler_step(state, flow.compute_fields(state), dt, dt)
     assert np.array_equal(new.f, state.f)
 
 
@@ -94,7 +185,8 @@ def test_sin_decay_matches_heat_scheme_at_small_amplitude():
     h = grid.hs[0]
     sup_prev = np.abs(state.f).max()
     for _ in range(200):
-        state, rec = flow.step(state, 0.9)
+        state = flow.euler_step(state, flow.compute_fields(state), dt,
+                                state.t + dt)
         up = np.concatenate([u[1:], [0.0]])
         um = np.concatenate([[0.0], u[:-1]])
         u = u + dt * (up - 2 * u + um) / h ** 2
@@ -115,16 +207,15 @@ def test_run_to_steady_constant_converges_in_zero_steps():
 def test_blow_up_guard():
     grid = build_grid(BALL, 1.0 / 16)
     steep = flow.make_state(grid, bd.LinearMap([[20.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(flow.FlowBlowUp):
-        flow.step(steep, 0.9)
     _, _, outcome = flow.run_to_steady(steep, 1e-6, 100, 10)
     assert outcome == "BlowUp"
 
 
 def test_converged_state_is_discrete_fixed_point(ball_run):
     _, _, _, _, final, records = ball_run
-    stepped, rec = flow.step(final, 0.9)
-    assert np.abs(stepped.f - final.f).max() < records[-1].step_dt * 1e-6
+    dt = records[-1].step_dt
+    stepped = flow.euler_step(final, flow.compute_fields(final), dt, final.t + dt)
+    assert np.abs(stepped.f - final.f).max() < dt * 1e-6
 
 
 def test_determinism_of_runs():
@@ -152,20 +243,26 @@ def test_monitor_record_csv_columns():
 def test_barrier_fields_at_initial_time():
     grid = build_grid(BALL, 1.0 / 16)
     state = flow.make_state(grid, SMALL_TRIG)
-    bf = flow.barrier_values(state, SMALL_TRIG, 0.1, component=0)
+    monitors = flow.FlowMonitors(state, delta=0.1)
+    S, S_mirror = monitors.barrier_fields(state)
     # with f = psi both fields reduce to nu log(1 + k d) + (omega/delta) d
-    assert bf.min_S >= 0.0 and bf.min_S_mirror >= 0.0
-    np.testing.assert_allclose(bf.S, bf.S_mirror, atol=1e-15)
-    assert bf.band_idx.size > 0
+    assert S.shape == S_mirror.shape == (monitors.band_idx.size, 2)
+    assert monitors.band_idx.size > 0
+    assert S.min() >= 0.0 and S_mirror.min() >= 0.0
+    np.testing.assert_allclose(S, S_mirror, atol=1e-15)
+    eta0 = estimate_c0_eta0(BALL).eta0
+    for delta in (0.0, -0.1, eta0 * 1.01):
+        with pytest.raises(ValueError, match="outside"):
+            flow.FlowMonitors(state, delta=delta)
 
 
 def test_barrier_stays_nonnegative_along_flow(ball_run):
-    _, _, _, _, final, records = ball_run
+    _, _, _, monitors, final, records = ball_run
     for rec in records:
         assert rec.barrier_min >= -1e-12
-    bf0 = flow.barrier_values(final, SMALL_TRIG, 0.1, component=0)
-    bf1 = flow.barrier_values(final, SMALL_TRIG, 0.1, component=1)
-    assert min(bf0.min_S, bf0.min_S_mirror, bf1.min_S, bf1.min_S_mirror) >= 0.0
+    S, S_mirror = monitors.barrier_fields(final)
+    assert min(S.min(), S_mirror.min()) >= 0.0
+    assert records[-1].barrier_min == min(S.min(), S_mirror.min())
 
 
 def _context(grid, rep, state, monitors, records):
@@ -210,19 +307,18 @@ def test_grid_refinement_second_order_interior():
         state = flow.make_state(grid, psi)
         final, _, outcome = flow.run_to_steady(state, 1e-10, 400_000, 1000)
         assert outcome == "Converged"
-        index = {tuple(np.round(grid.interior_pos[k], 9)): k
-                 for k in range(grid.num_interior)}
+        index = {tuple(c): k for k, c in enumerate(grid.lattice_coords().tolist())}
         solutions[h] = (final, index)
 
-    coarse, _ = solutions[1.0 / 16]
+    coarse_coords = solutions[1.0 / 16][0].grid.lattice_coords()
+    ref, ref_index = solutions[1.0 / 64]
     errs = {}
-    for h in (1.0 / 16, 1.0 / 32):
+    for h, ratio in ((1.0 / 16, 1), (1.0 / 32, 2)):
         final, idx = solutions[h]
-        ref, ref_index = solutions[1.0 / 64]
         worst = 0.0
-        for k in range(coarse.grid.num_interior):
-            key = tuple(np.round(coarse.grid.interior_pos[k], 9))
-            worst = max(worst, np.abs(final.f[idx[key]]
-                                      - ref.f[ref_index[key]]).max())
+        for c in coarse_coords.tolist():
+            k = idx[tuple(ratio * a for a in c)]
+            k_ref = ref_index[tuple(4 * a for a in c)]
+            worst = max(worst, np.abs(final.f[k] - ref.f[k_ref]).max())
         errs[h] = worst
     assert errs[1.0 / 16] / errs[1.0 / 32] >= 3.5

@@ -44,7 +44,8 @@ def test_phi_profile_shape():
 def test_f_functional_c_zero_equals_area_monitor():
     state = oracles.plane_state(h=1.0 / 16, halfwidth=0.5)
     mon = flow.FlowMonitors(state)
-    rec = mon.record(state, flow.compute_fields(state), 1.0)
+    bundle = flow.compute_fields(state)
+    rec = mon.record(state, bundle, 1.0, flow.dissipation_rate(state, bundle))
     assert shrinker.f_functional(state, 0.0) == rec.area
 
 
@@ -245,6 +246,15 @@ def test_reflection_rejects_nonzero_trace():
     state = oracles.half_plane_state(h=1.0 / 16, halfwidth=1.0,
                                      slope=[[0.3, 0.0]])
     with pytest.raises(ValueError):
+        shrinker.reflect_halfspace(state)
+
+
+def test_reflection_rejects_unmatched_spacing():
+    # edges 1 x 0.525 at h = 0.05 snap to spacings (0.05, 0.0525); the
+    # doubled box 1 x 1.05 at h = 0.0525 snaps to (0.0526.., 0.0525)
+    grid = build_grid(DomainSpec.box([1.0, 0.525]), 0.05)
+    state = flow.make_state(grid, bd.LinearMap([[0.0, 0.3]]))
+    with pytest.raises(ValueError, match="spacing"):
         shrinker.reflect_halfspace(state)
 
 
