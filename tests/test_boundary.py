@@ -85,23 +85,109 @@ def test_sup_norms_examples(box_grid):
     np.testing.assert_allclose(d2, np.pi ** 2 / 10, rtol=1e-12)
     d1, d2 = bd.sup_norms(bd.ConstantMap([5.0], 2), box_grid)
     assert d1 == 0.0 and d2 == 0.0
+    # n = 3, m = 2: zero Hessians take the power-iteration path
+    A = np.array([[0.3, 0.1, 0.0], [0.0, 0.2, -0.1]])
+    cube = build_grid(DomainSpec.box([1.0, 1.0, 1.0]), 1.0 / 10)
+    d1, d2 = bd.sup_norms(bd.LinearMap(A), cube)
+    np.testing.assert_allclose(d1, np.linalg.svd(A)[1][0], rtol=1e-14)
+    assert d2 == 0.0
 
 
-def test_vector_hessian_norm_against_dense_sampling(ball_grid):
-    # m = 2 stacked quadratic forms: the iterated value must agree with a
-    # brute-force direction sweep
-    rng = np.random.default_rng(11)
-    poly = bd.PolynomialMap([([0.4, -0.3], [[2, 0], [1, 1]]),
-                             ([0.25, 0.35], [[0, 2], [2, 0]])], 2)
-    value = bd.sup_norms(poly, ball_grid)[1]
-    pts = np.vstack([ball_grid.interior_pos, ball_grid.boundary_samples])
-    _, _, hess = poly.jets(pts)
-    angles = np.linspace(0.0, np.pi, 20001)
-    taus = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    q = np.einsum("bAij,ti,tj->bAt", hess, taus, taus)
-    dense = np.linalg.norm(q, axis=1).max()
-    assert value >= dense - 1e-9
-    assert value <= dense + 1e-6
+def _sample_hessians(psi, grid):
+    pts = np.vstack([grid.interior_pos, grid.boundary_samples])
+    return psi.jets(pts)[2]
+
+
+def _random_hessians(m, seed=11, count=200):
+    h = np.random.default_rng(seed).standard_normal((count, m, 2, 2))
+    return h + h.transpose(0, 1, 3, 2)
+
+
+def _isotropic_hessians():
+    c = np.random.default_rng(12).standard_normal((50, 3))
+    return c[:, :, None, None] * np.eye(2)
+
+
+def _circular_hessians():
+    # sum beta^2 = sum gamma^2 and sum beta gamma = 0: the quartic's
+    # leading coefficient vanishes and |q|^2 is first order in s = 2t
+    rng = np.random.default_rng(15)
+    alpha, r = rng.standard_normal((50, 2)), rng.standard_normal(50)
+    h = alpha[:, :, None, None] * np.eye(2)
+    h[:, 0] += r[:, None, None] * np.diag([1.0, -1.0])
+    h[:, 1] += r[:, None, None] * np.array([[0.0, 1.0], [1.0, 0.0]])
+    return h
+
+
+def _one_component_hessians():
+    h = np.zeros((50, 2, 2, 2))
+    h[:, 1] = _random_hessians(1, seed=13, count=50)[:, 0]
+    return h
+
+
+def _rank_one_hessians():
+    rng = np.random.default_rng(14)
+    v = rng.standard_normal((50, 3, 2))
+    return rng.standard_normal((50, 3, 1, 1)) * v[:, :, :, None] * v[:, :, None, :]
+
+
+def _direction_values(hess, angles):
+    """|D^2 psi(tau, tau)| at tau = (cos t, sin t); angles (T,) or (B, T)."""
+    c, s = np.atleast_2d(np.cos(angles)), np.atleast_2d(np.sin(angles))
+    q = (hess[:, :, 0, 0, None] * (c * c)[:, None]
+         + 2.0 * hess[:, :, 0, 1, None] * (c * s)[:, None]
+         + hess[:, :, 1, 1, None] * (s * s)[:, None])
+    return np.linalg.norm(q, axis=1)
+
+
+def _swept_direction_max(hess):
+    """Brute-force sup over points and directions of |D^2 psi(tau, tau)|.
+
+    A 20,001-angle sweep of [0, pi] per point, refined by a 2,001-angle
+    sweep across the two coarse cells around that point's best angle: the
+    coarse sweep alone can sit ~1e-8 below the maximum on O(10) data.
+    """
+    coarse = np.linspace(0.0, np.pi, 20001)
+    best = 0.0
+    for block in np.array_split(hess, -(-hess.shape[0] // 64)):
+        t0 = coarse[np.argmax(_direction_values(block, coarse), axis=1)]
+        fine = t0[:, None] + np.linspace(-coarse[1], coarse[1], 2001)
+        best = max(best, float(_direction_values(block, fine).max()))
+    return best
+
+
+POLY = bd.PolynomialMap([([0.4, -0.3], [[2, 0], [1, 1]]),
+                         ([0.25, 0.35], [[0, 2], [2, 0]])], 2)
+# ball-solve's trigonometric data, where the closed form must also match
+# the power iteration it replaced
+BALL_TRIG = bd.TrigMap([0.01, 0.005], [[2.0, 1.0], [0.0, 2.0]], [0.0, 0.5])
+
+
+@pytest.mark.parametrize("make_hessians, against_iteration", [
+    pytest.param(lambda g: _sample_hessians(POLY, g), False, id="polynomial"),
+    pytest.param(lambda g: _random_hessians(2), False, id="random_m2"),
+    pytest.param(lambda g: _random_hessians(3), False, id="random_m3"),
+    pytest.param(lambda g: _random_hessians(4), False, id="random_m4"),
+    pytest.param(lambda g: _isotropic_hessians(), False, id="isotropic"),
+    pytest.param(lambda g: _circular_hessians(), False, id="circular"),
+    pytest.param(lambda g: _one_component_hessians(), False,
+                 id="one_component"),
+    pytest.param(lambda g: _rank_one_hessians(), False, id="rank_one"),
+    pytest.param(lambda g: np.zeros((20, 2, 2, 2)), False, id="zero"),
+    pytest.param(lambda g: _sample_hessians(BALL_TRIG, g), True,
+                 id="ball_trig"),
+])
+def test_vector_hessian_norm_against_dense_sampling(ball_grid, make_hessians,
+                                                    against_iteration):
+    # n = 2, m >= 2 stacked quadratic forms: the closed-form direction
+    # maximum must agree with a brute-force direction sweep
+    hess = make_hessians(ball_grid)
+    value = bd._sup_hessian_norm(hess)
+    dense = _swept_direction_max(hess)
+    assert dense - 1e-12 <= value <= dense + 1e-9
+    if against_iteration:
+        np.testing.assert_allclose(
+            value, bd._sup_hessian_norm_iterative(hess), rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
