@@ -239,19 +239,9 @@ class HypothesisReport:
     c: float | None = None    # condition-B gap, None for condition A
 
 
-def _region_points(grid: Grid, delta: float | None) -> np.ndarray:
-    """Sample points of the closed region: band nodes (or all) + boundary."""
-    pts = grid.interior_pos
-    if delta is not None:
-        pts = pts[grid.band_mask(delta)]
-    if grid.boundary_samples.size:
-        pts = np.vstack([pts, grid.boundary_samples])
-    return pts
-
-
 def oscillation(psi, grid: Grid) -> float:
     """Largest per-component range of psi over the sampled closure of E."""
-    vals = psi.values(_region_points(grid, None))
+    vals = psi.values(grid.closure_points())
     return float(np.max(vals.max(axis=0) - vals.min(axis=0)))
 
 
@@ -387,7 +377,7 @@ def _sup_hessian_norm(hess: np.ndarray) -> float:
 
 def sup_norms(psi, grid: Grid, delta: float | None = None) -> tuple[float, float]:
     """(sup|Dpsi|, sup|D^2 psi|) over the sampled region at one resolution."""
-    pts = _region_points(grid, delta)
+    pts = grid.closure_points(delta)
     _, jac, hess = psi.jets(pts)
     return _sup_jacobian_norm(jac), _sup_hessian_norm(hess)
 
@@ -445,7 +435,7 @@ def check_condition_A(psi, grid: Grid, boundary_geom: BoundaryGeometry,
     band = collect_norms(psi, grid, delta, fine_grid=fine)
     # only the first-derivative sup is needed globally; w is the same
     # closure-wide oscillation the band call already measured
-    d1_c, d1_f = (_sup_jacobian_norm(psi.jets(_region_points(g, None))[1])
+    d1_c, d1_f = (_sup_jacobian_norm(psi.jets(g.closure_points())[1])
                   for g in (grid, fine))
     glob_dpsi = _richardson(d1_c, d1_f)
     lhs = max(band.w / delta + band.sup_dpsi + 32.0 * n * delta * band.sup_d2psi,

@@ -135,9 +135,24 @@ def _parse_domain(cp, default_truncation: float | None = None) -> DomainSpec:
 
 
 def _parse_boundary(cp, dim: int):
+    """Boundary map of [boundary]; m and the indexed keys must match its data."""
     if "boundary" not in cp:
         raise ConfigError("missing [boundary] section")
     sec = cp["boundary"]
+    psi = _boundary_map(sec, dim)
+    if sec.getint("m", fallback=psi.m) != psi.m:
+        raise ConfigError(f"[boundary] m = {sec['m']} but the data has "
+                          f"{psi.m} components")
+    prefix = {"trigonometric": "wave_vector_", "polynomial": "poly_"}
+    read = {prefix.get(psi.family, "") + str(A) for A in range(1, psi.m + 1)}
+    for key in sec:
+        if key.startswith(tuple(prefix.values())) and key not in read:
+            raise ConfigError(f"unknown key {key!r} in section [boundary] "
+                              f"(the data has {psi.m} components)")
+    return psi
+
+
+def _boundary_map(sec, dim: int):
     family = sec.get("family")
     m = sec.getint("m", fallback=1)
     if family == "constant":
@@ -242,6 +257,10 @@ def load_config(path: str, mode: str | None = None) -> RunConfig:
         cfg.max_steps = sec.getint("max_steps", fallback=cfg.max_steps)
         cfg.monitor_every = sec.getint("monitor_every", fallback=cfg.monitor_every)
         cfg.lambda_guard = sec.getfloat("lambda_guard", fallback=cfg.lambda_guard)
+        if cfg.monitor_every < 1:
+            raise ConfigError(f"monitor_every must be >= 1, got {cfg.monitor_every}")
+        if cfg.max_steps < 0:
+            raise ConfigError(f"max_steps must be >= 0, got {cfg.max_steps}")
 
     if "hypothesis" in cp:
         sec = cp["hypothesis"]

@@ -38,18 +38,17 @@ DEFAULT_LAMBDA_GUARD = 10.0
 class GraphState:
     """Discrete flow state: interior values plus the pinned boundary trace.
 
-    f is (K, m) over the grid's interior ordering.  arm_values holds, for
-    every stencil arm, the pinned data used where the arm does not end on
-    an interior node; those arrays never change during the flow.
+    f is (K, m) over the grid's interior ordering.  pinned (P, m) holds
+    the Dirichlet data at grid.pinned_pos, the ends of the clipped stencil
+    arms; it never changes during the flow.
     """
 
     grid: Grid
     t: float
     f: np.ndarray
-    arm_values: dict                  # (direction index, sign) -> (K, m)
+    pinned: np.ndarray
     psi_lo: np.ndarray                # per-component bounds of the pinned data
     psi_hi: np.ndarray
-    dep_bval: np.ndarray = None       # pinned data at interpolated-node arms
     psi: object = None                # boundary map family when available
 
     @property
@@ -57,32 +56,21 @@ class GraphState:
         return self.f.shape[1]
 
     def replace_values(self, f: np.ndarray, t: float) -> "GraphState":
-        return GraphState(grid=self.grid, t=t, f=f, arm_values=self.arm_values,
-                          psi_lo=self.psi_lo, psi_hi=self.psi_hi,
-                          dep_bval=self.dep_bval, psi=self.psi)
+        return GraphState(grid=self.grid, t=t, f=f, pinned=self.pinned,
+                          psi_lo=self.psi_lo, psi_hi=self.psi_hi, psi=self.psi)
 
 
 def make_state(grid: Grid, psi, t: float = 0.0) -> GraphState:
     """Initial state: the flow starts from the graph of the Dirichlet data."""
     f0 = psi.values(grid.interior_pos)
-    arm_values = {}
-    samples = [f0]
+    # one batch: evaluating row subsets can round differently
+    pinned = psi.values(grid.pinned_pos)
+    samples = [f0, pinned]
     if grid.boundary_samples.size:
         samples.append(psi.values(grid.boundary_samples))
-    for di, d in enumerate(grid.directions):
-        for sign, arm in ((+1, d.plus), (-1, d.minus)):
-            vals = np.zeros_like(f0)
-            need = arm.nbr < 0
-            if need.any():
-                vals[need] = psi.values(arm.bpos[need])
-                samples.append(vals[need])
-            arm_values[(di, sign)] = vals
-    dep_bval = psi.values(grid.dep_bpos) if grid.dep_idx.size else \
-        np.zeros((0, f0.shape[1]))
     allv = np.vstack(samples)
-    return GraphState(grid=grid, t=t, f=f0, arm_values=arm_values,
-                      psi_lo=allv.min(axis=0), psi_hi=allv.max(axis=0),
-                      dep_bval=dep_bval, psi=psi)
+    return GraphState(grid=grid, t=t, f=f0, pinned=pinned,
+                      psi_lo=allv.min(axis=0), psi_hi=allv.max(axis=0), psi=psi)
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +96,6 @@ class _StencilCache:
                 return np.ascontiguousarray(np.repeat(col[:, None], m, axis=1))
 
             entry = {
-                "cut_p": np.nonzero(d.plus.nbr < 0)[0],
-                "cut_m": np.nonzero(d.minus.nbr < 0)[0],
-                "nbr_p": np.maximum(d.plus.nbr, 0),
-                "nbr_m": np.maximum(d.minus.nbr, 0),
                 "c1p": tile(tm * tm / denom),
                 "c1m": tile(-tp * tp / denom),
                 "c10": tile((tp * tp - tm * tm) / denom),
@@ -135,30 +119,22 @@ def _stencils(grid: Grid, m: int) -> _StencilCache:
     return caches[m]
 
 
-def _arm_pair(state: GraphState, di: int, e: dict) -> tuple[np.ndarray, np.ndarray]:
-    F = state.f
-    up = F.take(e["nbr_p"], axis=0)
-    if e["cut_p"].size:
-        up[e["cut_p"]] = state.arm_values[(di, +1)][e["cut_p"]]
-    um = F.take(e["nbr_m"], axis=0)
-    if e["cut_m"].size:
-        um[e["cut_m"]] = state.arm_values[(di, -1)][e["cut_m"]]
-    return up, um
-
-
 def _differences(state: GraphState) -> tuple[list, dict]:
     """One divided-difference pass over every stencil direction.
 
     Returns the Jacobian as n columns J[i] = df/dx_i and the Hessian as
     columns H[i, j] = d2f/dx_i dx_j for i <= j, each of shape (K, m).
+    Every arm end is a row of the stacked array [f; pinned].
     """
     grid = state.grid
     hs = grid.hs
     F = state.f
+    FP = np.concatenate([F, state.pinned])
     J = [None] * grid.n
     H = {}
-    for di, e in enumerate(_stencils(grid, state.m).dirs):
-        up, um = _arm_pair(state, di, e)
+    for d, e in zip(grid.directions, _stencils(grid, state.m).dirs):
+        up = FP.take(d.plus.src, axis=0)
+        um = FP.take(d.minus.src, axis=0)
         d2 = e["c2p"] * up + e["c2m"] * um + e["c20"] * F
         axes = e["axes"]
         if len(axes) == 1:
@@ -416,13 +392,9 @@ class FlowMonitors:
             self.band_psi = state.psi.values(pts) if self.band_idx.size else \
                 np.zeros((0, state.m))
             # per-component oscillation and band Hessian sup for the weight
-            sample_pts = np.vstack([grid.interior_pos, grid.boundary_samples]) \
-                if grid.boundary_samples.size else grid.interior_pos
-            vals = state.psi.values(sample_pts)
+            vals = state.psi.values(grid.closure_points())
             self.omega = vals.max(axis=0) - vals.min(axis=0)
-            band_pts = pts
-            if grid.boundary_samples.size:
-                band_pts = np.vstack([pts, grid.boundary_samples])
+            band_pts = grid.closure_points(delta)
             _, _, hb = state.psi.jets(band_pts)
             d2_comp = np.abs(np.linalg.eigvalsh(hb)).max(axis=(0, 2)) \
                 if band_pts.shape[0] else np.zeros(state.m)
@@ -444,9 +416,7 @@ class FlowMonitors:
 
     def star_omega_floor(self, psi, grid: Grid) -> float:
         """min over the sampled closure of *Omega of the initial graph."""
-        pts = np.vstack([grid.interior_pos, grid.boundary_samples]) \
-            if grid.boundary_samples.size else grid.interior_pos
-        _, jac, _ = psi.jets(pts)
+        _, jac, _ = psi.jets(grid.closure_points())
         _, detg, _ = _metric_inverse(
             _metric([jac[:, :, i] for i in range(grid.n)]), grid.n)
         return float((1.0 / np.sqrt(detg)).min())
@@ -520,7 +490,7 @@ def euler_step(state: GraphState, bundle: FieldBundle, dt: float,
     f_new = state.f + dt * bundle.residual
     tq = grid.dep_t[:, None]
     uq = f_new[grid.dep_opp]
-    f_new[grid.dep_idx] = uq + (state.dep_bval - uq) / (1.0 + tq)
+    f_new[grid.dep_idx] = uq + (state.pinned[grid.dep_pin] - uq) / (1.0 + tq)
     return state.replace_values(f_new, t)
 
 

@@ -40,21 +40,21 @@ class ArmData:
     """One orientation of one stencil direction, over all interior nodes.
 
     nbr   : index into the interior ordering of the lattice neighbor,
-            or -1 when the arm is clipped (boundary value is used instead)
+            or -1 when the arm is clipped (the pinned trace is used instead)
     theta : arm length as a fraction of the full lattice step, in (0, 1]
-    bpos  : (K, n) positions where clipped arms sample the pinned trace
-            (rows are meaningful only where nbr < 0)
+    src   : row of the arm's far end in the stacked array [interior values;
+            pinned values]: nbr where that is interior, else K + i for the
+            grid's pinned_pos[i]
     """
 
     nbr: np.ndarray
     theta: np.ndarray
-    bpos: np.ndarray
+    src: np.ndarray
 
 
 @dataclass
 class Direction:
     offset: tuple            # lattice step, e.g. (1, 0) or (1, -1)
-    hvec: np.ndarray         # physical step vector offset * spacing
     plus: ArmData = None
     minus: ArmData = None
 
@@ -75,12 +75,13 @@ class Grid:
     boundary_nodes_flat: np.ndarray    # lattice nodes classified as boundary
     boundary_nodes_pos: np.ndarray
     boundary_nodes_frac: np.ndarray    # cell-volume fraction for quadrature
+    pinned_pos: np.ndarray = field(default=None)    # (P, n) clipped arm ends
     full_stencil: np.ndarray = field(default=None)  # (K,) all arms unclipped
     stepped: np.ndarray = field(default=None)       # (K,) evolved unknowns
     dep_idx: np.ndarray = field(default=None)       # interpolated nodes
     dep_opp: np.ndarray = field(default=None)       # their inward neighbors
     dep_t: np.ndarray = field(default=None)         # cut fraction of the arm
-    dep_bpos: np.ndarray = field(default=None)      # boundary end of the arm
+    dep_pin: np.ndarray = field(default=None)       # pinned row of that arm
 
     @property
     def n(self) -> int:
@@ -122,6 +123,15 @@ class Grid:
             self._cell_frac = frac
         return self._cell_frac
 
+    def closure_points(self, delta: float | None = None) -> np.ndarray:
+        """Sample points of the closed region: band nodes (or all) + boundary."""
+        pts = self.interior_pos
+        if delta is not None:
+            pts = pts[self.band_mask(delta)]
+        if self.boundary_samples.size:
+            pts = np.vstack([pts, self.boundary_samples])
+        return pts
+
     def lattice_coords(self) -> np.ndarray:
         """(K, n) integer coordinates of the interior nodes, x = coords * hs.
 
@@ -142,32 +152,24 @@ class Grid:
     def scaled_copy(self, scale: float, shift: np.ndarray) -> "Grid":
         """Geometric image of the grid under x -> scale * (x - shift).
 
-        Stencil topology and arm fractions are untouched; only positions
-        and spacings change.  Used by the parabolic dilation.
+        Stencil topology, arm fractions and pinned rows are untouched; only
+        positions and spacings change.  Used by the parabolic dilation.
         """
         shift = np.asarray(shift, float)
-        dirs = []
-        for d in self.directions:
-            dirs.append(Direction(
-                offset=d.offset, hvec=d.hvec * scale,
-                plus=ArmData(d.plus.nbr, d.plus.theta,
-                             scale * (d.plus.bpos - shift)),
-                minus=ArmData(d.minus.nbr, d.minus.theta,
-                              scale * (d.minus.bpos - shift))))
         return Grid(
             spec=self.spec, hs=self.hs * scale, los=scale * (self.los - shift),
             dims=self.dims, cls=self.cls, interior_flat=self.interior_flat,
             interior_pos=scale * (self.interior_pos - shift),
-            d_bdry=self.d_bdry * scale, directions=dirs,
+            d_bdry=self.d_bdry * scale, directions=self.directions,
             boundary_samples=scale * (self.boundary_samples - shift),
             boundary_tags=self.boundary_tags,
             boundary_nodes_flat=self.boundary_nodes_flat,
             boundary_nodes_pos=scale * (self.boundary_nodes_pos - shift),
             boundary_nodes_frac=self.boundary_nodes_frac,
+            pinned_pos=scale * (self.pinned_pos - shift),
             full_stencil=self.full_stencil, stepped=self.stepped,
             dep_idx=self.dep_idx, dep_opp=self.dep_opp, dep_t=self.dep_t,
-            dep_bpos=None if self.dep_bpos is None
-            else scale * (self.dep_bpos - shift))
+            dep_pin=self.dep_pin)
 
 
 def _direction_offsets(n: int) -> list:
@@ -238,7 +240,7 @@ def _mark_dependent_nodes(grid: Grid) -> None:
     side, the opposite lattice neighbor on the other).  The opposite
     neighbor must itself be a stepped interior node; failing that the node
     stays stepped and its short arms are clamped to THETA_FALLBACK, moving
-    the sampled boundary point outward by at most THETA_FALLBACK * h.
+    the arm's pinned point outward by at most THETA_FALLBACK * h.
     """
     K = grid.num_interior
     arms = []
@@ -266,29 +268,23 @@ def _mark_dependent_nodes(grid: Grid) -> None:
         if q < 0 or dependent[q] or opp.theta[k] != 1.0:
             continue     # cannot interpolate through q; handled by clamping
         dependent[k] = True
-        dep_rows.append((k, q, min_t[k], arm.bpos[k]))
+        dep_rows.append((k, q, min_t[k], arm.src[k] - K))
 
     # Clamp leftover short arms on nodes that stay stepped.
     for d in grid.directions:
         for sign, arm in ((+1, d.plus), (-1, d.minus)):
             short = (arm.nbr < 0) & (arm.theta < THETA_FALLBACK) & ~dependent
             if short.any():
-                p = grid.interior_pos[short]
-                step = np.broadcast_to(sign * d.hvec, p.shape)
+                step = sign * np.array(d.offset) * grid.hs
                 arm.theta[short] = THETA_FALLBACK
-                arm.bpos[short] = p + THETA_FALLBACK * step
+                grid.pinned_pos[arm.src[short] - K] = \
+                    grid.interior_pos[short] + THETA_FALLBACK * step
 
     grid.stepped = ~dependent
-    if dep_rows:
-        grid.dep_idx = np.array([r[0] for r in dep_rows], dtype=np.int64)
-        grid.dep_opp = np.array([r[1] for r in dep_rows], dtype=np.int64)
-        grid.dep_t = np.array([r[2] for r in dep_rows])
-        grid.dep_bpos = np.array([r[3] for r in dep_rows])
-    else:
-        grid.dep_idx = np.zeros(0, dtype=np.int64)
-        grid.dep_opp = np.zeros(0, dtype=np.int64)
-        grid.dep_t = np.zeros(0)
-        grid.dep_bpos = np.zeros((0, grid.n))
+    grid.dep_idx = np.array([r[0] for r in dep_rows], dtype=np.int64)
+    grid.dep_opp = np.array([r[1] for r in dep_rows], dtype=np.int64)
+    grid.dep_t = np.array([r[2] for r in dep_rows], dtype=float)
+    grid.dep_pin = np.array([r[3] for r in dep_rows], dtype=np.int64)
 
 
 def boundary_component_tags(spec: DomainSpec, pts: np.ndarray) -> np.ndarray:
@@ -380,11 +376,13 @@ def build_grid(spec: DomainSpec, target_h: float) -> Grid:
         grid.boundary_nodes_frac = np.zeros(bnd_flat.size)
 
     sample_pts = [pos[bnd_flat]] if bnd_flat.size else []
+    pinned = []          # far ends of the clipped arms, in arm order
+    P = 0
     directions = []
     full = np.ones(K, dtype=bool)
     for off in _direction_offsets(n):
         off_arr = np.array(off, dtype=np.int64)
-        d = Direction(offset=off, hvec=off_arr * hs)
+        d = Direction(offset=off)
         for sign in (+1, -1):
             nb_multi = int_multi + sign * off_arr
             in_lat = np.all((nb_multi >= 0) & (nb_multi < np.array(dims)), axis=1)
@@ -393,29 +391,31 @@ def build_grid(spec: DomainSpec, target_h: float) -> Grid:
 
             nbr = np.where(nb_cls == CLS_INTERIOR, inv[nb_flat], -1)
             theta = np.ones(K)
-            bpos = np.full((K, n), np.nan)
+            cut = np.nonzero(nbr < 0)[0]
+            ends = pos[nb_flat[cut]]     # boundary nodes; crossings set below
 
-            is_bnd_node = nb_cls == CLS_BOUNDARY
-            if is_bnd_node.any():
-                bpos[is_bnd_node] = pos[nb_flat[is_bnd_node]]
-
-            clipped = nb_cls == CLS_EXTERIOR
+            clipped = nb_cls[cut] == CLS_EXTERIOR
             if clipped.any():
-                p = grid.interior_pos[clipped]
-                step = np.broadcast_to(sign * d.hvec, p.shape)
+                p = grid.interior_pos[cut[clipped]]
+                step = np.broadcast_to(sign * off_arr * hs, p.shape)
                 t = _crossing_fraction(spec, p, step)
                 cross = p + t[:, None] * step
                 sample_pts.append(cross)
-                theta[clipped] = t
-                bpos[clipped] = cross
+                theta[cut[clipped]] = t
+                ends[clipped] = cross
             full &= theta == 1.0
-            arm = ArmData(nbr=nbr.astype(np.int64), theta=theta, bpos=bpos)
+            pinned.append(ends)
+            src = nbr.copy()
+            src[cut] = K + P + np.arange(cut.size)
+            P += cut.size
+            arm = ArmData(nbr=nbr, theta=theta, src=src)
             if sign > 0:
                 d.plus = arm
             else:
                 d.minus = arm
         directions.append(d)
     grid.directions = directions
+    grid.pinned_pos = np.vstack(pinned)
     grid.full_stencil = full
     _mark_dependent_nodes(grid)
 

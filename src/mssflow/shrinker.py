@@ -222,14 +222,10 @@ def parabolic_dilate(state: GraphState, Y: np.ndarray, T: float,
     base, fiber = Y[:n], Y[n:]
     new_grid = grid.scaled_copy(iota, base)
     f = iota * (state.f - fiber)
-    arm_values = {key: iota * (v - fiber) for key, v in state.arm_values.items()}
-    dep_bval = iota * (state.dep_bval - fiber) if state.dep_bval is not None \
-        and state.dep_bval.size else state.dep_bval
     out = GraphState(grid=new_grid, t=iota ** 2 * (state.t - T), f=f,
-                     arm_values=arm_values,
+                     pinned=iota * (state.pinned - fiber),
                      psi_lo=iota * (state.psi_lo - fiber),
-                     psi_hi=iota * (state.psi_hi - fiber),
-                     dep_bval=dep_bval)
+                     psi_hi=iota * (state.psi_hi - fiber))
     if state.psi is not None:
         out.psi = DilatedMap(state.psi, iota, base, fiber)
     return out

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from mssflow import boundary as bd, flow
 from mssflow.domains import (DomainError, DomainSpec, distance_jet,
                              estimate_c0_eta0)
-from mssflow.grid import CLS_BOUNDARY, CLS_INTERIOR, build_grid
+from mssflow.grid import CLS_BOUNDARY, CLS_INTERIOR, THETA_FALLBACK, build_grid
 
 
 def fd_hessian_of_distance(spec, x, h):
@@ -155,15 +156,20 @@ def test_ball_grid_classification_and_subspacings():
     sd = grid.spec.signed_distance(pos)
     inside = sd < -1e-12
     np.testing.assert_array_equal(grid.cls.ravel() == CLS_INTERIOR, inside)
-    # sub-spacings: crossing point must sit on the unit circle
+    # every clipped arm reads a pinned row on the unit circle; clamped
+    # fallback arms sit outside it by at most THETA_FALLBACK arm lengths
+    K = grid.num_interior
     for d in grid.directions:
+        step = np.linalg.norm(np.array(d.offset) * grid.hs)
         for arm in (d.plus, d.minus):
-            cut = (arm.nbr < 0) & (arm.theta < 1.0)
-            for k in np.nonzero(cut)[0][:20]:
-                r = np.linalg.norm(arm.bpos[k])
-                # interpolated or genuine cuts lie on the circle; clamped
-                # fallback arms may sit slightly outside
-                assert r <= 1.0 + 0.3 * grid.h
+            cut = arm.nbr < 0
+            np.testing.assert_array_equal(arm.src[~cut], arm.nbr[~cut])
+            assert (arm.src[cut] >= K).all()
+            r = np.linalg.norm(grid.pinned_pos[arm.src[cut] - K], axis=1)
+            clamped = (arm.theta == THETA_FALLBACK)[cut] & grid.stepped[cut]
+            np.testing.assert_allclose(r[~clamped], 1.0, atol=1e-9)
+            assert ((r[clamped] >= 1.0 - 1e-9)
+                    & (r[clamped] <= 1.0 + THETA_FALLBACK * step)).all()
     assert grid.boundary_samples.shape[0] > 0
     np.testing.assert_allclose(np.linalg.norm(grid.boundary_samples, axis=1),
                                1.0, atol=1e-9)
@@ -200,8 +206,12 @@ def test_interpolated_nodes_reference_stepped_neighbors():
     assert (~grid.stepped[grid.dep_idx]).all()
     assert ((grid.dep_t > 0) & (grid.dep_t < 0.5)).all()
     # interpolation anchors sit on the boundary
-    np.testing.assert_allclose(np.linalg.norm(grid.dep_bpos, axis=1), 1.0,
-                               atol=1e-9)
+    np.testing.assert_allclose(
+        np.linalg.norm(grid.pinned_pos[grid.dep_pin], axis=1), 1.0, atol=1e-9)
+    # the state pins exactly the data at those rows, evaluated in one batch
+    psi = bd.TrigMap([0.3, 0.1], [[2.0, 1.0], [0.0, 3.0]], [0.0, 0.5])
+    np.testing.assert_array_equal(flow.make_state(grid, psi).pinned,
+                                  psi.values(grid.pinned_pos))
 
 
 def test_box_faces_carry_quadrature_fractions():

@@ -199,11 +199,19 @@ def test_cli_forced_run_proceeds(tmp_path):
     assert "outcome=Converged" in r.stdout
 
 
-def test_cli_config_error_exit_one(tmp_path):
-    path = write_cfg(tmp_path, BALL_SOLVE.replace("delta = 0.1", ""))
+@pytest.mark.parametrize("old, new", [
+    ("delta = 0.1", ""),
+    ("monitor_every = 25", "monitor_every = 0"),
+    ("family = trigonometric\nm = 2", "family = trigonometric\nm = 3"),
+    ("wave_vector_2 = 0.0, 2.0", "wave_vector_2 = 0.0, 2.0\nwave_vector_3 = 1.0, 1.0"),
+], ids=["no-delta", "monitor-every-zero", "m-mismatch", "wave-vector-3"])
+def test_cli_config_error_exit_one(tmp_path, old, new):
+    assert old in BALL_SOLVE
+    path = write_cfg(tmp_path, BALL_SOLVE.replace(old, new))
     r = run_cli(["solve", "--config", path])
     assert r.returncode == 1
-    assert "configuration error" in r.stderr
+    assert "configuration error:" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_cli_check_hypothesis_mode(tmp_path):
