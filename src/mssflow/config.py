@@ -257,6 +257,11 @@ def load_config(path: str, mode: str | None = None) -> RunConfig:
         cfg.max_steps = sec.getint("max_steps", fallback=cfg.max_steps)
         cfg.monitor_every = sec.getint("monitor_every", fallback=cfg.monitor_every)
         cfg.lambda_guard = sec.getfloat("lambda_guard", fallback=cfg.lambda_guard)
+        if not 0.0 < cfg.cfl < 1.0:
+            raise ConfigError(f"cfl must lie in (0, 1), got {cfg.cfl}")
+        if not cfg.tol_residual > 0.0:
+            raise ConfigError(f"tol_residual must be positive, got "
+                              f"{cfg.tol_residual}")
         if cfg.monitor_every < 1:
             raise ConfigError(f"monitor_every must be >= 1, got {cfg.monitor_every}")
         if cfg.max_steps < 0:

@@ -1,7 +1,7 @@
 """Explicit time stepping of the graphical mean curvature flow.
 
 The unknown is the interior trace of f: E -> R^m; the boundary trace is
-pinned to the Dirichlet data for all time.  Each step performs the
+pinned to the Dirichlet data for all time.  An explicit step performs the
 non-parametric update
 
     f^A  <-  f^A + dt * g^{ij}(f) f^A_{ij}
@@ -11,6 +11,12 @@ stencils inside, clipped one-sided arms against curved boundaries).  The
 inverse metric has eigenvalues at most 1, so dt = cfl * h^2 / (2n) is
 stable on uniform stencils; clipped arms shorten the admissible step and
 the actual dt is computed from the worst stencil weight sum.
+
+The steady-state loop covers n explicit steps at a time with one
+first-order Runge-Kutta-Legendre super-step of s ~ sqrt(2n) stages, each
+at most dt long; one stage is the explicit step itself.  Super-steps
+reach the next monitor record and grow geometrically from a single step,
+so monitor_every = 1 is plain explicit Euler.
 
 Alongside the update the flow tracks every quantity the continuous
 theory controls: the largest singular value (length-decreasing), the
@@ -478,20 +484,59 @@ class FlowMonitors:
 # stepping
 # ---------------------------------------------------------------------------
 
+def _interpolate_dependent(f: np.ndarray, state: GraphState) -> None:
+    """Set the interpolated nodes of f in place by their rule
+    u_q + (u_b - u_q) / (1 + t), which is affine-exact and bit-exact on
+    constants."""
+    grid = state.grid
+    tq = grid.dep_t[:, None]
+    uq = f[grid.dep_opp]
+    f[grid.dep_idx] = uq + (state.pinned[grid.dep_pin] - uq) / (1.0 + tq)
+
+
 def euler_step(state: GraphState, bundle: FieldBundle, dt: float,
                t: float) -> GraphState:
     """The state at time t after one explicit update of the stepped unknowns.
 
     bundle is compute_fields(state) and dt at most stable_dt(grid, cfl).
-    Interpolated nodes then follow their rule u_q + (u_b - u_q) / (1 + t),
-    which is affine-exact and bit-exact on constants.
+    Interpolated nodes then follow their rule.
     """
-    grid = state.grid
     f_new = state.f + dt * bundle.residual
-    tq = grid.dep_t[:, None]
-    uq = f_new[grid.dep_opp]
-    f_new[grid.dep_idx] = uq + (state.pinned[grid.dep_pin] - uq) / (1.0 + tq)
+    _interpolate_dependent(f_new, state)
     return state.replace_values(f_new, t)
+
+
+def super_step(state: GraphState, bundle: FieldBundle, dt: float, n: int,
+               t: float) -> GraphState:
+    """The state at time t after one RKL1 super-step as long as n steps of dt.
+
+    First-order Runge-Kutta-Legendre (Meyer, Balsara & Aslam, J. Comput.
+    Phys. 257, 2014) with s stages is stable over s(s+1)/2 explicit steps.
+    The fewest such stages run at stage step w = 2 n dt / (s(s+1)) <= dt:
+
+        Y_0 = f,   Y_1 = Y_0 + w L(Y_0),
+        Y_j = mu_j Y_{j-1} + (1 - mu_j) Y_{j-2} + mu_j w L(Y_{j-1}),
+        mu_j = (2j - 1) / j,
+
+    with L the system residual and the interpolation rule applied after
+    every stage.  A mode with L Y = lambda Y is multiplied by the Legendre
+    polynomial P_s(1 + w lambda), which stays in [-1, 1]; it tracks the
+    exact exp(n dt lambda) only while |lambda| n dt is at most about 1.
+    With n = 1 this is euler_step.  bundle is compute_fields(state); the
+    stages call compute_fields s - 1 more times.
+    """
+    s = 1
+    while s * (s + 1) // 2 < n:
+        s += 1
+    w = 2.0 * n * dt / (s * (s + 1))
+    prev, cur = state, euler_step(state, bundle, w, t)
+    for j in range(2, s + 1):
+        mu = (2 * j - 1) / j
+        f = mu * cur.f + (1.0 - mu) * prev.f \
+            + (mu * w) * compute_fields(cur).residual
+        _interpolate_dependent(f, state)
+        prev, cur = cur, state.replace_values(f, t)
+    return cur
 
 
 def run_to_steady(state0: GraphState, tol_residual: float, max_steps: int,
@@ -502,9 +547,16 @@ def run_to_steady(state0: GraphState, tol_residual: float, max_steps: int,
     """Iterate the flow until the system residual drops below tolerance.
 
     Returns (final state, monitor records, outcome) with outcome one of
-    'Converged', 'MaxSteps', 'BlowUp'.  Records are taken at t = 0, every
-    monitor_every-th step, and at the final step.  Guard violations and
-    non-finite values terminate the run with the BlowUp outcome.
+    'Converged', 'MaxSteps', 'BlowUp'.  Time advances in explicit steps
+    of dt = stable_dt(grid, cfl), at most max_steps of them, grouped into
+    super-steps: each one ends at the next multiple of monitor_every
+    steps, at the budget, or after as many steps as have already been
+    taken, whichever comes first.  Super-steps thus grow geometrically
+    from one explicit step, and monitor_every = 1 is plain explicit Euler.
+    Records are taken at t = 0, every monitor_every-th step, and at the
+    final step; the residual, the guard and finiteness are checked after
+    every super-step.  Guard violations and non-finite values terminate
+    the run with the BlowUp outcome.
     """
     if tol_residual <= 0:
         raise ValueError(f"tol_residual must be positive, got {tol_residual}")
@@ -521,18 +573,21 @@ def run_to_steady(state0: GraphState, tol_residual: float, max_steps: int,
     if bundle.residual_sup < tol_residual:
         return state, records, "Converged"     # already stationary
     outcome = "MaxSteps"
-    for k in range(1, max_steps + 1):
+    k = 0
+    while k < max_steps:
         if bundle.max_lambda > lambda_guard:
             outcome = "BlowUp"
             break
-        new = euler_step(state, bundle, dt, state0.t + k * dt)
+        n = min(monitor_every - k % monitor_every, max(1, k), max_steps - k)
+        new = super_step(state, bundle, dt, n, state0.t + (k + n) * dt)
         if not np.isfinite(new.f).all():
             outcome = "BlowUp"
             break
+        k += n
         state = new
         bundle = compute_fields(state)
         diss_prev, diss = diss, dissipation_rate(state, bundle)
-        diss_integral += 0.5 * dt * (diss_prev + diss)
+        diss_integral += 0.5 * (n * dt) * (diss_prev + diss)
         done = bundle.residual_sup < tol_residual
         if done or k % monitor_every == 0 or k == max_steps:
             records.append(monitors.record(state, bundle, dt, diss, diss_integral))

@@ -204,10 +204,16 @@ def test_cli_forced_run_proceeds(tmp_path):
     ("monitor_every = 25", "monitor_every = 0"),
     ("family = trigonometric\nm = 2", "family = trigonometric\nm = 3"),
     ("wave_vector_2 = 0.0, 2.0", "wave_vector_2 = 0.0, 2.0\nwave_vector_3 = 1.0, 1.0"),
-], ids=["no-delta", "monitor-every-zero", "m-mismatch", "wave-vector-3"])
+    ("cfl = 0.9", "cfl = 1.5"),
+    ("cfl = 0.9", "cfl = 0.0"),
+    ("tol_residual = 1e-5", "tol_residual = 0.0"),
+], ids=["no-delta", "monitor-every-zero", "m-mismatch", "wave-vector-3",
+        "cfl-above-one", "cfl-zero", "tol-residual-zero"])
 def test_cli_config_error_exit_one(tmp_path, old, new):
     assert old in BALL_SOLVE
     path = write_cfg(tmp_path, BALL_SOLVE.replace(old, new))
+    with pytest.raises(ConfigError):
+        load_config(path)
     r = run_cli(["solve", "--config", path])
     assert r.returncode == 1
     assert "configuration error:" in r.stderr

@@ -196,6 +196,27 @@ def test_sin_decay_matches_heat_scheme_at_small_amplitude():
     assert np.abs(state.f[:, 0] - u).max() <= 5e-4 * amp
 
 
+@pytest.mark.parametrize("n, s", [(1, 1), (25, 7), (500, 32)])
+def test_super_step_multiplies_sin_mode_by_legendre_value(n, s):
+    """At small amplitude the flow is the heat equation, and the discrete
+    sin mode is an eigenvector with lambda_h = -(4/h^2) sin^2(pi h/2); one
+    RKL1 super-step of s stages multiplies it by P_s(1 + w lambda_h)."""
+    amp = 1e-3
+    grid = build_grid(DomainSpec.box([1.0]), 1.0 / 32)
+    state = flow.make_state(grid, bd.TrigMap([amp], [[np.pi]]))
+    bundle = flow.compute_fields(state)
+    dt = flow.stable_dt(grid, 0.9)
+    new = flow.super_step(state, bundle, dt, n, n * dt)
+    h = grid.hs[0]
+    lam = -(4.0 / h ** 2) * np.sin(np.pi * h / 2) ** 2
+    w = 2.0 * n * dt / (s * (s + 1))
+    factor = np.polynomial.legendre.Legendre.basis(s)(1.0 + w * lam)
+    assert new.t == n * dt
+    np.testing.assert_allclose(new.f, factor * state.f, rtol=0, atol=1e-6 * amp)
+    if n == 1:
+        assert np.array_equal(new.f, flow.euler_step(state, bundle, dt, dt).f)
+
+
 def test_run_to_steady_constant_converges_in_zero_steps():
     grid = build_grid(BALL, 1.0 / 16)
     state = flow.make_state(grid, bd.ConstantMap([1.5], 2))
@@ -216,6 +237,27 @@ def test_converged_state_is_discrete_fixed_point(ball_run):
     dt = records[-1].step_dt
     stepped = flow.euler_step(final, flow.compute_fields(final), dt, final.t + dt)
     assert np.abs(stepped.f - final.f).max() < dt * 1e-6
+
+
+def test_super_steps_converge_to_the_explicit_euler_state(ball_run):
+    # monitor_every = 1 takes one explicit Euler step per super-step; both
+    # runs stop within tol_residual / lambda_1 of the discrete steady state,
+    # lambda_1 = 5.78 the unit disk's first Dirichlet eigenvalue
+    grid, _, _, _, final, _ = ball_run
+    euler, _, outcome = flow.run_to_steady(flow.make_state(grid, SMALL_TRIG),
+                                           1e-6, 100_000, 1)
+    assert outcome == "Converged"
+    assert np.abs(final.f - euler.f).max() <= 1e-6 / 5.78
+
+
+def test_step_budget_ends_on_the_last_explicit_step():
+    grid = build_grid(BALL, 1.0 / 16)
+    state0 = flow.make_state(grid, SMALL_TRIG, t=0.25)
+    dt = flow.stable_dt(grid, 0.9)
+    final, records, outcome = flow.run_to_steady(state0, 1e-9, 60, 25)
+    assert outcome == "MaxSteps"
+    assert final.t == state0.t + 60 * dt
+    assert [r.t for r in records] == [state0.t + k * dt for k in (0, 25, 50, 60)]
 
 
 def test_determinism_of_runs():
