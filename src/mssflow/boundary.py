@@ -466,16 +466,13 @@ def check_condition_B(psi, grid: Grid, boundary_geom: BoundaryGeometry,
 
 
 def boundary_gradient_bound(psi_norms: PsiNorms, delta: float, mu: float,
-                            n: int, sharp_convex: bool = False) -> float:
+                            n: int) -> float:
     """Proved ceiling for sup|Df| on the boundary along the flow.
 
-    Returns w/delta + |Dpsi| + 16 n (1+mu) delta |D^2 psi|.  With
-    sharp_convex=True the sharper strictly-convex-domain constant 4 is
-    substituted for 16 (valid only when c0 = 0, off by default).
+    Returns w/delta + |Dpsi| + 16 n (1+mu) delta |D^2 psi|.
     """
-    coeff = 4.0 if sharp_convex else 16.0
     return (psi_norms.w / delta + psi_norms.sup_dpsi
-            + coeff * n * (1.0 + mu) * delta * psi_norms.sup_d2psi)
+            + 16.0 * n * (1.0 + mu) * delta * psi_norms.sup_d2psi)
 
 
 def barrier_nu(omega_A: float, delta: float, mu: float, c0: float, n: int,

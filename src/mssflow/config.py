@@ -39,6 +39,7 @@ Example::
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 
@@ -68,6 +69,10 @@ class ConfigError(ValueError):
 
 def _floats(text: str) -> list:
     return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+
+
+def _positive_finite(x: float) -> bool:
+    return x > 0.0 and math.isfinite(x)
 
 
 def _matrix(text: str) -> list:
@@ -118,6 +123,9 @@ def _parse_domain(cp, default_truncation: float | None = None) -> DomainSpec:
         if "edges" not in sec:
             raise ConfigError("box domain needs 'edges'")
         edges = _floats(sec["edges"])
+        if "dim" in sec and dim != len(edges):
+            raise ConfigError(f"box domain has dim = {dim} but "
+                              f"{len(edges)} edges")
         lo = _floats(sec["lo"]) if "lo" in sec else None
         return DomainSpec.box(edges, lo=lo)
     if kind == "ball":
@@ -247,8 +255,8 @@ def load_config(path: str, mode: str | None = None) -> RunConfig:
     if "grid" not in cp:
         raise ConfigError("missing [grid] section")
     cfg.h = cp["grid"].getfloat("h")
-    if cfg.h is None or cfg.h <= 0:
-        raise ConfigError("grid h must be positive")
+    if cfg.h is None or not _positive_finite(cfg.h):
+        raise ConfigError(f"grid h must be a finite positive number, got {cfg.h}")
 
     if "flow" in cp:
         sec = cp["flow"]
@@ -266,6 +274,9 @@ def load_config(path: str, mode: str | None = None) -> RunConfig:
             raise ConfigError(f"monitor_every must be >= 1, got {cfg.monitor_every}")
         if cfg.max_steps < 0:
             raise ConfigError(f"max_steps must be >= 0, got {cfg.max_steps}")
+        if not _positive_finite(cfg.lambda_guard):
+            raise ConfigError(f"lambda_guard must be a finite positive number, "
+                              f"got {cfg.lambda_guard}")
 
     if "hypothesis" in cp:
         sec = cp["hypothesis"]

@@ -180,48 +180,3 @@ def estimate_c0_eta0(spec: DomainSpec) -> BoundaryGeometry:
     r_in = spec.inner_radius
     bound = 1.0 / r_in
     return BoundaryGeometry(eta0=r_in / 2.0, c0=n * bound, hess_d_bound=bound)
-
-
-def distance_jet(spec: DomainSpec, x: np.ndarray):
-    """Distance to the boundary with gradient and Hessian at one point.
-
-    Only valid on the C^2 collar: rejects points with d(x) >= eta0, and for
-    boxes also the corner bands where two faces are simultaneously within
-    eta0 (the distance function has a crease there).
-    Returns (d, grad_d, hess_d).
-    """
-    x = np.asarray(x, float)
-    n = spec.dim
-    geom = estimate_c0_eta0(spec)
-    d = float(spec.boundary_distance(x[None, :])[0])
-    if d <= 0:
-        raise DomainError(f"point {x} is not inside the domain")
-    if d >= geom.eta0:
-        raise DomainError(
-            f"d(x) = {d} >= eta0 = {geom.eta0}: Hessian not certified C^2 there")
-
-    if spec.kind == "box":
-        lo, hi = spec.bounding_box()
-        face_d = np.concatenate([x - lo, hi - x])
-        order = np.argsort(face_d, kind="stable")
-        if face_d[order[1]] < geom.eta0:
-            raise DomainError(
-                f"point {x} lies in a corner band: two faces within eta0")
-        k = order[0]
-        grad = np.zeros(n)
-        if k < n:
-            grad[k] = 1.0        # nearest face is the low face on axis k
-        else:
-            grad[k - n] = -1.0
-        return d, grad, np.zeros((n, n))
-
-    rho = float(np.linalg.norm(x))
-    xhat = x / rho
-    tang = np.eye(n) - np.outer(xhat, xhat)
-    if spec.kind == "ball":
-        return d, -xhat, -tang / rho
-    r_in = spec.inner_radius
-    r_out = spec.radius if spec.kind == "annulus" else spec.truncation_radius
-    if rho - r_in <= r_out - rho:   # inner sphere is nearest
-        return d, xhat, tang / rho
-    return d, -xhat, -tang / rho

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import jets as jets_mod
 from .boundary import barrier_nu
 from .domains import estimate_c0_eta0
 from .grid import Grid
@@ -168,13 +167,6 @@ def jets_all(state: GraphState) -> tuple[np.ndarray, np.ndarray]:
     """Jacobian (K, m, n) and Hessian (K, m, n, n) at every interior node."""
     J, H = _differences(state)
     return np.stack(J, axis=-1), _symmetric(H, state.grid.n)
-
-
-def jet_at(state: GraphState, node: int) -> jets_mod.PointJet:
-    """Full second-order jet at one interior node (by interior index)."""
-    J, H = jets_all(state)
-    return jets_mod.PointJet(x=state.grid.interior_pos[node],
-                             value=state.f[node], jac=J[node], hess=H[node])
 
 
 def _accumulate(terms) -> np.ndarray:
@@ -378,11 +370,10 @@ class FlowMonitors:
     """
 
     def __init__(self, state: GraphState, eps: float | None = None,
-                 delta: float | None = None, mu: float = 1.0):
+                 delta: float | None = None):
         grid = state.grid
         self.eps = eps
         self.delta = delta
-        self.mu = mu
         self.boundary_adjacent = self._boundary_adjacent(grid)
         _, wb = pinned_boundary_cells(state)
         self.static_boundary_area = float(wb.sum())
@@ -405,7 +396,7 @@ class FlowMonitors:
             d2_comp = np.abs(np.linalg.eigvalsh(hb)).max(axis=(0, 2)) \
                 if band_pts.shape[0] else np.zeros(state.m)
             self.nu = np.array([
-                barrier_nu(self.omega[A], delta, mu, geom.c0, grid.n, d2_comp[A])
+                barrier_nu(self.omega[A], delta, 1.0, geom.c0, grid.n, d2_comp[A])
                 for A in range(state.m)])
             # static barrier part nu log(1 + k d) + (omega / delta) d, k = 1/delta
             k = 1.0 / delta

@@ -71,9 +71,7 @@ class Grid:
     d_bdry: np.ndarray                 # (K,) distance to computational boundary
     directions: list                   # Direction objects: axes then diagonals
     boundary_samples: np.ndarray       # (B, n) points on the true boundary
-    boundary_tags: np.ndarray          # (B,) component tag per sample
-    boundary_nodes_flat: np.ndarray    # lattice nodes classified as boundary
-    boundary_nodes_pos: np.ndarray
+    boundary_nodes_pos: np.ndarray     # lattice nodes classified as boundary
     boundary_nodes_frac: np.ndarray    # cell-volume fraction for quadrature
     pinned_pos: np.ndarray = field(default=None)    # (P, n) clipped arm ends
     full_stencil: np.ndarray = field(default=None)  # (K,) all arms unclipped
@@ -162,8 +160,6 @@ class Grid:
             interior_pos=scale * (self.interior_pos - shift),
             d_bdry=self.d_bdry * scale, directions=self.directions,
             boundary_samples=scale * (self.boundary_samples - shift),
-            boundary_tags=self.boundary_tags,
-            boundary_nodes_flat=self.boundary_nodes_flat,
             boundary_nodes_pos=scale * (self.boundary_nodes_pos - shift),
             boundary_nodes_frac=self.boundary_nodes_frac,
             pinned_pos=scale * (self.pinned_pos - shift),
@@ -287,27 +283,6 @@ def _mark_dependent_nodes(grid: Grid) -> None:
     grid.dep_pin = np.array([r[3] for r in dep_rows], dtype=np.int64)
 
 
-def boundary_component_tags(spec: DomainSpec, pts: np.ndarray) -> np.ndarray:
-    """Component tag per boundary point.
-
-    box: nearest face, 2*axis + (0 low / 1 high); ball: 0;
-    annulus/exterior: 0 outer sphere, 1 inner sphere.
-    """
-    pts = np.atleast_2d(pts)
-    if spec.kind == "box":
-        lo, hi = spec.bounding_box()
-        face_d = np.concatenate([pts - lo, hi - pts], axis=1)  # (B, 2n)
-        nearest = np.argmin(face_d, axis=1)
-        axis = nearest % spec.dim
-        side = nearest // spec.dim
-        return (2 * axis + side).astype(np.int64)
-    if spec.kind == "ball":
-        return np.zeros(pts.shape[0], dtype=np.int64)
-    rho = np.linalg.norm(pts, axis=1)
-    r_out = spec.radius if spec.kind == "annulus" else spec.truncation_radius
-    return (np.abs(rho - spec.inner_radius) < np.abs(rho - r_out)).astype(np.int64)
-
-
 def build_grid(spec: DomainSpec, target_h: float) -> Grid:
     """Lattice, classification and stencil arms for a domain.
 
@@ -340,9 +315,8 @@ def build_grid(spec: DomainSpec, target_h: float) -> Grid:
 
     grid = Grid(spec=spec, hs=hs, los=los, dims=dims, cls=None,
                 interior_flat=None, interior_pos=None, d_bdry=None,
-                directions=None, boundary_samples=None, boundary_tags=None,
-                boundary_nodes_flat=None, boundary_nodes_pos=None,
-                boundary_nodes_frac=None)
+                directions=None, boundary_samples=None,
+                boundary_nodes_pos=None, boundary_nodes_frac=None)
 
     pos = grid.lattice_positions()
     sd = spec.signed_distance(pos)
@@ -365,7 +339,6 @@ def build_grid(spec: DomainSpec, target_h: float) -> Grid:
     int_multi = np.stack(np.unravel_index(interior_flat, dims), axis=1)
 
     bnd_flat = np.nonzero(flat_cls == CLS_BOUNDARY)[0]
-    grid.boundary_nodes_flat = bnd_flat
     grid.boundary_nodes_pos = pos[bnd_flat]
     if spec.kind == "box":
         lo, hi = spec.bounding_box()
@@ -428,6 +401,4 @@ def build_grid(spec: DomainSpec, target_h: float) -> Grid:
         grid.boundary_samples = samples[order]
     else:
         grid.boundary_samples = np.zeros((0, n))
-    grid.boundary_tags = boundary_component_tags(spec, grid.boundary_samples) \
-        if grid.boundary_samples.size else np.zeros(0, dtype=np.int64)
     return grid

@@ -63,41 +63,34 @@ class ScherkMap:
         return vals, jac, hess
 
 
-def plane_state(h: float, halfwidth: float = 3.0, dim: int = 2,
-                slope=None, offset=None, m: int = 1) -> GraphState:
-    """Affine graph over a centered box; the default is the flat zero plane."""
-    spec = DomainSpec.box(np.full(dim, 2.0 * halfwidth),
-                          lo=np.full(dim, -halfwidth))
+def plane_state(h: float, halfwidth: float = 3.0, offset=None) -> GraphState:
+    """Horizontal graph of height offset (default 0) over a centered square."""
+    spec = DomainSpec.box(np.full(2, 2.0 * halfwidth),
+                          lo=np.full(2, -halfwidth))
     grid = build_grid(spec, h)
-    A = np.zeros((m, dim)) if slope is None else np.asarray(slope, float)
-    b = np.zeros(m) if offset is None else np.asarray(offset, float)
-    return make_state(grid, LinearMap(A, b))
+    b = np.zeros(1) if offset is None else np.asarray(offset, float)
+    return make_state(grid, LinearMap(np.zeros((1, 2)), b))
 
 
-def half_plane_state(h: float, halfwidth: float = 3.0, dim: int = 2,
-                     slope=None, m: int = 1) -> GraphState:
-    """Affine graph over a box resting on the hyperplane x_n = 0.
+def half_plane_state(h: float, halfwidth: float = 3.0,
+                     slope=None) -> GraphState:
+    """Affine graph over a rectangle resting on the line x_2 = 0.
 
     With zero data the graph is a flat half-plane whose straight edge
     passes through the origin: the boundary-point density oracle.
     """
-    lo = np.full(dim, -halfwidth)
-    lo[dim - 1] = 0.0
-    edges = np.full(dim, 2.0 * halfwidth)
-    edges[dim - 1] = halfwidth
-    spec = DomainSpec.box(edges, lo=lo)
+    spec = DomainSpec.box([2.0 * halfwidth, halfwidth], lo=[-halfwidth, 0.0])
     grid = build_grid(spec, h)
-    A = np.zeros((m, dim)) if slope is None else np.asarray(slope, float)
+    A = np.zeros((1, 2)) if slope is None else np.asarray(slope, float)
     return make_state(grid, LinearMap(A))
 
 
-def sphere_cap_state(h: float, halfwidth: float = 0.8,
-                     dim: int = 2) -> GraphState:
-    """Cap of the radius sqrt(2n) sphere over a centered box (a shrinker)."""
-    spec = DomainSpec.box(np.full(dim, 2.0 * halfwidth),
-                          lo=np.full(dim, -halfwidth))
+def sphere_cap_state(h: float, halfwidth: float = 0.8) -> GraphState:
+    """Cap of the radius 2 = sqrt(2n) sphere over a centered square."""
+    spec = DomainSpec.box(np.full(2, 2.0 * halfwidth),
+                          lo=np.full(2, -halfwidth))
     grid = build_grid(spec, h)
-    return make_state(grid, SphereCapMap(np.sqrt(2.0 * dim), dim))
+    return make_state(grid, SphereCapMap(2.0, 2))
 
 
 def scherk_state(h: float, halfwidth: float = 0.7) -> GraphState:

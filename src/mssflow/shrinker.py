@@ -1,10 +1,9 @@
 """Self-shrinker and Gaussian-density toolkit.
 
-Implements the weighted area functional int exp(-c |z|^2 / 4) dH^n over a
-discrete graph, the backward heat kernel, the cutoff-weighted Gaussian
-density of a flow state around a space-time center, the parabolic
-dilation of discrete states, and the odd reflection of a half-space graph
-across its flat edge.
+Implements the cutoff-weighted Gaussian density of a flow state around a
+space-time center, the residual field of the c-minimal (self-shrinker)
+system, the parabolic dilation of discrete states, and the odd reflection
+of a half-space graph across its flat edge.
 
 The density of a smooth flow at a point is 1 when the point is interior
 and 1/2 when it sits on the boundary of the evolving graph; those two
@@ -72,38 +71,6 @@ def phi_quintic(r: np.ndarray, cutoff: float = 1.0) -> np.ndarray:
     return 1.0 - s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
-def f_functional(state: GraphState, c: float) -> float:
-    """Weighted area int exp(-c |z|^2 / 4) sqrt(det g) over interior cells.
-
-    c = 0 reproduces the area monitor exactly (same quadrature); critical
-    points of c = 1 are self-shrinkers.
-    """
-    if c < 0:
-        raise ValueError(f"c must be non-negative, got {c}")
-    grid = state.grid
-    bundle = compute_fields(state)
-    zsq = (grid.interior_pos ** 2).sum(axis=1) + (state.f ** 2).sum(axis=1)
-    total = float((np.exp(-0.25 * c * zsq) * np.sqrt(bundle.detg)
-                   * grid.cell_fractions()).sum() * grid.cellvol)
-    zb, wb = pinned_boundary_cells(state)
-    if wb.size:
-        total += float((np.exp(-0.25 * c * (zb ** 2).sum(axis=1)) * wb).sum())
-    return total
-
-
-def backward_kernel(y: np.ndarray, query: DensityQuery, n: int) -> np.ndarray:
-    """Backward heat kernel (4 pi (T-t))^(-n/2) exp(-|y-Y|^2 / (4 (T-t))).
-
-    n is the dimension of the evolving submanifold, not of the ambient
-    space; y may be a single point or a batch of rows.
-    """
-    y = np.asarray(y, float)
-    tau = query.time_gap
-    dsq = ((np.atleast_2d(y) - query.center) ** 2).sum(axis=1)
-    rho = (4.0 * np.pi * tau) ** (-0.5 * n) * np.exp(-dsq / (4.0 * tau))
-    return rho if y.ndim > 1 else float(rho[0])
-
-
 def _coverage_check(state: GraphState, query: DensityQuery) -> None:
     """The kernel support intersected with the domain must be sampled.
 
@@ -123,17 +90,16 @@ def _coverage_check(state: GraphState, query: DensityQuery) -> None:
                 f"truncated at {spec.truncation_radius}")
 
 
-def gaussian_density(state: GraphState, query: DensityQuery,
-                     phi_profile=None) -> float:
+def gaussian_density(state: GraphState, query: DensityQuery) -> float:
     """Cutoff-weighted Gaussian density of the graph around the center.
 
     Quadrature of phi(|z - Y|) * rho(z) * sqrt(det g) over the discrete
-    graph.  Interior nodes carry full cells; lattice nodes sitting on flat
-    boundary faces carry the matching cell fraction, which is what makes
-    the half-plane value come out at 1/2 instead of 1/2 + O(h).
+    graph, with phi = phi_quintic and rho the backward heat kernel
+    (4 pi (T-t))^(-n/2) exp(-|z - Y|^2 / (4 (T-t))), n the dimension of
+    the graph.  Interior nodes carry full cells; lattice nodes sitting on
+    flat boundary faces carry the matching cell fraction, which is what
+    makes the half-plane value come out at 1/2 instead of 1/2 + O(h).
     """
-    if phi_profile is None:
-        phi_profile = phi_quintic
     _coverage_check(state, query)
     grid = state.grid
     n = grid.n
@@ -152,7 +118,7 @@ def gaussian_density(state: GraphState, query: DensityQuery,
     tau = query.time_gap
     rho = (4.0 * np.pi * tau) ** (-0.5 * n) \
         * np.exp(-dist[mask] ** 2 / (4.0 * tau))
-    return float((phi_profile(dist[mask], query.cutoff) * rho * w[mask]).sum())
+    return float((phi_quintic(dist[mask], query.cutoff) * rho * w[mask]).sum())
 
 
 def shrinker_residual_field(state: GraphState, c: float) -> np.ndarray:

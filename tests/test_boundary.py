@@ -277,9 +277,6 @@ def test_boundary_gradient_bound_values():
     r1 = bd.boundary_gradient_bound(only2, 0.2, 1.0, 2)
     r3 = bd.boundary_gradient_bound(only2, 0.2, 3.0, 2)
     np.testing.assert_allclose(r3 / r1, 2.0, rtol=1e-14)
-    # strictly convex variant swaps 16 -> 4
-    r_sharp = bd.boundary_gradient_bound(only2, 0.2, 1.0, 2, sharp_convex=True)
-    np.testing.assert_allclose(r1 / r_sharp, 4.0, rtol=1e-14)
 
 
 def test_condition_A_pass_implies_gradient_bound_below_one(ball_grid):

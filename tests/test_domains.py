@@ -4,103 +4,8 @@ import numpy as np
 import pytest
 
 from mssflow import boundary as bd, flow
-from mssflow.domains import (DomainError, DomainSpec, distance_jet,
-                             estimate_c0_eta0)
+from mssflow.domains import DomainError, DomainSpec, estimate_c0_eta0
 from mssflow.grid import CLS_BOUNDARY, CLS_INTERIOR, THETA_FALLBACK, build_grid
-
-
-def fd_hessian_of_distance(spec, x, h):
-    n = x.size
-    H = np.zeros((n, n))
-    def d(p):
-        return spec.boundary_distance(p[None, :])[0]
-    for i in range(n):
-        for j in range(n):
-            ei, ej = np.zeros(n), np.zeros(n)
-            ei[i], ej[j] = h, h
-            if i == j:
-                H[i, j] = (d(x + ei) - 2 * d(x) + d(x - ei)) / h ** 2
-            else:
-                H[i, j] = (d(x + ei + ej) - d(x + ei - ej)
-                           - d(x - ei + ej) + d(x - ei - ej)) / (4 * h ** 2)
-    return H
-
-
-# ---------------------------------------------------------------------------
-# distance jets
-# ---------------------------------------------------------------------------
-
-def test_ball_distance_jet_matches_curvature_formula():
-    spec = DomainSpec.ball(1.5, 2)
-    x = np.array([0.0, 1.2])
-    d, grad, hess = distance_jet(spec, x)
-    s = 1.5 - 1.2
-    np.testing.assert_allclose(d, s, rtol=1e-14)
-    np.testing.assert_allclose(grad, [0.0, -1.0], atol=1e-14)
-    # tangential eigenvalue -1/(r - s), radial 0
-    eig = np.sort(np.linalg.eigvalsh(hess))
-    np.testing.assert_allclose(eig, [-1.0 / 1.2, 0.0], atol=1e-12)
-
-
-def test_box_distance_jet_flat_face():
-    spec = DomainSpec.box([1.0, 1.0])
-    d, grad, hess = distance_jet(spec, np.array([0.5, 0.1]))
-    np.testing.assert_allclose(d, 0.1, rtol=1e-15)
-    np.testing.assert_allclose(grad, [0.0, 1.0], atol=0)
-    np.testing.assert_allclose(hess, 0.0, atol=0)
-
-
-def test_annulus_inner_jet_sign_against_finite_differences():
-    spec = DomainSpec.annulus(0.5, 1.5, 2)
-    x = np.array([0.0, 0.6])      # distance 0.1 from the inner sphere
-    d, grad, hess = distance_jet(spec, x)
-    np.testing.assert_allclose(d, 0.1, rtol=1e-12)
-    tang = hess[0, 0]
-    np.testing.assert_allclose(tang, 1.0 / 0.6, rtol=1e-12)
-    fd = fd_hessian_of_distance(spec, x, 1e-4)
-    np.testing.assert_allclose(hess, fd, atol=1e-5)
-
-
-def test_gradient_is_unit_everywhere_defined():
-    rng = np.random.default_rng(3)
-    for spec in (DomainSpec.ball(1.0, 2), DomainSpec.annulus(0.4, 1.0, 2),
-                 DomainSpec.box([1.0, 2.0]), DomainSpec.exterior(1.0, 9.0, 2)):
-        geom = estimate_c0_eta0(spec)
-        found = 0
-        while found < 40:
-            lo, hi = spec.bounding_box()
-            x = rng.uniform(lo, hi)
-            d = spec.boundary_distance(x[None])[0]
-            if not 0 < d < geom.eta0:
-                continue
-            try:
-                _, grad, _ = distance_jet(spec, x)
-            except DomainError:
-                continue   # corner bands are legitimately rejected
-            np.testing.assert_allclose(np.linalg.norm(grad), 1.0, atol=1e-10)
-            found += 1
-
-
-def test_distance_hessian_fd_convergence_order():
-    spec = DomainSpec.ball(1.0, 2)
-    x = np.array([0.3, 0.6])
-    _, _, hess = distance_jet(spec, x)
-    e1 = np.abs(fd_hessian_of_distance(spec, x, 2e-3) - hess).max()
-    e2 = np.abs(fd_hessian_of_distance(spec, x, 1e-3) - hess).max()
-    assert e1 / e2 > 3.0      # second-order central differences
-
-
-def test_distance_jet_rejections():
-    ball = DomainSpec.ball(1.0, 2)
-    with pytest.raises(DomainError):
-        distance_jet(ball, np.array([0.0, 0.0]))     # d = 1 >= eta0
-    with pytest.raises(DomainError):
-        distance_jet(ball, np.array([0.0, 1.5]))     # outside
-    box = DomainSpec.box([1.0, 1.0])
-    with pytest.raises(DomainError):
-        distance_jet(box, np.array([0.05, 0.05]))    # corner band
-    # near one face, away from corners: fine
-    distance_jet(box, np.array([0.5, 0.05]))
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +78,6 @@ def test_ball_grid_classification_and_subspacings():
     assert grid.boundary_samples.shape[0] > 0
     np.testing.assert_allclose(np.linalg.norm(grid.boundary_samples, axis=1),
                                1.0, atol=1e-9)
-
-
-def test_annulus_grid_component_tags():
-    grid = build_grid(DomainSpec.annulus(0.5, 1.0, 2), 1.0 / 32)
-    rho = np.linalg.norm(grid.boundary_samples, axis=1)
-    inner = grid.boundary_tags == 1
-    np.testing.assert_allclose(rho[inner], 0.5, atol=1e-9)
-    np.testing.assert_allclose(rho[~inner], 1.0, atol=1e-9)
-    assert inner.any() and (~inner).any()
 
 
 def test_under_resolved_grid_rejected():

@@ -207,8 +207,13 @@ def test_cli_forced_run_proceeds(tmp_path):
     ("cfl = 0.9", "cfl = 1.5"),
     ("cfl = 0.9", "cfl = 0.0"),
     ("tol_residual = 1e-5", "tol_residual = 0.0"),
+    ("cfl = 0.9", "cfl = 0.9\nlambda_guard = nan"),
+    ("cfl = 0.9", "cfl = 0.9\nlambda_guard = -1"),
+    ("h = 0.0625", "h = nan"),
+    ("kind = ball\ndim = 2\nradius = 1.0", "kind = box\ndim = 3\nedges = 1.0, 1.0"),
 ], ids=["no-delta", "monitor-every-zero", "m-mismatch", "wave-vector-3",
-        "cfl-above-one", "cfl-zero", "tol-residual-zero"])
+        "cfl-above-one", "cfl-zero", "tol-residual-zero", "lambda-guard-nan",
+        "lambda-guard-negative", "h-nan", "box-dim-mismatch"])
 def test_cli_config_error_exit_one(tmp_path, old, new):
     assert old in BALL_SOLVE
     path = write_cfg(tmp_path, BALL_SOLVE.replace(old, new))
@@ -218,6 +223,15 @@ def test_cli_config_error_exit_one(tmp_path, old, new):
     assert r.returncode == 1
     assert "configuration error:" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_program_does_not_import_the_pointwise_oracle():
+    # jets.py is the tests' independent reference, never program code
+    code = ("import sys, mssflow.cli, mssflow.driver; "
+            "sys.exit('mssflow.jets' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
 
 
 def test_cli_check_hypothesis_mode(tmp_path):

@@ -37,9 +37,10 @@ def test_jet_at_exact_on_affine_data():
     grid = build_grid(BALL, 1.0 / 16)
     psi = bd.LinearMap([[0.25, -0.1], [0.0, 0.3]], offset=[0.2, 0.0])
     state = flow.make_state(grid, psi)
-    jet = flow.jet_at(state, grid.num_interior // 2)
-    np.testing.assert_allclose(jet.jac, psi.A, atol=1e-12)
-    np.testing.assert_allclose(jet.hess, 0.0, atol=1e-12)
+    J, H = flow.jets_all(state)
+    k = grid.num_interior // 2
+    np.testing.assert_allclose(J[k], psi.A, atol=1e-12)
+    np.testing.assert_allclose(H[k], 0.0, atol=1e-12)
 
 
 def test_jet_at_exact_on_quadratics_uniform_stencils():
@@ -98,17 +99,22 @@ def _oracle_maps(draw, n, m):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_field_kernel_matches_pointwise_reference(data):
-    """compute_fields, shrinker_residual_field and dissipation_rate at a
-    node agree with jets.py evaluated on that node's discrete jet."""
+    """compute_fields, FlowMonitors.record, shrinker_residual_field and
+    dissipation_rate agree with jets.py evaluated on the discrete jets."""
     kind = data.draw(st.sampled_from(["box", "ball"]))
     n = data.draw(st.integers(1, 3))
     m = data.draw(st.integers(1, 3))
     grid = _oracle_grid(kind, n)
     psi = data.draw(_oracle_maps(n, m))
     c = data.draw(st.floats(0.0, 1.0))
+    eps = data.draw(st.floats(0.05, 1.0))
     state = flow.make_state(grid, psi)
     bundle = flow.compute_fields(state)
     shrink = shrinker.shrinker_residual_field(state, c)
+    J, H = flow.jets_all(state)
+    pointwise = [jets.PointJet(x=grid.interior_pos[k], value=state.f[k],
+                               jac=J[k], hess=H[k])
+                 for k in range(grid.num_interior)]
 
     cut = np.zeros(grid.num_interior, dtype=bool)
     for d in grid.directions:
@@ -118,36 +124,37 @@ def test_field_kernel_matches_pointwise_reference(data):
     nodes += data.draw(st.lists(st.integers(0, grid.num_interior - 1),
                                 min_size=1, max_size=3))
     for k in nodes:
-        jet = flow.jet_at(state, k)
+        jet = pointwise[k]
         metric = jets.induced_metric(jet)
         hscale = 1.0 + np.abs(jet.hess).max()
         np.testing.assert_allclose(bundle.residual[k], jets.mss_residual(jet),
                                    rtol=0, atol=1e-12 * hscale)
         np.testing.assert_allclose(bundle.detg[k], metric.detg, rtol=1e-12)
         np.testing.assert_allclose(bundle.ginv[k], metric.ginv, rtol=0, atol=1e-12)
-        lam_sq = jets.singular_values(jet).lambdas[0] ** 2
+        lam_sq = jets.singular_values(jet)[0] ** 2
         np.testing.assert_allclose(bundle.lam_max_sq[k], lam_sq,
                                    rtol=0, atol=1e-12 * (1.0 + lam_sq))
         xscale = hscale + np.abs(jet.x).max() + np.abs(jet.value).max()
         np.testing.assert_allclose(shrink[k], jets.shrinker_residual(jet, c),
                                    rtol=0, atol=1e-12 * xscale)
 
+    # monitors: the minima of *Omega and of the strict-margin tensor
+    lams = [jets.singular_values(jet) for jet in pointwise]
+    diss = flow.dissipation_rate(state, bundle)
+    rec = flow.FlowMonitors(state, eps=eps).record(state, bundle, 1.0, diss)
+    tol = 1e-12 * (1.0 + max(lam[0] ** 2 for lam in lams))
+    assert abs(rec.min_star_omega - min(map(jets.star_omega, lams))) <= tol
+    assert abs(rec.min_p_eig
+               - min(jets.p_tensor_min_eig(lam, eps) for lam in lams)) <= tol
+
     # dissipation: the same cut-cell quadrature of the pointwise |H|^2
-    J, H = flow.jets_all(state)
-    hsq = np.empty(grid.num_interior)
-    sqrt_detg = np.empty(grid.num_interior)
-    hmax_sq = np.empty(grid.num_interior)
-    for k in range(grid.num_interior):
-        jet = jets.PointJet(x=grid.interior_pos[k], value=state.f[k],
-                            jac=J[k], hess=H[k])
-        hsq[k] = jets.mean_curvature(jet)[1]
-        sqrt_detg[k] = np.sqrt(jets.induced_metric(jet).detg)
-        hmax_sq[k] = np.abs(H[k]).max() ** 2
+    hsq = np.array([jets.mean_curvature(jet)[1] for jet in pointwise])
+    sqrt_detg = np.sqrt([jets.induced_metric(jet).detg for jet in pointwise])
+    hmax_sq = np.abs(H).max(axis=(1, 2, 3)) ** 2
     hsq[grid.dep_idx] = hsq[grid.dep_opp]
     weights = sqrt_detg * grid.cell_fractions() * grid.cellvol
     scale = float((hmax_sq * weights).sum()) + 1e-290    # subnormal floor
-    np.testing.assert_allclose(flow.dissipation_rate(state, bundle),
-                               float((hsq * weights).sum()),
+    np.testing.assert_allclose(diss, float((hsq * weights).sum()),
                                rtol=0, atol=1e-12 * scale)
 
 

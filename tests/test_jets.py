@@ -1,4 +1,4 @@
-"""Pointwise geometry oracles: metric, frames, curvature, residuals."""
+"""Pointwise geometry oracles: metric, singular values, curvature, residuals."""
 
 import numpy as np
 import pytest
@@ -49,7 +49,7 @@ def test_metric_eigenvalues_are_one_plus_lambda_sq():
         n, m = rng.integers(1, 5), rng.integers(1, 5)
         jet = random_jet(rng, n, m)
         eig_g = np.sort(np.linalg.eigvalsh(jets.induced_metric(jet).g))
-        lam = np.sort(jets.singular_values(jet).lambdas)
+        lam = np.sort(jets.singular_values(jet))
         np.testing.assert_allclose(eig_g, 1.0 + lam ** 2, atol=1e-10)
 
 
@@ -60,7 +60,7 @@ def test_metric_sandwich_bounds():
         n, m = rng.integers(1, 4), rng.integers(1, 4)
         jet = random_jet(rng, n, m)
         mp = jets.induced_metric(jet)
-        df_sq = jets.singular_values(jet).lambdas[0] ** 2
+        df_sq = jets.singular_values(jet)[0] ** 2
         eg = np.linalg.eigvalsh(mp.g)
         assert eg.min() >= 1.0 - 1e-10
         assert eg.max() <= 1.0 + df_sq + 1e-10
@@ -71,12 +71,12 @@ def test_metric_sandwich_bounds():
 
 
 # ---------------------------------------------------------------------------
-# singular values and frames
+# singular values
 # ---------------------------------------------------------------------------
 
 def test_singular_values_diagonal_case():
-    sd = jets.singular_values(zero_jet(2, 2, jac=np.diag([0.3, 0.4])))
-    np.testing.assert_allclose(sd.lambdas, [0.4, 0.3], atol=1e-14)
+    lam = jets.singular_values(zero_jet(2, 2, jac=np.diag([0.3, 0.4])))
+    np.testing.assert_allclose(lam, [0.4, 0.3], atol=1e-14)
 
 
 def test_singular_values_rank_one_char_poly_oracle():
@@ -86,44 +86,14 @@ def test_singular_values_rank_one_char_poly_oracle():
     det = np.linalg.det(J.T @ J)
     mu = np.roots([1.0, -tr, det])
     expected = np.sort(np.sqrt(np.clip(mu.real, 0, None)))[::-1]
-    sd = jets.singular_values(zero_jet(2, 2, jac=J))
-    np.testing.assert_allclose(sd.lambdas, expected, atol=1e-12)
+    lam = jets.singular_values(zero_jet(2, 2, jac=J))
+    np.testing.assert_allclose(lam, expected, atol=1e-12)
 
 
 def test_singular_values_zero_map():
-    sd = jets.singular_values(zero_jet(3, 2))
-    np.testing.assert_allclose(sd.lambdas, 0.0, atol=0)
-    # frames must still be orthonormal
-    np.testing.assert_allclose(sd.u_frame.T @ sd.u_frame, np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(sd.v_frame.T @ sd.v_frame, np.eye(2), atol=1e-12)
-
-
-def test_frame_relation_J_a_equals_lambda_b():
-    rng = np.random.default_rng(23)
-    for _ in range(300):
-        n, m = rng.integers(1, 5), rng.integers(1, 5)
-        jet = random_jet(rng, n, m)
-        sd = jets.singular_values(jet)
-        for i in range(n):
-            img = jet.jac @ sd.u_frame[:, i]
-            if i < m:
-                target = sd.lambdas[i] * sd.v_frame[:, i]
-            else:
-                target = np.zeros(m)
-            np.testing.assert_allclose(img, target, atol=1e-10)
-        np.testing.assert_allclose(sd.u_frame.T @ sd.u_frame, np.eye(n),
-                                   atol=1e-12)
-        np.testing.assert_allclose(sd.v_frame.T @ sd.v_frame, np.eye(m),
-                                   atol=1e-12)
-
-
-def test_frames_deterministic():
-    rng = np.random.default_rng(5)
-    jet = random_jet(rng, 3, 2)
-    a = jets.singular_values(jet)
-    b = jets.singular_values(jet)
-    assert np.array_equal(a.u_frame, b.u_frame)
-    assert np.array_equal(a.v_frame, b.v_frame)
+    lam = jets.singular_values(zero_jet(3, 2))
+    assert lam.shape == (3,)
+    np.testing.assert_allclose(lam, 0.0, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -145,18 +115,6 @@ def test_star_omega_matches_product_formula(lams):
     assert abs(w * np.sqrt(np.prod(1.0 + lam ** 2)) - 1.0) <= 1e-12
 
 
-def test_s_tensor_values():
-    np.testing.assert_allclose(jets.s_tensor_diag([0.0]), [1.0], atol=0)
-    np.testing.assert_allclose(jets.s_tensor_diag([1.0]), [0.0], atol=1e-15)
-    np.testing.assert_allclose(jets.s_tensor_diag([0.5]), [0.6], rtol=1e-15)
-
-
-@given(st.floats(0.0, 3.0))
-def test_s_tensor_sign_characterizes_length_decreasing(lam):
-    s = jets.s_tensor_diag([lam])[0]
-    assert (s > 0) == (lam < 1.0)
-
-
 def test_p_tensor_worked_values():
     np.testing.assert_allclose(jets.p_tensor_min_eig([0.0, 0.0], 0.5), 0.4,
                                rtol=1e-14)
@@ -174,39 +132,8 @@ def test_p_tensor_positive_iff_strict_margin(eps, frac):
 
 
 # ---------------------------------------------------------------------------
-# second fundamental form and curvature
+# residual and curvature
 # ---------------------------------------------------------------------------
-
-def test_second_fundamental_linear_map_vanishes():
-    rng = np.random.default_rng(3)
-    jet = make_jet(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2),
-                   rng.uniform(-1, 1, (2, 2)), np.zeros((2, 2, 2)))
-    sf = jets.second_fundamental(jet)
-    np.testing.assert_allclose(sf.h, 0.0, atol=1e-14)
-    assert sf.normsq == 0.0
-
-
-def test_second_fundamental_parabola_vertex():
-    # f = x^2/2 at x = 0: unit curvature
-    jet = make_jet([0.0], [0.0], [[0.0]], [[[1.0]]])
-    sf = jets.second_fundamental(jet)
-    np.testing.assert_allclose(sf.h, [[[1.0]]], atol=1e-14)
-    np.testing.assert_allclose(sf.normsq, 1.0, atol=1e-14)
-
-
-def test_second_fundamental_norm_rotation_invariant():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        n, m = 3, 2
-        jet = random_jet(rng, n, m)
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        # rotate domain coordinates: x' = Q^T x
-        J2 = jet.jac @ Q
-        H2 = np.einsum("Aij,ip,jq->Apq", jet.hess, Q, Q)
-        jet2 = make_jet(Q.T @ jet.x, jet.value, J2, H2)
-        a, b = jets.second_fundamental(jet), jets.second_fundamental(jet2)
-        np.testing.assert_allclose(a.normsq, b.normsq, atol=1e-10)
-
 
 def test_mss_residual_values():
     rng = np.random.default_rng(29)
@@ -239,16 +166,6 @@ def test_mean_curvature_sphere_cap_pole():
     np.testing.assert_allclose(H_vec, [0.0, 0.0, -2.0], atol=1e-12)
 
 
-def test_mean_curvature_cauchy_schwarz_vs_second_fundamental():
-    # |H|^2 <= n |A|^2 (Cauchy-Schwarz on the trace); equality on spheres
-    rng = np.random.default_rng(37)
-    for _ in range(300):
-        n, m = rng.integers(1, 4), rng.integers(1, 4)
-        jet = random_jet(rng, n, m)
-        _, hsq = jets.mean_curvature(jet)
-        assert hsq <= n * jets.second_fundamental(jet).normsq + 1e-10
-
-
 def test_mean_curvature_reconstruction():
     # tangential part + returned normal part rebuilds (0, residual)
     rng = np.random.default_rng(41)
@@ -259,7 +176,8 @@ def test_mean_curvature_reconstruction():
         H_vec, _ = jets.mean_curvature(jet)
         v = np.concatenate([np.zeros(n), R])
         tang = v - H_vec
-        E = jets.tangent_frame(jet)
+        # orthonormal tangent basis: reduced QR of the columns of [I; J]
+        E, _ = np.linalg.qr(np.vstack([np.eye(n), jet.jac]))
         proj = E @ (E.T @ v)
         np.testing.assert_allclose(tang, proj, atol=1e-10)
         np.testing.assert_allclose(E.T @ H_vec, 0.0, atol=1e-10)
@@ -276,14 +194,10 @@ def test_scalar_outputs_rotation_invariant():
         H2 = np.einsum("AB,Bij,ip,jq->Apq", U, jet.hess, Q, Q)
         jet2 = make_jet(Q.T @ jet.x, U @ jet.value, J2, H2)
         np.testing.assert_allclose(
-            jets.singular_values(jet).lambdas,
-            jets.singular_values(jet2).lambdas, atol=1e-10)
+            jets.singular_values(jet), jets.singular_values(jet2), atol=1e-10)
         np.testing.assert_allclose(
             jets.mean_curvature(jet)[1], jets.mean_curvature(jet2)[1],
             atol=1e-10)
-        np.testing.assert_allclose(
-            jets.second_fundamental(jet).normsq,
-            jets.second_fundamental(jet2).normsq, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
