@@ -2,24 +2,21 @@
 
 Each family carries exact analytic jets (value, Jacobian, Hessian) at any
 point of R^n, so the Dirichlet data and its derivative norms are never
-themselves approximated by differencing.  Sup-norms over a region are
-estimated by lattice sampling at the working resolution plus one
-refinement level, with a Richardson gap estimate added before comparing
-against the solvability thresholds.  Lattice maxima are lower bounds and
-the gap assumes second-order saturation, so these are estimates, not
-certified bounds; certified bounds are ROADMAP item 2.
+themselves approximated by differencing.
 
-The two checkers share the same left-hand side structure
+`sup_norms` is the only place that samples the data on a grid: one jets
+call over the grid's closure sample gives the oscillation, the band
+sup-norms and the global sup|Dpsi|.  The checker calls it at the working
+resolution and at h/2 and adds a Richardson gap estimate to each figure.
+Lattice maxima are lower bounds and the gap assumes second-order
+saturation, so these are estimates, not certified bounds; certified
+bounds (ROADMAP item 2) replace the reductions inside `sup_norms`.
 
-    w(psi)/delta + sup|Dpsi| + 32 n delta sup|D^2 psi|
-
-with band norms (condition A, threshold 1) or global norms and threshold
-1 - c (condition B).  The companion bound
-
-    w(psi)/delta + sup|Dpsi| + 16 n (1+mu) delta sup|D^2 psi|
-
-is the proved ceiling for the boundary gradient of the evolving graph;
-at mu = 1 the two coincide.
+Conditions A and B are one rule: the proved mu = 1 ceiling for the
+boundary gradient of the evolving graph (`boundary_gradient_bound`),
+taken with the global sup|Dpsi|, must stay below a threshold.  Condition
+A uses the delta band and threshold 1; condition B, for exterior
+problems, the whole closure and threshold 1 - c.
 """
 
 from __future__ import annotations
@@ -239,19 +236,6 @@ class HypothesisReport:
     c: float | None = None    # condition-B gap, None for condition A
 
 
-def oscillation(psi, grid: Grid) -> float:
-    """Largest per-component range of psi over the sampled closure of E."""
-    vals = psi.values(grid.closure_points())
-    return float(np.max(vals.max(axis=0) - vals.min(axis=0)))
-
-
-def _sup_jacobian_norm(jac: np.ndarray) -> float:
-    """sup over samples of the largest singular value of Dpsi."""
-    if jac.shape[0] == 0:
-        return 0.0
-    return float(np.linalg.svd(jac, compute_uv=False)[:, 0].max())
-
-
 def _direction_set(n: int, count: int) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(_DIRECTION_SEED))
     dirs = rng.standard_normal((count, n))
@@ -375,11 +359,26 @@ def _sup_hessian_norm(hess: np.ndarray) -> float:
     return _sup_hessian_norm_iterative(hess)
 
 
-def sup_norms(psi, grid: Grid, delta: float | None = None) -> tuple[float, float]:
-    """(sup|Dpsi|, sup|D^2 psi|) over the sampled region at one resolution."""
-    pts = grid.closure_points(delta)
-    _, jac, hess = psi.jets(pts)
-    return _sup_jacobian_norm(jac), _sup_hessian_norm(hess)
+def sup_norms(psi, grid: Grid, delta: float | None) -> tuple[PsiNorms, float]:
+    """Band norms and the global sup|Dpsi| of psi at one resolution.
+
+    One jets call over grid.closure_points() feeds every figure.  w is the
+    largest per-component range over the whole closure; the derivative
+    sup-norms of the PsiNorms run over grid.closure_band_mask(delta), the
+    second element over every row.
+    """
+    vals, jac, hess = psi.jets(grid.closure_points())
+    band = grid.closure_band_mask(delta)
+    w = float(np.max(vals.max(axis=0) - vals.min(axis=0)))
+    d1 = np.linalg.svd(jac, compute_uv=False)[:, 0]
+    # the Hessian reduction sets the memory peak: free the rest first, and
+    # copy out the band only when it is not the whole closure
+    del vals, jac
+    if delta is not None:
+        hess = hess[band]
+    norms = PsiNorms(w=w, sup_dpsi=float(d1[band].max(initial=0.0)),
+                     sup_d2psi=_sup_hessian_norm(hess))
+    return norms, float(d1.max(initial=0.0))
 
 
 def _richardson(coarse: float, fine: float) -> float:
@@ -390,20 +389,6 @@ def _richardson(coarse: float, fine: float) -> float:
     increment.
     """
     return fine + max(0.0, fine - coarse) / 3.0
-
-
-def collect_norms(psi, grid: Grid, delta: float | None = None,
-                  fine_grid: Grid | None = None) -> PsiNorms:
-    """Oscillation plus derivative sup-norms with the refinement safety pass."""
-    if fine_grid is None:
-        fine_grid = build_grid(grid.spec, grid.h / 2.0)
-    w_c = oscillation(psi, grid)
-    w_f = oscillation(psi, fine_grid)
-    d1_c, d2_c = sup_norms(psi, grid, delta)
-    d1_f, d2_f = sup_norms(psi, fine_grid, delta)
-    return PsiNorms(w=_richardson(w_c, w_f),
-                    sup_dpsi=_richardson(d1_c, d1_f),
-                    sup_d2psi=_richardson(d2_c, d2_f))
 
 
 # ---------------------------------------------------------------------------
@@ -420,31 +405,38 @@ def delta0(boundary_geom: BoundaryGeometry, mu: float) -> float:
     return 0.5 * min(1.0 / (8.0 * c0 * (1.0 + mu)), eta0)
 
 
-def check_condition_A(psi, grid: Grid, boundary_geom: BoundaryGeometry,
-                      delta: float) -> HypothesisReport:
-    """Small-oscillation solvability check with band norms.
+def _check(psi, grid: Grid, boundary_geom: BoundaryGeometry, delta: float,
+           c: float | None) -> HypothesisReport:
+    """The solvability rule shared by conditions A (c None) and B.
 
-    lhs = max(w/delta + sup_band|Dpsi| + 32 n delta sup_band|D^2 psi|,
-              sup_global|Dpsi|); passes iff lhs < 1.
+    lhs = max(boundary_gradient_bound(band norms, delta, 1, n),
+              sup_global|Dpsi|) over the delta band for A and over the
+    whole closure for B (where the max is the first term); passes iff
+    lhs < 1 - c, with c = 0 for A.
     """
     d0 = delta0(boundary_geom, mu=1.0)
     if not 0.0 < delta < d0:
         raise HypothesisError(f"delta = {delta} outside the admissible (0, {d0})")
-    n = grid.n
     fine = build_grid(grid.spec, grid.h / 2.0)
-    band = collect_norms(psi, grid, delta, fine_grid=fine)
-    # only the first-derivative sup is needed globally; w is the same
-    # closure-wide oscillation the band call already measured
-    d1_c, d1_f = (_sup_jacobian_norm(psi.jets(g.closure_points())[1])
-                  for g in (grid, fine))
-    glob_dpsi = _richardson(d1_c, d1_f)
-    lhs = max(band.w / delta + band.sup_dpsi + 32.0 * n * delta * band.sup_d2psi,
-              glob_dpsi)
+    band_delta = delta if c is None else None
+    (band_c, glob_c), (band_f, glob_f) = (sup_norms(psi, g, band_delta)
+                                          for g in (grid, fine))
+    band = PsiNorms(w=_richardson(band_c.w, band_f.w),
+                    sup_dpsi=_richardson(band_c.sup_dpsi, band_f.sup_dpsi),
+                    sup_d2psi=_richardson(band_c.sup_d2psi, band_f.sup_d2psi))
+    glob_dpsi = _richardson(glob_c, glob_f)
+    lhs = max(boundary_gradient_bound(band, delta, 1.0, grid.n), glob_dpsi)
     return HypothesisReport(
-        condition="A", w_psi=band.w, sup_dpsi_band=band.sup_dpsi,
-        sup_d2psi_band=band.sup_d2psi, sup_dpsi_global=glob_dpsi,
-        delta=delta, delta0=d0, lhs_condition=lhs, passed=lhs < 1.0,
-        eps=1.0 - lhs)
+        condition="A" if c is None else "B", w_psi=band.w,
+        sup_dpsi_band=band.sup_dpsi, sup_d2psi_band=band.sup_d2psi,
+        sup_dpsi_global=glob_dpsi, delta=delta, delta0=d0, lhs_condition=lhs,
+        passed=lhs < 1.0 - (0.0 if c is None else c), eps=1.0 - lhs, c=c)
+
+
+def check_condition_A(psi, grid: Grid, boundary_geom: BoundaryGeometry,
+                      delta: float) -> HypothesisReport:
+    """Small-oscillation solvability check: band norms, threshold 1."""
+    return _check(psi, grid, boundary_geom, delta, None)
 
 
 def check_condition_B(psi, grid: Grid, boundary_geom: BoundaryGeometry,
@@ -452,24 +444,15 @@ def check_condition_B(psi, grid: Grid, boundary_geom: BoundaryGeometry,
     """Exterior-problem variant: global norms, threshold 1 - c."""
     if not 0.0 < c < 1.0:
         raise HypothesisError(f"c must lie in (0, 1), got {c}")
-    d0 = delta0(boundary_geom, mu=1.0)
-    if not 0.0 < delta < d0:
-        raise HypothesisError(f"delta = {delta} outside the admissible (0, {d0})")
-    n = grid.n
-    glob = collect_norms(psi, grid, None)
-    lhs = glob.w / delta + glob.sup_dpsi + 32.0 * n * delta * glob.sup_d2psi
-    return HypothesisReport(
-        condition="B", w_psi=glob.w, sup_dpsi_band=glob.sup_dpsi,
-        sup_d2psi_band=glob.sup_d2psi, sup_dpsi_global=glob.sup_dpsi,
-        delta=delta, delta0=d0, lhs_condition=lhs, passed=lhs < 1.0 - c,
-        eps=1.0 - lhs, c=c)
+    return _check(psi, grid, boundary_geom, delta, c)
 
 
 def boundary_gradient_bound(psi_norms: PsiNorms, delta: float, mu: float,
                             n: int) -> float:
     """Proved ceiling for sup|Df| on the boundary along the flow.
 
-    Returns w/delta + |Dpsi| + 16 n (1+mu) delta |D^2 psi|.
+    Returns w/delta + |Dpsi| + 16 n (1+mu) delta |D^2 psi|; at mu = 1 it
+    is the left-hand side of the solvability conditions.
     """
     return (psi_norms.w / delta + psi_norms.sup_dpsi
             + 16.0 * n * (1.0 + mu) * delta * psi_norms.sup_d2psi)
@@ -489,20 +472,3 @@ def barrier_nu(omega_A: float, delta: float, mu: float, c0: float, n: int,
             f"barrier weight undefined: 1 - 4 c0 (1+mu) delta = {denom} <= 0")
     return (4.0 * (1.0 + mu) * delta ** 2 / denom
             * (c0 * omega_A / delta + n * sup_d2psi_A))
-
-
-def make_boundary_map(family: str, dim: int, **kw):
-    """Construct a boundary map family from configuration fields."""
-    if family == "constant":
-        return ConstantMap(kw["values"], dim)
-    if family == "linear":
-        return LinearMap(kw["matrix"], kw.get("offset"))
-    if family == "polynomial":
-        return PolynomialMap(kw["terms"], dim)
-    if family == "trigonometric":
-        return TrigMap(kw["amplitudes"], kw["wave_vectors"], kw.get("phases"))
-    if family == "lawson_osserman_scaled":
-        if dim != 4:
-            raise ValueError("the scaled sphere map family needs dim = 4")
-        return LawsonOssermanMap(kw["scale"])
-    raise ValueError(f"unknown boundary map family {family!r}")

@@ -42,8 +42,8 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-
-from .boundary import make_boundary_map
+from .boundary import (ConstantMap, LawsonOssermanMap, LinearMap, PolynomialMap,
+                       TrigMap)
 from .domains import DomainSpec
 
 MODES = ("solve", "check_hypothesis", "density_oracle", "exterior")
@@ -164,12 +164,10 @@ def _boundary_map(sec, dim: int):
     family = sec.get("family")
     m = sec.getint("m", fallback=1)
     if family == "constant":
-        return make_boundary_map("constant", dim, values=_floats(sec["values"]))
+        return ConstantMap(_floats(sec["values"]), dim)
     if family == "linear":
-        kw = {"matrix": _matrix(sec["matrix"])}
-        if "offset" in sec:
-            kw["offset"] = _floats(sec["offset"])
-        return make_boundary_map("linear", dim, **kw)
+        offset = _floats(sec["offset"]) if "offset" in sec else None
+        return LinearMap(_matrix(sec["matrix"]), offset)
     if family == "polynomial":
         terms = []
         for A in range(1, m + 1):
@@ -184,7 +182,7 @@ def _boundary_map(sec, dim: int):
                 coeffs.append(toks[0])
                 expos.append([int(e) for e in toks[1:1 + dim]])
             terms.append((coeffs, expos))
-        return make_boundary_map("polynomial", dim, terms=terms)
+        return PolynomialMap(terms, dim)
     if family == "trigonometric":
         amps = _floats(sec["amplitudes"])
         waves = []
@@ -194,11 +192,9 @@ def _boundary_map(sec, dim: int):
                 raise ConfigError(f"trigonometric family needs {key}")
             waves.append(_floats(sec[key]))
         phases = _floats(sec["phases"]) if "phases" in sec else None
-        return make_boundary_map("trigonometric", dim, amplitudes=amps,
-                                 wave_vectors=waves, phases=phases)
+        return TrigMap(amps, waves, phases)
     if family == "lawson_osserman_scaled":
-        return make_boundary_map("lawson_osserman_scaled", dim,
-                                 scale=sec.getfloat("scale"))
+        return LawsonOssermanMap(sec.getfloat("scale"))
     raise ConfigError(f"unknown boundary family {family!r}")
 
 
@@ -241,6 +237,13 @@ def load_config(path: str, mode: str | None = None) -> RunConfig:
         if cfg.density["state"] not in ("plane", "offset_plane", "half_plane",
                                         "sphere_cap"):
             raise ConfigError(f"unknown density state {cfg.density['state']!r}")
+        for key in ("h", "halfwidth", "time_gap", "cutoff"):
+            if not _positive_finite(cfg.density[key]):
+                raise ConfigError(f"[density] {key} must be a finite positive "
+                                  f"number, got {cfg.density[key]}")
+        if not math.isfinite(cfg.density["offset"]):
+            raise ConfigError(f"[density] offset must be finite, got "
+                              f"{cfg.density['offset']}")
         return cfg
 
     default_trunc = None

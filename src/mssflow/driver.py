@@ -181,7 +181,7 @@ def solve_once(cfg: RunConfig, spec: DomainSpec | None = None,
         ctx = flow.InvariantContext(
             tol_grid=5.0 * grid.h,
             psi_lo=state.psi_lo, psi_hi=state.psi_hi,
-            star_omega_floor=monitors.star_omega_floor(cfg.psi, grid),
+            star_omega_floor=monitors.star_omega_floor(),
             boundary_bound=boundary_gradient_bound(band, cfg.delta, 1.0, grid.n),
             tol_consistency=flow.consistency_tolerance(
                 grid.h, records[-1].step_dt))

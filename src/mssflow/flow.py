@@ -345,9 +345,9 @@ class MonitorRecord:
     boundary_grad_sup: float
     barrier_min: float
     step_dt: float
-    comp_min: np.ndarray = field(default=None, repr=False)
-    comp_max: np.ndarray = field(default=None, repr=False)
-    dissipation_integral: float = float("nan")
+    comp_min: np.ndarray = field(repr=False)
+    comp_max: np.ndarray = field(repr=False)
+    dissipation_integral: float
 
     CSV_COLUMNS = ("t", "max_lambda", "min_star_omega", "min_p_eig", "area",
                    "dissipation", "residual_sup", "boundary_grad_sup",
@@ -365,8 +365,9 @@ class FlowMonitors:
     Carries the condition margin eps (for the strict-margin tensor), the
     band geometry for the boundary log-barrier, and the pinned-data
     sup-norms needed by the barrier weight.  All of it is frozen at run
-    start; records are then pure functions of the state.  delta, when
-    given, must lie in (0, eta0]; the barrier needs boundary data (psi).
+    start from one sample of the data (psi) on the grid's closure; records
+    are then pure functions of the state.  delta, when given, must lie in
+    (0, eta0]; the barrier and star_omega_floor need boundary data (psi).
     """
 
     def __init__(self, state: GraphState, eps: float | None = None,
@@ -382,19 +383,19 @@ class FlowMonitors:
             geom = estimate_c0_eta0(grid.spec)
             if not 0.0 < delta <= geom.eta0:
                 raise ValueError(f"delta = {delta} outside (0, eta0 = {geom.eta0}]")
-        if delta is not None and state.psi is not None:
+        if state.psi is None:
+            return
+        vals, self._closure_jac, hess = state.psi.jets(grid.closure_points())
+        if delta is not None:
+            # closure rows start with the interior nodes in grid order
             self.band_idx = np.nonzero(grid.band_mask(delta))[0]
             band_d = grid.d_bdry[self.band_idx]
-            pts = grid.interior_pos[self.band_idx]
-            self.band_psi = state.psi.values(pts) if self.band_idx.size else \
-                np.zeros((0, state.m))
+            self.band_psi = vals[self.band_idx]
             # per-component oscillation and band Hessian sup for the weight
-            vals = state.psi.values(grid.closure_points())
             self.omega = vals.max(axis=0) - vals.min(axis=0)
-            band_pts = grid.closure_points(delta)
-            _, _, hb = state.psi.jets(band_pts)
-            d2_comp = np.abs(np.linalg.eigvalsh(hb)).max(axis=(0, 2)) \
-                if band_pts.shape[0] else np.zeros(state.m)
+            hb = hess[grid.closure_band_mask(delta)]
+            d2_comp = np.abs(np.linalg.eigvalsh(hb)).max(axis=(0, 2),
+                                                        initial=0.0)
             self.nu = np.array([
                 barrier_nu(self.omega[A], delta, 1.0, geom.c0, grid.n, d2_comp[A])
                 for A in range(state.m)])
@@ -411,11 +412,11 @@ class FlowMonitors:
             adj |= d.minus.nbr < 0
         return np.nonzero(adj)[0]
 
-    def star_omega_floor(self, psi, grid: Grid) -> float:
+    def star_omega_floor(self) -> float:
         """min over the sampled closure of *Omega of the initial graph."""
-        _, jac, _ = psi.jets(grid.closure_points())
-        _, detg, _ = _metric_inverse(
-            _metric([jac[:, :, i] for i in range(grid.n)]), grid.n)
+        jac = self._closure_jac
+        n = jac.shape[2]
+        _, detg, _ = _metric_inverse(_metric([jac[:, :, i] for i in range(n)]), n)
         return float((1.0 / np.sqrt(detg)).min())
 
     def barrier_fields(self, state: GraphState) -> tuple[np.ndarray, np.ndarray]:
@@ -430,8 +431,7 @@ class FlowMonitors:
         return self.band_base + diff, self.band_base - diff
 
     def record(self, state: GraphState, bundle: FieldBundle, dt: float,
-               dissipation: float,
-               diss_integral: float = float("nan")) -> MonitorRecord:
+               dissipation: float, diss_integral: float) -> MonitorRecord:
         """Monitor record of state; dissipation is dissipation_rate(state, bundle)."""
         grid = state.grid
         lam_sq = bundle.lam_max_sq
@@ -677,8 +677,6 @@ def check_invariants(records: list, eps: float,
 
     viol = 0.0
     for r in records:
-        if r.comp_min is None:
-            continue
         viol = max(viol, float((ctx.psi_lo - r.comp_min).max()),
                    float((r.comp_max - ctx.psi_hi).max()))
     clauses.append(ClauseResult(
@@ -692,12 +690,8 @@ def check_invariants(records: list, eps: float,
         if r1.t <= r0.t:
             continue
         rate = (r1.area - r0.area) / (r1.t - r0.t)
-        if np.isfinite(r0.dissipation_integral) \
-                and np.isfinite(r1.dissipation_integral):
-            mean_diss = (r1.dissipation_integral - r0.dissipation_integral) \
-                / (r1.t - r0.t)
-        else:
-            mean_diss = 0.5 * (r0.dissipation + r1.dissipation)
+        mean_diss = (r1.dissipation_integral - r0.dissipation_integral) \
+            / (r1.t - r0.t)
         err = abs(rate + mean_diss)
         if err > worst:
             worst = err

@@ -121,14 +121,17 @@ class Grid:
             self._cell_frac = frac
         return self._cell_frac
 
-    def closure_points(self, delta: float | None = None) -> np.ndarray:
-        """Sample points of the closed region: band nodes (or all) + boundary."""
-        pts = self.interior_pos
+    def closure_points(self) -> np.ndarray:
+        """Sample points of the closed region: interior nodes, then boundary."""
+        return np.vstack([self.interior_pos, self.boundary_samples])
+
+    def closure_band_mask(self, delta: float | None) -> np.ndarray:
+        """Rows of closure_points() in the delta band: the band nodes plus
+        every boundary sample, or all rows when delta is None."""
+        rows = np.ones(self.num_interior + self.boundary_samples.shape[0], bool)
         if delta is not None:
-            pts = pts[self.band_mask(delta)]
-        if self.boundary_samples.size:
-            pts = np.vstack([pts, self.boundary_samples])
-        return pts
+            rows[:self.num_interior] = self.band_mask(delta)
+        return rows
 
     def lattice_coords(self) -> np.ndarray:
         """(K, n) integer coordinates of the interior nodes, x = coords * hs.
@@ -290,8 +293,8 @@ def build_grid(spec: DomainSpec, target_h: float) -> Grid:
     on lattice planes); spherical shapes use the requested spacing with a
     one-node ghost margin around the bounding box.
     """
-    if target_h <= 0:
-        raise DomainError(f"target_h must be positive, got {target_h}")
+    if not (target_h > 0 and np.isfinite(target_h)):
+        raise DomainError(f"target_h must be finite and positive, got {target_h}")
     n = spec.dim
     if spec.kind == "box":
         lo, hi = spec.bounding_box()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mssflow import boundary as bd
+from mssflow import boundary as bd, flow
 from mssflow.domains import BoundaryGeometry, DomainSpec, estimate_c0_eta0
 from mssflow.grid import build_grid
 
@@ -69,28 +69,53 @@ def test_family_jets_match_finite_differences(psi):
 # ---------------------------------------------------------------------------
 
 def test_oscillation_examples(box_grid, ball_grid):
-    assert bd.oscillation(bd.ConstantMap([2.0], 2), ball_grid) == 0.0
+    def w(psi, grid, delta=None):
+        return bd.sup_norms(psi, grid, delta)[0].w
+
+    assert w(bd.ConstantMap([2.0], 2), ball_grid) == 0.0
     lin = bd.LinearMap([[0.2, 0.0], [0.0, 0.0]])
-    np.testing.assert_allclose(bd.oscillation(lin, box_grid), 0.2, rtol=1e-15)
+    np.testing.assert_allclose(w(lin, box_grid), 0.2, rtol=1e-15)
     two = bd.LinearMap([[0.1, 0.0], [0.3, 0.0]])
-    np.testing.assert_allclose(bd.oscillation(two, box_grid), 0.3, rtol=1e-15)
+    np.testing.assert_allclose(w(two, box_grid), 0.3, rtol=1e-15)
+    # the oscillation always spans the whole closure, whatever the band
+    assert w(two, box_grid, 0.1) == w(two, box_grid)
 
 
-def test_sup_norms_examples(box_grid):
-    d1, d2 = bd.sup_norms(bd.LinearMap(np.diag([0.3, 0.1])), box_grid)
-    np.testing.assert_allclose([d1, d2], [0.3, 0.0], atol=1e-14)
+# psi = s - s^2 / 2 with s = |x|^2: |Dpsi| = 2 r (1 - r^2) peaks at
+# r = 1/sqrt(3), deep inside the unit disk, and vanishes on the circle
+BUMP = bd.PolynomialMap([([1.0, 1.0, -0.5, -1.0, -0.5],
+                          [[2, 0], [0, 2], [4, 0], [2, 2], [0, 4]])], 2)
+
+
+def test_sup_norms_examples(box_grid, ball_grid):
+    norms, glob = bd.sup_norms(bd.LinearMap(np.diag([0.3, 0.1])), box_grid, None)
+    np.testing.assert_allclose([norms.sup_dpsi, norms.sup_d2psi, glob],
+                               [0.3, 0.0, 0.3], atol=1e-14)
     trig = bd.TrigMap([0.1, 0.0], [[np.pi, 0.0], [0.0, 0.0]])
-    d1, d2 = bd.sup_norms(trig, box_grid)
-    np.testing.assert_allclose(d1, np.pi / 10, rtol=1e-12)
-    np.testing.assert_allclose(d2, np.pi ** 2 / 10, rtol=1e-12)
-    d1, d2 = bd.sup_norms(bd.ConstantMap([5.0], 2), box_grid)
-    assert d1 == 0.0 and d2 == 0.0
+    norms, glob = bd.sup_norms(trig, box_grid, None)
+    np.testing.assert_allclose(norms.sup_dpsi, np.pi / 10, rtol=1e-12)
+    np.testing.assert_allclose(norms.sup_d2psi, np.pi ** 2 / 10, rtol=1e-12)
+    assert glob == norms.sup_dpsi
+    norms, glob = bd.sup_norms(bd.ConstantMap([5.0], 2), box_grid, None)
+    assert norms.sup_dpsi == norms.sup_d2psi == glob == 0.0
     # n = 3, m = 2: zero Hessians take the power-iteration path
     A = np.array([[0.3, 0.1, 0.0], [0.0, 0.2, -0.1]])
     cube = build_grid(DomainSpec.box([1.0, 1.0, 1.0]), 1.0 / 10)
-    d1, d2 = bd.sup_norms(bd.LinearMap(A), cube)
-    np.testing.assert_allclose(d1, np.linalg.svd(A)[1][0], rtol=1e-14)
-    assert d2 == 0.0
+    norms, _ = bd.sup_norms(bd.LinearMap(A), cube, None)
+    np.testing.assert_allclose(norms.sup_dpsi, np.linalg.svd(A)[1][0], rtol=1e-14)
+    assert norms.sup_d2psi == 0.0
+
+    # band rows: band nodes plus every boundary sample; global: every row
+    pts = ball_grid.closure_points()
+    r = np.linalg.norm(pts, axis=1)
+    slope = 2.0 * r * (1.0 - r * r)
+    band = ball_grid.closure_band_mask(0.1)
+    assert band.sum() == (ball_grid.d_bdry < 0.1).sum() \
+        + ball_grid.boundary_samples.shape[0]
+    norms, glob = bd.sup_norms(BUMP, ball_grid, 0.1)
+    np.testing.assert_allclose(norms.sup_dpsi, slope[band].max(), rtol=1e-12)
+    np.testing.assert_allclose(glob, slope.max(), rtol=1e-12)
+    assert norms.sup_dpsi < 0.5 < glob
 
 
 def _sample_hessians(psi, grid):
@@ -253,11 +278,18 @@ def test_condition_B_examples(box_grid):
                                0.1, 0.5)
     assert rep.passed and rep.lhs_condition == 0.0
 
-    # assembled arithmetic: lhs must equal the norms plugged into the rule
+    # assembled arithmetic: the whole closure at h and h/2, each figure
+    # Richardson-extrapolated, plugged into the rule
     trig = bd.TrigMap([0.01, 0.004], [[2.0, 0.0], [1.0, 1.0]])
-    norms = bd.collect_norms(trig, box_grid)
+    fine = build_grid(BOX, box_grid.h / 2.0)
+    (co, _), (fi, _) = (bd.sup_norms(trig, g, None) for g in (box_grid, fine))
     rep2 = bd.check_condition_B(trig, box_grid, geom, 0.1, 0.5)
-    expected = norms.w / 0.1 + norms.sup_dpsi + 32 * 2 * 0.1 * norms.sup_d2psi
+    assert rep2.w_psi == bd._richardson(co.w, fi.w)
+    assert rep2.sup_dpsi_band == rep2.sup_dpsi_global \
+        == bd._richardson(co.sup_dpsi, fi.sup_dpsi)
+    assert rep2.sup_d2psi_band == bd._richardson(co.sup_d2psi, fi.sup_d2psi)
+    expected = rep2.w_psi / 0.1 + rep2.sup_dpsi_band \
+        + 32 * 2 * 0.1 * rep2.sup_d2psi_band
     np.testing.assert_allclose(rep2.lhs_condition, expected, rtol=1e-14)
 
     # strictness: lhs exactly 1 - c fails (dyadic values keep it exact)
@@ -280,7 +312,8 @@ def test_boundary_gradient_bound_values():
 
 
 def test_condition_A_pass_implies_gradient_bound_below_one(ball_grid):
-    # the mu = 1 boundary estimate is exactly the first branch of the check
+    # the mu = 1 boundary estimate is exactly the first branch of the check,
+    # and all of condition B's left-hand side
     geom = estimate_c0_eta0(BALL)
     rng = np.random.default_rng(19)
     for _ in range(5):
@@ -290,9 +323,12 @@ def test_condition_A_pass_implies_gradient_bound_below_one(ball_grid):
         rep = bd.check_condition_A(psi, ball_grid, geom, delta)
         band = bd.PsiNorms(rep.w_psi, rep.sup_dpsi_band, rep.sup_d2psi_band)
         bound = bd.boundary_gradient_bound(band, delta, 1.0, 2)
-        assert bound <= rep.lhs_condition + 1e-12
+        assert max(bound, rep.sup_dpsi_global) == rep.lhs_condition
         if rep.passed:
             assert bound < 1.0
+    rep_b = bd.check_condition_B(psi, ball_grid, geom, delta, 0.5)
+    glob = bd.PsiNorms(rep_b.w_psi, rep_b.sup_dpsi_band, rep_b.sup_d2psi_band)
+    assert bd.boundary_gradient_bound(glob, delta, 1.0, 2) == rep_b.lhs_condition
 
 
 def test_barrier_nu():
@@ -311,10 +347,45 @@ def test_refinement_pass_is_conservative(ball_grid):
     # sampled sup-norms only grow on nested refinements; the reported
     # value must dominate the raw coarse estimate
     psi = bd.TrigMap([0.3], [[3.0, 2.0]])
-    d1_coarse, d2_coarse = bd.sup_norms(psi, ball_grid)
-    norms = bd.collect_norms(psi, ball_grid)
-    assert norms.sup_dpsi >= d1_coarse
-    assert norms.sup_d2psi >= d2_coarse
+    coarse, _ = bd.sup_norms(psi, ball_grid, None)
+    rep = bd.check_condition_B(psi, ball_grid, estimate_c0_eta0(BALL), 0.1, 0.5)
+    assert rep.w_psi >= coarse.w
+    assert rep.sup_dpsi_band >= coarse.sup_dpsi
+    assert rep.sup_d2psi_band >= coarse.sup_d2psi
     # and stays a genuine bound for the analytic sup
     k = np.array([3.0, 2.0])
-    assert norms.sup_dpsi <= 0.3 * np.linalg.norm(k) + 1e-12
+    assert rep.sup_dpsi_band <= 0.3 * np.linalg.norm(k) + 1e-12
+
+
+class _Counted:
+    """A boundary map that tallies its values and jets calls."""
+
+    def __init__(self, psi):
+        self._psi = psi
+        self.n, self.m, self.family = psi.n, psi.m, psi.family
+        self.calls = {"values": 0, "jets": 0}
+
+    def values(self, pts):
+        self.calls["values"] += 1
+        return self._psi.values(pts)
+
+    def jets(self, pts):
+        self.calls["jets"] += 1
+        return self._psi.jets(pts)
+
+
+def test_one_sample_of_the_data_per_grid(ball_grid):
+    # each checker samples psi once on the working grid and once at h/2;
+    # monitor setup samples it once on the closure
+    geom = estimate_c0_eta0(BALL)
+    psi = _Counted(BALL_TRIG)
+    bd.check_condition_A(psi, ball_grid, geom, 0.1)
+    assert psi.calls == {"values": 0, "jets": 2}
+    psi.calls.update(values=0, jets=0)
+    bd.check_condition_B(psi, ball_grid, geom, 0.1, 0.5)
+    assert psi.calls == {"values": 0, "jets": 2}
+
+    state = flow.make_state(ball_grid, psi)
+    psi.calls.update(values=0, jets=0)
+    flow.FlowMonitors(state, eps=0.5, delta=0.1).star_omega_floor()
+    assert psi.calls == {"values": 0, "jets": 1}

@@ -86,6 +86,12 @@ def test_under_resolved_grid_rejected():
     build_grid(DomainSpec.annulus(0.5, 1.0, 2), 1.0 / 20)
 
 
+@pytest.mark.parametrize("h", [float("nan"), float("inf")])
+def test_non_finite_spacing_rejected(h):
+    with pytest.raises(DomainError, match="finite and positive"):
+        build_grid(DomainSpec.ball(1.0, 2), h)
+
+
 def test_band_membership_monotone_in_delta():
     grid = build_grid(DomainSpec.ball(1.0, 2), 1.0 / 16)
     prev = np.zeros(grid.num_interior, dtype=bool)

@@ -1,5 +1,6 @@
 """Configuration parsing, CLI contract, artifacts and exit codes."""
 
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -113,6 +114,18 @@ def test_lawson_osserman_family_parses(tmp_path):
     assert cfg.psi.n == 4 and cfg.psi.m == 3
 
 
+@pytest.mark.parametrize("line", ["h = nan", "halfwidth = inf",
+                                  "time_gap = 0.0", "cutoff = -1.0",
+                                  "offset = nan"],
+                         ids=["h-nan", "halfwidth-inf", "time-gap-zero",
+                              "cutoff-negative", "offset-nan"])
+def test_density_config_rejects_bad_numbers(tmp_path, line):
+    text = ("[run]\nmode = density_oracle\n\n[density]\n"
+            f"state = offset_plane\n{line}\n")
+    with pytest.raises(ConfigError, match=r"\[density\] " + line.split()[0]):
+        load_config(write_cfg(tmp_path, text))
+
+
 def test_exterior_radius_margin_validated(tmp_path):
     base = """
     [run]
@@ -211,9 +224,13 @@ def test_cli_forced_run_proceeds(tmp_path):
     ("cfl = 0.9", "cfl = 0.9\nlambda_guard = -1"),
     ("h = 0.0625", "h = nan"),
     ("kind = ball\ndim = 2\nradius = 1.0", "kind = box\ndim = 3\nedges = 1.0, 1.0"),
+    ("family = trigonometric\nm = 2\namplitudes = 0.01, 0.005\n"
+     "wave_vector_1 = 2.0, 1.0\nwave_vector_2 = 0.0, 2.0\nphases = 0.0, 0.5",
+     "family = lawson_osserman_scaled\nscale = 0.05"),
 ], ids=["no-delta", "monitor-every-zero", "m-mismatch", "wave-vector-3",
         "cfl-above-one", "cfl-zero", "tol-residual-zero", "lambda-guard-nan",
-        "lambda-guard-negative", "h-nan", "box-dim-mismatch"])
+        "lambda-guard-negative", "h-nan", "box-dim-mismatch",
+        "lawson-osserman-dim-2"])
 def test_cli_config_error_exit_one(tmp_path, old, new):
     assert old in BALL_SOLVE
     path = write_cfg(tmp_path, BALL_SOLVE.replace(old, new))
@@ -231,6 +248,20 @@ def test_program_does_not_import_the_pointwise_oracle():
             "sys.exit('mssflow.jets' in sys.modules)")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True)
+    assert r.returncode == 0, r.stderr
+
+
+def test_benchmark_tracer_finds_every_traced_name(tmp_path):
+    # perfbench/tracing.py wraps program functions by name; a subprocess,
+    # because instrument() patches module attributes
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path[:0] = sys.argv[1:3]; "
+            "from tracing import Tracer, instrument; "
+            "from mssflow.config import load_config; "
+            "instrument(Tracer('t'), load_config(sys.argv[3]))")
+    r = subprocess.run([sys.executable, "-c", code, str(root / "perfbench"),
+                        str(root / "src"), write_cfg(tmp_path, BALL_SOLVE)],
+                       capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
 
 

@@ -141,7 +141,7 @@ def test_field_kernel_matches_pointwise_reference(data):
     # monitors: the minima of *Omega and of the strict-margin tensor
     lams = [jets.singular_values(jet) for jet in pointwise]
     diss = flow.dissipation_rate(state, bundle)
-    rec = flow.FlowMonitors(state, eps=eps).record(state, bundle, 1.0, diss)
+    rec = flow.FlowMonitors(state, eps=eps).record(state, bundle, 1.0, diss, 0.0)
     tol = 1e-12 * (1.0 + max(lam[0] ** 2 for lam in lams))
     assert abs(rec.min_star_omega - min(map(jets.star_omega, lams))) <= tol
     assert abs(rec.min_p_eig
@@ -319,7 +319,7 @@ def _context(grid, rep, state, monitors, records):
     return flow.InvariantContext(
         tol_grid=5.0 * grid.h,
         psi_lo=state.psi_lo, psi_hi=state.psi_hi,
-        star_omega_floor=monitors.star_omega_floor(SMALL_TRIG, grid),
+        star_omega_floor=monitors.star_omega_floor(),
         boundary_bound=bd.boundary_gradient_bound(band, 0.1, 1.0, grid.n),
         tol_consistency=flow.consistency_tolerance(grid.h, records[-1].step_dt))
 

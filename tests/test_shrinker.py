@@ -45,7 +45,7 @@ def flat_square_area(h):
     state = oracles.plane_state(h=h, halfwidth=0.5)
     bundle = flow.compute_fields(state)
     rec = flow.FlowMonitors(state).record(
-        state, bundle, 1.0, flow.dissipation_rate(state, bundle))
+        state, bundle, 1.0, flow.dissipation_rate(state, bundle), 0.0)
     return rec.area
 
 
