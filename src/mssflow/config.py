@@ -248,9 +248,14 @@ def load_config(path: str, mode: str | None = None) -> RunConfig:
 
     default_trunc = None
     if mode == "exterior" and "exterior" in cp:
-        radii = _floats(cp["exterior"].get("radii", ""))
-        if radii:
-            default_trunc = max(radii)
+        sec = cp["exterior"]
+        cfg.radii = _floats(sec.get("radii", ""))
+        cfg.probe_radii = _floats(sec.get("probe_radii", ""))
+        if not all(map(math.isfinite, cfg.radii + cfg.probe_radii)):
+            raise ConfigError(f"[exterior] radii and probe_radii must be "
+                              f"finite, got {cfg.radii} and {cfg.probe_radii}")
+        if cfg.radii:
+            default_trunc = max(cfg.radii)
     cfg.domain = _parse_domain(cp, default_truncation=default_trunc)
     cfg.psi = _parse_boundary(cp, cfg.domain.dim)
     if getattr(cfg.psi, "n", cfg.domain.dim) != cfg.domain.dim:
@@ -298,9 +303,6 @@ def load_config(path: str, mode: str | None = None) -> RunConfig:
             raise ConfigError("exterior mode needs an exterior domain")
         if "exterior" not in cp:
             raise ConfigError("exterior mode needs an [exterior] section")
-        sec = cp["exterior"]
-        cfg.radii = _floats(sec.get("radii", ""))
-        cfg.probe_radii = _floats(sec.get("probe_radii", ""))
         if len(cfg.radii) < 2 or any(b <= a for a, b in zip(cfg.radii,
                                                             cfg.radii[1:])):
             raise ConfigError("radius schedule must be >= 2 strictly "

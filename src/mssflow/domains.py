@@ -48,6 +48,13 @@ class DomainSpec:
         n = self.dim
         if n < 1:
             raise DomainError(f"dim must be >= 1, got {n}")
+        sizes = {"lo": self.lo, "hi": self.hi, "radius": self.radius,
+                 "inner_radius": self.inner_radius,
+                 "truncation_radius": self.truncation_radius}
+        bad = [k for k, v in sizes.items()
+               if not np.isfinite(np.asarray(v, float)).all()]
+        if bad:
+            raise DomainError(f"domain {', '.join(bad)} must be finite")
         if self.kind == "box":
             lo, hi = np.asarray(self.lo, float), np.asarray(self.hi, float)
             if lo.shape != (n,) or hi.shape != (n,):

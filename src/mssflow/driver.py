@@ -234,16 +234,12 @@ def run_solve(cfg: RunConfig, out_dir: str, force: bool = False) -> int:
 def _common_region_diff(prev_state: flow.GraphState,
                         state: flow.GraphState, radius: float) -> float:
     """Sup difference over shared lattice nodes with |x| <= radius."""
-    index = {tuple(c): k for k, c in enumerate(state.grid.lattice_coords().tolist())}
-    worst = 0.0
-    coords = prev_state.grid.lattice_coords().tolist()
-    inside = np.linalg.norm(prev_state.grid.interior_pos, axis=1) <= radius
-    for k in np.nonzero(inside)[0]:
-        k2 = index.get(tuple(coords[k]))
-        if k2 is not None:
-            worst = max(worst, float(
-                np.abs(prev_state.f[k] - state.f[k2]).max()))
-    return worst
+    grid = prev_state.grid
+    k = np.nonzero(np.linalg.norm(grid.interior_pos, axis=1) <= radius)[0]
+    k2 = state.grid.lattice_index(grid.lattice_coords()[k])
+    shared = k2 >= 0
+    return float(np.abs(prev_state.f[k[shared]] - state.f[k2[shared]])
+                 .max(initial=0.0))
 
 
 def _probe_ring(grid: Grid, rho: float) -> np.ndarray:

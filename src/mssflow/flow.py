@@ -34,7 +34,7 @@ import numpy as np
 
 from .boundary import barrier_nu
 from .domains import estimate_c0_eta0
-from .grid import Grid
+from .grid import Grid, axis_pairs
 
 DEFAULT_LAMBDA_GUARD = 10.0
 
@@ -54,7 +54,7 @@ class GraphState:
     pinned: np.ndarray
     psi_lo: np.ndarray                # per-component bounds of the pinned data
     psi_hi: np.ndarray
-    psi: object = None                # boundary map family when available
+    psi: object                       # the boundary map family
 
     @property
     def m(self) -> int:
@@ -82,46 +82,33 @@ def make_state(grid: Grid, psi, t: float = 0.0) -> GraphState:
 # divided differences
 # ---------------------------------------------------------------------------
 
-class _StencilCache:
-    """Static per-direction stencil weights, shared by all states on a grid.
+def _stencils(grid: Grid, m: int) -> tuple:
+    """Static stencil weights, shared by all states on a grid.
 
     The clipped three-point first and second differences are linear in
     (u_plus, u_minus, u_0); the coefficients depend only on the arm
-    fractions and are frozen here, tiled to (K, m) so the hot loop runs
-    same-shape contiguous ufuncs (broadcasting is slow on this scale).
+    fractions.  Returns (c1p, c1m, c10) for the n axis directions, each
+    (n, K, m), and (c2p, c2m, c20) for every direction, each (D, K, m):
+    tiled so the hot loop runs same-shape contiguous ufuncs (broadcasting
+    is slow on this scale).  They are built once per m and kept on the
+    grid.
     """
+    if m not in grid.stencils:
+        tp, tm = grid.arm_theta[:, 0], grid.arm_theta[:, 1]
+        denom = tp * tm * (tp + tm)
 
-    def __init__(self, grid: Grid, m: int):
-        self.dirs = []
-        for d in grid.directions:
-            tp, tm = d.plus.theta, d.minus.theta
-            denom = tp * tm * (tp + tm)
+        def tile(col):
+            return np.ascontiguousarray(np.repeat(col[..., None], m, axis=-1))
 
-            def tile(col):
-                return np.ascontiguousarray(np.repeat(col[:, None], m, axis=1))
-
-            entry = {
-                "c1p": tile(tm * tm / denom),
-                "c1m": tile(-tp * tp / denom),
-                "c10": tile((tp * tp - tm * tm) / denom),
-                "c2p": tile(2.0 * tm / denom),
-                "c2m": tile(2.0 * tp / denom),
-                "c20": tile(-2.0 * (tp + tm) / denom),
-            }
-            axes = [i for i, o in enumerate(d.offset) if o != 0]
-            entry["axes"] = axes
-            entry["offset"] = d.offset
-            self.dirs.append(entry)
-
-
-def _stencils(grid: Grid, m: int) -> _StencilCache:
-    caches = getattr(grid, "_stencil_cache", None)
-    if caches is None:
-        caches = {}
-        grid._stencil_cache = caches
-    if m not in caches:
-        caches[m] = _StencilCache(grid, m)
-    return caches[m]
+        ap, am, ad = tp[:grid.n], tm[:grid.n], denom[:grid.n]   # axes
+        grid.stencils[m] = (
+            tile(am * am / ad),
+            tile(-ap * ap / ad),
+            tile((ap * ap - am * am) / ad),
+            tile(2.0 * tm / denom),
+            tile(2.0 * tp / denom),
+            tile(-2.0 * (tp + tm) / denom))
+    return grid.stencils[m]
 
 
 def _differences(state: GraphState) -> tuple[list, dict]:
@@ -132,25 +119,26 @@ def _differences(state: GraphState) -> tuple[list, dict]:
     Every arm end is a row of the stacked array [f; pinned].
     """
     grid = state.grid
-    hs = grid.hs
+    hs, n = grid.hs, grid.n
     F = state.f
     FP = np.concatenate([F, state.pinned])
-    J = [None] * grid.n
+    c1p, c1m, c10, c2p, c2m, c20 = _stencils(grid, state.m)
+
+    def arms(d):
+        """Both arm ends of direction d and its second difference."""
+        up = FP.take(grid.arm_src[d, 0], axis=0)
+        um = FP.take(grid.arm_src[d, 1], axis=0)
+        return up, um, c2p[d] * up + c2m[d] * um + c20[d] * F
+
+    J = [None] * n
     H = {}
-    for d, e in zip(grid.directions, _stencils(grid, state.m).dirs):
-        up = FP.take(d.plus.src, axis=0)
-        um = FP.take(d.minus.src, axis=0)
-        d2 = e["c2p"] * up + e["c2m"] * um + e["c20"] * F
-        axes = e["axes"]
-        if len(axes) == 1:
-            i = axes[0]
-            J[i] = (e["c1p"] * up + e["c1m"] * um + e["c10"] * F) / hs[i]
-            H[i, i] = d2 / (hs[i] * hs[i])
-        elif e["offset"][axes[1]] > 0:
-            d2_plus = d2          # the grid lists (+,+) before (+,-)
-        else:
-            i, j = axes
-            H[i, j] = (d2_plus - d2) / (4.0 * hs[i] * hs[j])
+    for i in range(n):
+        up, um, d2 = arms(i)
+        J[i] = (c1p[i] * up + c1m[i] * um + c10[i] * F) / hs[i]
+        H[i, i] = d2 / (hs[i] * hs[i])
+    for p, (i, j) in enumerate(axis_pairs(n)):
+        d2_plus, d2_minus = arms(n + 2 * p)[2], arms(n + 2 * p + 1)[2]
+        H[i, j] = (d2_plus - d2_minus) / (4.0 * hs[i] * hs[j])
     return J, H
 
 
@@ -281,7 +269,7 @@ def pinned_boundary_cells(state: GraphState):
     """
     grid = state.grid
     n = grid.n
-    if state.psi is None or not grid.boundary_nodes_pos.size:
+    if not grid.boundary_nodes_pos.size:
         return np.zeros((0, n + state.m)), np.zeros(0)
     sel = grid.boundary_nodes_frac > 0
     if not sel.any():
@@ -305,7 +293,7 @@ def dissipation_rate(state: GraphState, bundle: FieldBundle) -> float:
     # Second derivatives at interpolated nodes are unreliable by
     # construction; borrow the inward neighbor's dissipation density.
     hsq[grid.dep_idx] = hsq[grid.dep_opp]
-    return float((hsq * np.sqrt(bundle.detg) * grid.cell_fractions()).sum()
+    return float((hsq * np.sqrt(bundle.detg) * grid.cell_frac).sum()
                  * grid.cellvol)
 
 
@@ -317,13 +305,10 @@ def stable_dt(grid: Grid, cfl: float) -> float:
     """
     if not 0.0 < cfl < 1.0:
         raise ValueError(f"cfl must lie in (0, 1), got {cfl}")
+    theta = grid.arm_theta
     total = np.zeros(grid.num_interior)
-    for d in grid.directions:
-        axes = [i for i, o in enumerate(d.offset) if o != 0]
-        if len(axes) != 1:
-            continue
-        i = axes[0]
-        total += 2.0 / (d.plus.theta * d.minus.theta * grid.hs[i] ** 2)
+    for i in range(grid.n):
+        total += 2.0 / (theta[i, 0] * theta[i, 1] * grid.hs[i] ** 2)
     if grid.stepped.any():
         total = total[grid.stepped]
     return cfl / float(total.max())
@@ -367,7 +352,7 @@ class FlowMonitors:
     sup-norms needed by the barrier weight.  All of it is frozen at run
     start from one sample of the data (psi) on the grid's closure; records
     are then pure functions of the state.  delta, when given, must lie in
-    (0, eta0]; the barrier and star_omega_floor need boundary data (psi).
+    (0, eta0]; the barrier needs it.
     """
 
     def __init__(self, state: GraphState, eps: float | None = None,
@@ -375,7 +360,8 @@ class FlowMonitors:
         grid = state.grid
         self.eps = eps
         self.delta = delta
-        self.boundary_adjacent = self._boundary_adjacent(grid)
+        self.boundary_adjacent = np.nonzero(
+            (grid.arm_src >= grid.num_interior).any(axis=(0, 1)))[0]
         _, wb = pinned_boundary_cells(state)
         self.static_boundary_area = float(wb.sum())
         self.band_idx = None
@@ -383,8 +369,6 @@ class FlowMonitors:
             geom = estimate_c0_eta0(grid.spec)
             if not 0.0 < delta <= geom.eta0:
                 raise ValueError(f"delta = {delta} outside (0, eta0 = {geom.eta0}]")
-        if state.psi is None:
-            return
         vals, self._closure_jac, hess = state.psi.jets(grid.closure_points())
         if delta is not None:
             # closure rows start with the interior nodes in grid order
@@ -403,14 +387,6 @@ class FlowMonitors:
             k = 1.0 / delta
             self.band_base = self.nu[None, :] * np.log1p(k * band_d)[:, None] \
                 + (self.omega[None, :] / delta) * band_d[:, None]
-
-    @staticmethod
-    def _boundary_adjacent(grid: Grid) -> np.ndarray:
-        adj = np.zeros(grid.num_interior, dtype=bool)
-        for d in grid.directions:
-            adj |= d.plus.nbr < 0
-            adj |= d.minus.nbr < 0
-        return np.nonzero(adj)[0]
 
     def star_omega_floor(self) -> float:
         """min over the sampled closure of *Omega of the initial graph."""
@@ -436,7 +412,7 @@ class FlowMonitors:
         grid = state.grid
         lam_sq = bundle.lam_max_sq
         detg = bundle.detg
-        area = float((np.sqrt(detg) * grid.cell_fractions()).sum()
+        area = float((np.sqrt(detg) * grid.cell_frac).sum()
                      * grid.cellvol) + self.static_boundary_area
 
         if self.eps is not None and 0.0 < self.eps <= 1.0:

@@ -2,19 +2,21 @@
 
 The lattice covers the domain's bounding box with one ghost layer.  Nodes
 are classified interior / boundary / exterior against the analytic signed
-distance.  Every interior node stores, for each stencil direction (the n
-axes plus both diagonals of every axis pair), either its lattice neighbor
-or the exact sub-spacing theta in (0, 1] to the point where the stencil
-arm crosses the boundary.  Divided differences built on these arms are
-second-order accurate on full arms and first-order on clipped ones.
+distance.  The stencil directions are the n axes, then (+,+) and (+,-)
+diagonals of every axis pair (axis_pairs).  Every interior node has two
+arms per direction, one each way; an arm ends at the lattice neighbor or,
+clipped, where it crosses the boundary, at the exact sub-spacing theta in
+(0, 1].  The grid stores the arms as arrays over (direction, side, node):
+the row of each far end in [interior values; pinned values] and theta.
+Divided differences built on these arms are second-order accurate on full
+arms and first-order on clipped ones.
 
 Interior nodes hugging the boundary (some arm shorter than THETA_DEP)
 would force the explicit time step toward zero, so they are taken out of
 the stepped unknown set: their values are maintained by second-order
 linear interpolation along the shortest cut arm, between the boundary
-crossing and the opposite lattice neighbor.  In the rare case where that
-neighbor is unavailable the node stays stepped and its short arms are
-clamped to THETA_FALLBACK instead (a first-order geometric perturbation).
+crossing and the opposite lattice neighbor.  A node whose opposite
+neighbor is not a stepped interior node makes the grid a DomainError.
 """
 
 from __future__ import annotations
@@ -31,32 +33,25 @@ CLS_BOUNDARY = 2
 
 CLS_TOL = 1e-12          # |signed distance| below this counts as on-boundary
 THETA_DEP = 0.5          # arms shorter than this make the node interpolated
-THETA_FALLBACK = 0.2     # clamp floor for nodes that cannot be interpolated
 MIN_NODES_ACROSS = 8
 
 
-@dataclass
-class ArmData:
-    """One orientation of one stencil direction, over all interior nodes.
-
-    nbr   : index into the interior ordering of the lattice neighbor,
-            or -1 when the arm is clipped (the pinned trace is used instead)
-    theta : arm length as a fraction of the full lattice step, in (0, 1]
-    src   : row of the arm's far end in the stacked array [interior values;
-            pinned values]: nbr where that is interior, else K + i for the
-            grid's pinned_pos[i]
-    """
-
-    nbr: np.ndarray
-    theta: np.ndarray
-    src: np.ndarray
+def axis_pairs(n: int) -> list:
+    """Axis pairs (i, j), i < j, in the order of the diagonal directions:
+    direction n + 2p is the (+,+) and n + 2p + 1 the (+,-) diagonal of
+    pair p."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-@dataclass
-class Direction:
-    offset: tuple            # lattice step, e.g. (1, 0) or (1, -1)
-    plus: ArmData = None
-    minus: ArmData = None
+def _direction_offsets(n: int) -> np.ndarray:
+    """(n^2, n) lattice steps: the n axes, then both diagonals of each pair."""
+    offs = list(np.eye(n, dtype=np.int64))
+    for i, j in axis_pairs(n):
+        for sign in (1, -1):
+            off = np.zeros(n, dtype=np.int64)
+            off[i], off[j] = 1, sign
+            offs.append(off)
+    return np.array(offs)
 
 
 @dataclass
@@ -69,17 +64,22 @@ class Grid:
     interior_flat: np.ndarray          # (K,) flat lattice indices, ascending
     interior_pos: np.ndarray           # (K, n)
     d_bdry: np.ndarray                 # (K,) distance to computational boundary
-    directions: list                   # Direction objects: axes then diagonals
+    offsets: np.ndarray                # (D, n) lattice step of each direction
+    arm_src: np.ndarray                # (D, 2, K) row of each arm end in
+                                       # [f; pinned]: >= K when cut, sides +, -
+    arm_theta: np.ndarray              # (D, 2, K) arm length in lattice steps
+    cell_frac: np.ndarray              # (K,) covered fraction of each cell
     boundary_samples: np.ndarray       # (B, n) points on the true boundary
     boundary_nodes_pos: np.ndarray     # lattice nodes classified as boundary
     boundary_nodes_frac: np.ndarray    # cell-volume fraction for quadrature
-    pinned_pos: np.ndarray = field(default=None)    # (P, n) clipped arm ends
+    pinned_pos: np.ndarray = field(default=None)    # (P, n) cut arm ends
     full_stencil: np.ndarray = field(default=None)  # (K,) all arms unclipped
     stepped: np.ndarray = field(default=None)       # (K,) evolved unknowns
     dep_idx: np.ndarray = field(default=None)       # interpolated nodes
     dep_opp: np.ndarray = field(default=None)       # their inward neighbors
     dep_t: np.ndarray = field(default=None)         # cut fraction of the arm
     dep_pin: np.ndarray = field(default=None)       # pinned row of that arm
+    stencils: dict = field(default_factory=dict, repr=False)  # m -> weights
 
     @property
     def n(self) -> int:
@@ -102,25 +102,6 @@ class Grid:
         """Interior nodes lying within distance delta of the boundary."""
         return self.d_bdry < delta
 
-    def cell_fractions(self) -> np.ndarray:
-        """Covered-volume fraction of each interior node's lattice cell.
-
-        Product over axes of the covered half-arm lengths (cut arms
-        contribute their sub-spacing, capped at the half cell).  Exact for
-        cells away from the boundary, first-order for cut cells; using
-        these weights removes the leading boundary error from the area
-        and dissipation quadratures.
-        """
-        if getattr(self, "_cell_frac", None) is None:
-            frac = np.ones(self.num_interior)
-            for d in self.directions:
-                axes = [i for i, o in enumerate(d.offset) if o != 0]
-                if len(axes) != 1:
-                    continue
-                frac *= np.minimum(d.plus.theta, 0.5) + np.minimum(d.minus.theta, 0.5)
-            self._cell_frac = frac
-        return self._cell_frac
-
     def closure_points(self) -> np.ndarray:
         """Sample points of the closed region: interior nodes, then boundary."""
         return np.vstack([self.interior_pos, self.boundary_samples])
@@ -142,6 +123,17 @@ class Grid:
         local = np.stack(np.unravel_index(self.interior_flat, self.dims), axis=1)
         return local + np.round(self.los / self.hs).astype(np.int64)
 
+    def lattice_index(self, coords: np.ndarray) -> np.ndarray:
+        """Interior index of each row of lattice coordinates, -1 where the
+        lattice has no interior node there."""
+        local = np.asarray(coords) - np.round(self.los / self.hs).astype(np.int64)
+        inside = np.all((local >= 0) & (local < np.array(self.dims)), axis=1)
+        flat = np.ravel_multi_index(tuple(np.where(inside[:, None], local, 0).T),
+                                    self.dims)
+        k = np.minimum(np.searchsorted(self.interior_flat, flat),
+                       self.num_interior - 1)
+        return np.where(inside & (self.interior_flat[k] == flat), k, -1)
+
     def axis_coords(self, i: int) -> np.ndarray:
         return self.los[i] + self.hs[i] * np.arange(self.dims[i])
 
@@ -161,27 +153,16 @@ class Grid:
             spec=self.spec, hs=self.hs * scale, los=scale * (self.los - shift),
             dims=self.dims, cls=self.cls, interior_flat=self.interior_flat,
             interior_pos=scale * (self.interior_pos - shift),
-            d_bdry=self.d_bdry * scale, directions=self.directions,
+            d_bdry=self.d_bdry * scale, offsets=self.offsets,
+            arm_src=self.arm_src, arm_theta=self.arm_theta,
+            cell_frac=self.cell_frac,
             boundary_samples=scale * (self.boundary_samples - shift),
             boundary_nodes_pos=scale * (self.boundary_nodes_pos - shift),
             boundary_nodes_frac=self.boundary_nodes_frac,
             pinned_pos=scale * (self.pinned_pos - shift),
             full_stencil=self.full_stencil, stepped=self.stepped,
             dep_idx=self.dep_idx, dep_opp=self.dep_opp, dep_t=self.dep_t,
-            dep_pin=self.dep_pin)
-
-
-def _direction_offsets(n: int) -> list:
-    offs = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            plus = [0] * n
-            plus[i], plus[j] = 1, 1
-            minus = [0] * n
-            minus[i], minus[j] = 1, -1
-            offs.append(tuple(plus))
-            offs.append(tuple(minus))
-    return offs
+            dep_pin=self.dep_pin, stencils=self.stencils)
 
 
 def _crossing_fraction(spec: DomainSpec, p: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -234,50 +215,32 @@ def _crossing_fraction(spec: DomainSpec, p: np.ndarray, step: np.ndarray) -> np.
 def _mark_dependent_nodes(grid: Grid) -> None:
     """Split interior nodes into stepped unknowns and interpolated ones.
 
-    Nodes with some stencil arm shorter than THETA_DEP are pinned by linear
-    interpolation along their shortest cut arm (boundary crossing on one
-    side, the opposite lattice neighbor on the other).  The opposite
-    neighbor must itself be a stepped interior node; failing that the node
-    stays stepped and its short arms are clamped to THETA_FALLBACK, moving
-    the arm's pinned point outward by at most THETA_FALLBACK * h.
+    Nodes with some cut stencil arm shorter than THETA_DEP are pinned by
+    linear interpolation along their shortest cut arm (the first one on a
+    tie): boundary crossing on one side, the opposite lattice neighbor on
+    the other.  Nodes are taken by increasing arm length, and the opposite
+    neighbor must be an interior node not already interpolated; a node
+    without one is a DomainError.
     """
     K = grid.num_interior
-    arms = []
-    for d in grid.directions:
-        for sign, arm in ((+1, d.plus), (-1, d.minus)):
-            arms.append((d, sign, arm))
-
-    min_t = np.ones(K)
-    argmin = np.full(K, -1, dtype=np.int64)
-    for a_idx, (d, sign, arm) in enumerate(arms):
-        cut = arm.nbr < 0
-        better = cut & (arm.theta < min_t)
-        min_t[better] = arm.theta[better]
-        argmin[better] = a_idx
+    src = grid.arm_src.reshape(-1, K)        # row 2 d + side
+    cut_t = np.where(src >= K, grid.arm_theta.reshape(-1, K), 1.0)
+    min_t = cut_t.min(axis=0)
+    argmin = cut_t.argmin(axis=0)
 
     dependent = np.zeros(K, dtype=bool)
     dep_rows = []
     order = np.argsort(min_t, kind="stable")
-    for k in order:
-        if min_t[k] >= THETA_DEP:
-            break
-        d, sign, arm = arms[argmin[k]]
-        opp = d.minus if sign > 0 else d.plus
-        q = opp.nbr[k]
-        if q < 0 or dependent[q] or opp.theta[k] != 1.0:
-            continue     # cannot interpolate through q; handled by clamping
+    for k in order[:np.count_nonzero(min_t < THETA_DEP)]:
+        arm = argmin[k]
+        q = src[arm ^ 1, k]                  # the other side, same direction
+        if q >= K or dependent[q]:
+            raise DomainError(
+                f"interior node at {grid.interior_pos[k]} has a "
+                f"{min_t[k]:.3g}-step arm and no stepped node opposite it; "
+                f"refine the grid")
         dependent[k] = True
-        dep_rows.append((k, q, min_t[k], arm.src[k] - K))
-
-    # Clamp leftover short arms on nodes that stay stepped.
-    for d in grid.directions:
-        for sign, arm in ((+1, d.plus), (-1, d.minus)):
-            short = (arm.nbr < 0) & (arm.theta < THETA_FALLBACK) & ~dependent
-            if short.any():
-                step = sign * np.array(d.offset) * grid.hs
-                arm.theta[short] = THETA_FALLBACK
-                grid.pinned_pos[arm.src[short] - K] = \
-                    grid.interior_pos[short] + THETA_FALLBACK * step
+        dep_rows.append((k, q, min_t[k], src[arm, k] - K))
 
     grid.stepped = ~dependent
     grid.dep_idx = np.array([r[0] for r in dep_rows], dtype=np.int64)
@@ -318,7 +281,8 @@ def build_grid(spec: DomainSpec, target_h: float) -> Grid:
 
     grid = Grid(spec=spec, hs=hs, los=los, dims=dims, cls=None,
                 interior_flat=None, interior_pos=None, d_bdry=None,
-                directions=None, boundary_samples=None,
+                offsets=None, arm_src=None, arm_theta=None, cell_frac=None,
+                boundary_samples=None,
                 boundary_nodes_pos=None, boundary_nodes_frac=None)
 
     pos = grid.lattice_positions()
@@ -352,47 +316,45 @@ def build_grid(spec: DomainSpec, target_h: float) -> Grid:
         grid.boundary_nodes_frac = np.zeros(bnd_flat.size)
 
     sample_pts = [pos[bnd_flat]] if bnd_flat.size else []
-    pinned = []          # far ends of the clipped arms, in arm order
+    pinned = []          # far ends of the cut arms, in arm order
     P = 0
-    directions = []
-    full = np.ones(K, dtype=bool)
-    for off in _direction_offsets(n):
-        off_arr = np.array(off, dtype=np.int64)
-        d = Direction(offset=off)
-        for sign in (+1, -1):
-            nb_multi = int_multi + sign * off_arr
+    offsets = _direction_offsets(n)
+    arm_src = np.empty((len(offsets), 2, K), dtype=np.int64)
+    arm_theta = np.ones((len(offsets), 2, K))
+    for d, off in enumerate(offsets):
+        for side, sign in enumerate((+1, -1)):
+            nb_multi = int_multi + sign * off
             in_lat = np.all((nb_multi >= 0) & (nb_multi < np.array(dims)), axis=1)
             nb_flat = np.where(in_lat, nb_multi @ strides, 0)
             nb_cls = np.where(in_lat, flat_cls[nb_flat], CLS_EXTERIOR)
 
-            nbr = np.where(nb_cls == CLS_INTERIOR, inv[nb_flat], -1)
-            theta = np.ones(K)
-            cut = np.nonzero(nbr < 0)[0]
+            cut = np.nonzero(nb_cls != CLS_INTERIOR)[0]
             ends = pos[nb_flat[cut]]     # boundary nodes; crossings set below
-
             clipped = nb_cls[cut] == CLS_EXTERIOR
             if clipped.any():
                 p = grid.interior_pos[cut[clipped]]
-                step = np.broadcast_to(sign * off_arr * hs, p.shape)
+                step = np.broadcast_to(sign * off * hs, p.shape)
                 t = _crossing_fraction(spec, p, step)
                 cross = p + t[:, None] * step
                 sample_pts.append(cross)
-                theta[cut[clipped]] = t
+                arm_theta[d, side, cut[clipped]] = t
                 ends[clipped] = cross
-            full &= theta == 1.0
             pinned.append(ends)
-            src = nbr.copy()
-            src[cut] = K + P + np.arange(cut.size)
+            arm_src[d, side] = inv[nb_flat]
+            arm_src[d, side, cut] = K + P + np.arange(cut.size)
             P += cut.size
-            arm = ArmData(nbr=nbr, theta=theta, src=src)
-            if sign > 0:
-                d.plus = arm
-            else:
-                d.minus = arm
-        directions.append(d)
-    grid.directions = directions
+    grid.offsets, grid.arm_src, grid.arm_theta = offsets, arm_src, arm_theta
     grid.pinned_pos = np.vstack(pinned)
-    grid.full_stencil = full
+    grid.full_stencil = (arm_theta == 1.0).all(axis=(0, 1))
+    # Covered-volume fraction of each node's cell: the product over axes of
+    # the covered half-arm lengths (cut arms contribute their sub-spacing,
+    # capped at the half cell).  Exact away from the boundary, first-order
+    # on cut cells; it removes the leading boundary error from the area and
+    # dissipation quadratures.
+    grid.cell_frac = np.ones(K)
+    for i in range(n):
+        grid.cell_frac *= np.minimum(arm_theta[i, 0], 0.5) \
+            + np.minimum(arm_theta[i, 1], 0.5)
     _mark_dependent_nodes(grid)
 
     if sample_pts:

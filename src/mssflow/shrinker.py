@@ -106,7 +106,7 @@ def gaussian_density(state: GraphState, query: DensityQuery) -> float:
     bundle = compute_fields(state)
 
     z = np.concatenate([grid.interior_pos, state.f], axis=1)
-    w = grid.cell_fractions() * grid.cellvol * np.sqrt(bundle.detg)
+    w = grid.cell_frac * grid.cellvol * np.sqrt(bundle.detg)
     zb, wb = pinned_boundary_cells(state)
     if wb.size:
         z = np.vstack([z, zb])
@@ -188,13 +188,11 @@ def parabolic_dilate(state: GraphState, Y: np.ndarray, T: float,
     base, fiber = Y[:n], Y[n:]
     new_grid = grid.scaled_copy(iota, base)
     f = iota * (state.f - fiber)
-    out = GraphState(grid=new_grid, t=iota ** 2 * (state.t - T), f=f,
-                     pinned=iota * (state.pinned - fiber),
-                     psi_lo=iota * (state.psi_lo - fiber),
-                     psi_hi=iota * (state.psi_hi - fiber))
-    if state.psi is not None:
-        out.psi = DilatedMap(state.psi, iota, base, fiber)
-    return out
+    return GraphState(grid=new_grid, t=iota ** 2 * (state.t - T), f=f,
+                      pinned=iota * (state.pinned - fiber),
+                      psi_lo=iota * (state.psi_lo - fiber),
+                      psi_hi=iota * (state.psi_hi - fiber),
+                      psi=DilatedMap(state.psi, iota, base, fiber))
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +252,6 @@ def reflect_halfspace(state: GraphState) -> tuple[GraphState, float]:
     n = grid.n
     if spec.kind != "box" or abs(spec.lo[n - 1]) > CLS_TOL:
         raise ValueError("reflection needs a box domain resting on x_n = 0")
-    if state.psi is None:
-        raise ValueError("reflection needs a state with analytic boundary data")
 
     lo, hi = spec.bounding_box()
     face = np.abs(grid.boundary_nodes_pos[:, n - 1]) <= CLS_TOL
@@ -279,28 +275,25 @@ def reflect_halfspace(state: GraphState) -> tuple[GraphState, float]:
     # Carry the evolved interior values across (make_state seeded them
     # with the boundary family itself, which is only right at t = 0).
     # Both lattices have x_n = 0 as their coordinate plane c_n = 0.
-    coords = grid.lattice_coords().tolist()
-    index = {tuple(c): k for k, c in enumerate(coords)}
-    f2 = out.f.copy()
-    h_n = grid.hs[n - 1]
-    for k2, c in enumerate(grid2.lattice_coords().tolist()):
-        cn = c[n - 1]
-        if cn > 0:
-            f2[k2] = state.f[index[tuple(c)]]
-        elif cn < 0:
-            f2[k2] = -state.f[index[(*c[:-1], -cn)]]
-        else:
-            f2[k2] = 0.0
+    mirror = grid2.lattice_coords()
+    cn = mirror[:, n - 1].copy()
+    mirror[:, n - 1] = np.abs(cn)
+    k = grid.lattice_index(mirror)
+    f2 = np.zeros_like(out.f)
+    f2[cn > 0] = state.f[k[cn > 0]]
+    f2[cn < 0] = -state.f[k[cn < 0]]
     out = out.replace_values(f2, state.t)
 
     # Kink estimate: 2 |f_nn(0+)| from the first two interior layers.
     kink = np.nan
-    rows = []
-    for k, c in enumerate(coords):
-        if c[n - 1] == 1:
-            k2 = index.get((*c[:-1], 2))
-            if k2 is not None:
-                rows.append(np.abs(state.f[k2] - 2.0 * state.f[k]).max())
-    if rows:
-        kink = 2.0 * float(max(rows)) / (h_n * h_n)
+    coords = grid.lattice_coords()
+    first = np.nonzero(coords[:, n - 1] == 1)[0]
+    second = coords[first]
+    second[:, n - 1] = 2
+    k2 = grid.lattice_index(second)
+    hit = k2 >= 0
+    if hit.any():
+        h_n = grid.hs[n - 1]
+        kink = 2.0 * float(np.abs(state.f[k2[hit]] - 2.0 * state.f[first[hit]])
+                           .max()) / (h_n * h_n)
     return out, kink

@@ -5,7 +5,7 @@ import pytest
 
 from mssflow import boundary as bd, flow
 from mssflow.domains import DomainError, DomainSpec, estimate_c0_eta0
-from mssflow.grid import CLS_BOUNDARY, CLS_INTERIOR, THETA_FALLBACK, build_grid
+from mssflow.grid import CLS_INTERIOR, build_grid
 
 
 # ---------------------------------------------------------------------------
@@ -53,31 +53,56 @@ def test_unit_box_grid_counts():
 
 
 def test_ball_grid_classification_and_subspacings():
-    grid = build_grid(DomainSpec.ball(1.0, 2), 1.0 / 32)
-    # all interior nodes strictly inside
-    assert (np.linalg.norm(grid.interior_pos, axis=1) < 1.0).all()
-    # classification consistent with the signed distance
-    pos = grid.lattice_positions()
-    sd = grid.spec.signed_distance(pos)
-    inside = sd < -1e-12
-    np.testing.assert_array_equal(grid.cls.ravel() == CLS_INTERIOR, inside)
-    # every clipped arm reads a pinned row on the unit circle; clamped
-    # fallback arms sit outside it by at most THETA_FALLBACK arm lengths
-    K = grid.num_interior
-    for d in grid.directions:
-        step = np.linalg.norm(np.array(d.offset) * grid.hs)
-        for arm in (d.plus, d.minus):
-            cut = arm.nbr < 0
-            np.testing.assert_array_equal(arm.src[~cut], arm.nbr[~cut])
-            assert (arm.src[cut] >= K).all()
-            r = np.linalg.norm(grid.pinned_pos[arm.src[cut] - K], axis=1)
-            clamped = (arm.theta == THETA_FALLBACK)[cut] & grid.stepped[cut]
-            np.testing.assert_allclose(r[~clamped], 1.0, atol=1e-9)
-            assert ((r[clamped] >= 1.0 - 1e-9)
-                    & (r[clamped] <= 1.0 + THETA_FALLBACK * step)).all()
-    assert grid.boundary_samples.shape[0] > 0
-    np.testing.assert_allclose(np.linalg.norm(grid.boundary_samples, axis=1),
-                               1.0, atol=1e-9)
+    for spec, radii in ((DomainSpec.ball(1.0, 2), [1.0]),
+                        (DomainSpec.annulus(0.5, 1.5, 2), [0.5, 1.5])):
+        grid = build_grid(spec, 1.0 / 32)
+        # classification consistent with the signed distance
+        sd = spec.signed_distance(grid.lattice_positions())
+        np.testing.assert_array_equal(grid.cls.ravel() == CLS_INTERIOR,
+                                      sd < -1e-12)
+        assert (spec.signed_distance(grid.interior_pos) < 0).all()
+        K = grid.num_interior
+        src, theta = grid.arm_src, grid.arm_theta
+        assert src.shape == theta.shape == (len(grid.offsets), 2, K)
+        # arms whose end is interior are full lattice steps
+        assert (theta[src < K] == 1.0).all()
+        # cut arms end at their pinned row, on a boundary sphere
+        d, side, k = np.nonzero(src >= K)
+        step = np.where(side == 0, 1, -1)[:, None] * grid.offsets[d] * grid.hs
+        ends = grid.pinned_pos[src[d, side, k] - K]
+        np.testing.assert_allclose(
+            ends, grid.interior_pos[k] + theta[d, side, k][:, None] * step,
+            rtol=0, atol=1e-12)
+        r = np.linalg.norm(ends, axis=1)
+        assert (np.abs(r[:, None] - radii).min(axis=1) <= 1e-9).all()
+        np.testing.assert_array_equal(np.sort(src[src >= K]),
+                                      K + np.arange(grid.pinned_pos.shape[0]))
+        # every interpolated node's opposite arm is full and reaches a
+        # stepped node
+        assert grid.dep_idx.size > 0
+        for k, q, t, pin in zip(grid.dep_idx, grid.dep_opp, grid.dep_t,
+                                grid.dep_pin):
+            (d, side), = np.argwhere(src[:, :, k] == K + pin)
+            assert theta[d, side, k] == t < 0.5
+            assert src[d, 1 - side, k] == q < K
+            assert theta[d, 1 - side, k] == 1.0 and grid.stepped[q]
+        assert grid.boundary_samples.shape[0] > 0
+        r = np.linalg.norm(grid.boundary_samples, axis=1)
+        assert (np.abs(r[:, None] - radii).min(axis=1) <= 1e-9).all()
+
+
+def test_lattice_index_round_trip():
+    for spec in (DomainSpec.ball(1.0, 2),
+                 DomainSpec.box([1.0, 0.5, 0.75], lo=[-0.5, 0.0, 0.25])):
+        grid = build_grid(spec, 0.05)
+        coords = grid.lattice_coords()
+        np.testing.assert_array_equal(grid.lattice_index(coords),
+                                      np.arange(grid.num_interior))
+        # boundary and exterior lattice nodes, and points off the lattice
+        origin = np.round(grid.los / grid.hs).astype(np.int64)
+        absent = np.vstack([np.argwhere(grid.cls != CLS_INTERIOR) + origin,
+                            coords.min(axis=0) - 1, coords.max(axis=0) + 2])
+        np.testing.assert_array_equal(grid.lattice_index(absent), -1)
 
 
 def test_under_resolved_grid_rejected():

@@ -10,7 +10,7 @@ import pytest
 
 from mssflow import boundary as bd, driver, flow
 from mssflow.config import ConfigError, load_config
-from mssflow.domains import DomainSpec
+from mssflow.domains import DomainError, DomainSpec
 from mssflow.grid import build_grid
 
 BALL_SOLVE = """
@@ -42,6 +42,34 @@ monitor_every = 25
 [hypothesis]
 condition = A
 delta = 0.1
+"""
+
+
+EXTERIOR = """
+[run]
+mode = exterior
+
+[domain]
+kind = exterior
+dim = 2
+inner_radius = 1.0
+
+[boundary]
+family = constant
+m = 1
+values = 0.0
+
+[grid]
+h = 0.2
+
+[hypothesis]
+condition = B
+delta = 0.012
+c = 0.5
+
+[exterior]
+radii = {radii}
+probe_radii = {probes}
 """
 
 
@@ -127,42 +155,16 @@ def test_density_config_rejects_bad_numbers(tmp_path, line):
 
 
 def test_exterior_radius_margin_validated(tmp_path):
-    base = """
-    [run]
-    mode = exterior
+    def cfg(radii):
+        text = EXTERIOR.format(radii=radii, probes="2.5, 3.5")
+        return load_config(write_cfg(tmp_path, text), mode="exterior")
 
-    [domain]
-    kind = exterior
-    dim = 2
-    inner_radius = 1.0
-
-    [boundary]
-    family = constant
-    m = 1
-    values = 0.0
-
-    [grid]
-    h = 0.2
-
-    [hypothesis]
-    condition = B
-    delta = 0.012
-    c = 0.5
-
-    [exterior]
-    radii = {radii}
-    probe_radii = 2.5, 3.5
-    """
     # first radius must clear twice (diam + 2 eta0 + d0) = 8 for a unit hole
     with pytest.raises(ConfigError, match="margin"):
-        load_config(write_cfg(tmp_path, base.format(radii="7.0, 9.0")),
-                    mode="exterior")
+        cfg("7.0, 9.0")
     with pytest.raises(ConfigError, match="increasing"):
-        load_config(write_cfg(tmp_path, base.format(radii="9.0, 9.0")),
-                    mode="exterior")
-    cfg = load_config(write_cfg(tmp_path, base.format(radii="9.0, 11.0")),
-                      mode="exterior")
-    assert cfg.radii == [9.0, 11.0]
+        cfg("9.0, 9.0")
+    assert cfg("9.0, 11.0").radii == [9.0, 11.0]
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +241,27 @@ def test_cli_config_error_exit_one(tmp_path, old, new):
     r = run_cli(["solve", "--config", path])
     assert r.returncode == 1
     assert "configuration error:" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("text", [
+    BALL_SOLVE.replace("radius = 1.0", "radius = inf"),
+    BALL_SOLVE.replace("radius = 1.0", "radius = nan"),
+    BALL_SOLVE.replace("kind = ball\ndim = 2\nradius = 1.0",
+                       "kind = box\ndim = 2\nedges = 1.0, inf"),
+    EXTERIOR.format(radii="9.0, 11.0, nan", probes="2.5, 3.5"),
+    EXTERIOR.format(radii="9.0, 11.0", probes="2.5, nan, 3.5"),
+    EXTERIOR.format(radii="9.0, 11.0", probes="nan, 2.5"),
+], ids=["radius-inf", "radius-nan", "edges-inf", "radii-nan",
+        "probe-radii-nan", "probe-radii-nan-first"])
+def test_cli_non_finite_sizes_exit_one(tmp_path, text):
+    path = write_cfg(tmp_path, text)
+    with pytest.raises((ConfigError, DomainError), match="finite"):
+        load_config(path)
+    mode = "exterior" if "mode = exterior" in text else "solve"
+    r = run_cli([mode, "--config", path, "--out", str(tmp_path / "out")])
+    assert r.returncode == 1
+    assert "configuration error:" in r.stderr and "finite" in r.stderr
     assert "Traceback" not in r.stderr
 
 
