@@ -113,6 +113,12 @@ def _check_schema(cp: configparser.ConfigParser) -> None:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
 
+def _radius(sec, key: str, kind: str) -> float:
+    if key not in sec:
+        raise ConfigError(f"{kind} domain needs {key!r}")
+    return sec.getfloat(key)
+
+
 def _parse_domain(cp, default_truncation: float | None = None) -> DomainSpec:
     if "domain" not in cp:
         raise ConfigError("missing [domain] section")
@@ -129,16 +135,17 @@ def _parse_domain(cp, default_truncation: float | None = None) -> DomainSpec:
         lo = _floats(sec["lo"]) if "lo" in sec else None
         return DomainSpec.box(edges, lo=lo)
     if kind == "ball":
-        return DomainSpec.ball(sec.getfloat("radius"), dim)
+        return DomainSpec.ball(_radius(sec, "radius", kind), dim)
     if kind == "annulus":
-        return DomainSpec.annulus(sec.getfloat("inner_radius"),
-                                  sec.getfloat("radius"), dim)
+        return DomainSpec.annulus(_radius(sec, "inner_radius", kind),
+                                  _radius(sec, "radius", kind), dim)
     if kind == "exterior":
         trunc = sec.getfloat("truncation_radius", fallback=default_truncation)
         if trunc is None:
             raise ConfigError("exterior domain needs truncation_radius "
                               "(or an [exterior] radius schedule)")
-        return DomainSpec.exterior(sec.getfloat("inner_radius"), trunc, dim)
+        return DomainSpec.exterior(_radius(sec, "inner_radius", kind), trunc,
+                                   dim)
     raise ConfigError(f"unknown domain kind {kind!r}")
 
 

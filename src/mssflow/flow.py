@@ -29,6 +29,7 @@ log-barrier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,19 +83,32 @@ def make_state(grid: Grid, psi, t: float = 0.0) -> GraphState:
 # divided differences
 # ---------------------------------------------------------------------------
 
-def _stencils(grid: Grid, m: int) -> tuple:
-    """Static stencil weights, shared by all states on a grid.
+def _row_put(rows: np.ndarray, m: int) -> np.ndarray:
+    """Flat indices of whole rows of a C-ordered (K, m) array, for np.put
+    (a flat put is several times faster than 2-D fancy assignment)."""
+    return (rows[:, None] * m + np.arange(m)).ravel()
 
-    The clipped three-point first and second differences are linear in
-    (u_plus, u_minus, u_0); the coefficients depend only on the arm
-    fractions.  Returns (c1p, c1m, c10) for the n axis directions, each
-    (n, K, m), and (c2p, c2m, c20) for every direction, each (D, K, m):
-    tiled so the hot loop runs same-shape contiguous ufuncs (broadcasting
-    is slow on this scale).  They are built once per m and kept on the
-    grid.
+
+def _stencils(grid: Grid, m: int) -> tuple:
+    """Static per-m row data, shared by all states on a grid.
+
+    On a row whose arms all have theta = 1 (grid.full_stencil) the clipped
+    three-point weights are exactly (0.5, -0.5, 0) and (1, 1, -2), so every
+    row gets the uniform arithmetic and only the R rows with a clipped arm
+    need their weights.  Returns (dep_put, rows, put, src, c1p, c1m, c10,
+    c2p, c2m, c20): the flat indices (see _row_put) of the interpolated
+    rows; the clipped rows (R,), their flat indices and their arm ends
+    src (D, 2, R); their first-difference weights (c1p, c1m, c10) for the
+    n axis directions, each (n, R, m), and their second-difference weights
+    (c2p, c2m, c20) for every direction, each (D, R, m).  The weights are
+    tiled so the kernel runs same-shape contiguous ufuncs (broadcasting
+    along the last axis is slow on this scale).  Built once per m and kept
+    on the grid.
     """
     if m not in grid.stencils:
-        tp, tm = grid.arm_theta[:, 0], grid.arm_theta[:, 1]
+        rows = np.nonzero(~grid.full_stencil)[0]
+        theta = grid.arm_theta[:, :, rows]
+        tp, tm = theta[:, 0], theta[:, 1]
         denom = tp * tm * (tp + tm)
 
         def tile(col):
@@ -102,6 +116,8 @@ def _stencils(grid: Grid, m: int) -> tuple:
 
         ap, am, ad = tp[:grid.n], tm[:grid.n], denom[:grid.n]   # axes
         grid.stencils[m] = (
+            _row_put(grid.dep_idx, m), rows, _row_put(rows, m),
+            np.ascontiguousarray(grid.arm_src[:, :, rows]),
             tile(am * am / ad),
             tile(-ap * ap / ad),
             tile((ap * ap - am * am) / ad),
@@ -116,29 +132,52 @@ def _differences(state: GraphState) -> tuple[list, dict]:
 
     Returns the Jacobian as n columns J[i] = df/dx_i and the Hessian as
     columns H[i, j] = d2f/dx_i dx_j for i <= j, each of shape (K, m).
-    Every arm end is a row of the stacked array [f; pinned].
+    Every arm end is a row of the stacked array [f; pinned].  All rows
+    take the uniform differences (0.5 (u+ - u-)) / h and (u+ + u-) - 2u;
+    the clipped rows, whose weighted differences are formed for every
+    direction at once, then overwrite theirs.  On a full-stencil row the
+    two agree bit for bit: the weights only drop multiplications by 1 and
+    additions of 0 u.
     """
     grid = state.grid
     hs, n = grid.hs, grid.n
     F = state.f
     FP = np.concatenate([F, state.pinned])
-    c1p, c1m, c10, c2p, c2m, c20 = _stencils(grid, state.m)
+    _, rows, put, src, c1p, c1m, c10, c2p, c2m, c20 = _stencils(grid, state.m)
+    F2 = 2.0 * F
+    FR = F.take(rows, axis=0)
+    ends = FP.take(src, axis=0)                      # (D, 2, R, m)
+    d2_clip = c2p * ends[:, 0] + c2m * ends[:, 1] + c20 * FR
+    jac_clip = (c1p * ends[:n, 0] + c1m * ends[:n, 1] + c10 * FR) \
+        / hs[:, None, None]
 
     def arms(d):
-        """Both arm ends of direction d and its second difference."""
-        up = FP.take(grid.arm_src[d, 0], axis=0)
-        um = FP.take(grid.arm_src[d, 1], axis=0)
-        return up, um, c2p[d] * up + c2m[d] * um + c20[d] * F
+        """Both arm ends of direction d on every row."""
+        return (FP.take(grid.arm_src[d, 0], axis=0),
+                FP.take(grid.arm_src[d, 1], axis=0))
 
+    def second(d, up, um):
+        """Second difference of direction d, formed in the buffer of up."""
+        d2 = np.add(up, um, out=up)
+        d2 -= F2
+        np.put(d2, put, d2_clip[d])
+        return d2
+
+    # in-place updates: fewer temporaries and passes over memory
     J = [None] * n
     H = {}
     for i in range(n):
-        up, um, d2 = arms(i)
-        J[i] = (c1p[i] * up + c1m[i] * um + c10[i] * F) / hs[i]
-        H[i, i] = d2 / (hs[i] * hs[i])
+        up, um = arms(i)
+        J[i] = up - um
+        J[i] *= 0.5
+        J[i] /= hs[i]
+        np.put(J[i], put, jac_clip[i])
+        H[i, i] = second(i, up, um)
+        H[i, i] /= hs[i] * hs[i]
     for p, (i, j) in enumerate(axis_pairs(n)):
-        d2_plus, d2_minus = arms(n + 2 * p)[2], arms(n + 2 * p + 1)[2]
-        H[i, j] = (d2_plus - d2_minus) / (4.0 * hs[i] * hs[j])
+        H[i, j] = second(n + 2 * p, *arms(n + 2 * p))
+        H[i, j] -= second(n + 2 * p + 1, *arms(n + 2 * p + 1))
+        H[i, j] /= 4.0 * hs[i] * hs[j]
     return J, H
 
 
@@ -178,23 +217,31 @@ def _metric(cols: list) -> dict:
             for i in range(n) for j in range(i, n)}
 
 
-def _metric_inverse(g: dict, n: int) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Upper triangle of g^-1, det g and the largest eigenvalue of g.
+def _metric_inverse(g: dict, n: int) -> tuple[dict, np.ndarray]:
+    """Upper triangle of g^-1 and det g.
 
     Closed forms for n <= 2; LAPACK for larger n.
     """
     if n == 1:
         a = g[0, 0]
-        return {(0, 0): 1.0 / a}, a, a
+        return {(0, 0): 1.0 / a}, a
     if n == 2:
         a, b, c = g[0, 0], g[0, 1], g[1, 1]
         det = a * c - b * b
-        lam = 0.5 * ((a + c) + np.sqrt((a - c) ** 2 + 4.0 * b * b))
-        return {(0, 0): c / det, (0, 1): -b / det, (1, 1): a / det}, det, lam
+        return {(0, 0): c / det, (0, 1): -b / det, (1, 1): a / det}, det
     full = _symmetric(g, n)
     inv = np.linalg.inv(full)
-    return ({(i, j): inv[:, i, j] for i, j in g}, np.linalg.det(full),
-            np.linalg.eigvalsh(full)[:, -1])
+    return {(i, j): inv[:, i, j] for i, j in g}, np.linalg.det(full)
+
+
+def _top_eigenvalue(g: dict, n: int) -> np.ndarray:
+    """Largest eigenvalue of g: closed forms for n <= 2, LAPACK beyond."""
+    if n == 1:
+        return g[0, 0]
+    if n == 2:
+        a, b, c = g[0, 0], g[0, 1], g[1, 1]
+        return 0.5 * ((a + c) + np.sqrt((a - c) ** 2 + 4.0 * b * b))
+    return np.linalg.eigvalsh(_symmetric(g, n))[:, -1]
 
 
 def _pair_weights(gi: dict) -> dict:
@@ -206,19 +253,26 @@ def _pair_weights(gi: dict) -> dict:
 class FieldBundle:
     """Per-node flow fields shared by the update and the monitors.
 
-    jac holds the n Jacobian columns (K, m) and gi the upper triangle of
-    the inverse metric, (i, j) -> (K,) for i <= j, in lexicographic order.
+    jac holds the n Jacobian columns (K, m); g and gi the upper triangles
+    of the metric and its inverse, (i, j) -> (K,) for i <= j, in
+    lexicographic order.  lam_max_sq is computed from g on first read, so
+    the super-step stages, which read only the residual, never pay for it.
     residual_sup only counts stepped unknowns: interpolated near-boundary
     nodes do not satisfy the discrete system, they satisfy their
     interpolation rule.
     """
 
     jac: list
+    g: dict
     gi: dict
     detg: np.ndarray
     residual: np.ndarray      # (K, m) system residual g^{ij} f_ij
-    lam_max_sq: np.ndarray    # (K,) largest eigenvalue of J^T J
     stepped: np.ndarray
+
+    @cached_property
+    def lam_max_sq(self) -> np.ndarray:
+        """(K,) largest eigenvalue of J^T J: that of g minus 1."""
+        return np.maximum(_top_eigenvalue(self.g, len(self.jac)) - 1.0, 0.0)
 
     @property
     def J(self) -> np.ndarray:
@@ -244,16 +298,16 @@ class FieldBundle:
 
 
 def compute_fields(state: GraphState) -> FieldBundle:
-    """Metric, inverse metric, system residual and top singular value."""
+    """Metric, inverse metric and system residual; the bundle computes the
+    top singular value when it is first read."""
     J, H = _differences(state)
-    gi, detg, lam_g = _metric_inverse(_metric(J), state.grid.n)
+    g = _metric(J)
+    gi, detg = _metric_inverse(g, state.grid.n)
     weights = _pair_weights(gi)
     residual = np.empty_like(state.f)
     for A in range(state.m):
         residual[:, A] = _accumulate(w * H[p][:, A] for p, w in weights.items())
-    # eigenvalues of J^T J = eigenvalues of g minus 1
-    return FieldBundle(jac=J, gi=gi, detg=detg, residual=residual,
-                       lam_max_sq=np.maximum(lam_g - 1.0, 0.0),
+    return FieldBundle(jac=J, g=g, gi=gi, detg=detg, residual=residual,
                        stepped=state.grid.stepped)
 
 
@@ -277,7 +331,7 @@ def pinned_boundary_cells(state: GraphState):
     bp = grid.boundary_nodes_pos[sel]
     vals, jac, _ = state.psi.jets(bp)
     z = np.concatenate([bp, vals], axis=1)
-    _, detb, _ = _metric_inverse(_metric([jac[:, :, i] for i in range(n)]), n)
+    _, detb = _metric_inverse(_metric([jac[:, :, i] for i in range(n)]), n)
     w = grid.boundary_nodes_frac[sel] * grid.cellvol * np.sqrt(detb)
     return z, w
 
@@ -392,7 +446,7 @@ class FlowMonitors:
         """min over the sampled closure of *Omega of the initial graph."""
         jac = self._closure_jac
         n = jac.shape[2]
-        _, detg, _ = _metric_inverse(_metric([jac[:, :, i] for i in range(n)]), n)
+        _, detg = _metric_inverse(_metric([jac[:, :, i] for i in range(n)]), n)
         return float((1.0 / np.sqrt(detg)).min())
 
     def barrier_fields(self, state: GraphState) -> tuple[np.ndarray, np.ndarray]:
@@ -456,9 +510,10 @@ def _interpolate_dependent(f: np.ndarray, state: GraphState) -> None:
     u_q + (u_b - u_q) / (1 + t), which is affine-exact and bit-exact on
     constants."""
     grid = state.grid
-    tq = grid.dep_t[:, None]
-    uq = f[grid.dep_opp]
-    f[grid.dep_idx] = uq + (state.pinned[grid.dep_pin] - uq) / (1.0 + tq)
+    uq = f.take(grid.dep_opp, axis=0)
+    ub = state.pinned.take(grid.dep_pin, axis=0)
+    np.put(f, _stencils(grid, f.shape[1])[0],
+           uq + (ub - uq) / (1.0 + grid.dep_t[:, None]))
 
 
 def euler_step(state: GraphState, bundle: FieldBundle, dt: float,

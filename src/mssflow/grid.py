@@ -79,7 +79,8 @@ class Grid:
     dep_opp: np.ndarray = field(default=None)       # their inward neighbors
     dep_t: np.ndarray = field(default=None)         # cut fraction of the arm
     dep_pin: np.ndarray = field(default=None)       # pinned row of that arm
-    stencils: dict = field(default_factory=dict, repr=False)  # m -> weights
+    # m -> interpolated and clipped rows with the clipped rows' weights
+    stencils: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:

@@ -229,10 +229,11 @@ def test_cli_forced_run_proceeds(tmp_path):
     ("family = trigonometric\nm = 2\namplitudes = 0.01, 0.005\n"
      "wave_vector_1 = 2.0, 1.0\nwave_vector_2 = 0.0, 2.0\nphases = 0.0, 0.5",
      "family = lawson_osserman_scaled\nscale = 0.05"),
+    ("radius = 1.0", ""),
 ], ids=["no-delta", "monitor-every-zero", "m-mismatch", "wave-vector-3",
         "cfl-above-one", "cfl-zero", "tol-residual-zero", "lambda-guard-nan",
         "lambda-guard-negative", "h-nan", "box-dim-mismatch",
-        "lawson-osserman-dim-2"])
+        "lawson-osserman-dim-2", "ball-no-radius"])
 def test_cli_config_error_exit_one(tmp_path, old, new):
     assert old in BALL_SOLVE
     path = write_cfg(tmp_path, BALL_SOLVE.replace(old, new))
@@ -241,6 +242,21 @@ def test_cli_config_error_exit_one(tmp_path, old, new):
     r = run_cli(["solve", "--config", path])
     assert r.returncode == 1
     assert "configuration error:" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("mode, text", [
+    ("solve", BALL_SOLVE.replace("kind = ball", "kind = annulus")),
+    ("exterior", EXTERIOR.format(radii="9.0, 11.0", probes="2.5, 3.5")
+     .replace("inner_radius = 1.0\n", "")),
+], ids=["annulus-no-inner-radius", "exterior-no-inner-radius"])
+def test_cli_missing_inner_radius_exit_one(tmp_path, mode, text):
+    path = write_cfg(tmp_path, text)
+    with pytest.raises(ConfigError, match="'inner_radius'"):
+        load_config(path)
+    r = run_cli([mode, "--config", path, "--out", str(tmp_path / "out")])
+    assert r.returncode == 1
+    assert "configuration error:" in r.stderr and "inner_radius" in r.stderr
     assert "Traceback" not in r.stderr
 
 

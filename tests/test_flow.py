@@ -43,14 +43,21 @@ def test_jet_at_exact_on_affine_data():
     np.testing.assert_allclose(H[k], 0.0, atol=1e-12)
 
 
-def test_jet_at_exact_on_quadratics_uniform_stencils():
-    grid = build_grid(DomainSpec.box([1.0, 1.0]), 1.0 / 16)
-    poly = bd.PolynomialMap([([0.5, 0.25, -0.3], [[2, 0], [1, 1], [0, 2]])], 2)
+@pytest.mark.parametrize("spec, h", [
+    (DomainSpec.box([1.0, 1.0]), 1.0 / 16),
+    (BALL, 1.0 / 8),                                # smallest arm 0.13 h
+    (DomainSpec.annulus(0.5, 1.5, 2), 1.0 / 10),    # smallest arm 0.08 h
+], ids=["box", "ball", "annulus"])
+def test_jet_at_exact_on_quadratics(spec, h):
+    # three-point differences, clipped or not, are exact on quadratics
+    grid = build_grid(spec, h)
+    poly = bd.PolynomialMap([([0.5, 0.25, -0.3], [[2, 0], [1, 1], [0, 2]]),
+                             ([-0.2, 0.4, 0.1], [[2, 0], [1, 1], [0, 2]])], 2)
     state = flow.make_state(grid, poly)
     J, H = flow.jets_all(state)
     _, ja, ha = poly.jets(grid.interior_pos)
-    np.testing.assert_allclose(J, ja, atol=1e-10)
-    np.testing.assert_allclose(H, ha, atol=1e-10)
+    np.testing.assert_allclose(J, ja, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(H, ha, rtol=0, atol=1e-10)
 
 
 def test_jet_richardson_order_two():
@@ -159,6 +166,27 @@ def test_field_kernel_matches_pointwise_reference(data):
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
+
+def test_bundle_is_unchanged_by_later_calls():
+    # the top eigenvalue is computed on first read, after other states ran
+    grid = build_grid(BALL, 1.0 / 16)
+    state = flow.make_state(grid, SMALL_TRIG)
+    bundle = flow.compute_fields(state)
+    dt = flow.stable_dt(grid, 0.9)
+    other = flow.make_state(
+        grid, bd.TrigMap([0.2, -0.1], [[1.0, 3.0], [2.0, 0.0]]))
+    for _ in range(3):
+        other = flow.super_step(other, flow.compute_fields(other), dt, 10,
+                                other.t + 10 * dt)
+    flow.super_step(state, flow.compute_fields(state), dt, 10, 10 * dt)
+    fresh = flow.compute_fields(state)
+    assert np.array_equal(bundle.lam_max_sq, fresh.lam_max_sq)
+    assert np.array_equal(bundle.residual, fresh.residual)
+    assert all(np.array_equal(a, b) for a, b in zip(bundle.jac, fresh.jac))
+    assert bundle.gi.keys() == fresh.gi.keys()
+    assert all(np.array_equal(bundle.gi[p], fresh.gi[p]) for p in bundle.gi)
+    assert np.array_equal(bundle.detg, fresh.detg)
+
 
 def test_step_linear_data_is_stationary():
     grid = build_grid(BALL, 1.0 / 16)
