@@ -231,6 +231,7 @@ class HypothesisReport:
     delta: float
     delta0: float
     lhs_condition: float
+    boundary_bound: float     # mu = 1 ceiling for sup|Df| on the boundary
     passed: bool
     eps: float                # 1 - lhs; the strict length-decreasing margin
     c: float | None = None    # condition-B gap, None for condition A
@@ -412,7 +413,8 @@ def _check(psi, grid: Grid, boundary_geom: BoundaryGeometry, delta: float,
     lhs = max(boundary_gradient_bound(band norms, delta, 1, n),
               sup_global|Dpsi|) over the delta band for A and over the
     whole closure for B (where the max is the first term); passes iff
-    lhs < 1 - c, with c = 0 for A.
+    lhs < 1 - c, with c = 0 for A.  The first term is also reported as
+    boundary_bound, the ceiling of the flow's boundary-gradient clause.
     """
     d0 = delta0(boundary_geom, mu=1.0)
     if not 0.0 < delta < d0:
@@ -425,12 +427,13 @@ def _check(psi, grid: Grid, boundary_geom: BoundaryGeometry, delta: float,
                     sup_dpsi=_richardson(band_c.sup_dpsi, band_f.sup_dpsi),
                     sup_d2psi=_richardson(band_c.sup_d2psi, band_f.sup_d2psi))
     glob_dpsi = _richardson(glob_c, glob_f)
-    lhs = max(boundary_gradient_bound(band, delta, 1.0, grid.n), glob_dpsi)
+    bound = boundary_gradient_bound(band, delta, 1.0, grid.n)
+    lhs = max(bound, glob_dpsi)
     return HypothesisReport(
         condition="A" if c is None else "B", w_psi=band.w,
         sup_dpsi_band=band.sup_dpsi, sup_d2psi_band=band.sup_d2psi,
         sup_dpsi_global=glob_dpsi, delta=delta, delta0=d0, lhs_condition=lhs,
-        passed=lhs < 1.0 - (0.0 if c is None else c), eps=1.0 - lhs, c=c)
+        boundary_bound=bound, passed=lhs < 1.0 - (0.0 if c is None else c), eps=1.0 - lhs, c=c)
 
 
 def check_condition_A(psi, grid: Grid, boundary_geom: BoundaryGeometry,

@@ -62,6 +62,15 @@ _SCHEMA = {
     "density": {"state", "h", "halfwidth", "time_gap", "cutoff", "offset"},
 }
 
+# [density] keys each built-in state reads besides state and h; a given
+# key that the chosen state does not read is an error
+_DENSITY_READS = {
+    "plane": {"halfwidth", "time_gap", "cutoff"},
+    "offset_plane": {"halfwidth", "time_gap", "cutoff", "offset"},
+    "half_plane": {"halfwidth", "time_gap", "cutoff"},
+    "sphere_cap": {"halfwidth"},
+}
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
@@ -233,17 +242,22 @@ def load_config(path: str, mode: str | None = None) -> RunConfig:
         if "density" not in cp:
             raise ConfigError("density_oracle mode needs a [density] section")
         sec = cp["density"]
+        state = sec.get("state")
+        if state not in _DENSITY_READS:
+            raise ConfigError(f"unknown density state {state!r}")
+        for key in sec:
+            if key not in _DENSITY_READS[state] | {"state", "h"}:
+                raise ConfigError(f"unknown key {key!r} in section [density] "
+                                  f"(state {state!r} does not read it)")
         cfg.density = {
-            "state": sec.get("state"),
+            "state": state,
             "h": sec.getfloat("h", fallback=0.025),
-            "halfwidth": sec.getfloat("halfwidth", fallback=1.3),
+            "halfwidth": sec.getfloat(
+                "halfwidth", fallback=0.8 if state == "sphere_cap" else 1.3),
             "time_gap": sec.getfloat("time_gap", fallback=0.005),
             "cutoff": sec.getfloat("cutoff", fallback=1.0),
             "offset": sec.getfloat("offset", fallback=0.0),
         }
-        if cfg.density["state"] not in ("plane", "offset_plane", "half_plane",
-                                        "sphere_cap"):
-            raise ConfigError(f"unknown density state {cfg.density['state']!r}")
         for key in ("h", "halfwidth", "time_gap", "cutoff"):
             if not _positive_finite(cfg.density[key]):
                 raise ConfigError(f"[density] {key} must be a finite positive "

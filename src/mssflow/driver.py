@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow, oracles, shrinker
-from .boundary import (HypothesisReport, PsiNorms, boundary_gradient_bound,
-                       check_condition_A, check_condition_B)
+from .boundary import HypothesisReport, check_condition_A, check_condition_B
 from .config import RunConfig
 from .domains import DomainSpec, estimate_c0_eta0
 from .grid import Grid, build_grid
@@ -99,10 +98,10 @@ def _domain_echo(spec: DomainSpec) -> str:
             f"truncation={_fmt(spec.truncation_radius)} dim={spec.dim}")
 
 
-def _geometry_header(spec: DomainSpec, grid: Grid) -> list:
-    geom = estimate_c0_eta0(spec)
+def _geometry_header(grid: Grid) -> list:
+    geom = estimate_c0_eta0(grid.spec)
     return [
-        f"domain: {_domain_echo(spec)}",
+        f"domain: {_domain_echo(grid.spec)}",
         f"grid: h = {_fmt(grid.h)}, interior nodes = {grid.num_interior}, "
         f"stepped = {int(grid.stepped.sum())}, "
         f"interpolated = {grid.dep_idx.size}",
@@ -148,8 +147,8 @@ class SolveResult:
     grid: Grid
 
 
-def _check(cfg: RunConfig, spec: DomainSpec, grid: Grid) -> HypothesisReport:
-    geom = estimate_c0_eta0(spec)
+def _check(cfg: RunConfig, grid: Grid) -> HypothesisReport:
+    geom = estimate_c0_eta0(grid.spec)
     if cfg.condition == "B":
         return check_condition_B(cfg.psi, grid, geom, cfg.delta, cfg.c)
     return check_condition_A(cfg.psi, grid, geom, cfg.delta)
@@ -160,7 +159,7 @@ def solve_once(cfg: RunConfig, spec: DomainSpec | None = None,
     """Hypothesis check, flow run and invariant suite on one domain."""
     spec = cfg.domain if spec is None else spec
     grid = build_grid(spec, cfg.h)
-    rep = _check(cfg, spec, grid)
+    rep = _check(cfg, grid)
     if not rep.passed and not force:
         return SolveResult(outcome="HypothesisFail", state=None, records=[],
                            hypothesis=rep, invariants=None,
@@ -176,16 +175,7 @@ def solve_once(cfg: RunConfig, spec: DomainSpec | None = None,
     invariants = None
     code = _OUTCOME_EXIT[outcome]
     if outcome == "Converged" and eps is not None:
-        band = PsiNorms(w=rep.w_psi, sup_dpsi=rep.sup_dpsi_band,
-                        sup_d2psi=rep.sup_d2psi_band)
-        ctx = flow.InvariantContext(
-            tol_grid=5.0 * grid.h,
-            psi_lo=state.psi_lo, psi_hi=state.psi_hi,
-            star_omega_floor=monitors.star_omega_floor(),
-            boundary_bound=boundary_gradient_bound(band, cfg.delta, 1.0, grid.n),
-            tol_consistency=flow.consistency_tolerance(
-                grid.h, records[-1].step_dt))
-        invariants = flow.check_invariants(records, eps, ctx)
+        invariants = flow.check_invariants(records, monitors, rep.boundary_bound)
         if not invariants.passed:
             code = EXIT_INVARIANT
     return SolveResult(outcome=outcome, state=final, records=records,
@@ -195,8 +185,8 @@ def solve_once(cfg: RunConfig, spec: DomainSpec | None = None,
 
 def run_check_hypothesis(cfg: RunConfig, out_dir: str) -> int:
     grid = build_grid(cfg.domain, cfg.h)
-    rep = _check(cfg, cfg.domain, grid)
-    lines = _geometry_header(cfg.domain, grid) + [""] + _hypothesis_lines(rep)
+    rep = _check(cfg, grid)
+    lines = _geometry_header(grid) + [""] + _hypothesis_lines(rep)
     _write_report(out_dir, lines)
     print(summary_line("check_hypothesis",
                        "HypothesisPass" if rep.passed else "HypothesisFail",
@@ -206,7 +196,7 @@ def run_check_hypothesis(cfg: RunConfig, out_dir: str) -> int:
 
 def run_solve(cfg: RunConfig, out_dir: str, force: bool = False) -> int:
     res = solve_once(cfg, force=force)
-    lines = _geometry_header(cfg.domain, res.grid) + [""]
+    lines = _geometry_header(res.grid) + [""]
     lines += _hypothesis_lines(res.hypothesis)
     if res.records:
         write_monitors_csv(os.path.join(out_dir, "monitors.csv"), res.records)
@@ -269,21 +259,13 @@ def exterior_pipeline(cfg: RunConfig, force: bool = False) -> ExteriorReport:
     Dirichlet family, and nested lattices, so successive solutions are
     compared node-by-node on the fixed region |x| <= r_1 / 2.
     """
-    r_in = cfg.domain.inner_radius
-    geom_ref = None
     prev = None
     diffs = []
     shells = []
     notes = []
     region = 0.5 * cfg.radii[0]
     for r in cfg.radii:
-        spec = DomainSpec.exterior(r_in, r, cfg.domain.dim)
-        geom = estimate_c0_eta0(spec)
-        if geom_ref is None:
-            geom_ref = geom
-        elif geom != geom_ref:
-            raise RuntimeError("shell boundary geometry drifted with the "
-                               "truncation radius")
+        spec = DomainSpec.exterior(cfg.domain.inner_radius, r, cfg.domain.dim)
         res = solve_once(cfg, spec=spec, force=force)
         shells.append(res)
         if res.exit_code != EXIT_OK:
@@ -328,9 +310,8 @@ def run_exterior(cfg: RunConfig, out_dir: str, force: bool = False) -> int:
     rep = exterior_pipeline(cfg, force=force)
     lines = []
     for r, res in zip(cfg.radii, rep.shells):
-        spec = DomainSpec.exterior(cfg.domain.inner_radius, r, cfg.domain.dim)
         lines += [f"--- shell r = {_fmt(r)} ---"]
-        lines += _geometry_header(spec, res.grid)
+        lines += _geometry_header(res.grid)
         lines += _hypothesis_lines(res.hypothesis)
         if res.records:
             last = res.records[-1]

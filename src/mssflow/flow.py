@@ -46,15 +46,14 @@ class GraphState:
 
     f is (K, m) over the grid's interior ordering.  pinned (P, m) holds
     the Dirichlet data at grid.pinned_pos, the ends of the clipped stencil
-    arms; it never changes during the flow.
+    arms; it never changes during the flow.  The data's range, which the
+    maximum principle compares against, is frozen by FlowMonitors.
     """
 
     grid: Grid
     t: float
     f: np.ndarray
     pinned: np.ndarray
-    psi_lo: np.ndarray                # per-component bounds of the pinned data
-    psi_hi: np.ndarray
     psi: object                       # the boundary map family
 
     @property
@@ -63,7 +62,7 @@ class GraphState:
 
     def replace_values(self, f: np.ndarray, t: float) -> "GraphState":
         return GraphState(grid=self.grid, t=t, f=f, pinned=self.pinned,
-                          psi_lo=self.psi_lo, psi_hi=self.psi_hi, psi=self.psi)
+                          psi=self.psi)
 
 
 def make_state(grid: Grid, psi, t: float = 0.0) -> GraphState:
@@ -71,12 +70,7 @@ def make_state(grid: Grid, psi, t: float = 0.0) -> GraphState:
     f0 = psi.values(grid.interior_pos)
     # one batch: evaluating row subsets can round differently
     pinned = psi.values(grid.pinned_pos)
-    samples = [f0, pinned]
-    if grid.boundary_samples.size:
-        samples.append(psi.values(grid.boundary_samples))
-    allv = np.vstack(samples)
-    return GraphState(grid=grid, t=t, f=f0, pinned=pinned,
-                      psi_lo=allv.min(axis=0), psi_hi=allv.max(axis=0), psi=psi)
+    return GraphState(grid=grid, t=t, f=f0, pinned=pinned, psi=psi)
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +395,16 @@ class MonitorRecord:
 class FlowMonitors:
     """Run-scoped aggregation context for per-step monitor records.
 
-    Carries the condition margin eps (for the strict-margin tensor), the
-    band geometry for the boundary log-barrier, and the pinned-data
-    sup-norms needed by the barrier weight.  All of it is frozen at run
-    start from one sample of the data (psi) on the grid's closure; records
-    are then pure functions of the state.  delta, when given, must lie in
+    Owns every value the records and the invariant suite are measured
+    against but the boundary-gradient ceiling (the hypothesis report's
+    boundary_bound), frozen at construction from the given state and one
+    sample of the data (psi) on the grid's closure: the margin eps,
+    the grid spacing h, the per-component range psi_lo / psi_hi of the
+    state's values, its pinned arm ends and the closure's boundary
+    samples, the *Omega floor, and, with delta, the barrier's band
+    geometry and data sup-norms.  Every program caller builds them from
+    the initial state, so the range is that of the data.  Records are
+    then pure functions of the state.  delta, when given, must lie in
     (0, eta0]; the barrier needs it.
     """
 
@@ -414,6 +413,7 @@ class FlowMonitors:
         grid = state.grid
         self.eps = eps
         self.delta = delta
+        self.h = grid.h
         self.boundary_adjacent = np.nonzero(
             (grid.arm_src >= grid.num_interior).any(axis=(0, 1)))[0]
         _, wb = pinned_boundary_cells(state)
@@ -424,6 +424,8 @@ class FlowMonitors:
             if not 0.0 < delta <= geom.eta0:
                 raise ValueError(f"delta = {delta} outside (0, eta0 = {geom.eta0}]")
         vals, self._closure_jac, hess = state.psi.jets(grid.closure_points())
+        data = np.vstack([state.f, state.pinned, vals[grid.num_interior:]])
+        self.psi_lo, self.psi_hi = data.min(axis=0), data.max(axis=0)
         if delta is not None:
             # closure rows start with the interior nodes in grid order
             self.band_idx = np.nonzero(grid.band_mask(delta))[0]
@@ -640,18 +642,6 @@ class InvariantReport:
         return all(c.passed for c in self.clauses)
 
 
-@dataclass
-class InvariantContext:
-    """Frozen run data the invariant clauses compare against."""
-
-    tol_grid: float               # 5 h: first-order boundary stencils dominate
-    psi_lo: np.ndarray
-    psi_hi: np.ndarray
-    star_omega_floor: float
-    boundary_bound: float
-    tol_consistency: float
-
-
 # Area/dissipation consistency constant.  Dirichlet data whose trace is
 # not caloric at t = 0 (any trigonometric family) starts a parabolic
 # boundary layer, and the first recording windows then carry an
@@ -661,37 +651,42 @@ class InvariantContext:
 CONSISTENCY_C = 0.5
 
 
-def consistency_tolerance(h: float, dt: float) -> float:
-    return CONSISTENCY_C * (h * h + dt)
-
-
-def check_invariants(records: list, eps: float,
-                     ctx: InvariantContext) -> InvariantReport:
+def check_invariants(records: list, monitors: FlowMonitors,
+                     boundary_bound: float) -> InvariantReport:
     """Evaluate the six monitored invariants over a monitor series.
+
+    Every limit but the boundary-gradient ceiling (the hypothesis report's
+    boundary_bound) comes from the monitors that took the records, with
+    tol_grid = 5 h (first-order boundary stencils dominate):
 
     (i)   max singular value stays below 1 - eps + tol_grid;
     (ii)  the interior minimum of *Omega never drops below the initial
-          closure minimum by more than tol_grid;
+          closure minimum (monitors.star_omega_floor()) by more than
+          tol_grid;
     (iii) the strict-margin tensor minimum stays above -tol_grid;
-    (iv)  every component stays inside the pinned-data range (1e-10);
+    (iv)  every component stays inside the data range [psi_lo, psi_hi]
+          (1e-10);
     (v)   discrete area decay matches the dissipation integral within
-          tol_consistency;
-    (vi)  the boundary gradient stays below the proved ceiling + tol_grid.
+          CONSISTENCY_C (h^2 + dt), dt the last record's step;
+    (vi)  the boundary gradient stays below boundary_bound + tol_grid.
     """
     if not records:
         raise ValueError("empty monitor series")
+    h = monitors.h
+    tol_grid = 5.0 * h
+    tol_consistency = CONSISTENCY_C * (h * h + records[-1].step_dt)
     clauses = []
 
     worst_t, worst = max(((r.t, r.max_lambda) for r in records),
                          key=lambda p: p[1])
-    lim = 1.0 - eps + ctx.tol_grid
+    lim = 1.0 - monitors.eps + tol_grid
     clauses.append(ClauseResult(
         "max_lambda_le_1_minus_eps", worst <= lim, worst,
         f"max lambda {worst:.6g} vs limit {lim:.6g} at t={worst_t:.6g}"))
 
     worst_t, worst = min(((r.t, r.min_star_omega) for r in records),
                          key=lambda p: p[1])
-    lim = ctx.star_omega_floor - ctx.tol_grid
+    lim = monitors.star_omega_floor() - tol_grid
     clauses.append(ClauseResult(
         "star_omega_floor", worst >= lim, worst,
         f"min *Omega {worst:.6g} vs floor {lim:.6g} at t={worst_t:.6g}"))
@@ -700,16 +695,16 @@ def check_invariants(records: list, eps: float,
     if finite_p:
         worst_t, worst = min(finite_p, key=lambda p: p[1])
         clauses.append(ClauseResult(
-            "p_tensor_nonnegative", worst > -ctx.tol_grid, worst,
-            f"min P eigenvalue {worst:.6g} vs -{ctx.tol_grid:.6g} at t={worst_t:.6g}"))
+            "p_tensor_nonnegative", worst > -tol_grid, worst,
+            f"min P eigenvalue {worst:.6g} vs -{tol_grid:.6g} at t={worst_t:.6g}"))
     else:
         clauses.append(ClauseResult("p_tensor_nonnegative", False, np.nan,
                                     "no finite strict-margin data recorded"))
 
     viol = 0.0
     for r in records:
-        viol = max(viol, float((ctx.psi_lo - r.comp_min).max()),
-                   float((r.comp_max - ctx.psi_hi).max()))
+        viol = max(viol, float((monitors.psi_lo - r.comp_min).max()),
+                   float((r.comp_max - monitors.psi_hi).max()))
     clauses.append(ClauseResult(
         "max_principle", viol <= 1e-10, viol,
         f"worst component-range excursion {viol:.3g} vs 1e-10"))
@@ -727,14 +722,14 @@ def check_invariants(records: list, eps: float,
         if err > worst:
             worst = err
             detail = (f"|dA/dt + dissipation| = {err:.3g} vs "
-                      f"{ctx.tol_consistency:.3g} over t in "
+                      f"{tol_consistency:.3g} over t in "
                       f"[{r0.t:.6g}, {r1.t:.6g}]")
-        ok = ok and err <= ctx.tol_consistency
+        ok = ok and err <= tol_consistency
     clauses.append(ClauseResult("area_dissipation_consistency", ok, worst, detail))
 
     worst_t, worst = max(((r.t, r.boundary_grad_sup) for r in records),
                          key=lambda p: p[1])
-    lim = ctx.boundary_bound + ctx.tol_grid
+    lim = boundary_bound + tol_grid
     clauses.append(ClauseResult(
         "boundary_gradient_bound", worst <= lim, worst,
         f"boundary gradient {worst:.6g} vs ceiling {lim:.6g} at t={worst_t:.6g}"))

@@ -63,7 +63,7 @@ class ScherkMap:
         return vals, jac, hess
 
 
-def plane_state(h: float, halfwidth: float = 3.0, offset=None) -> GraphState:
+def plane_state(h: float, halfwidth: float, offset=None) -> GraphState:
     """Horizontal graph of height offset (default 0) over a centered square."""
     spec = DomainSpec.box(np.full(2, 2.0 * halfwidth),
                           lo=np.full(2, -halfwidth))
@@ -72,8 +72,7 @@ def plane_state(h: float, halfwidth: float = 3.0, offset=None) -> GraphState:
     return make_state(grid, LinearMap(np.zeros((1, 2)), b))
 
 
-def half_plane_state(h: float, halfwidth: float = 3.0,
-                     slope=None) -> GraphState:
+def half_plane_state(h: float, halfwidth: float, slope=None) -> GraphState:
     """Affine graph over a rectangle resting on the line x_2 = 0.
 
     With zero data the graph is a flat half-plane whose straight edge
@@ -85,7 +84,7 @@ def half_plane_state(h: float, halfwidth: float = 3.0,
     return make_state(grid, LinearMap(A))
 
 
-def sphere_cap_state(h: float, halfwidth: float = 0.8) -> GraphState:
+def sphere_cap_state(h: float, halfwidth: float) -> GraphState:
     """Cap of the radius 2 = sqrt(2n) sphere over a centered square."""
     spec = DomainSpec.box(np.full(2, 2.0 * halfwidth),
                           lo=np.full(2, -halfwidth))
@@ -93,7 +92,7 @@ def sphere_cap_state(h: float, halfwidth: float = 0.8) -> GraphState:
     return make_state(grid, SphereCapMap(2.0, 2))
 
 
-def scherk_state(h: float, halfwidth: float = 0.7) -> GraphState:
+def scherk_state(h: float, halfwidth: float) -> GraphState:
     """Scherk minimal graph over a centered square inside its singular frame."""
     spec = DomainSpec.box(np.full(2, 2.0 * halfwidth),
                           lo=np.full(2, -halfwidth))

@@ -190,8 +190,6 @@ def parabolic_dilate(state: GraphState, Y: np.ndarray, T: float,
     f = iota * (state.f - fiber)
     return GraphState(grid=new_grid, t=iota ** 2 * (state.t - T), f=f,
                       pinned=iota * (state.pinned - fiber),
-                      psi_lo=iota * (state.psi_lo - fiber),
-                      psi_hi=iota * (state.psi_hi - fiber),
                       psi=DilatedMap(state.psi, iota, base, fiber))
 
 

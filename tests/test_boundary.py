@@ -323,12 +323,14 @@ def test_condition_A_pass_implies_gradient_bound_below_one(ball_grid):
         rep = bd.check_condition_A(psi, ball_grid, geom, delta)
         band = bd.PsiNorms(rep.w_psi, rep.sup_dpsi_band, rep.sup_d2psi_band)
         bound = bd.boundary_gradient_bound(band, delta, 1.0, 2)
+        assert rep.boundary_bound == bound
         assert max(bound, rep.sup_dpsi_global) == rep.lhs_condition
         if rep.passed:
             assert bound < 1.0
     rep_b = bd.check_condition_B(psi, ball_grid, geom, delta, 0.5)
     glob = bd.PsiNorms(rep_b.w_psi, rep_b.sup_dpsi_band, rep_b.sup_d2psi_band)
-    assert bd.boundary_gradient_bound(glob, delta, 1.0, 2) == rep_b.lhs_condition
+    bound_b = bd.boundary_gradient_bound(glob, delta, 1.0, 2)
+    assert rep_b.boundary_bound == bound_b == rep_b.lhs_condition
 
 
 def test_barrier_nu():
@@ -376,7 +378,8 @@ class _Counted:
 
 def test_one_sample_of_the_data_per_grid(ball_grid):
     # each checker samples psi once on the working grid and once at h/2;
-    # monitor setup samples it once on the closure
+    # the initial state takes its interior and pinned values in two
+    # batches; monitor setup samples it once on the closure
     geom = estimate_c0_eta0(BALL)
     psi = _Counted(BALL_TRIG)
     bd.check_condition_A(psi, ball_grid, geom, 0.1)
@@ -385,7 +388,9 @@ def test_one_sample_of_the_data_per_grid(ball_grid):
     bd.check_condition_B(psi, ball_grid, geom, 0.1, 0.5)
     assert psi.calls == {"values": 0, "jets": 2}
 
+    psi.calls.update(values=0, jets=0)
     state = flow.make_state(ball_grid, psi)
+    assert psi.calls == {"values": 2, "jets": 0}
     psi.calls.update(values=0, jets=0)
     flow.FlowMonitors(state, eps=0.5, delta=0.1).star_omega_floor()
     assert psi.calls == {"values": 0, "jets": 1}

@@ -333,6 +333,39 @@ def test_cli_density_oracles(tmp_path):
         assert "oracle match" in (out / "report.txt").read_text()
 
 
+def test_cli_sphere_cap_defaults(tmp_path):
+    # the cap keeps its own halfwidth default; the planes' 1.3 would put
+    # the residual far above its ceiling
+    path = write_cfg(tmp_path, "[run]\nmode = density_oracle\n\n"
+                               "[density]\nstate = sphere_cap\n")
+    out = tmp_path / "out"
+    r = run_cli(["density_oracle", "--config", path, "--out", str(out)])
+    assert r.returncode == 0, (r.stdout, r.stderr)
+    assert "outcome=OracleMatch" in r.stdout
+    assert "halfwidth = 0.8" in (out / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("state, line", [
+    ("plane", "offset = 0.3"),
+    ("half_plane", "offset = 0.3"),
+    ("sphere_cap", "time_gap = 7.0"),
+    ("sphere_cap", "cutoff = 9.0"),
+    ("sphere_cap", "offset = 1.0"),
+], ids=["plane-offset", "half-plane-offset", "cap-time-gap", "cap-cutoff",
+        "cap-offset"])
+def test_cli_density_key_unread_by_state_exit_one(tmp_path, state, line):
+    path = write_cfg(tmp_path, "[run]\nmode = density_oracle\n\n"
+                               f"[density]\nstate = {state}\n{line}\n")
+    key = line.split()[0]
+    with pytest.raises(ConfigError, match=f"'{key}'.*'{state}'"):
+        load_config(path)
+    r = run_cli(["density_oracle", "--config", path,
+                 "--out", str(tmp_path / "out")])
+    assert r.returncode == 1
+    assert "configuration error:" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_cli_determinism_bitwise(tmp_path):
     path = write_cfg(tmp_path, BALL_SOLVE)
     outs = []

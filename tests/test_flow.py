@@ -340,35 +340,32 @@ def test_barrier_stays_nonnegative_along_flow(ball_run):
     assert records[-1].barrier_min == min(S.min(), S_mirror.min())
 
 
-def _context(grid, rep, state, monitors, records):
-    band = bd.PsiNorms(rep.w_psi, rep.sup_dpsi_band, rep.sup_d2psi_band)
-    return flow.InvariantContext(
-        tol_grid=5.0 * grid.h,
-        psi_lo=state.psi_lo, psi_hi=state.psi_hi,
-        star_omega_floor=monitors.star_omega_floor(),
-        boundary_bound=bd.boundary_gradient_bound(band, 0.1, 1.0, grid.n),
-        tol_consistency=flow.consistency_tolerance(grid.h, records[-1].step_dt))
-
-
 def test_invariant_suite_passes_on_ball_run(ball_run):
-    grid, rep, state, monitors, final, records = ball_run
-    report = flow.check_invariants(records, rep.eps,
-                                   _context(grid, rep, state, monitors, records))
+    _, rep, _, monitors, _, records = ball_run
+    report = flow.check_invariants(records, monitors, rep.boundary_bound)
     assert report.passed, [c.detail for c in report.clauses if not c.passed]
     assert len(report.clauses) == 6
 
 
-def test_invariant_fault_injection(ball_run):
-    grid, rep, state, monitors, final, records = ball_run
+FAULTS = {
+    "max_lambda_le_1_minus_eps": lambda r, mon: {"max_lambda": 1.5},
+    "star_omega_floor": lambda r, mon: {"min_star_omega": 0.0},
+    "p_tensor_nonnegative": lambda r, mon: {"min_p_eig": -1.0},
+    "max_principle": lambda r, mon: {"comp_max": mon.psi_hi + 1e-9},
+    "area_dissipation_consistency": lambda r, mon: {"area": r.area + 1.0},
+    "boundary_gradient_bound": lambda r, mon: {"boundary_grad_sup": 10.0},
+}
+
+
+@pytest.mark.parametrize("clause", FAULTS)
+def test_invariant_fault_injection(ball_run, clause):
+    # one corrupted record field trips exactly the clause that reads it
+    _, rep, _, monitors, _, records = ball_run
     corrupted = list(records)
-    corrupted[3] = dataclasses.replace(records[3], max_lambda=1.5)
-    report = flow.check_invariants(corrupted, rep.eps,
-                                   _context(grid, rep, state, monitors, records))
-    by_name = {c.name: c.passed for c in report.clauses}
-    assert not by_name["max_lambda_le_1_minus_eps"]
-    assert by_name["star_omega_floor"]
-    assert by_name["max_principle"]
-    assert by_name["area_dissipation_consistency"]
+    corrupted[3] = dataclasses.replace(
+        records[3], **FAULTS[clause](records[3], monitors))
+    report = flow.check_invariants(corrupted, monitors, rep.boundary_bound)
+    assert [c.name for c in report.clauses if not c.passed] == [clause]
 
 
 def test_grid_refinement_second_order_interior():
