@@ -71,6 +71,8 @@ class LinearMap:
         self.A = np.atleast_2d(np.asarray(matrix, float))
         self.m, self.n = self.A.shape
         self.b = np.zeros(self.m) if offset is None else np.asarray(offset, float)
+        if self.b.shape != (self.m,):
+            raise ValueError("need one offset per component")
 
     def values(self, pts):
         return np.atleast_2d(pts) @ self.A.T + self.b
@@ -157,6 +159,8 @@ class TrigMap:
         self.phase = np.zeros(self.m) if phases is None else np.asarray(phases, float)
         if self.k.shape != (self.m, self.n):
             raise ValueError("need one wave vector per component")
+        if self.phase.shape != (self.m,):
+            raise ValueError("need one phase per component")
 
     def values(self, pts):
         arg = np.atleast_2d(pts) @ self.k.T + self.phase

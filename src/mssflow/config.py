@@ -176,22 +176,25 @@ def _parse_boundary(cp, dim: int):
     return psi
 
 
+def _required(sec, key: str, family: str) -> str:
+    if key not in sec:
+        raise ConfigError(f"{family} family needs {key!r}")
+    return sec[key]
+
+
 def _boundary_map(sec, dim: int):
     family = sec.get("family")
     m = sec.getint("m", fallback=1)
     if family == "constant":
-        return ConstantMap(_floats(sec["values"]), dim)
+        return ConstantMap(_floats(_required(sec, "values", family)), dim)
     if family == "linear":
         offset = _floats(sec["offset"]) if "offset" in sec else None
-        return LinearMap(_matrix(sec["matrix"]), offset)
+        return LinearMap(_matrix(_required(sec, "matrix", family)), offset)
     if family == "polynomial":
         terms = []
         for A in range(1, m + 1):
-            key = f"poly_{A}"
-            if key not in sec:
-                raise ConfigError(f"polynomial family needs {key}")
             coeffs, expos = [], []
-            for term in sec[key].split(";"):
+            for term in _required(sec, f"poly_{A}", family).split(";"):
                 toks = _floats(term)
                 if not toks:
                     continue
@@ -200,17 +203,13 @@ def _boundary_map(sec, dim: int):
             terms.append((coeffs, expos))
         return PolynomialMap(terms, dim)
     if family == "trigonometric":
-        amps = _floats(sec["amplitudes"])
-        waves = []
-        for A in range(1, len(amps) + 1):
-            key = f"wave_vector_{A}"
-            if key not in sec:
-                raise ConfigError(f"trigonometric family needs {key}")
-            waves.append(_floats(sec[key]))
+        amps = _floats(_required(sec, "amplitudes", family))
+        waves = [_floats(_required(sec, f"wave_vector_{A}", family))
+                 for A in range(1, len(amps) + 1)]
         phases = _floats(sec["phases"]) if "phases" in sec else None
         return TrigMap(amps, waves, phases)
     if family == "lawson_osserman_scaled":
-        return LawsonOssermanMap(sec.getfloat("scale"))
+        return LawsonOssermanMap(float(_required(sec, "scale", family)))
     raise ConfigError(f"unknown boundary family {family!r}")
 
 

@@ -383,11 +383,13 @@ def run_density_oracle(cfg: RunConfig, out_dir: str) -> int:
     d = cfg.density
     name = d["state"]
     h, halfwidth, tau = d["h"], d["halfwidth"], d["time_gap"]
+    plane = name in ("plane", "offset_plane", "half_plane")
     lines = [f"density oracle state: {name}", f"h = {_fmt(h)}, "
-             f"halfwidth = {_fmt(halfwidth)}, time_gap = {_fmt(tau)}"]
+             f"halfwidth = {_fmt(halfwidth)}"
+             + (f", time_gap = {_fmt(tau)}" if plane else "")]
     code = EXIT_OK
     residual = float("nan")
-    if name in ("plane", "offset_plane", "half_plane"):
+    if plane:
         off = d["offset"] if name == "offset_plane" else 0.0
         if name == "half_plane":
             state = oracles.half_plane_state(h=h, halfwidth=halfwidth)

@@ -143,28 +143,6 @@ class Grid:
                             indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
-    def scaled_copy(self, scale: float, shift: np.ndarray) -> "Grid":
-        """Geometric image of the grid under x -> scale * (x - shift).
-
-        Stencil topology, arm fractions and pinned rows are untouched; only
-        positions and spacings change.  Used by the parabolic dilation.
-        """
-        shift = np.asarray(shift, float)
-        return Grid(
-            spec=self.spec, hs=self.hs * scale, los=scale * (self.los - shift),
-            dims=self.dims, cls=self.cls, interior_flat=self.interior_flat,
-            interior_pos=scale * (self.interior_pos - shift),
-            d_bdry=self.d_bdry * scale, offsets=self.offsets,
-            arm_src=self.arm_src, arm_theta=self.arm_theta,
-            cell_frac=self.cell_frac,
-            boundary_samples=scale * (self.boundary_samples - shift),
-            boundary_nodes_pos=scale * (self.boundary_nodes_pos - shift),
-            boundary_nodes_frac=self.boundary_nodes_frac,
-            pinned_pos=scale * (self.pinned_pos - shift),
-            full_stencil=self.full_stencil, stepped=self.stepped,
-            dep_idx=self.dep_idx, dep_opp=self.dep_opp, dep_t=self.dep_t,
-            dep_pin=self.dep_pin, stencils=self.stencils)
-
 
 def _crossing_fraction(spec: DomainSpec, p: np.ndarray, step: np.ndarray) -> np.ndarray:
     """Fraction t in (0, 1] where segments p -> p + step cross the boundary.

@@ -2,8 +2,9 @@
 
 Implements the cutoff-weighted Gaussian density of a flow state around a
 space-time center, the residual field of the c-minimal (self-shrinker)
-system, the parabolic dilation of discrete states, and the odd reflection
-of a half-space graph across its flat edge.
+system, and the odd reflection of a half-space graph across its flat
+edge.  The density is evaluated directly at a time gap T - t; no state is
+ever rescaled.
 
 The density of a smooth flow at a point is 1 when the point is interior
 and 1/2 when it sits on the boundary of the evolving graph; those two
@@ -34,14 +35,13 @@ class DensityQuery:
 
     center is a point of R^(n+m); time_gap is T - t > 0.  phi is supported
     on [0, cutoff] (ambient distance).  Nodes beyond the truncation radius
-    are skipped; the truncation must keep the Gaussian tail below 1e-8,
-    i.e. be at least 6 sqrt(time_gap).
+    max(6 sqrt(time_gap), cutoff) are skipped: it is derived, never set,
+    and keeps the Gaussian tail below 1e-8.
     """
 
     center: np.ndarray
     time_gap: float
     cutoff: float = 1.0
-    truncation: float = None
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, float))
@@ -49,16 +49,11 @@ class DensityQuery:
             raise ValueError(f"time_gap must be positive, got {self.time_gap}")
         if self.cutoff <= 0:
             raise ValueError(f"cutoff must be positive, got {self.cutoff}")
-        floor = GAUSS_TAIL_FACTOR * np.sqrt(self.time_gap)
-        if self.truncation is None:
-            object.__setattr__(self, "truncation", max(float(floor), self.cutoff))
-        elif self.truncation < floor:
-            raise ValueError(
-                f"truncation {self.truncation} below the tail radius {floor}")
 
     @property
-    def support_radius(self) -> float:
-        return min(self.cutoff, self.truncation)
+    def truncation(self) -> float:
+        floor = GAUSS_TAIL_FACTOR * np.sqrt(self.time_gap)
+        return max(float(floor), self.cutoff)
 
 
 def phi_quintic(r: np.ndarray, cutoff: float = 1.0) -> np.ndarray:
@@ -79,11 +74,9 @@ def _coverage_check(state: GraphState, query: DensityQuery) -> None:
     the outer quadrature sphere).
     """
     spec = state.grid.spec
-    n = state.grid.n
-    y_base = query.center[:n]
-    r_req = query.support_radius
     if spec.kind == "exterior":
-        reach = float(np.linalg.norm(y_base)) + r_req
+        y_base = query.center[:state.grid.n]
+        reach = float(np.linalg.norm(y_base)) + query.cutoff
         if reach > spec.truncation_radius + CLS_TOL:
             raise UndercoverageError(
                 f"kernel support reaches |x| = {reach} but the shell is "
@@ -144,53 +137,6 @@ def shrinker_residual_field(state: GraphState, c: float) -> np.ndarray:
     fp_fib = state.f - np.einsum("kAi,ki->kA", J, w2)
     return np.concatenate([h_base + 0.5 * c * fp_base,
                            h_fib + 0.5 * c * fp_fib], axis=1)
-
-
-# ---------------------------------------------------------------------------
-# parabolic dilation
-# ---------------------------------------------------------------------------
-
-class DilatedMap:
-    """Boundary data seen through the dilation x -> iota (x - base)."""
-
-    def __init__(self, psi, iota: float, base: np.ndarray, fiber: np.ndarray):
-        self.psi = psi
-        self.iota = float(iota)
-        self.base = np.asarray(base, float)
-        self.fiber = np.asarray(fiber, float)
-
-    def _pull(self, pts):
-        return np.atleast_2d(pts) / self.iota + self.base
-
-    def values(self, pts):
-        return self.iota * (self.psi.values(self._pull(pts)) - self.fiber)
-
-    def jets(self, pts):
-        vals, jac, hess = self.psi.jets(self._pull(pts))
-        return (self.iota * (vals - self.fiber), jac, hess / self.iota)
-
-
-def parabolic_dilate(state: GraphState, Y: np.ndarray, T: float,
-                     iota: float) -> GraphState:
-    """Image of the state under (y, t) -> (iota (y - Y), iota^2 (t - T)).
-
-    Positions and values are recentered and scaled; the Jacobian (hence
-    all singular values) is untouched, second derivatives scale by 1/iota
-    and the time coordinate by iota^2.
-    """
-    if iota <= 0:
-        raise ValueError(f"iota must be positive, got {iota}")
-    grid = state.grid
-    n, m = grid.n, state.m
-    Y = np.asarray(Y, float)
-    if Y.shape != (n + m,):
-        raise ValueError(f"center must have length {n + m}")
-    base, fiber = Y[:n], Y[n:]
-    new_grid = grid.scaled_copy(iota, base)
-    f = iota * (state.f - fiber)
-    return GraphState(grid=new_grid, t=iota ** 2 * (state.t - T), f=f,
-                      pinned=iota * (state.pinned - fiber),
-                      psi=DilatedMap(state.psi, iota, base, fiber))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Density, area, dilation and reflection oracles."""
+"""Density, area and reflection oracles.
+
+The self-shrinker residual of the sphere cap is checked by criterion 2.
+"""
 
 import numpy as np
 import pytest
@@ -20,11 +23,11 @@ def test_density_query_validation():
     shrinker.DensityQuery(center=center(2, 1), time_gap=0.01)
     with pytest.raises(ValueError):
         shrinker.DensityQuery(center=center(2, 1), time_gap=0.0)
-    with pytest.raises(ValueError):
-        shrinker.DensityQuery(center=center(2, 1), time_gap=0.01,
-                              truncation=0.1)   # below 6 sqrt(tau)
+    # truncation is derived: max(6 sqrt(time_gap), cutoff)
     q = shrinker.DensityQuery(center=center(2, 1), time_gap=0.01)
-    assert q.truncation >= 6.0 * np.sqrt(0.01)
+    assert q.truncation == 1.0
+    q = shrinker.DensityQuery(center=center(2, 1), time_gap=0.25, cutoff=0.5)
+    assert q.truncation == 3.0
 
 
 def test_phi_profile_shape():
@@ -118,65 +121,6 @@ def test_undercoverage_only_on_truncated_exterior():
 
 
 # ---------------------------------------------------------------------------
-# parabolic dilation
-# ---------------------------------------------------------------------------
-
-def test_dilation_identity():
-    state = oracles.sphere_cap_state(h=0.1, halfwidth=0.8)
-    out = shrinker.parabolic_dilate(state, np.zeros(3), 0.0, 1.0)
-    assert np.array_equal(out.f, state.f)
-    assert np.array_equal(out.grid.interior_pos, state.grid.interior_pos)
-    assert out.t == 0.0
-
-
-def test_dilation_preserves_singular_values_and_scales_residual():
-    state = oracles.sphere_cap_state(h=0.05, halfwidth=0.8)
-    b0 = flow.compute_fields(state)
-    # power-of-two factor: the scaling is exact arithmetic
-    out2 = shrinker.parabolic_dilate(state, np.zeros(3), 0.0, 2.0)
-    b2 = flow.compute_fields(out2)
-    np.testing.assert_array_equal(b2.lam_max_sq, b0.lam_max_sq)
-    np.testing.assert_array_equal(b2.residual, b0.residual / 2.0)
-    # generic factor: exact up to roundoff
-    out3 = shrinker.parabolic_dilate(state, np.zeros(3), 0.0, 3.0)
-    b3 = flow.compute_fields(out3)
-    np.testing.assert_allclose(b3.lam_max_sq, b0.lam_max_sq, rtol=1e-12,
-                               atol=1e-15)
-    np.testing.assert_allclose(b3.residual, b0.residual / 3.0, rtol=1e-10,
-                               atol=1e-13)
-
-
-def test_dilated_shrinker_self_similarity():
-    # a c = 1 graph rescaled by iota solves the c = 1/iota^2 system
-    state = oracles.sphere_cap_state(h=0.05, halfwidth=0.8)
-    base = np.linalg.norm(shrinker.shrinker_residual_field(state, 1.0), axis=1)
-    assert base[state.grid.full_stencil].max() <= 2e-4
-    out = shrinker.parabolic_dilate(state, np.zeros(3), 0.0, 2.0)
-    scaled = np.linalg.norm(shrinker.shrinker_residual_field(out, 0.25), axis=1)
-    np.testing.assert_allclose(scaled, base / 2.0, atol=1e-14)
-
-
-def test_dilated_map_jets_consistent():
-    psi = bd.TrigMap([0.3], [[1.5, -0.7]])
-    dil = shrinker.DilatedMap(psi, 2.0, np.array([0.1, -0.2]), np.array([0.4]))
-    pts = np.array([[0.3, 0.5], [-0.2, 0.1]])
-    vals, jac, hess = dil.jets(pts)
-    h = 1e-5
-    for i in range(2):
-        ei = np.zeros(2)
-        ei[i] = h
-        fd = (dil.values(pts + ei) - dil.values(pts - ei)) / (2 * h)
-        np.testing.assert_allclose(jac[:, :, i], fd, atol=1e-8)
-
-
-def test_dilation_time_map():
-    state = oracles.plane_state(h=0.1, halfwidth=1.0)
-    state = state.replace_values(state.f, t=2.0)
-    out = shrinker.parabolic_dilate(state, np.zeros(3), 5.0, 2.0)
-    np.testing.assert_allclose(out.t, 4.0 * (2.0 - 5.0))
-
-
-# ---------------------------------------------------------------------------
 # reflection
 # ---------------------------------------------------------------------------
 
@@ -241,10 +185,7 @@ def test_transformed_states_dump_in_grid_format(tmp_path):
     state = oracles.half_plane_state(h=1.0 / 16, halfwidth=1.0,
                                      slope=[[0.0, 0.3]])
     doubled, _ = shrinker.reflect_halfspace(state)
-    dilated = shrinker.parabolic_dilate(doubled, np.zeros(3), 0.0, 2.0)
-    for name, st in (("doubled", doubled), ("dilated", dilated)):
-        path = tmp_path / f"{name}.dat"
-        write_field_dat(str(path), st)
-        rows = [l for l in path.read_text().splitlines()
-                if not l.startswith("#")]
-        assert len(rows) == st.grid.num_interior
+    path = tmp_path / "doubled.dat"
+    write_field_dat(str(path), doubled)
+    rows = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    assert len(rows) == doubled.grid.num_interior
