@@ -387,13 +387,14 @@ def sup_norms(psi, grid: Grid, delta: float | None) -> tuple[PsiNorms, float]:
 
 
 def _richardson(coarse: float, fine: float) -> float:
-    """Sup estimate from nested lattice samples (not a certified bound).
+    """Sup estimate from two lattice samples (not a certified bound).
 
     Lattice maxima are lower bounds that grow under refinement; assuming
     second-order saturation the residual gap is a third of the observed
-    increment.
+    increment.  Snapped box lattices are not nested, so the fine maximum
+    can fall below the coarse one; the estimate never drops below either.
     """
-    return fine + max(0.0, fine - coarse) / 3.0
+    return max(coarse, fine) + max(0.0, fine - coarse) / 3.0
 
 
 # ---------------------------------------------------------------------------

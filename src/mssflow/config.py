@@ -1,8 +1,11 @@
 """Run configuration: flat key/value text with section headers.
 
 The format is INI-style, deliberately minimal and diff-able; runs are
-fully deterministic functions of the file content.  Unknown sections or
-keys are hard errors so that typos cannot silently change a run.
+fully deterministic functions of the file content.  The parser is the
+schema: a section or key that the run does not read is a hard error, so
+neither a typo nor a key meant for another setting can silently leave a
+run unchanged.  `c` under condition A is rejected, as is `inner_radius`
+on a ball (the message names the condition or kind that decides).
 
 Example::
 
@@ -48,30 +51,6 @@ from .domains import DomainSpec
 
 MODES = ("solve", "check_hypothesis", "density_oracle", "exterior")
 
-_SCHEMA = {
-    "run": {"mode", "out"},
-    "domain": {"kind", "dim", "edges", "lo", "radius", "inner_radius",
-               "truncation_radius"},
-    "boundary": {"family", "m", "values", "matrix", "offset", "amplitudes",
-                 "phases", "scale"},     # wave_vector_<A>, poly_<A> checked apart
-    "grid": {"h"},
-    "flow": {"cfl", "tol_residual", "max_steps", "monitor_every",
-             "lambda_guard"},
-    "hypothesis": {"condition", "delta", "c"},
-    "exterior": {"radii", "probe_radii"},
-    "density": {"state", "h", "halfwidth", "time_gap", "cutoff", "offset"},
-}
-
-# [density] keys each built-in state reads besides state and h; a given
-# key that the chosen state does not read is an error
-_DENSITY_READS = {
-    "plane": {"halfwidth", "time_gap", "cutoff"},
-    "offset_plane": {"halfwidth", "time_gap", "cutoff", "offset"},
-    "half_plane": {"halfwidth", "time_gap", "cutoff"},
-    "sphere_cap": {"halfwidth"},
-}
-
-
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
@@ -109,17 +88,33 @@ class RunConfig:
     density: dict = field(default_factory=dict)
 
 
-def _check_schema(cp: configparser.ConfigParser) -> None:
+class _Parser(configparser.ConfigParser):
+    """Records each (section, key) looked up: every getter, sec[key] and
+    fallback= read goes through get; `key in sec` does not."""
+
+    def __init__(self):
+        super().__init__(inline_comment_prefixes=("#",))
+        self.looked_up = set()
+
+    def get(self, section, option, **kwargs):
+        self.looked_up.add((section, self.optionxform(option)))
+        return super().get(section, option, **kwargs)
+
+
+def _check_looked_up(cp: _Parser, mode: str, selectors: dict) -> None:
+    """A given section or key that the run never looked up is an error;
+    selectors names, per section, the setting that decides its keys."""
+    read = {section for section, _ in cp.looked_up}
     for section in cp.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
+        if section not in read:
+            raise ConfigError(f"unknown section [{section}] "
+                              f"(mode {mode!r} does not read it)")
         for key in cp[section]:
-            if key in _SCHEMA[section]:
-                continue
-            if section == "boundary" and (key.startswith("wave_vector_")
-                                          or key.startswith("poly_")):
-                continue
-            raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            if (section, key) not in cp.looked_up:
+                why = (f" ({selectors[section]} does not read it)"
+                       if section in selectors else "")
+                raise ConfigError(f"unknown key {key!r} in section "
+                                  f"[{section}]{why}")
 
 
 def _radius(sec, key: str, kind: str) -> float:
@@ -128,7 +123,9 @@ def _radius(sec, key: str, kind: str) -> float:
     return sec.getfloat(key)
 
 
-def _parse_domain(cp, default_truncation: float | None = None) -> DomainSpec:
+def _parse_domain(cp, truncation: float | None = None) -> DomainSpec:
+    """Domain of [domain]; an exterior one is truncated at truncation
+    when given (exterior mode), else at its own truncation_radius."""
     if "domain" not in cp:
         raise ConfigError("missing [domain] section")
     sec = cp["domain"]
@@ -149,17 +146,15 @@ def _parse_domain(cp, default_truncation: float | None = None) -> DomainSpec:
         return DomainSpec.annulus(_radius(sec, "inner_radius", kind),
                                   _radius(sec, "radius", kind), dim)
     if kind == "exterior":
-        trunc = sec.getfloat("truncation_radius", fallback=default_truncation)
-        if trunc is None:
-            raise ConfigError("exterior domain needs truncation_radius "
-                              "(or an [exterior] radius schedule)")
-        return DomainSpec.exterior(_radius(sec, "inner_radius", kind), trunc,
-                                   dim)
+        if truncation is None:
+            truncation = _radius(sec, "truncation_radius", kind)
+        return DomainSpec.exterior(_radius(sec, "inner_radius", kind),
+                                   truncation, dim)
     raise ConfigError(f"unknown domain kind {kind!r}")
 
 
 def _parse_boundary(cp, dim: int):
-    """Boundary map of [boundary]; m and the indexed keys must match its data."""
+    """Boundary map of [boundary]; m must match its data."""
     if "boundary" not in cp:
         raise ConfigError("missing [boundary] section")
     sec = cp["boundary"]
@@ -167,12 +162,6 @@ def _parse_boundary(cp, dim: int):
     if sec.getint("m", fallback=psi.m) != psi.m:
         raise ConfigError(f"[boundary] m = {sec['m']} but the data has "
                           f"{psi.m} components")
-    prefix = {"trigonometric": "wave_vector_", "polynomial": "poly_"}
-    read = {prefix.get(psi.family, "") + str(A) for A in range(1, psi.m + 1)}
-    for key in sec:
-        if key.startswith(tuple(prefix.values())) and key not in read:
-            raise ConfigError(f"unknown key {key!r} in section [boundary] "
-                              f"(the data has {psi.m} components)")
     return psi
 
 
@@ -219,11 +208,9 @@ def load_config(path: str, mode: str | None = None) -> RunConfig:
     mode, when given (from the command line), must agree with the file's
     [run] mode if both are present.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = cp.read(path)
-    if not read:
+    cp = _Parser()
+    if not cp.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
-    _check_schema(cp)
 
     file_mode = cp.get("run", "mode", fallback=None)
     if mode is None:
@@ -242,20 +229,19 @@ def load_config(path: str, mode: str | None = None) -> RunConfig:
             raise ConfigError("density_oracle mode needs a [density] section")
         sec = cp["density"]
         state = sec.get("state")
-        if state not in _DENSITY_READS:
+        plane = state in ("plane", "offset_plane", "half_plane")
+        if not plane and state != "sphere_cap":
             raise ConfigError(f"unknown density state {state!r}")
-        for key in sec:
-            if key not in _DENSITY_READS[state] | {"state", "h"}:
-                raise ConfigError(f"unknown key {key!r} in section [density] "
-                                  f"(state {state!r} does not read it)")
+
+        def read(key, default, used=True):   # an unused key keeps its default
+            return sec.getfloat(key, fallback=default) if used else default
         cfg.density = {
             "state": state,
-            "h": sec.getfloat("h", fallback=0.025),
-            "halfwidth": sec.getfloat(
-                "halfwidth", fallback=0.8 if state == "sphere_cap" else 1.3),
-            "time_gap": sec.getfloat("time_gap", fallback=0.005),
-            "cutoff": sec.getfloat("cutoff", fallback=1.0),
-            "offset": sec.getfloat("offset", fallback=0.0),
+            "h": read("h", 0.025),
+            "halfwidth": read("halfwidth", 1.3 if plane else 0.8),
+            "time_gap": read("time_gap", 0.005, plane),
+            "cutoff": read("cutoff", 1.0, plane),
+            "offset": read("offset", 0.0, state == "offset_plane"),
         }
         for key in ("h", "halfwidth", "time_gap", "cutoff"):
             if not _positive_finite(cfg.density[key]):
@@ -264,19 +250,25 @@ def load_config(path: str, mode: str | None = None) -> RunConfig:
         if not math.isfinite(cfg.density["offset"]):
             raise ConfigError(f"[density] offset must be finite, got "
                               f"{cfg.density['offset']}")
+        _check_looked_up(cp, mode, {"density": f"state {state!r}"})
         return cfg
 
-    default_trunc = None
-    if mode == "exterior" and "exterior" in cp:
+    truncation = None
+    if mode == "exterior":
+        if "exterior" not in cp:
+            raise ConfigError("exterior mode needs an [exterior] section")
         sec = cp["exterior"]
         cfg.radii = _floats(sec.get("radii", ""))
         cfg.probe_radii = _floats(sec.get("probe_radii", ""))
         if not all(map(math.isfinite, cfg.radii + cfg.probe_radii)):
             raise ConfigError(f"[exterior] radii and probe_radii must be "
                               f"finite, got {cfg.radii} and {cfg.probe_radii}")
-        if cfg.radii:
-            default_trunc = max(cfg.radii)
-    cfg.domain = _parse_domain(cp, default_truncation=default_trunc)
+        if len(cfg.radii) < 2 or any(b <= a for a, b in zip(cfg.radii,
+                                                            cfg.radii[1:])):
+            raise ConfigError("radius schedule must be >= 2 strictly "
+                              "increasing values")
+        truncation = cfg.radii[-1]
+    cfg.domain = _parse_domain(cp, truncation)
     cfg.psi = _parse_boundary(cp, cfg.domain.dim)
     if getattr(cfg.psi, "n", cfg.domain.dim) != cfg.domain.dim:
         raise ConfigError("boundary map dimension does not match the domain")
@@ -310,23 +302,18 @@ def load_config(path: str, mode: str | None = None) -> RunConfig:
         sec = cp["hypothesis"]
         cfg.condition = sec.get("condition", fallback="A").upper()
         cfg.delta = sec.getfloat("delta", fallback=None)
-        cfg.c = sec.getfloat("c", fallback=None)
     if cfg.condition not in ("A", "B"):
         raise ConfigError(f"condition must be A or B, got {cfg.condition!r}")
-    if cfg.delta is None and mode in ("solve", "check_hypothesis", "exterior"):
+    if cfg.delta is None:
         raise ConfigError("missing hypothesis delta")
-    if cfg.condition == "B" and cfg.c is None:
-        raise ConfigError("condition B needs the gap constant c")
+    if cfg.condition == "B":
+        cfg.c = cp.getfloat("hypothesis", "c", fallback=None)
+        if cfg.c is None:
+            raise ConfigError("condition B needs the gap constant c")
 
     if mode == "exterior":
         if cfg.domain.kind != "exterior":
             raise ConfigError("exterior mode needs an exterior domain")
-        if "exterior" not in cp:
-            raise ConfigError("exterior mode needs an [exterior] section")
-        if len(cfg.radii) < 2 or any(b <= a for a, b in zip(cfg.radii,
-                                                            cfg.radii[1:])):
-            raise ConfigError("radius schedule must be >= 2 strictly "
-                              "increasing values")
         if not cfg.probe_radii:
             raise ConfigError("exterior mode needs probe_radii")
         if cfg.condition != "B":
@@ -342,4 +329,9 @@ def load_config(path: str, mode: str | None = None) -> RunConfig:
                 or min(cfg.probe_radii) <= r_in:
             raise ConfigError("probe radii must lie strictly inside the "
                               "largest shell")
+    _check_looked_up(cp, mode, {
+        "domain": f"kind {cfg.domain.kind!r}"
+                  + (" in exterior mode" if mode == "exterior" else ""),
+        "boundary": f"family {cfg.psi.family!r} with m = {cfg.psi.m}",
+        "hypothesis": f"condition {cfg.condition!r}"})
     return cfg

@@ -48,8 +48,6 @@ DENSITY_TOL = 1e-3
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return repr(float(x))
 
 

@@ -599,9 +599,6 @@ def run_to_steady(state0: GraphState, tol_residual: float, max_steps: int,
     outcome = "MaxSteps"
     k = 0
     while k < max_steps:
-        if bundle.max_lambda > lambda_guard:
-            outcome = "BlowUp"
-            break
         n = min(monitor_every - k % monitor_every, max(1, k), max_steps - k)
         new = super_step(state, bundle, dt, n, state0.t + (k + n) * dt)
         if not np.isfinite(new.f).all():
@@ -617,6 +614,9 @@ def run_to_steady(state0: GraphState, tol_residual: float, max_steps: int,
             records.append(monitors.record(state, bundle, dt, diss, diss_integral))
         if done:
             outcome = "Converged"
+            break
+        if bundle.max_lambda > lambda_guard:
+            outcome = "BlowUp"
             break
     return state, records, outcome
 

@@ -1,6 +1,7 @@
 """Configuration parsing, CLI contract, artifacts and exit codes."""
 
 import ast
+import json
 import pathlib
 import subprocess
 import sys
@@ -371,6 +372,28 @@ def test_benchmark_tracer_finds_every_traced_name(tmp_path):
     assert r.returncode == 0, r.stderr
 
 
+def test_benchmark_and_acceptance_configs_load(tmp_path):
+    # the benchmark's seeded configs (seeds 0-9) and the acceptance
+    # configs stay valid: every section and key they give is read
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "from workloads import NAMES, generate; "
+            "print(json.dumps([generate(n, s).text for n in NAMES "
+            "for s in range(10)]))")
+    r = subprocess.run([sys.executable, "-c", code, str(root / "perfbench")],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    texts = json.loads(r.stdout)
+    tree = ast.parse((root / "tests" / "test_acceptance.py").read_text())
+    texts += [node.value.value for node in tree.body
+              if isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.Constant)
+              and "[run]" in str(node.value.value)]
+    assert len(texts) == 33
+    for text in texts:
+        load_config(write_cfg(tmp_path, text))
+
+
 def test_cli_check_hypothesis_mode(tmp_path):
     path = write_cfg(tmp_path, BALL_SOLVE.replace("mode = solve",
                                                   "mode = check_hypothesis"))
@@ -435,6 +458,69 @@ def test_cli_density_key_unread_by_state_exit_one(tmp_path, state, line):
                  "--out", str(tmp_path / "out")])
     assert r.returncode == 1
     assert "configuration error:" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+EXTERIOR_RUN = EXTERIOR.format(radii="9.0, 11.0", probes="2.5, 3.5")
+LINEAR = "family = linear\nm = 2\nmatrix = 0.02, 0.0; 0.0, 0.01"
+CONSTANT = "family = constant\nm = 2\nvalues = 0.4, -0.1"
+
+
+@pytest.mark.parametrize("mode, text, name, selector", [
+    ("solve", BALL_SOLVE.replace("radius = 1.0", "radius = 1.0\n"
+                                 "inner_radius = 0.5"),
+     "'inner_radius'", "kind 'ball'"),
+    ("solve", BALL_SOLVE.replace("radius = 1.0", "radius = 1.0\n"
+                                 "truncation_radius = 5.0"),
+     "'truncation_radius'", "kind 'ball'"),
+    ("solve", BALL_SOLVE.replace("radius = 1.0", "radius = 1.0\n"
+                                 "edges = 1.0, 1.0"),
+     "'edges'", "kind 'ball'"),
+    ("solve", BALL_SOLVE.replace("radius = 1.0", "radius = 1.0\n"
+                                 "lo = 0.0, 0.0"),
+     "'lo'", "kind 'ball'"),
+    ("solve", BALL_SOLVE.replace("delta = 0.1", "delta = 0.1\nc = 0.5"),
+     "'c'", "condition 'A'"),
+    ("solve", BALL_SOLVE.replace(BALL_TRIG, BALL_TRIG + "\nscale = 3.0"),
+     "'scale'", "family 'trigonometric'"),
+    ("solve", BALL_SOLVE.replace(BALL_TRIG, BALL_TRIG + "\noffset = 5.0"),
+     "'offset'", "family 'trigonometric'"),
+    ("solve", BALL_SOLVE.replace(BALL_TRIG, LINEAR + "\namplitudes = 0.5"),
+     "'amplitudes'", "family 'linear'"),
+    ("solve", BALL_SOLVE + "\n[exterior]\nradii = 9.0, 11.0\n",
+     "[exterior]", "mode 'solve'"),
+    ("check_hypothesis", BALL_SOLVE.replace("mode = solve",
+                                            "mode = check_hypothesis")
+     + "\n[density]\nstate = plane\n",
+     "[density]", "mode 'check_hypothesis'"),
+    ("density_oracle", "[run]\nmode = density_oracle\n\n[density]\n"
+                       "state = plane\n\n[grid]\nh = 0.05\n",
+     "[grid]", "mode 'density_oracle'"),
+    ("exterior", EXTERIOR_RUN.replace("inner_radius = 1.0", "inner_radius = 1.0"
+                                      "\ntruncation_radius = 20.0"),
+     "'truncation_radius'", "kind 'exterior' in exterior mode"),
+    ("solve", BALL_SOLVE.replace(BALL_TRIG, CONSTANT + "\nscale = 3"),
+     "'scale'", "family 'constant'"),
+    ("solve", BALL_SOLVE.replace(BALL_TRIG, CONSTANT + "\nphases = 1"),
+     "'phases'", "family 'constant'"),
+    ("solve", BALL_SOLVE.replace(BALL_TRIG, BALL_TRIG + "\npoly_1 = 1.0, 2, 0"),
+     "'poly_1'", "family 'trigonometric'"),
+], ids=["ball-inner-radius", "ball-truncation-radius", "ball-edges", "ball-lo",
+        "c-under-condition-a", "trigonometric-scale", "trigonometric-offset",
+        "linear-amplitudes", "exterior-section-in-solve",
+        "density-section-in-check", "grid-section-in-density",
+        "truncation-radius-in-exterior-mode", "constant-scale",
+        "constant-phases", "trigonometric-poly-1"])
+def test_cli_unread_section_or_key_exit_one(tmp_path, mode, text, name,
+                                            selector):
+    # a section or key the run does not look up is an error that names it
+    # and the setting that decides what its section reads
+    r = run_cli([mode, "--config", write_cfg(tmp_path, text),
+                 "--out", str(tmp_path / "out")])
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert "configuration error:" in r.stderr
+    assert name in r.stderr and f"({selector}" in r.stderr
+    assert "does not read it)" in r.stderr
     assert "Traceback" not in r.stderr
 
 

@@ -265,6 +265,15 @@ def test_blow_up_guard():
     assert outcome == "BlowUp"
 
 
+def test_blow_up_guard_checks_the_last_super_step():
+    # the one-step budget ends on the first state above the guard
+    ball = DomainSpec.ball(1.0, 4)
+    state = flow.make_state(build_grid(ball, 0.2), bd.LawsonOssermanMap(12.0))
+    assert flow.compute_fields(state).max_lambda < 23.88
+    _, _, outcome = flow.run_to_steady(state, 1e-6, 1, 1, lambda_guard=23.88)
+    assert outcome == "BlowUp"
+
+
 def test_converged_state_is_discrete_fixed_point(ball_run):
     _, _, _, _, final, records = ball_run
     dt = records[-1].step_dt
