@@ -12,6 +12,16 @@ Lattice maxima are lower bounds and the gap assumes second-order
 saturation, so these are estimates, not certified bounds; certified
 bounds (ROADMAP item 2) replace the reductions inside `sup_norms`.
 
+Each reduction there is a per-point spectral quantity and its maximum
+(sup|Dpsi| by svd, sup|D^2 psi| by eigvalsh for m = 1 and by a batched
+companion eigensolve for n = 2), and so are the barrier weight of
+`flow.FlowMonitors` and the far-field table of the exterior driver.  All
+of them screen first (`_screened`): cheap certified per-point upper and
+lower bounds drop every point that cannot hold the maximum, and LAPACK
+runs, unchanged, on the rest.  It solves each matrix of a batch on its
+own, so the winning value and every printed figure are bit-identical to
+an unscreened pass.
+
 Conditions A and B are one rule: the proved mu = 1 ceiling for the
 boundary gradient of the evolving graph (`boundary_gradient_bound`),
 taken with the global sup|Dpsi|, must stay below a threshold.  Condition
@@ -35,6 +45,13 @@ _POWER_RESTARTS = 32
 _POWER_ITERS = 60
 _DENSE_DIRECTIONS = 10_000
 _DENSE_MISMATCH_TOL = 1e-6
+# The screen keeps a point unless its certified upper bound sits this far
+# (relative) below the best lower bound: far above the rounding of either
+# bound, so the point holding the maximum is never dropped.
+_SCREEN_SLACK = 1e-9
+# Bounds are plain sums of squares; with the best lower bound in this range
+# their underflow and overflow cannot decide the screen.
+_SCREEN_RANGE = (2.0 ** -500, 2.0 ** 500)
 
 
 class HypothesisError(ValueError):
@@ -241,6 +258,77 @@ class HypothesisReport:
     c: float | None = None    # condition-B gap, None for condition A
 
 
+def _screened(exact, mats: np.ndarray, upper: np.ndarray,
+              lower: np.ndarray, band: np.ndarray | None = None) -> np.ndarray:
+    """exact(mats) per point, computed only where a point can hold the max.
+
+    upper and lower are certified per-point bounds on the exact value.  A
+    point whose upper bound lies below the largest lower bound (of the
+    band for band rows when band is given, of all rows otherwise), less
+    _SCREEN_SLACK relative, cannot hold the maximum and keeps its lower
+    bound, strictly below that maximum.  Every other point goes to exact,
+    which sees the same matrices whatever the batch (LAPACK solves each on
+    its own), so the maxima of the result are the unscreened ones bit for
+    bit.
+    """
+    live = _live(mats, upper, lower)
+    if band is not None:
+        live[band] |= _live(mats[band], upper[band], lower[band])
+    out = lower.copy()
+    if live.any():
+        out[live] = exact(mats[live])
+    return out
+
+
+def _live(mats, upper, lower) -> np.ndarray:
+    """Points whose upper bound can reach the best lower bound."""
+    floor = lower.max(initial=0.0)
+    if _SCREEN_RANGE[0] <= floor <= _SCREEN_RANGE[1]:
+        return ~(upper < floor * (1.0 - _SCREEN_SLACK))
+    # nothing to screen against: keep every point but the exact zeros
+    return mats.any(axis=tuple(range(1, mats.ndim)))
+
+
+def _norm2_bounds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on the spectral norm of each matrix of a (B, p, q) stack.
+
+    Upper: the Frobenius norm.  Lower: |M r|, r the largest row of M
+    normalised (one power step; at least that row's norm, exact on rank
+    one).  For a symmetric M the spectral norm is max |eigenvalue|.
+    """
+    rows = np.einsum("bij,bij->bi", mats, mats)
+    top = rows.argmax(axis=1)
+    pick = np.arange(mats.shape[0])
+    norm = np.sqrt(rows[pick, top])
+    r = mats[pick, top] / np.where(norm > 0.0, norm, 1.0)[:, None]
+    lower = np.linalg.norm(np.einsum("bij,bj->bi", mats, r), axis=1)
+    return np.sqrt(rows.sum(axis=1)), lower
+
+
+def top_singular_values(mats: np.ndarray,
+                        band: np.ndarray | None = None) -> np.ndarray:
+    """Largest singular value of each (B, p, q) matrix that can hold the max.
+
+    Exact (LAPACK svd) wherever a matrix can hold the maximum over all
+    rows, or over the band rows when band is given; a lower bound below
+    that maximum elsewhere.  Only maxima of the result are meaningful.
+    """
+    upper, lower = _norm2_bounds(mats)
+    return _screened(lambda a: np.linalg.svd(a, compute_uv=False)[:, 0],
+                     mats, upper, lower, band)
+
+
+def top_abs_eigenvalues(sym: np.ndarray) -> np.ndarray:
+    """Largest |eigenvalue| of each symmetric (B, n, n) matrix, screened.
+
+    Exact (LAPACK eigvalsh) wherever a matrix can hold the maximum over
+    all rows, a lower bound below it elsewhere; as `top_singular_values`.
+    """
+    upper, lower = _norm2_bounds(sym)
+    return _screened(lambda a: np.abs(np.linalg.eigvalsh(a)).max(axis=1),
+                     sym, upper, lower)
+
+
 def _direction_set(n: int, count: int) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(_DIRECTION_SEED))
     dirs = rng.standard_normal((count, n))
@@ -258,15 +346,33 @@ def _dense_checked(hess_pt: np.ndarray, value: float) -> float:
     taus = _direction_set(hess_pt.shape[-1], _DENSE_DIRECTIONS)
     q = np.einsum("Aij,ti,tj->tA", hess_pt, taus, taus)
     dense = np.linalg.norm(q, axis=1).max()
-    if dense > value + _DENSE_MISMATCH_TOL:
+    if dense > value + _DENSE_MISMATCH_TOL * dense:
         raise RuntimeError(
             f"directional Hessian norm search missed the dense-sample value "
             f"({value} vs {dense}); aborting the check")
     return float(max(value, dense))
 
 
-def _sup_hessian_norm_planar(hess: np.ndarray) -> float:
-    """Exact direction maximum for n = 2, all sample points at once.
+def _planar_coefficients(hess: np.ndarray):
+    """alpha, beta, gamma (B, m) and P1c, P1s, P2c, P2s (B,) for n = 2."""
+    a, b, c = hess[:, :, 0, 0], hess[:, :, 0, 1], hess[:, :, 1, 1]
+    alpha, beta, gamma = 0.5 * (a + c), 0.5 * (a - c), b
+    p1c = 2.0 * (alpha * beta).sum(axis=1)
+    p1s = 2.0 * (alpha * gamma).sum(axis=1)
+    p2c = 0.5 * (beta * beta - gamma * gamma).sum(axis=1)
+    p2s = (beta * gamma).sum(axis=1)
+    return alpha, beta, gamma, p1c, p1s, p2c, p2s
+
+
+def _planar_values(alpha, beta, gamma, s: np.ndarray) -> np.ndarray:
+    """|q(s)| at the angles s (B, S) of each point, (B, S)."""
+    q = (alpha[:, None, :] + beta[:, None, :] * np.cos(s)[:, :, None]
+         + gamma[:, None, :] * np.sin(s)[:, :, None])
+    return np.linalg.norm(q, axis=2)
+
+
+def _planar_direction_max(hess: np.ndarray) -> np.ndarray:
+    """Exact direction maximum for n = 2 at each sample point, (B,).
 
     With tau = (cos t, sin t) and s = 2t each component is
     q_A(s) = alpha_A + beta_A cos s + gamma_A sin s, so
@@ -279,12 +385,7 @@ def _sup_hessian_norm_planar(hess: np.ndarray) -> float:
     circle only add angles whose values cannot exceed the maximum.
     """
     B = hess.shape[0]
-    a, b, c = hess[:, :, 0, 0], hess[:, :, 0, 1], hess[:, :, 1, 1]
-    alpha, beta, gamma = 0.5 * (a + c), 0.5 * (a - c), b
-    p1c = 2.0 * (alpha * beta).sum(axis=1)
-    p1s = 2.0 * (alpha * gamma).sum(axis=1)
-    p2c = 0.5 * (beta * beta - gamma * gamma).sum(axis=1)
-    p2s = (beta * gamma).sum(axis=1)
+    alpha, beta, gamma, p1c, p1s, p2c, p2s = _planar_coefficients(hess)
     c4 = 2.0 * p2s + 2.0j * p2c
     c3 = p1s + 1j * p1c
     # z^4 + 1 stands in where the leading coefficient would blow up
@@ -298,9 +399,24 @@ def _sup_hessian_norm_planar(hess: np.ndarray) -> float:
     comp[:, 1, 0] = comp[:, 2, 1] = comp[:, 3, 2] = 1.0
     s = np.concatenate([np.angle(np.linalg.eigvals(comp)),
                         np.arctan2(p1s, p1c)[:, None]], axis=1)   # (B, 5)
-    q = (alpha[:, None, :] + beta[:, None, :] * np.cos(s)[:, :, None]
-         + gamma[:, None, :] * np.sin(s)[:, :, None])
-    best = np.linalg.norm(q, axis=2).max(axis=1)
+    return _planar_values(alpha, beta, gamma, s).max(axis=1)
+
+
+def _sup_hessian_norm_planar(hess: np.ndarray) -> float:
+    """Exact direction maximum for n = 2 over all sample points.
+
+    Screened (`_screened`): |q|^2 <= P0 + |(P1c, P1s)| + |(P2c, P2s)| at
+    every angle, with P0 = sum_A alpha_A^2 + (beta_A^2 + gamma_A^2) / 2,
+    and |q| at atan2(P1s, P1c), an angle the exact pass also evaluates, is
+    a lower bound, so only the points that can hold the maximum reach the
+    companion eigensolve of `_planar_direction_max`.
+    """
+    alpha, beta, gamma, p1c, p1s, p2c, p2s = _planar_coefficients(hess)
+    p0 = (alpha * alpha + 0.5 * (beta * beta + gamma * gamma)).sum(axis=1)
+    upper = np.sqrt(p0 + np.hypot(p1c, p1s) + np.hypot(p2c, p2s))
+    lower = _planar_values(alpha, beta, gamma,
+                           np.arctan2(p1s, p1c)[:, None])[:, 0]
+    best = _screened(_planar_direction_max, hess, upper, lower)
     winner = int(np.argmax(best))
     return _dense_checked(hess[winner], best[winner])
 
@@ -347,18 +463,20 @@ def _sup_hessian_norm_iterative(hess: np.ndarray) -> float:
 def _sup_hessian_norm(hess: np.ndarray) -> float:
     """sup over samples of max_{|tau|=1} |D^2 psi(tau, tau)| (vector norm).
 
-    One component (m = 1, any n): the largest absolute Hessian eigenvalue.
-    Two variables (n = 2, m >= 2): the exact maximum over the circle of
-    directions, from the roots of a quartic (`_sup_hessian_norm_planar`).
-    Otherwise (m >= 2, n != 2): a projected power iteration
-    (`_sup_hessian_norm_iterative`).  Both m >= 2 paths cross-check the
-    winning point against a dense direction sample.
+    One component (m = 1, any n): the largest absolute Hessian eigenvalue
+    (`top_abs_eigenvalues`).  Two variables (n = 2, m >= 2): the exact
+    maximum over the circle of directions, from the roots of a quartic
+    (`_sup_hessian_norm_planar`).  These two screen points before LAPACK
+    and return the unscreened value bit for bit.  Otherwise (m >= 2,
+    n != 2): a projected power iteration (`_sup_hessian_norm_iterative`).
+    Both m >= 2 paths cross-check the winning point against a dense
+    direction sample.
     """
     B, m, n, _ = hess.shape
     if B == 0:
         return 0.0
     if m == 1:
-        return float(np.abs(np.linalg.eigvalsh(hess[:, 0])).max())
+        return float(top_abs_eigenvalues(hess[:, 0]).max())
     if n == 2:
         return _sup_hessian_norm_planar(hess)
     return _sup_hessian_norm_iterative(hess)
@@ -375,7 +493,7 @@ def sup_norms(psi, grid: Grid, delta: float | None) -> tuple[PsiNorms, float]:
     vals, jac, hess = psi.jets(grid.closure_points())
     band = grid.closure_band_mask(delta)
     w = float(np.max(vals.max(axis=0) - vals.min(axis=0)))
-    d1 = np.linalg.svd(jac, compute_uv=False)[:, 0]
+    d1 = top_singular_values(jac, None if delta is None else band)
     # the Hessian reduction sets the memory peak: free the rest first, and
     # copy out the band only when it is not the whole closure
     del vals, jac

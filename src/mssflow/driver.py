@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow, oracles, shrinker
-from .boundary import HypothesisReport, check_condition_A, check_condition_B
+from .boundary import (HypothesisReport, check_condition_A, check_condition_B,
+                       top_singular_values)
 from .config import RunConfig
 from .domains import DomainSpec, estimate_c0_eta0
 from .grid import Grid, build_grid
@@ -75,11 +76,11 @@ def write_field_dat(path: str, state: flow.GraphState) -> None:
         fh.write(f"# domain = {_domain_echo(grid.spec)}\n")
         fh.write(f"# t = {_fmt(state.t)}\n")
         fh.write("# columns: flat_index x_1..x_n f_1..f_m\n")
-        for k in range(grid.num_interior):
-            cols = [str(int(grid.interior_flat[k]))]
-            cols += [_fmt(v) for v in grid.interior_pos[k]]
-            cols += [_fmt(v) for v in state.f[k]]
-            fh.write(" ".join(cols) + "\n")
+        # tolist() hands over Python floats, whose repr is _fmt's text
+        for flat, pos, f in zip(grid.interior_flat.tolist(),
+                                grid.interior_pos.tolist(), state.f.tolist()):
+            fh.write(" ".join([str(flat), *map(repr, pos), *map(repr, f)])
+                     + "\n")
 
 
 def _domain_echo(spec: DomainSpec) -> str:
@@ -291,7 +292,7 @@ def exterior_pipeline(cfg: RunConfig, force: bool = False) -> ExteriorReport:
     for rho in sorted(cfg.probe_radii):
         ring = _probe_ring(final.grid, rho)
         dev = J[ring] - l_est
-        sup = float(np.linalg.svd(dev, compute_uv=False)[:, 0].max()) \
+        sup = float(top_singular_values(dev).max()) \
             if ring.size else float("nan")
         table.append((rho, sup))
     if any(b[1] > a[1] + 1e-12 for a, b in zip(table, table[1:])):

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundary import barrier_nu
+from .boundary import barrier_nu, top_abs_eigenvalues
 from .domains import estimate_c0_eta0
 from .grid import Grid, axis_pairs
 
@@ -434,10 +434,9 @@ class FlowMonitors:
             # per-component oscillation and band Hessian sup for the weight
             self.omega = vals.max(axis=0) - vals.min(axis=0)
             hb = hess[grid.closure_band_mask(delta)]
-            d2_comp = np.abs(np.linalg.eigvalsh(hb)).max(axis=(0, 2),
-                                                        initial=0.0)
             self.nu = np.array([
-                barrier_nu(self.omega[A], delta, 1.0, geom.c0, grid.n, d2_comp[A])
+                barrier_nu(self.omega[A], delta, 1.0, geom.c0, grid.n,
+                           top_abs_eigenvalues(hb[:, A]).max(initial=0.0))
                 for A in range(state.m)])
             # static barrier part nu log(1 + k d) + (omega / delta) d, k = 1/delta
             k = 1.0 / delta

@@ -404,3 +404,165 @@ def test_one_sample_of_the_data_per_grid(ball_grid):
     psi.calls.update(values=0, jets=0)
     flow.FlowMonitors(state, eps=0.5, delta=0.1).star_omega_floor()
     assert psi.calls == {"values": 0, "jets": 1}
+
+
+# ---------------------------------------------------------------------------
+# the screen in front of LAPACK
+# ---------------------------------------------------------------------------
+
+def test_dense_check_tolerance_is_relative():
+    # small data is what condition A admits: a direction search that
+    # returns half the true maximum must abort at any scale
+    hess = 1e-9 * _random_hessians(2, count=1)
+    value = bd._sup_hessian_norm(hess)
+    assert bd._dense_checked(hess[0], value) == value
+    with pytest.raises(RuntimeError, match="missed the dense-sample value"):
+        bd._dense_checked(hess[0], 0.5 * value)
+
+
+def _lapack_sigma(mats):
+    return np.linalg.svd(mats, compute_uv=False)[:, 0]
+
+
+def _lapack_abs_eig(sym):
+    return np.abs(np.linalg.eigvalsh(sym)).max(axis=-1)
+
+
+def _lapack_d2(hess):
+    """sup|D2psi| with the exact per-point solve on every row."""
+    if hess.shape[1] == 1:
+        return float(_lapack_abs_eig(hess[:, 0]).max())
+    best = bd._planar_direction_max(hess)
+    winner = int(np.argmax(best))
+    return bd._dense_checked(hess[winner], best[winner])
+
+
+# the seed-0 data of the three benchmark workloads (perfbench/workloads.py):
+# (psi, domains, h, delta given to sup_norms, delta of the monitors)
+WORKLOADS = {
+    "ball-solve": (BALL_TRIG, [BALL], 1.0 / 32, 0.1, 0.1),
+    "exterior-shells": (bd.TrigMap([0.002], [[2.0, 0.5]]),
+                        [DomainSpec.exterior(1.0, r, 2) for r in (9.0, 11.0, 13.0)],
+                        0.203125, None, 0.012),
+    "check-linear": (bd.LinearMap([[0.02, -0.03], [0.01, 0.005]]), [BALL],
+                     1.0 / 32, 0.1, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_screened_reductions_match_lapack_on_every_row(name):
+    # every figure the screen feeds equals, bit for bit, the reduction with
+    # LAPACK run on every sample point, at the working h and at h/2
+    psi, specs, h, delta, monitor_delta = WORKLOADS[name]
+    for spec in specs:
+        for grid in (build_grid(spec, h), build_grid(spec, h / 2)):
+            vals, jac, hess = psi.jets(grid.closure_points())
+            band = grid.closure_band_mask(delta)
+            d1 = _lapack_sigma(jac)
+            norms, glob = bd.sup_norms(psi, grid, delta)
+            assert norms.w == float(np.max(vals.max(axis=0) - vals.min(axis=0)))
+            assert norms.sup_dpsi == float(d1[band].max())
+            assert glob == float(d1.max())
+            assert norms.sup_d2psi == _lapack_d2(hess[band])
+
+            monitors = flow.FlowMonitors(flow.make_state(grid, psi),
+                                         delta=monitor_delta)
+            hb = hess[grid.closure_band_mask(monitor_delta)]
+            geom = estimate_c0_eta0(spec)
+            nu = [bd.barrier_nu(monitors.omega[A], monitor_delta, 1.0, geom.c0,
+                                grid.n, _lapack_abs_eig(hb[:, A]).max())
+                  for A in range(psi.m)]
+            assert monitors.nu.tolist() == nu
+
+
+def _tied(shape):
+    return np.broadcast_to(np.random.default_rng(21).standard_normal(shape[1:]),
+                           shape).copy()
+
+
+def _symmetric(mats):
+    return mats + np.swapaxes(mats, -1, -2)
+
+
+def _outside_band(shape):
+    # the band rows (the first half) are a hundred times smaller
+    mats = np.random.default_rng(22).standard_normal(shape)
+    mats[:shape[0] // 2] *= 1e-2
+    return mats
+
+
+def _rank_one(shape):
+    # per row a v^T (v v^T for square rows), scaled
+    rng = np.random.default_rng(23)
+    v = rng.standard_normal(shape[:-1])
+    w = v if shape[-2] == shape[-1] else rng.standard_normal(shape[:-2] + shape[-1:])
+    scale = rng.standard_normal(shape[:-2] + (1, 1))
+    return scale * v[..., :, None] * w[..., None, :]
+
+
+def _scaled(scale):
+    return lambda shape: scale * np.random.default_rng(24).standard_normal(shape)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(_tied, id="ties"),
+    pytest.param(np.zeros, id="zero"),
+    pytest.param(_outside_band, id="max_outside_band"),
+    pytest.param(_rank_one, id="rank_one"),
+    pytest.param(_scaled(1e-8), id="small"),
+    pytest.param(_scaled(1e8), id="large"),
+])
+def test_screened_helpers_match_lapack_on_synthetic_stacks(make):
+    B = 300
+    band = np.arange(B) < B // 2
+    for shape in ((B, 2, 2), (B, 2, 3), (B, 3, 3), (B, 1, 3)):
+        jac = make(shape)
+        d1 = bd.top_singular_values(jac, band)
+        assert d1.max() == _lapack_sigma(jac).max()
+        assert d1[band].max() == _lapack_sigma(jac[band]).max()
+        assert (d1 <= _lapack_sigma(jac) * (1.0 + 1e-12)).all()
+        if shape[1] == shape[2]:
+            sym = _symmetric(jac)
+            assert (bd.top_abs_eigenvalues(sym).max()
+                    == _lapack_abs_eig(sym).max())
+    for m in (1, 2, 3):
+        hess = _symmetric(make((B, m, 2, 2)))
+        assert bd._sup_hessian_norm(hess) == _lapack_d2(hess)
+
+
+class _RowCount:
+    """Rows handed to each np.linalg solver, one list entry per call."""
+
+    def __init__(self, monkeypatch):
+        self.rows = {"svd": [], "eigvals": [], "eigvalsh": []}
+        for name, rows in self.rows.items():
+            solver = getattr(np.linalg, name)
+
+            def counted(a, *args, _solver=solver, _rows=rows, **kwargs):
+                _rows.append(a.shape[0])
+                return _solver(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+
+
+def test_screen_prunes_lapack_rows(monkeypatch):
+    counts = _RowCount(monkeypatch)
+    # zero Hessians, the shape of linear data: no eigensolve at all
+    bd._sup_hessian_norm(np.zeros((500, 2, 2, 2)))
+    bd.sup_norms(WORKLOADS["check-linear"][0], build_grid(BALL, 1.0 / 32), 0.1)
+    assert counts.rows["eigvals"] == []
+
+    # ball-solve seed 0: every solve sees fewer rows than were sampled
+    grid = build_grid(BALL, 1.0 / 32)
+    sampled = []
+    for g in (grid, build_grid(BALL, 1.0 / 64)):
+        band = g.closure_band_mask(0.1)
+        sampled.append((band.size, int(band.sum())))
+    counts.rows["svd"].clear()
+    bd.check_condition_A(BALL_TRIG, grid, estimate_c0_eta0(BALL), 0.1)
+    flow.FlowMonitors(flow.make_state(grid, BALL_TRIG), delta=0.1)
+    assert len(counts.rows["svd"]) == len(counts.rows["eigvals"]) == 2
+    for (rows, band_rows), svd, eig in zip(sampled, counts.rows["svd"],
+                                           counts.rows["eigvals"]):
+        assert 0 < svd < rows and 0 < eig < band_rows
+    assert len(counts.rows["eigvalsh"]) == 2      # one per component
+    assert all(0 < r < sampled[0][1] for r in counts.rows["eigvalsh"])

@@ -643,3 +643,23 @@ def test_solve_small_linear_on_annulus(tmp_path):
     r = run_cli(["solve", "--config", path, "--out", str(out)])
     assert r.returncode == 0, r.stdout + r.stderr
     assert "outcome=Converged" in r.stdout
+
+
+def test_decay_table_is_the_unscreened_svd_maximum(tmp_path):
+    # the far-field table screens rows before its svd; each entry must be
+    # LAPACK's maximum over every row of its ring (exterior-shells, seed 0)
+    text = (EXTERIOR.format(radii="9.0, 11.0, 13.0", probes="2.5, 3.5, 4.5")
+            .replace("family = constant\nm = 1\nvalues = 0.0",
+                     "family = trigonometric\nm = 1\namplitudes = 0.002\n"
+                     "wave_vector_1 = 2.0, 0.5")
+            .replace("h = 0.2\n", "h = 0.203125\n\n[flow]\ntol_residual = 1e-7\n"
+                     "max_steps = 400000\nmonitor_every = 500\n"))
+    rep = driver.exterior_pipeline(load_config(write_cfg(tmp_path, text)))
+    assert rep.exit_code == 0, rep.notes
+    final = rep.shells[-1]
+    J = flow.compute_fields(final.state).J
+    table = []
+    for rho in (2.5, 3.5, 4.5):
+        dev = J[driver._probe_ring(final.grid, rho)] - rep.l_estimate
+        table.append((rho, float(np.linalg.svd(dev, compute_uv=False)[:, 0].max())))
+    assert rep.decay_table == table
