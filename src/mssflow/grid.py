@@ -11,6 +11,11 @@ the row of each far end in [interior values; pinned values] and theta.
 Divided differences built on these arms are second-order accurate on full
 arms and first-order on clipped ones.
 
+One pass owns the lattice, the classification, the interior nodes with
+their boundary distance and the boundary crossings: `build_closure`
+stops there (a `Closure`, all the hypothesis checker's h/2 pass reads),
+and `build_grid` extends the same result into a `Grid` with the arms.
+
 Interior nodes hugging the boundary (some arm shorter than THETA_DEP)
 would force the explicit time step toward zero, so they are taken out of
 the stepped unknown set: their values are maintained by second-order
@@ -55,7 +60,15 @@ def _direction_offsets(n: int) -> np.ndarray:
 
 
 @dataclass
-class Grid:
+class Closure:
+    """A lattice over a domain, its classification and its closure sample.
+
+    This is all the hypothesis checker reads of a resolution: the interior
+    nodes, their distance to the boundary, and the boundary sample (the
+    boundary-class nodes plus every crossing of a clipped stencil arm).
+    `Grid` extends it with the stencil arms the flow steps on.
+    """
+
     spec: DomainSpec
     hs: np.ndarray                     # per-axis spacing
     los: np.ndarray                    # lattice origin
@@ -64,23 +77,9 @@ class Grid:
     interior_flat: np.ndarray          # (K,) flat lattice indices, ascending
     interior_pos: np.ndarray           # (K, n)
     d_bdry: np.ndarray                 # (K,) distance to computational boundary
-    offsets: np.ndarray                # (D, n) lattice step of each direction
-    arm_src: np.ndarray                # (D, 2, K) row of each arm end in
-                                       # [f; pinned]: >= K when cut, sides +, -
-    arm_theta: np.ndarray              # (D, 2, K) arm length in lattice steps
-    cell_frac: np.ndarray              # (K,) covered fraction of each cell
     boundary_samples: np.ndarray       # (B, n) points on the true boundary
     boundary_nodes_pos: np.ndarray     # lattice nodes classified as boundary
     boundary_nodes_frac: np.ndarray    # cell-volume fraction for quadrature
-    pinned_pos: np.ndarray = field(default=None)    # (P, n) cut arm ends
-    full_stencil: np.ndarray = field(default=None)  # (K,) all arms unclipped
-    stepped: np.ndarray = field(default=None)       # (K,) evolved unknowns
-    dep_idx: np.ndarray = field(default=None)       # interpolated nodes
-    dep_opp: np.ndarray = field(default=None)       # their inward neighbors
-    dep_t: np.ndarray = field(default=None)         # cut fraction of the arm
-    dep_pin: np.ndarray = field(default=None)       # pinned row of that arm
-    # m -> interpolated and clipped rows with the clipped rows' weights
-    stencils: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -142,6 +141,27 @@ class Grid:
         grids = np.meshgrid(*[self.axis_coords(i) for i in range(self.n)],
                             indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
+
+
+@dataclass
+class Grid(Closure):
+    """A Closure with the stencil arms, cell fractions and the split into
+    stepped and interpolated nodes that the flow runs on."""
+
+    offsets: np.ndarray                # (D, n) lattice step of each direction
+    arm_src: np.ndarray                # (D, 2, K) row of each arm end in
+                                       # [f; pinned]: >= K when cut, sides +, -
+    arm_theta: np.ndarray              # (D, 2, K) arm length in lattice steps
+    cell_frac: np.ndarray              # (K,) covered fraction of each cell
+    pinned_pos: np.ndarray             # (P, n) cut arm ends
+    full_stencil: np.ndarray           # (K,) all arms unclipped
+    stepped: np.ndarray = field(default=None)       # (K,) evolved unknowns
+    dep_idx: np.ndarray = field(default=None)       # interpolated nodes
+    dep_opp: np.ndarray = field(default=None)       # their inward neighbors
+    dep_t: np.ndarray = field(default=None)         # cut fraction of the arm
+    dep_pin: np.ndarray = field(default=None)       # pinned row of that arm
+    # m -> interpolated and clipped rows with the clipped rows' weights
+    stencils: dict = field(default_factory=dict, repr=False)
 
 
 def _crossing_fraction(spec: DomainSpec, p: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -228,8 +248,38 @@ def _mark_dependent_nodes(grid: Grid) -> None:
     grid.dep_pin = np.array([r[3] for r in dep_rows], dtype=np.int64)
 
 
-def build_grid(spec: DomainSpec, target_h: float) -> Grid:
-    """Lattice, classification and stencil arms for a domain.
+def _neighbours(multi: np.ndarray, step: np.ndarray, dims: tuple):
+    """Flat lattice index of each row of multi + step (0 where that point
+    is off the lattice), and whether it is on the lattice."""
+    nb = multi + step
+    in_lat = np.all((nb >= 0) & (nb < np.array(dims)), axis=1)
+    strides = np.array([int(np.prod(dims[i + 1:])) for i in range(len(dims))],
+                       dtype=np.int64)
+    return np.where(in_lat, nb @ strides, 0), in_lat
+
+
+def _search_rows(d_bdry: np.ndarray, offsets: np.ndarray, hs: np.ndarray,
+                 scale: float) -> np.ndarray:
+    """Interior rows that can have a non-interior lattice neighbour.
+
+    The signed distance is 1-Lipschitz, so a node whose neighbour along
+    some arm is not interior lies within that arm's length of the
+    boundary, up to the classification tolerance and rounding (both below
+    CLS_TOL * scale).  Ascending, like the interior rows.
+    """
+    reach = np.linalg.norm(offsets * hs, axis=1).max() + 2.0 * CLS_TOL * scale
+    return np.nonzero(d_bdry <= reach)[0]
+
+
+def _classify(spec: DomainSpec, target_h: float) -> tuple[Closure, list]:
+    """The Closure at spacing target_h, and the cut stencil arms.
+
+    The cut arms are one (rows, ends, theta) triple per direction and side
+    (directions in order, + before -): the interior rows, ascending, whose
+    neighbour that way is not interior, the arm's far end (the boundary
+    node, or where the arm crosses the boundary) and its length in lattice
+    steps (1 at a boundary node).  The crossing search only visits
+    `_search_rows`, which hold every cut arm.
 
     Box edges are fitted exactly (per-axis spacing snapped so faces land
     on lattice planes); spherical shapes use the requested spacing with a
@@ -258,83 +308,56 @@ def build_grid(spec: DomainSpec, target_h: float) -> Grid:
             f"domain under-resolved: {across} interior nodes across the thinnest "
             f"dimension, need >= {MIN_NODES_ACROSS}")
 
-    grid = Grid(spec=spec, hs=hs, los=los, dims=dims, cls=None,
-                interior_flat=None, interior_pos=None, d_bdry=None,
-                offsets=None, arm_src=None, arm_theta=None, cell_frac=None,
-                boundary_samples=None,
-                boundary_nodes_pos=None, boundary_nodes_frac=None)
+    closure = Closure(spec=spec, hs=hs, los=los, dims=dims, cls=None,
+                      interior_flat=None, interior_pos=None, d_bdry=None,
+                      boundary_samples=None, boundary_nodes_pos=None,
+                      boundary_nodes_frac=None)
 
-    pos = grid.lattice_positions()
+    pos = closure.lattice_positions()
     sd = spec.signed_distance(pos)
     scale = max(1.0, float(np.abs(pos).max()))
     cls = np.where(sd < -CLS_TOL * scale, CLS_INTERIOR, CLS_EXTERIOR).astype(np.int8)
     cls[np.abs(sd) <= CLS_TOL * scale] = CLS_BOUNDARY
-    grid.cls = cls.reshape(dims)
+    closure.cls = cls.reshape(dims)
 
-    flat_cls = cls
-    interior_flat = np.nonzero(flat_cls == CLS_INTERIOR)[0]
-    grid.interior_flat = interior_flat
-    grid.interior_pos = pos[interior_flat]
-    grid.d_bdry = spec.boundary_distance(grid.interior_pos)
+    interior_flat = np.nonzero(cls == CLS_INTERIOR)[0]
+    closure.interior_flat = interior_flat
+    closure.interior_pos = pos[interior_flat]
+    closure.d_bdry = spec.boundary_distance(closure.interior_pos)
 
-    inv = np.full(pos.shape[0], -1, dtype=np.int64)
-    inv[interior_flat] = np.arange(interior_flat.size)
-
-    K = interior_flat.size
-    strides = np.array([int(np.prod(dims[i + 1:])) for i in range(n)], dtype=np.int64)
-    int_multi = np.stack(np.unravel_index(interior_flat, dims), axis=1)
-
-    bnd_flat = np.nonzero(flat_cls == CLS_BOUNDARY)[0]
-    grid.boundary_nodes_pos = pos[bnd_flat]
+    bnd_flat = np.nonzero(cls == CLS_BOUNDARY)[0]
+    closure.boundary_nodes_pos = pos[bnd_flat]
     if spec.kind == "box":
         lo, hi = spec.bounding_box()
-        on_face = (np.abs(grid.boundary_nodes_pos - lo) < CLS_TOL * scale) | \
-                  (np.abs(grid.boundary_nodes_pos - hi) < CLS_TOL * scale)
-        grid.boundary_nodes_frac = 0.5 ** on_face.sum(axis=1)
+        on_face = (np.abs(closure.boundary_nodes_pos - lo) < CLS_TOL * scale) | \
+                  (np.abs(closure.boundary_nodes_pos - hi) < CLS_TOL * scale)
+        closure.boundary_nodes_frac = 0.5 ** on_face.sum(axis=1)
     else:
-        grid.boundary_nodes_frac = np.zeros(bnd_flat.size)
+        closure.boundary_nodes_frac = np.zeros(bnd_flat.size)
 
     sample_pts = [pos[bnd_flat]] if bnd_flat.size else []
-    pinned = []          # far ends of the cut arms, in arm order
-    P = 0
+    cuts = []
     offsets = _direction_offsets(n)
-    arm_src = np.empty((len(offsets), 2, K), dtype=np.int64)
-    arm_theta = np.ones((len(offsets), 2, K))
-    for d, off in enumerate(offsets):
-        for side, sign in enumerate((+1, -1)):
-            nb_multi = int_multi + sign * off
-            in_lat = np.all((nb_multi >= 0) & (nb_multi < np.array(dims)), axis=1)
-            nb_flat = np.where(in_lat, nb_multi @ strides, 0)
-            nb_cls = np.where(in_lat, flat_cls[nb_flat], CLS_EXTERIOR)
-
-            cut = np.nonzero(nb_cls != CLS_INTERIOR)[0]
-            ends = pos[nb_flat[cut]]     # boundary nodes; crossings set below
-            clipped = nb_cls[cut] == CLS_EXTERIOR
+    rows = _search_rows(closure.d_bdry, offsets, hs, scale)
+    near = np.stack(np.unravel_index(interior_flat[rows], dims), axis=1)
+    for off in offsets:
+        for sign in (+1, -1):
+            nb_flat, in_lat = _neighbours(near, sign * off, dims)
+            nb_cls = np.where(in_lat, cls[nb_flat], CLS_EXTERIOR)
+            hit = np.nonzero(nb_cls != CLS_INTERIOR)[0]
+            cut = rows[hit]
+            ends = pos[nb_flat[hit]]
+            theta = np.ones(cut.size)
+            clipped = nb_cls[hit] == CLS_EXTERIOR
             if clipped.any():
-                p = grid.interior_pos[cut[clipped]]
+                p = closure.interior_pos[cut[clipped]]
                 step = np.broadcast_to(sign * off * hs, p.shape)
                 t = _crossing_fraction(spec, p, step)
                 cross = p + t[:, None] * step
                 sample_pts.append(cross)
-                arm_theta[d, side, cut[clipped]] = t
                 ends[clipped] = cross
-            pinned.append(ends)
-            arm_src[d, side] = inv[nb_flat]
-            arm_src[d, side, cut] = K + P + np.arange(cut.size)
-            P += cut.size
-    grid.offsets, grid.arm_src, grid.arm_theta = offsets, arm_src, arm_theta
-    grid.pinned_pos = np.vstack(pinned)
-    grid.full_stencil = (arm_theta == 1.0).all(axis=(0, 1))
-    # Covered-volume fraction of each node's cell: the product over axes of
-    # the covered half-arm lengths (cut arms contribute their sub-spacing,
-    # capped at the half cell).  Exact away from the boundary, first-order
-    # on cut cells; it removes the leading boundary error from the area and
-    # dissipation quadratures.
-    grid.cell_frac = np.ones(K)
-    for i in range(n):
-        grid.cell_frac *= np.minimum(arm_theta[i, 0], 0.5) \
-            + np.minimum(arm_theta[i, 1], 0.5)
-    _mark_dependent_nodes(grid)
+                theta[clipped] = t
+            cuts.append((cut, ends, theta))
 
     if sample_pts:
         allpts = np.vstack(sample_pts)
@@ -342,7 +365,56 @@ def build_grid(spec: DomainSpec, target_h: float) -> Grid:
         _, keep = np.unique(rounded, axis=0, return_index=True)
         samples = allpts[np.sort(keep)]
         order = np.lexsort(samples.T[::-1])
-        grid.boundary_samples = samples[order]
+        closure.boundary_samples = samples[order]
     else:
-        grid.boundary_samples = np.zeros((0, n))
+        closure.boundary_samples = np.zeros((0, n))
+    return closure, cuts
+
+
+def build_closure(spec: DomainSpec, target_h: float) -> Closure:
+    """Lattice, classification and closure sample for a domain, without
+    the stencil arms: the same arrays as build_grid's, bit for bit."""
+    return _classify(spec, target_h)[0]
+
+
+def build_grid(spec: DomainSpec, target_h: float) -> Grid:
+    """The Closure of a domain extended with its stencil arms.
+
+    Every interior node gets both arms of every direction: the row of the
+    far end in [f; pinned] (the neighbour's interior row, or K plus the
+    row of `pinned_pos` for a cut arm) and the arm length; then the cell
+    fractions and the stepped / interpolated split.
+    """
+    closure, cuts = _classify(spec, target_h)
+    K = closure.num_interior
+    offsets = _direction_offsets(spec.dim)
+    inv = np.full(closure.cls.size, -1, dtype=np.int64)
+    inv[closure.interior_flat] = np.arange(K)
+    int_multi = np.stack(np.unravel_index(closure.interior_flat, closure.dims),
+                         axis=1)
+    arm_src = np.empty((len(offsets), 2, K), dtype=np.int64)
+    arm_theta = np.ones((len(offsets), 2, K))
+    P = 0
+    for d, off in enumerate(offsets):
+        for side, sign in enumerate((+1, -1)):
+            cut, _, theta = cuts[2 * d + side]
+            arm_src[d, side] = inv[_neighbours(int_multi, sign * off,
+                                               closure.dims)[0]]
+            arm_src[d, side, cut] = K + P + np.arange(cut.size)
+            arm_theta[d, side, cut] = theta
+            P += cut.size
+    # Covered-volume fraction of each node's cell: the product over axes of
+    # the covered half-arm lengths (cut arms contribute their sub-spacing,
+    # capped at the half cell).  Exact away from the boundary, first-order
+    # on cut cells; it removes the leading boundary error from the area and
+    # dissipation quadratures.
+    cell_frac = np.ones(K)
+    for i in range(spec.dim):
+        cell_frac *= np.minimum(arm_theta[i, 0], 0.5) \
+            + np.minimum(arm_theta[i, 1], 0.5)
+    grid = Grid(**vars(closure), offsets=offsets, arm_src=arm_src,
+                arm_theta=arm_theta, cell_frac=cell_frac,
+                pinned_pos=np.vstack([ends for _, ends, _ in cuts]),
+                full_stencil=(arm_theta == 1.0).all(axis=(0, 1)))
+    _mark_dependent_nodes(grid)
     return grid

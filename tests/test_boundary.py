@@ -480,6 +480,13 @@ def _tied(shape):
                            shape).copy()
 
 
+def _tied_but_one_ulp(shape):
+    # the last row's last entry one ulp up: no longer a tied stack
+    mats = _tied(shape)
+    mats[-1].flat[-1] = np.nextafter(mats[-1].flat[-1], np.inf)
+    return mats
+
+
 def _symmetric(mats):
     return mats + np.swapaxes(mats, -1, -2)
 
@@ -506,6 +513,7 @@ def _scaled(scale):
 
 @pytest.mark.parametrize("make", [
     pytest.param(_tied, id="ties"),
+    pytest.param(_tied_but_one_ulp, id="ties_but_one_ulp"),
     pytest.param(np.zeros, id="zero"),
     pytest.param(_outside_band, id="max_outside_band"),
     pytest.param(_rank_one, id="rank_one"),
@@ -530,6 +538,22 @@ def test_screened_helpers_match_lapack_on_synthetic_stacks(make):
         assert bd._sup_hessian_norm(hess) == _lapack_d2(hess)
 
 
+@pytest.mark.parametrize("make, rows", [
+    pytest.param(_tied, 1, id="ties"),
+    pytest.param(_tied_but_one_ulp, 300, id="ties_but_one_ulp"),
+])
+def test_tied_stack_reaches_lapack_once(monkeypatch, make, rows):
+    # every row of a tied stack survives the screen; LAPACK then solves one
+    # of them, unless a single bit differs anywhere
+    counts = _RowCount(monkeypatch)
+    for shape in ((300, 2, 2), (300, 2, 3), (300, 1, 3)):
+        bd.top_singular_values(make(shape), np.arange(300) < 150)
+    bd.top_abs_eigenvalues(_symmetric(make((300, 3, 3))))
+    bd._sup_hessian_norm(_symmetric(make((300, 2, 2, 2))))
+    assert counts.rows == {"svd": [rows] * 3, "eigvals": [rows],
+                           "eigvalsh": [rows]}
+
+
 class _RowCount:
     """Rows handed to each np.linalg solver, one list entry per call."""
 
@@ -546,10 +570,13 @@ class _RowCount:
 
 def test_screen_prunes_lapack_rows(monkeypatch):
     counts = _RowCount(monkeypatch)
-    # zero Hessians, the shape of linear data: no eigensolve at all
+    # zero Hessians, the shape of linear data: no eigensolve at all, and
+    # the tied Jacobians reach svd as one matrix at h and at h/2
     bd._sup_hessian_norm(np.zeros((500, 2, 2, 2)))
-    bd.sup_norms(WORKLOADS["check-linear"][0], build_grid(BALL, 1.0 / 32), 0.1)
+    bd.check_condition_A(WORKLOADS["check-linear"][0], build_grid(BALL, 1.0 / 32),
+                         estimate_c0_eta0(BALL), 0.1)
     assert counts.rows["eigvals"] == []
+    assert counts.rows["svd"] == [1, 1]
 
     # ball-solve seed 0: every solve sees fewer rows than were sampled
     grid = build_grid(BALL, 1.0 / 32)

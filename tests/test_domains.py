@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from mssflow import boundary as bd, flow
+from mssflow import boundary as bd, flow, grid as grid_mod
 from mssflow.domains import DomainError, DomainSpec, estimate_c0_eta0
-from mssflow.grid import CLS_INTERIOR, build_grid
+from mssflow.grid import CLS_EXTERIOR, CLS_INTERIOR, build_closure, build_grid
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +103,43 @@ def test_lattice_index_round_trip():
         absent = np.vstack([np.argwhere(grid.cls != CLS_INTERIOR) + origin,
                             coords.min(axis=0) - 1, coords.max(axis=0) + 2])
         np.testing.assert_array_equal(grid.lattice_index(absent), -1)
+
+
+@pytest.mark.parametrize("spec, h, delta", [
+    (DomainSpec.ball(1.0, 2), 1.0 / 64, 0.1),
+    (DomainSpec.annulus(0.5, 1.0, 2), 1.0 / 32, 0.007),
+    (DomainSpec.exterior(1.0, 13.0, 2), 0.1015625, 0.012),
+    (DomainSpec.box([1.0, 0.7]), 0.0225, 0.1),
+    (DomainSpec.ball(1.0, 3), 0.05, 0.1),
+], ids=["ball", "annulus", "shell-13", "box", "ball-3d"])
+def test_closure_matches_the_flow_grid(spec, h, delta):
+    # the checker's h/2 pass builds only the closure: its sample must be
+    # the flow grid's bit for bit, and its crossing search, restricted to
+    # the nodes near the boundary, must visit every node that has a
+    # non-interior neighbour
+    closure, grid = build_closure(spec, h), build_grid(spec, h)
+    np.testing.assert_array_equal(closure.closure_points().view(np.uint64),
+                                  grid.closure_points().view(np.uint64))
+    for d in (delta, None):
+        np.testing.assert_array_equal(closure.closure_band_mask(d),
+                                      grid.closure_band_mask(d))
+    # nodes with a non-interior neighbour, from the classification alone
+    K = grid.num_interior
+    coords = np.stack(np.unravel_index(grid.interior_flat, grid.dims), axis=1)
+    touching = np.zeros(K, bool)
+    for off in grid.offsets:
+        for sign in (1, -1):
+            nb = coords + sign * off
+            on = np.all((nb >= 0) & (nb < np.array(grid.dims)), axis=1)
+            nb_cls = np.full(K, CLS_EXTERIOR)
+            nb_cls[on] = grid.cls[tuple(nb[on].T)]
+            touching |= nb_cls != CLS_INTERIOR
+    np.testing.assert_array_equal(touching,
+                                  (grid.arm_src >= K).any(axis=(0, 1)))
+    scale = max(1.0, float(np.abs(grid.lattice_positions()).max()))
+    search = grid_mod._search_rows(grid.d_bdry, grid.offsets, grid.hs, scale)
+    assert touching.any() and search.size < K
+    assert np.isin(np.nonzero(touching)[0], search).all()
 
 
 def test_under_resolved_grid_rejected():

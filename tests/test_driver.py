@@ -317,6 +317,28 @@ def test_program_does_not_import_the_pointwise_oracle():
     assert r.returncode == 0, r.stderr
 
 
+def test_program_does_not_import_numpy_random(tmp_path):
+    # numpy.random costs a fresh process ~15 ms and ~5 MB: neither the
+    # imports nor a check on linear data (zero Hessian, so no dense
+    # direction draw) load it
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = ("import pathlib, sys, mssflow.cli, mssflow.driver; "
+            "assert 'numpy.random' not in sys.modules, 'import'; "
+            "sys.path.insert(0, sys.argv[1]); "
+            "from workloads import generate; "
+            "pathlib.Path(sys.argv[2]).write_text("
+            "generate('check-linear', 0).text); "
+            "rc = mssflow.cli.main(['check_hypothesis', '--config', sys.argv[2], "
+            "'--out', sys.argv[3]]); "
+            "assert rc == 0, rc; "
+            "assert 'numpy.random' not in sys.modules, 'check_hypothesis'")
+    r = subprocess.run([sys.executable, "-c", code, str(root / "perfbench"),
+                        str(tmp_path / "check.cfg"), str(tmp_path / "out")],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert "outcome=HypothesisPass" in r.stdout
+
+
 # Public names no program path reaches, each with the caller that keeps it.
 UNREACHED_ALLOWED = {
     "flow.jets_all": "the kernel tests' view of the discrete jets",
