@@ -420,6 +420,38 @@ def test_dense_check_tolerance_is_relative():
         bd._dense_checked(hess[0], 0.5 * value)
 
 
+def _largest_gap_deg(dirs, probe):
+    """Largest angle from a probe point to its nearest direction, up to sign."""
+    cos = np.concatenate([np.abs(block @ dirs.T).max(axis=1)
+                          for block in np.array_split(probe, 20)])
+    return float(np.degrees(np.arccos(np.minimum(cos, 1.0))).max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("count", ["dense", "restarts"])
+def test_direction_set(n, count):
+    count = bd._DENSE_DIRECTIONS if count == "dense" \
+        else bd._POWER_RESTARTS - n
+    dirs = bd._direction_set(n, count)
+    assert dirs.shape == (count, n)
+    assert np.isfinite(dirs).all()
+    np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0,
+                               rtol=0, atol=4e-16)
+    assert not dirs.flags.writeable
+    with pytest.raises(ValueError):
+        dirs[0, 0] = 0.0
+    assert bd._direction_set(n, count) is dirs
+    # covers the sphere no worse than the seeded PCG64 draw it replaced;
+    # the probe must be dense next to a small set to resolve its gaps
+    rng = np.random.Generator(np.random.PCG64(1))
+    probe = rng.standard_normal((4_000 if count > 1_000 else 50_000, n))
+    probe /= np.linalg.norm(probe, axis=1, keepdims=True)
+    seeded = np.random.Generator(np.random.PCG64(20240601)).standard_normal(
+        (count, n))
+    seeded /= np.linalg.norm(seeded, axis=1, keepdims=True)
+    assert _largest_gap_deg(dirs, probe) <= _largest_gap_deg(seeded, probe)
+
+
 def _lapack_sigma(mats):
     return np.linalg.svd(mats, compute_uv=False)[:, 0]
 

@@ -319,24 +319,29 @@ def test_program_does_not_import_the_pointwise_oracle():
 
 def test_program_does_not_import_numpy_random(tmp_path):
     # numpy.random costs a fresh process ~15 ms and ~5 MB: neither the
-    # imports nor a check on linear data (zero Hessian, so no dense
-    # direction draw) load it
+    # imports nor a check load it, on linear data (zero Hessian, no dense
+    # cross-check) or on ball-solve's trigonometric data (m = 2, nonzero
+    # Hessian: the dense cross-check reads its fixed direction set)
     root = pathlib.Path(__file__).resolve().parents[1]
-    code = ("import pathlib, sys, mssflow.cli, mssflow.driver; "
-            "assert 'numpy.random' not in sys.modules, 'import'; "
-            "sys.path.insert(0, sys.argv[1]); "
-            "from workloads import generate; "
-            "pathlib.Path(sys.argv[2]).write_text("
-            "generate('check-linear', 0).text); "
-            "rc = mssflow.cli.main(['check_hypothesis', '--config', sys.argv[2], "
-            "'--out', sys.argv[3]]); "
-            "assert rc == 0, rc; "
-            "assert 'numpy.random' not in sys.modules, 'check_hypothesis'")
+    code = textwrap.dedent("""\
+        import pathlib, sys, mssflow.cli, mssflow.driver
+        assert 'numpy.random' not in sys.modules, 'import'
+        sys.path.insert(0, sys.argv[1])
+        from workloads import generate
+        cfg = pathlib.Path(sys.argv[2])
+        for name in ('check-linear', 'ball-solve'):
+            cfg.write_text(generate(name, 0).text.replace(
+                'mode = solve', 'mode = check_hypothesis'))
+            rc = mssflow.cli.main(['check_hypothesis', '--config', str(cfg),
+                                   '--out', sys.argv[3] + name])
+            assert rc == 0, (name, rc)
+            assert 'numpy.random' not in sys.modules, name
+        """)
     r = subprocess.run([sys.executable, "-c", code, str(root / "perfbench"),
-                        str(tmp_path / "check.cfg"), str(tmp_path / "out")],
+                        str(tmp_path / "check.cfg"), str(tmp_path / "out-")],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert "outcome=HypothesisPass" in r.stdout
+    assert r.stdout.count("outcome=HypothesisPass") == 2
 
 
 # Public names no program path reaches, each with the caller that keeps it.
