@@ -364,10 +364,10 @@ def _direction_set(n: int, count: int) -> np.ndarray:
     g = np.stack([r * np.cos(t), r * np.sin(t)], axis=2)
     g = g.reshape(count, d)[:, :n]
     norm = np.linalg.norm(g, axis=1)
-    zero = norm == 0.0
-    # Box-Muller maps u = 0 to r = 0: such a row becomes the first axis
-    g[zero, 0] = 1.0
-    dirs = g / np.where(zero, 1.0, norm)[:, None]
+    # Box-Muller maps u = 0 to r = 0, a row that would normalise to 0/0;
+    # it needs 0.5 + i alpha_1 to round to an integer, which no n <= 12 hits
+    assert norm.all(), "zero Box-Muller direction"
+    dirs = g / norm[:, None]
     dirs.setflags(write=False)
     return dirs
 

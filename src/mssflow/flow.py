@@ -392,26 +392,6 @@ class MonitorRecord:
                 self.boundary_grad_sup, self.barrier_min, self.step_dt)
 
 
-def _column_range(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f.min(axis=0) and f.max(axis=0) of a (K, m) array, bit for bit.
-
-    Reduced one column at a time: an axis-0 reduction over a few columns
-    pays per row, several times the cost.  A nonzero extreme has one bit
-    pattern, but which of 0.0 and -0.0 wins a tie depends on the reduction
-    order, so a zero (or NaN) extreme is taken from the axis-0 reduction.
-    Zeros when K = 0.
-    """
-    if not f.size:
-        return np.zeros(f.shape[1]), np.zeros(f.shape[1])
-    lo = np.array([col.min() for col in f.T])
-    hi = np.array([col.max() for col in f.T])
-    if not (np.abs(lo) > 0.0).all():
-        lo = f.min(axis=0)
-    if not (np.abs(hi) > 0.0).all():
-        hi = f.max(axis=0)
-    return lo, hi
-
-
 class FlowMonitors:
     """Run-scoped aggregation context for per-step monitor records.
 
@@ -506,7 +486,6 @@ class FlowMonitors:
             S, S_mirror = self.barrier_fields(state)
             barrier_min = float(np.minimum(S, S_mirror).min())
 
-        comp_min, comp_max = _column_range(state.f)
         return MonitorRecord(
             t=state.t,
             max_lambda=bundle.max_lambda,
@@ -518,8 +497,8 @@ class FlowMonitors:
             boundary_grad_sup=bgrad,
             barrier_min=barrier_min,
             step_dt=dt,
-            comp_min=comp_min,
-            comp_max=comp_max,
+            comp_min=state.f.min(axis=0) if state.f.size else np.zeros(state.m),
+            comp_max=state.f.max(axis=0) if state.f.size else np.zeros(state.m),
             dissipation_integral=diss_integral)
 
 

@@ -324,29 +324,6 @@ def test_monitor_record_csv_columns():
         "dt")
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_record_component_range_matches_axis_zero_reduction(m):
-    # comp_min / comp_max reduce one column at a time; they must keep the
-    # bits of f.min(axis=0) / f.max(axis=0), the sign of a zero included
-    grid = build_grid(BALL, 1.0 / 8)
-    psi = bd.TrigMap([0.01] * m, [[2.0, 1.0], [0.0, 2.0], [1.0, -1.0]][:m])
-    state = flow.make_state(grid, psi)
-    f = state.f.copy()
-    f[:, 0] = 1.0
-    f[2, 0], f[9, 0] = 0.0, -0.0         # a zero minimum held by both signs
-    if m > 1:
-        f[:, 1] = -1.0
-        f[2, 1], f[9, 1] = 0.0, -0.0     # a zero maximum held by both signs
-    state = state.replace_values(f, 0.0)
-    bundle = flow.compute_fields(state)
-    rec = flow.FlowMonitors(state).record(
-        state, bundle, 1.0, flow.dissipation_rate(state, bundle), 0.0)
-    assert np.array_equal(rec.comp_min.view(np.uint64),
-                          f.min(axis=0).view(np.uint64))
-    assert np.array_equal(rec.comp_max.view(np.uint64),
-                          f.max(axis=0).view(np.uint64))
-
-
 def test_barrier_fields_at_initial_time():
     grid = build_grid(BALL, 1.0 / 16)
     state = flow.make_state(grid, SMALL_TRIG)
