@@ -15,21 +15,13 @@ gap assumes second-order saturation, so these are estimates, not
 certified bounds; certified bounds (ROADMAP item 2) replace the
 reductions inside `sup_norms`.
 
-Each reduction there is a per-point spectral quantity and its maximum
-(sup|Dpsi| by svd, sup|D^2 psi| by eigvalsh for m = 1 and by a batched
-companion eigensolve for n = 2), and so are the barrier weight of
-`flow.FlowMonitors` and the far-field table of the exterior driver.  All
-of them screen first (`_screened`): cheap certified per-point upper and
-lower bounds drop every point that cannot hold the maximum, and LAPACK
-runs, unchanged, on the rest.  It solves each matrix of a batch on its
-own, so the winning value and every printed figure are bit-identical to
-an unscreened pass; for the same reason a surviving stack whose matrices
-are all bitwise equal (linear data ties every Jacobian) reaches LAPACK as
-one matrix.  The m >= 2 Hessian maxima cross-check their winning point
-against a dense direction sample, never for a zero Hessian, whose sample
-is zero.  That sample and the power iteration's restarts are fixed
-quasi-random sets (an R_d sequence mapped to the sphere, built once per
-(n, count)); no numpy.random is used.
+Each reduction there is a per-point spectral maximum (svd for sup|Dpsi|,
+the certified direction rule `_direction_max` for sup|D^2 psi|), as are
+the barrier weight of `flow.FlowMonitors` and the far-field table of the
+exterior driver.  All of them screen first (`_screened`): certified
+per-point bounds drop every point that cannot hold the maximum, LAPACK
+sees the rest (a stack of bitwise-equal matrices, as linear data gives,
+once), and every figure is bit-identical to an unscreened pass.
 
 Conditions A and B are one rule: the proved mu = 1 ceiling for the
 boundary gradient of the evolving graph (`boundary_gradient_bound`),
@@ -41,7 +33,7 @@ problems, the whole closure and threshold 1 - c.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from itertools import product
 
 import numpy as np
 
@@ -50,10 +42,10 @@ from .domains import BoundaryGeometry
 # boundary.build_grid (and a tier-1 test checks that it finds it)
 from .grid import Closure, Grid, build_closure, build_grid  # noqa: F401
 
-_POWER_RESTARTS = 32
-_POWER_ITERS = 60
-_DENSE_DIRECTIONS = 10_000
-_DENSE_MISMATCH_TOL = 1e-6
+# `_direction_max`: relative tolerance, vertices per round, eigvalsh batch
+_DIRECTION_TOL = 1e-12
+_VERTEX_BUDGET = 2 ** 17
+_EIG_CHUNK = 2 ** 13
 # The screen keeps a point unless its certified upper bound sits this far
 # (relative) below the best lower bound: far above the rounding of either
 # bound, so the point holding the maximum is never dropped.
@@ -276,9 +268,10 @@ def _screened(exact, mats: np.ndarray, upper: np.ndarray,
     band for band rows when band is given, of all rows otherwise), less
     _SCREEN_SLACK relative, cannot hold the maximum and keeps its lower
     bound, strictly below that maximum.  Every other point goes to exact,
-    which sees the same matrices whatever the batch (LAPACK solves each on
-    its own), so the maxima of the result are the unscreened ones bit for
-    bit, also when a stack of equal matrices sends only its first.
+    which must give it the same value whatever the batch (LAPACK solves
+    each matrix on its own; `_direction_max` says why it qualifies), so
+    the maxima of the result are the unscreened ones bit for bit, also
+    when a stack of equal matrices sends only its first.
     """
     live = _live(mats, upper, lower)
     if band is not None:
@@ -341,183 +334,90 @@ def top_abs_eigenvalues(sym: np.ndarray) -> np.ndarray:
                      sym, upper, lower)
 
 
-@cache
-def _direction_set(n: int, count: int) -> np.ndarray:
-    """count deterministic, quasi-random unit directions in R^n, read-only.
+def _cell_round(hess, offsets, corners, pt, face, centre, half):
+    """Best vertex value, centre vertex values and child bounds of cells."""
+    verts = centre[:, None, :] + half * offsets[face]          # (P, G, m)
+    norm = np.linalg.norm(verts, axis=2)
+    h = hess[pt][:, None]
+    # M(v) = sum_A v_A H_A in component order (at m = 1 exactly H)
+    mats = verts[:, :, 0, None, None] * h[:, :, 0]
+    for A in range(1, verts.shape[2]):
+        mats += verts[:, :, A, None, None] * h[:, :, A]
+    rho = np.abs(np.linalg.eigvalsh(mats.reshape(-1, *mats.shape[-2:])))
+    rho = rho.max(axis=1).reshape(norm.shape) / norm
+    unit = (verts / norm[:, :, None])[:, corners]               # (P, C, K, m)
+    mid = unit.sum(axis=2)
+    cos = (np.einsum("pckm,pcm->pck", unit, mid).min(axis=2)
+           / np.linalg.norm(mid, axis=2))
+    return (rho.max(), rho[:, (offsets.shape[1] - 1) // 2],
+            rho[:, corners].max(axis=2) / cos)
 
-    The points i = 1..count of the R_d sequence, frac(0.5 + i alpha) with
-    alpha_j = phi_d^-j and phi_d the positive root of x^(d+1) = x + 1
-    (d = n rounded up to even), are mapped to Gaussian vectors by
-    Box-Muller, one pair of coordinates per pair of normals, and
-    normalised.  They cover the sphere more evenly than a pseudo-random
-    draw of the same size, and no numpy.random is imported (it costs a
-    fresh process about 15 ms and 5 MB).  Built on first use per (n, count).
+
+def _direction_max(hess: np.ndarray) -> tuple[np.ndarray, float]:
+    """Per-point certified upper ends of max_{|tau|=1} |D^2 psi(tau, tau)|
+    and F, a lower end of their maximum (ROADMAP item 11).
+
+    That is max_{|c|=1} rho(M(c)), M(c) = sum_A c_A H_A, rho the spectral
+    radius, convex and even in c.  On a cell (sub-square of a face
+    c_j = +1) rho(M(c/|c|)) <= max_i rho(M(u_i)) / min_i u_i.z (u_i its
+    normalised corners, z their normalised sum) and <= |(rho(H_A))_A|.
+    Rounds solve the vertices of the live cells (the first splits each
+    face at e_j), raise F, the best vertex value, drop every child whose
+    bound is within _DIRECTION_TOL of F and split the rest, until none is
+    live or the next round would pass _VERTEX_BUDGET.  A point reports the
+    largest bound of its cells dropped or left live; flat data (as large
+    in every direction) keeps the last round's width.  At m = 1 this is
+    max |eig H| bit for bit.  A point whose cap is below the screen's
+    lower bound (<= F) never raises F and loses all its cells in the first
+    round, so screening it out changes no other value (a tied stack solved
+    once may refine deeper within the budget than its copies would).
     """
-    d = n + n % 2
-    phi = 2.0
-    for _ in range(64):     # a contraction: converged to the last bit
-        phi = (1.0 + phi) ** (1.0 / (d + 1))
-    alpha = phi ** -np.arange(1.0, d + 1)
-    u = (0.5 + np.arange(1.0, count + 1)[:, None] * alpha) % 1.0
-    r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
-    t = 2.0 * np.pi * u[:, 1::2]
-    g = np.stack([r * np.cos(t), r * np.sin(t)], axis=2)
-    g = g.reshape(count, d)[:, :n]
-    norm = np.linalg.norm(g, axis=1)
-    # Box-Muller maps u = 0 to r = 0, a row that would normalise to 0/0;
-    # it needs 0.5 + i alpha_1 to round to an integer, which no n <= 12 hits
-    assert norm.all(), "zero Box-Muller direction"
-    dirs = g / norm[:, None]
-    dirs.setflags(write=False)
-    return dirs
-
-
-def _dense_checked(hess_pt: np.ndarray, value: float) -> float:
-    """value, cross-checked against a dense direction sample at one point.
-
-    The sampled max_tau |D^2 psi(tau, tau)| may only beat value by
-    rounding; a larger gap means the direction search failed and aborts
-    the check.  A zero Hessian has a zero dense sample, so it draws none.
-    """
-    if not hess_pt.any():
-        return float(max(value, 0.0))
-    taus = _direction_set(hess_pt.shape[-1], _DENSE_DIRECTIONS)
-    q = np.einsum("Aij,ti,tj->tA", hess_pt, taus, taus)
-    dense = np.linalg.norm(q, axis=1).max()
-    if dense > value + _DENSE_MISMATCH_TOL * dense:
-        raise RuntimeError(
-            f"directional Hessian norm search missed the dense-sample value "
-            f"({value} vs {dense}); aborting the check")
-    return float(max(value, dense))
-
-
-def _planar_coefficients(hess: np.ndarray):
-    """alpha, beta, gamma (B, m) and P1c, P1s, P2c, P2s (B,) for n = 2."""
-    a, b, c = hess[:, :, 0, 0], hess[:, :, 0, 1], hess[:, :, 1, 1]
-    alpha, beta, gamma = 0.5 * (a + c), 0.5 * (a - c), b
-    p1c = 2.0 * (alpha * beta).sum(axis=1)
-    p1s = 2.0 * (alpha * gamma).sum(axis=1)
-    p2c = 0.5 * (beta * beta - gamma * gamma).sum(axis=1)
-    p2s = (beta * gamma).sum(axis=1)
-    return alpha, beta, gamma, p1c, p1s, p2c, p2s
-
-
-def _planar_values(alpha, beta, gamma, s: np.ndarray) -> np.ndarray:
-    """|q(s)| at the angles s (B, S) of each point, (B, S)."""
-    q = (alpha[:, None, :] + beta[:, None, :] * np.cos(s)[:, :, None]
-         + gamma[:, None, :] * np.sin(s)[:, :, None])
-    return np.linalg.norm(q, axis=2)
-
-
-def _planar_direction_max(hess: np.ndarray) -> np.ndarray:
-    """Exact direction maximum for n = 2 at each sample point, (B,).
-
-    With tau = (cos t, sin t) and s = 2t each component is
-    q_A(s) = alpha_A + beta_A cos s + gamma_A sin s, so
-    |q|^2 = P0 + P1c cos s + P1s sin s + P2c cos 2s + P2s sin 2s.  Its
-    critical points are the angles of the roots of
-    c4 z^4 + c3 z^3 + conj(c3) z + conj(c4) (z = e^{is}), found as the
-    eigenvalues of a batched companion matrix.  Where c4 is negligible
-    against c3 the quartic degenerates and the maximum sits at
-    atan2(P1s, P1c), which is always evaluated too.  Roots off the unit
-    circle only add angles whose values cannot exceed the maximum.
-    """
-    B = hess.shape[0]
-    alpha, beta, gamma, p1c, p1s, p2c, p2s = _planar_coefficients(hess)
-    c4 = 2.0 * p2s + 2.0j * p2c
-    c3 = p1s + 1j * p1c
-    # z^4 + 1 stands in where the leading coefficient would blow up
-    flat = np.abs(c4) <= 1e-12 * np.abs(c3)
-    c4 = np.where(flat, 1.0, c4)
-    c3 = np.where(flat, 0.0, c3)
-    comp = np.zeros((B, 4, 4), complex)
-    comp[:, 0, 0] = -c3 / c4
-    comp[:, 0, 2] = -np.conj(c3) / c4
-    comp[:, 0, 3] = -np.conj(c4) / c4
-    comp[:, 1, 0] = comp[:, 2, 1] = comp[:, 3, 2] = 1.0
-    s = np.concatenate([np.angle(np.linalg.eigvals(comp)),
-                        np.arctan2(p1s, p1c)[:, None]], axis=1)   # (B, 5)
-    return _planar_values(alpha, beta, gamma, s).max(axis=1)
-
-
-def _sup_hessian_norm_planar(hess: np.ndarray) -> float:
-    """Exact direction maximum for n = 2 over all sample points.
-
-    Screened (`_screened`): |q|^2 <= P0 + |(P1c, P1s)| + |(P2c, P2s)| at
-    every angle, with P0 = sum_A alpha_A^2 + (beta_A^2 + gamma_A^2) / 2,
-    and |q| at atan2(P1s, P1c), an angle the exact pass also evaluates, is
-    a lower bound, so only the points that can hold the maximum reach the
-    companion eigensolve of `_planar_direction_max`.
-    """
-    alpha, beta, gamma, p1c, p1s, p2c, p2s = _planar_coefficients(hess)
-    p0 = (alpha * alpha + 0.5 * (beta * beta + gamma * gamma)).sum(axis=1)
-    upper = np.sqrt(p0 + np.hypot(p1c, p1s) + np.hypot(p2c, p2s))
-    lower = _planar_values(alpha, beta, gamma,
-                           np.arctan2(p1s, p1c)[:, None])[:, 0]
-    best = _screened(_planar_direction_max, hess, upper, lower)
-    winner = int(np.argmax(best))
-    return _dense_checked(hess[winner], best[winner])
-
-
-def _sup_hessian_norm_iterative(hess: np.ndarray) -> float:
-    """Projected power iteration for the direction maximum, any n.
-
-    The stacked quadratic forms are iterated from a fixed set of restarts
-    (the component eigenvectors plus fixed quasi-random directions); the
-    winning point is cross-checked against a dense direction sample.
-    """
-    B, m, n, _ = hess.shape
-    evals, evecs = np.linalg.eigh(hess)   # (B, m, n), (B, m, n, n)
-    # Candidate starts (eigenvectors of the component forms) double as a
-    # lower bound; points whose crude upper bound sqrt(sum_A max|eig|^2)
-    # cannot reach it are pruned before the iteration, and so are points
-    # where every form vanishes (upper == 0, so q is identically zero).
-    cand = evecs.transpose(0, 1, 3, 2).reshape(B, n * m, n)
-    qc = np.einsum("bAij,bsi,bsj->bsA", hess, cand, cand)
-    floor = float(np.linalg.norm(qc, axis=2).max())
-    upper = np.sqrt((np.abs(evals).max(axis=2) ** 2).sum(axis=1))
-    live = np.nonzero((upper > 0.0) & (upper >= floor - 1e-15))[0]
-    if live.size == 0:
-        return floor
-
-    sub = hess[live]
-    fixed = np.vstack([np.eye(n),
-                       _direction_set(n, max(_POWER_RESTARTS - n, 1))])
-    fixed = np.broadcast_to(fixed[:_POWER_RESTARTS],
-                            (live.size, min(_POWER_RESTARTS, fixed.shape[0]), n))
-    tau = np.concatenate([cand[live], fixed], axis=1)
-    for _ in range(_POWER_ITERS):
-        q = np.einsum("bAij,bsi,bsj->bsA", sub, tau, tau)
-        grad = np.einsum("bsA,bAij,bsj->bsi", q, sub, tau)
-        nrm = np.linalg.norm(grad, axis=2, keepdims=True)
-        tau = np.where(nrm > 1e-30, grad / np.where(nrm == 0, 1.0, nrm), tau)
-    q = np.einsum("bAij,bsi,bsj->bsA", sub, tau, tau)
-    best = np.linalg.norm(q, axis=2).max(axis=1)
-
-    winner = int(np.argmax(best))
-    return max(_dense_checked(sub[winner], best[winner]), floor)
+    B, m = hess.shape[:2]
+    # a cell of face j with centre z and half-side s has the vertices
+    # z + s offsets[j]; its child k has the corners corners[k] of them
+    grid = np.array(list(product((-1, 0, 1), repeat=m - 1)), float)
+    signs = np.array(list(product((-1, 1), repeat=m - 1)), float)
+    inside = (np.abs(2.0 * grid - signs[:, None]) <= 1.0).all(axis=2)
+    corners = np.nonzero(inside)[1].reshape(len(signs), -1)
+    offsets = np.stack([np.insert(grid, j, 0.0, axis=1) for j in range(m)])
+    step = max(1, _EIG_CHUNK // len(grid))
+    pt, face = np.divmod(np.arange(B * m), m)
+    centre, half, best, cap, out = np.eye(m)[face], 1.0, 0.0, None, np.zeros(B)
+    while True:
+        parts = [_cell_round(hess, offsets, corners, pt[s:s + step],
+                             face[s:s + step], centre[s:s + step], half)
+                 for s in range(0, pt.size, step)]
+        best = max(best, max(p[0] for p in parts))
+        if cap is None:     # rho(M(c)) <= sum_A |c_A| rho(H_A), for each e_A
+            cap = np.hypot.reduce(np.concatenate([p[1] for p in parts])
+                                  .reshape(B, m), axis=1)
+        bound = np.minimum(np.concatenate([p[2] for p in parts]),
+                           cap[pt][:, None])
+        live = bound > best * (1.0 + _DIRECTION_TOL)
+        live &= np.count_nonzero(live) * len(grid) <= _VERTEX_BUDGET
+        np.maximum.at(out, np.broadcast_to(pt[:, None], live.shape)[~live],
+                      bound[~live])
+        if not live.any():
+            return out, best
+        parent, kid = np.nonzero(live)
+        centre = centre[parent] + half * offsets[face[parent, None],
+                                                 corners[kid]].mean(axis=1)
+        pt, face, half = pt[parent], face[parent], 0.5 * half
 
 
 def _sup_hessian_norm(hess: np.ndarray) -> float:
     """sup over samples of max_{|tau|=1} |D^2 psi(tau, tau)| (vector norm).
 
-    One component (m = 1, any n): the largest absolute Hessian eigenvalue
-    (`top_abs_eigenvalues`).  Two variables (n = 2, m >= 2): the exact
-    maximum over the circle of directions, from the roots of a quartic
-    (`_sup_hessian_norm_planar`).  These two screen points before LAPACK
-    and return the unscreened value bit for bit.  Otherwise (m >= 2,
-    n != 2): a projected power iteration (`_sup_hessian_norm_iterative`).
-    Both m >= 2 paths cross-check the winning point against a dense
-    direction sample.
+    The upper end of `_direction_max`, screened by the Frobenius norm of
+    (H_A)_A and the best `_norm2_bounds` lower bound of an H_A.
     """
     B, m, n, _ = hess.shape
     if B == 0:
         return 0.0
-    if m == 1:
-        return float(top_abs_eigenvalues(hess[:, 0]).max())
-    if n == 2:
-        return _sup_hessian_norm_planar(hess)
-    return _sup_hessian_norm_iterative(hess)
+    lower = _norm2_bounds(hess.reshape(B * m, n, n))[1].reshape(B, m).max(1)
+    upper = np.sqrt(np.einsum("bAij,bAij->b", hess, hess))
+    return float(_screened(lambda sub: _direction_max(sub)[0], hess, upper,
+                           lower).max())
 
 
 def sup_norms(psi, grid: Closure, delta: float | None) -> tuple[PsiNorms, float]:

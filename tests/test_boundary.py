@@ -5,7 +5,7 @@ import pytest
 
 from mssflow import boundary as bd, flow
 from mssflow.domains import BoundaryGeometry, DomainSpec, estimate_c0_eta0
-from mssflow.grid import build_grid
+from mssflow.grid import build_closure, build_grid
 
 BALL = DomainSpec.ball(1.0, 2)
 BOX = DomainSpec.box([1.0, 1.0])
@@ -98,7 +98,7 @@ def test_sup_norms_examples(box_grid, ball_grid):
     assert glob == norms.sup_dpsi
     norms, glob = bd.sup_norms(bd.ConstantMap([5.0], 2), box_grid, None)
     assert norms.sup_dpsi == norms.sup_d2psi == glob == 0.0
-    # n = 3, m = 2: zero Hessians take the power-iteration path
+    # n = 3, m = 2: zero Hessians are screened out before any eigensolve
     A = np.array([[0.3, 0.1, 0.0], [0.0, 0.2, -0.1]])
     cube = build_grid(DomainSpec.box([1.0, 1.0, 1.0]), 1.0 / 10)
     norms, _ = bd.sup_norms(bd.LinearMap(A), cube, None)
@@ -134,8 +134,8 @@ def _isotropic_hessians():
 
 
 def _circular_hessians():
-    # sum beta^2 = sum gamma^2 and sum beta gamma = 0: the quartic's
-    # leading coefficient vanishes and |q|^2 is first order in s = 2t
+    # sum beta^2 = sum gamma^2 and sum beta gamma = 0: |q|^2 is first
+    # order in s = 2t, a degenerate case for closed forms in s
     rng = np.random.default_rng(15)
     alpha, r = rng.standard_normal((50, 2)), rng.standard_normal(50)
     h = alpha[:, :, None, None] * np.eye(2)
@@ -183,9 +183,10 @@ def _swept_direction_max(hess):
 
 POLY = bd.PolynomialMap([([0.4, -0.3], [[2, 0], [1, 1]]),
                          ([0.25, 0.35], [[0, 2], [2, 0]])], 2)
-# ball-solve's trigonometric data, where the closed form must also match
-# the power iteration it replaced
+# ball-solve's trigonometric data; on its h = 1/16 sample the projected
+# power iteration that the direction rule replaced returned this value
 BALL_TRIG = bd.TrigMap([0.01, 0.005], [[2.0, 1.0], [0.0, 2.0]], [0.0, 0.5])
+BALL_TRIG_ITERATION = 0.050166301685529345
 
 
 @pytest.mark.parametrize("make_hessians, against_iteration", [
@@ -204,15 +205,90 @@ BALL_TRIG = bd.TrigMap([0.01, 0.005], [[2.0, 1.0], [0.0, 2.0]], [0.0, 0.5])
 ])
 def test_vector_hessian_norm_against_dense_sampling(ball_grid, make_hessians,
                                                     against_iteration):
-    # n = 2, m >= 2 stacked quadratic forms: the closed-form direction
+    # n = 2, m >= 2 stacked quadratic forms: the certified direction
     # maximum must agree with a brute-force direction sweep
     hess = make_hessians(ball_grid)
     value = bd._sup_hessian_norm(hess)
     dense = _swept_direction_max(hess)
     assert dense - 1e-12 <= value <= dense + 1e-9
     if against_iteration:
-        np.testing.assert_allclose(
-            value, bd._sup_hessian_norm_iterative(hess), rtol=1e-14)
+        upper, lower = bd._direction_max(hess)
+        assert lower <= BALL_TRIG_ITERATION <= upper.max() == value
+
+
+def _seeded_hessians(n, m, seed, count=40):
+    h = np.random.default_rng(seed).standard_normal((count, m, n, n))
+    return h + np.swapaxes(h, -1, -2)
+
+
+@pytest.mark.parametrize("n, m, iteration", [
+    (3, 2, 7.712819476245532),
+    (3, 3, 8.22890299164495),
+    (4, 2, 9.74135988817718),
+    (4, 3, 9.327006585589023),
+])
+def test_direction_max_brackets_the_power_iteration(n, m, iteration):
+    # the values of the 32-restart projected power iteration that the
+    # direction rule replaced, on the same seeded stacks: each lies in
+    # the certified interval [F, U], which is 1e-12 relative wide
+    hess = _seeded_hessians(n, m, seed=10 * n + m)
+    upper, lower = bd._direction_max(hess)
+    assert lower <= iteration <= upper.max()
+    assert upper.max() <= lower * (1.0 + 1e-12)
+    assert bd._sup_hessian_norm(hess) == upper.max()
+
+
+def _disk_band_hessians(psi):
+    grid = build_grid(BALL, 1.0 / 32)
+    pts = grid.closure_points()
+    band = grid.closure_band_mask(0.1)
+    return psi.jets(pts[band])[2], np.linalg.norm(pts[band], axis=1).max()
+
+
+def _lawson_osserman(scale):
+    psi = bd.LawsonOssermanMap(scale)
+    pts = np.random.default_rng(31).uniform(-0.5, 0.5, (50, 4))
+    return psi.jets(pts)[2], 2.0 * scale
+
+
+def _square(eps):
+    # eps (x^2 - y^2, 2xy) = eps z^2: |D^2 psi(tau, tau)| = 2 eps, any tau
+    psi = bd.PolynomialMap([([eps, -eps], [[2, 0], [0, 2]]),
+                            ([2.0 * eps], [[1, 1]])], 2)
+    return psi.jets(np.zeros((1, 2)))[2], 2.0 * eps
+
+
+def _cube(eps):
+    # eps z^3: |D^2 psi(tau, tau)| = 6 eps |z| for every tau
+    psi = bd.PolynomialMap([([eps, -3.0 * eps], [[3, 0], [1, 2]]),
+                            ([3.0 * eps, -eps], [[2, 1], [0, 3]])], 2)
+    hess, rmax = _disk_band_hessians(psi)
+    return hess, 6.0 * eps * rmax
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _lawson_osserman(0.3), id="lawson_osserman"),
+    pytest.param(lambda: _square(0.01), id="holomorphic_z2"),
+    pytest.param(lambda: _cube(0.01), id="holomorphic_z3_band"),
+])
+def test_direction_max_on_flat_data(monkeypatch, make):
+    # |D^2 psi(tau, tau)| takes its maximum in every direction: no cell
+    # can be dropped, so refinement stops at the vertex budget and the
+    # certified interval keeps that round's width.  Every vertex value
+    # equals the maximum up to rounding, hence the slack on F.
+    hess, exact = make()
+    B, m = hess.shape[:2]
+    lower = bd._direction_max(hess)[1]
+    counts = _RowCount(monkeypatch)
+    value = bd._sup_hessian_norm(hess)
+    assert lower <= exact * (1.0 + 1e-14) and exact <= value
+    assert value / exact - 1.0 <= 1e-3
+    # the first round solves m 3^(m-1) vertices per point; after it the
+    # live cells (about) double per round up to the budget, so the later
+    # rounds sum to under two budgets
+    assert sum(counts.rows["eigvalsh"]) <= B * m * 3 ** (m - 1) \
+        + 2 * bd._VERTEX_BUDGET
+    assert max(counts.rows["eigvalsh"]) <= bd._EIG_CHUNK
 
 
 # ---------------------------------------------------------------------------
@@ -410,46 +486,43 @@ def test_one_sample_of_the_data_per_grid(ball_grid):
 # the screen in front of LAPACK
 # ---------------------------------------------------------------------------
 
-def test_dense_check_tolerance_is_relative():
-    # small data is what condition A admits: a direction search that
-    # returns half the true maximum must abort at any scale
-    hess = 1e-9 * _random_hessians(2, count=1)
-    value = bd._sup_hessian_norm(hess)
-    assert bd._dense_checked(hess[0], value) == value
-    with pytest.raises(RuntimeError, match="missed the dense-sample value"):
-        bd._dense_checked(hess[0], 0.5 * value)
-
-
-def _largest_gap_deg(dirs, probe):
-    """Largest angle from a probe point to its nearest direction, up to sign."""
-    cos = np.concatenate([np.abs(block @ dirs.T).max(axis=1)
-                          for block in np.array_split(probe, 20)])
-    return float(np.degrees(np.arccos(np.minimum(cos, 1.0))).max())
+def test_direction_tolerance_is_relative():
+    # small data is what condition A admits: the certified interval is as
+    # tight, relatively, at 1e-9 as at 1
+    hess = _random_hessians(3, count=20)
+    for scale in (1.0, 1e-9):
+        upper, lower = bd._direction_max(scale * hess)
+        assert lower <= upper.max() <= lower * (1.0 + 1e-12)
+    np.testing.assert_allclose(bd._sup_hessian_norm(1e-9 * hess),
+                               1e-9 * bd._sup_hessian_norm(hess), rtol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("count", ["dense", "restarts"])
 def test_direction_set(n, count):
-    count = bd._DENSE_DIRECTIONS if count == "dense" \
-        else bd._POWER_RESTARTS - n
-    dirs = bd._direction_set(n, count)
-    assert dirs.shape == (count, n)
-    assert np.isfinite(dirs).all()
-    np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0,
-                               rtol=0, atol=4e-16)
-    assert not dirs.flags.writeable
-    with pytest.raises(ValueError):
-        dirs[0, 0] = 0.0
-    assert bd._direction_set(n, count) is dirs
-    # covers the sphere no worse than the seeded PCG64 draw it replaced;
-    # the probe must be dense next to a small set to resolve its gaps
-    rng = np.random.Generator(np.random.PCG64(1))
-    probe = rng.standard_normal((4_000 if count > 1_000 else 50_000, n))
-    probe /= np.linalg.norm(probe, axis=1, keepdims=True)
-    seeded = np.random.Generator(np.random.PCG64(20240601)).standard_normal(
-        (count, n))
-    seeded /= np.linalg.norm(seeded, axis=1, keepdims=True)
-    assert _largest_gap_deg(dirs, probe) <= _largest_gap_deg(seeded, probe)
+    # the certified interval against two direction sets: a dense seeded
+    # sample of unit directions (a lower bound at every point) and the
+    # local maxima of a projected power iteration from 32 restarts
+    m = 2 if n > 1 else 3
+    hess = _seeded_hessians(n, m, seed=50 + n, count=10)
+    upper, lower = bd._direction_max(hess)
+    rng = np.random.default_rng(n)
+    if count == "dense":
+        taus = np.broadcast_to(rng.standard_normal((10_000, n)), (10, 10_000, n))
+    else:
+        taus = rng.standard_normal((10, 32, n))
+        for _ in range(300):
+            q = np.einsum("bAij,bsi,bsj->bsA", hess, taus, taus)
+            taus = np.einsum("bsA,bAij,bsj->bsi", q, hess, taus)
+            taus /= np.linalg.norm(taus, axis=2, keepdims=True)
+    taus = taus / np.linalg.norm(taus, axis=2, keepdims=True)
+    q = np.einsum("bAij,bsi,bsj->bsA", hess, taus, taus)
+    found = np.linalg.norm(q, axis=2).max(axis=1)
+    # (U is certified up to the rounding of its own arithmetic)
+    assert (found <= upper * (1.0 + 1e-14)).all()
+    if count == "restarts":
+        # from 32 restarts the iteration finds the global maximum
+        assert lower * (1.0 - 1e-9) <= found.max()
 
 
 def _lapack_sigma(mats):
@@ -461,12 +534,8 @@ def _lapack_abs_eig(sym):
 
 
 def _lapack_d2(hess):
-    """sup|D2psi| with the exact per-point solve on every row."""
-    if hess.shape[1] == 1:
-        return float(_lapack_abs_eig(hess[:, 0]).max())
-    best = bd._planar_direction_max(hess)
-    winner = int(np.argmax(best))
-    return bd._dense_checked(hess[winner], best[winner])
+    """sup|D2psi| with the direction rule run on every row, unscreened."""
+    return float(bd._direction_max(hess)[0].max())
 
 
 # the seed-0 data of the three benchmark workloads (perfbench/workloads.py):
@@ -582,15 +651,16 @@ def test_tied_stack_reaches_lapack_once(monkeypatch, make, rows):
         bd.top_singular_values(make(shape), np.arange(300) < 150)
     bd.top_abs_eigenvalues(_symmetric(make((300, 3, 3))))
     bd._sup_hessian_norm(_symmetric(make((300, 2, 2, 2))))
-    assert counts.rows == {"svd": [rows] * 3, "eigvals": [rows],
-                           "eigvalsh": [rows]}
+    assert counts.rows["svd"] == [rows] * 3
+    # m = 2: the direction rule's first round solves 2 faces x 3 vertices
+    assert counts.rows["eigvalsh"][:2] == [rows, 6 * rows]
 
 
 class _RowCount:
     """Rows handed to each np.linalg solver, one list entry per call."""
 
     def __init__(self, monkeypatch):
-        self.rows = {"svd": [], "eigvals": [], "eigvalsh": []}
+        self.rows = {"svd": [], "eigvalsh": []}
         for name, rows in self.rows.items():
             solver = getattr(np.linalg, name)
 
@@ -607,21 +677,45 @@ def test_screen_prunes_lapack_rows(monkeypatch):
     bd._sup_hessian_norm(np.zeros((500, 2, 2, 2)))
     bd.check_condition_A(WORKLOADS["check-linear"][0], build_grid(BALL, 1.0 / 32),
                          estimate_c0_eta0(BALL), 0.1)
-    assert counts.rows["eigvals"] == []
+    assert counts.rows["eigvalsh"] == []
     assert counts.rows["svd"] == [1, 1]
 
-    # ball-solve seed 0: every solve sees fewer rows than were sampled
+    # ball-solve seed 0 at h and h/2: svd sees fewer rows than were
+    # sampled, and the whole direction rule (m = 2) solves fewer vertex
+    # matrices than an unscreened first round alone (6 per band row)
     grid = build_grid(BALL, 1.0 / 32)
-    sampled = []
-    for g in (grid, build_grid(BALL, 1.0 / 64)):
+    for g in (grid, build_closure(BALL, 1.0 / 64)):
         band = g.closure_band_mask(0.1)
-        sampled.append((band.size, int(band.sum())))
-    counts.rows["svd"].clear()
-    bd.check_condition_A(BALL_TRIG, grid, estimate_c0_eta0(BALL), 0.1)
+        counts.rows["svd"].clear()
+        counts.rows["eigvalsh"].clear()
+        bd.sup_norms(BALL_TRIG, g, 0.1)
+        assert len(counts.rows["svd"]) == 1
+        assert 0 < counts.rows["svd"][0] < band.size
+        assert 0 < sum(counts.rows["eigvalsh"]) < 6 * band.sum()
+    counts.rows["eigvalsh"].clear()
     flow.FlowMonitors(flow.make_state(grid, BALL_TRIG), delta=0.1)
-    assert len(counts.rows["svd"]) == len(counts.rows["eigvals"]) == 2
-    for (rows, band_rows), svd, eig in zip(sampled, counts.rows["svd"],
-                                           counts.rows["eigvals"]):
-        assert 0 < svd < rows and 0 < eig < band_rows
     assert len(counts.rows["eigvalsh"]) == 2      # one per component
-    assert all(0 < r < sampled[0][1] for r in counts.rows["eigvalsh"])
+    band_rows = grid.closure_band_mask(0.1).sum()
+    assert all(0 < r < band_rows for r in counts.rows["eigvalsh"])
+
+
+# eps z1^2 z2 on C^2 = R^4, and the 3-D trigonometric data of ROADMAP's
+# n = 3, m = 2 check
+POLY4 = bd.PolynomialMap([
+    ([0.004, -0.004, -0.008], [[2, 0, 1, 0], [0, 2, 1, 0], [1, 1, 0, 1]]),
+    ([0.004, -0.004, 0.008], [[2, 0, 0, 1], [0, 2, 0, 1], [1, 1, 1, 0]])], 4)
+TRIG3 = bd.TrigMap([0.01, 0.005], [[2.0, 1.0, 0.5], [0.0, 2.0, 1.0]])
+
+
+@pytest.mark.parametrize("psi, dim, h, delta", [
+    pytest.param(POLY4, 4, 0.2, None, id="n4_polynomial_closure"),
+    pytest.param(TRIG3, 3, 0.1, 0.1, id="n3_trig_band"),
+])
+def test_direction_rule_memory_is_chunked(monkeypatch, psi, dim, h, delta):
+    # the eigensolves run in chunks whatever the number of sample points
+    closure = build_closure(DomainSpec.ball(1.0, dim), h)
+    hess = psi.jets(closure.closure_points())[2][closure.closure_band_mask(delta)]
+    counts = _RowCount(monkeypatch)
+    bd._sup_hessian_norm(hess)
+    assert sum(counts.rows["eigvalsh"]) > bd._EIG_CHUNK
+    assert max(counts.rows["eigvalsh"]) <= bd._EIG_CHUNK

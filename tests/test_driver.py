@@ -319,9 +319,10 @@ def test_program_does_not_import_the_pointwise_oracle():
 
 def test_program_does_not_import_numpy_random(tmp_path):
     # numpy.random costs a fresh process ~15 ms and ~5 MB: neither the
-    # imports nor a check load it, on linear data (zero Hessian, no dense
-    # cross-check) or on ball-solve's trigonometric data (m = 2, nonzero
-    # Hessian: the dense cross-check reads its fixed direction set)
+    # imports nor a check load it, on linear data (zero Hessian, screened
+    # out before any eigensolve) or on ball-solve's trigonometric data
+    # (m = 2, nonzero Hessian: the direction rule's cells are fixed
+    # sub-squares of the cube faces)
     root = pathlib.Path(__file__).resolve().parents[1]
     code = textwrap.dedent("""\
         import pathlib, sys, mssflow.cli, mssflow.driver
