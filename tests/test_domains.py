@@ -183,3 +183,27 @@ def test_box_faces_carry_quadrature_fractions():
     fr = grid.boundary_nodes_frac
     assert set(np.round(fr, 12)) == {0.25, 0.5}
     assert (fr == 0.25).sum() == 4    # corners
+
+
+@pytest.mark.parametrize("edges, lo, h", [
+    ([1.03], [-0.4], 0.1),
+    ([1.0, 0.7], [0.3, -1.2], 0.0225),
+    ([1.0, 0.9, 1.1], [-0.5, 0.2, 0.05], 0.07),
+], ids=["n1", "n2", "n3"])
+def test_box_arms_end_on_faces(edges, lo, h):
+    # faces snap onto lattice planes, so no arm of a box is ever clipped:
+    # every cut arm ends at a boundary node on a face, and the closure's
+    # boundary sample is exactly the boundary nodes
+    spec = DomainSpec.box(edges, lo=lo)
+    grid = build_grid(spec, h)
+    assert not np.allclose(grid.hs, h)     # the spacing really was snapped
+    assert (grid.arm_theta == 1.0).all()
+    lo, hi = spec.bounding_box()
+    pinned = grid.pinned_pos
+    assert pinned.shape[0] > 0
+    inside = (pinned >= lo - 1e-12) & (pinned <= hi + 1e-12)
+    on_face = (np.abs(pinned - lo) <= 1e-12) | (np.abs(pinned - hi) <= 1e-12)
+    assert inside.all() and on_face.any(axis=1).all()
+    closure = build_closure(spec, h)
+    np.testing.assert_array_equal(closure.boundary_samples,
+                                  closure.boundary_nodes_pos)

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -178,6 +179,36 @@ def test_exterior_radius_margin_validated(tmp_path):
     assert cfg("9.0, 11.0").radii == [9.0, 11.0]
 
 
+def _poly_solve(poly_1):
+    return BALL_SOLVE.replace(
+        BALL_TRIG, f"family = polynomial\nm = 2\npoly_1 = {poly_1}\n"
+                   "poly_2 = 0.01, 0, 2")
+
+
+def test_polynomial_terms_parse(tmp_path):
+    text = _poly_solve("0.01, 2, 0; 0.02, 1.0, 1;")
+    cfg = load_config(write_cfg(tmp_path, text))
+    coeffs, expos = cfg.psi.terms[0]
+    np.testing.assert_array_equal(coeffs, [0.01, 0.02])
+    np.testing.assert_array_equal(expos, [[2, 0], [1, 1]])
+
+
+@pytest.mark.parametrize("term", ["0.01, 2, 0, 5", "0.01, 2.7, 0", "0.01",
+                                  "0.01, 2, nan", "0.01, inf, 0"],
+                         ids=["extra-exponent", "fractional-exponent",
+                              "no-exponents", "nan-exponent", "inf-exponent"])
+def test_polynomial_term_needs_dim_integral_exponents(tmp_path, term):
+    # each term is a coefficient and exactly dim integral exponents: an
+    # extra, missing or fractional exponent names the key and the term
+    path = write_cfg(tmp_path, _poly_solve(f"0.02, 1, 1; {term}"))
+    with pytest.raises(ConfigError, match=f"poly_1 term '{term}'"):
+        load_config(path)
+    r = run_cli(["solve", "--config", path, "--out", str(tmp_path / "out")])
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert "configuration error:" in r.stderr and "poly_1" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # CLI runs
 # ---------------------------------------------------------------------------
@@ -309,11 +340,31 @@ def test_cli_non_finite_sizes_exit_one(tmp_path, text):
 
 
 def test_program_does_not_import_the_pointwise_oracle():
-    # jets.py is the tests' independent reference, never program code
-    code = ("import sys, mssflow.cli, mssflow.driver; "
-            "sys.exit('mssflow.jets' in sys.modules)")
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                       text=True)
+    # the tests' reference (tests/reference.py) lies outside the package:
+    # every package module imports with only src on the path, none pulls
+    # the reference in, and the package has no jets module
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = textwrap.dedent("""\
+        import importlib, pathlib, pkgutil, sys
+        tests = pathlib.Path(sys.argv[1]).resolve()
+        assert all(pathlib.Path(p or '.').resolve() != tests
+                   for p in sys.path), sys.path
+        import mssflow, mssflow.cli
+        names = [m.name for m in pkgutil.iter_modules(mssflow.__path__)]
+        for name in names:
+            importlib.import_module('mssflow.' + name)
+        assert {'cli', 'driver', 'grid'} <= set(names), names
+        assert 'reference' not in sys.modules
+        try:
+            import mssflow.jets
+        except ImportError:
+            pass
+        else:
+            sys.exit('mssflow.jets imported')
+        """)
+    r = subprocess.run([sys.executable, "-c", code, str(root / "tests")],
+                       capture_output=True, text=True, cwd=root / "src",
+                       env={**os.environ, "PYTHONPATH": str(root / "src")})
     assert r.returncode == 0, r.stderr
 
 
@@ -345,14 +396,6 @@ def test_program_does_not_import_numpy_random(tmp_path):
     assert r.stdout.count("outcome=HypothesisPass") == 2
 
 
-# Public names no program path reaches, each with the caller that keeps it.
-UNREACHED_ALLOWED = {
-    "flow.jets_all": "the kernel tests' view of the discrete jets",
-    "oracles.scherk_state": "criterion 2",
-    "shrinker.reflect_halfspace": "criterion 8",
-}
-
-
 def _referenced_names(node) -> set:
     names = set()
     for sub in ast.walk(node):
@@ -367,14 +410,13 @@ def _referenced_names(node) -> set:
 
 def test_every_public_name_is_reached_by_the_program():
     # a public module-level function or class is used by some program
-    # path outside its own definition, or is allowed above; jets.py is
-    # the tests' reference and neither counts nor is checked
+    # path outside its own definition; test-only code lives in
+    # tests/reference.py, so every module is checked with no exceptions
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "mssflow"
     stmts = []
     for path in sorted(src.glob("*.py")):
-        if path.name != "jets.py":
-            tree = ast.parse(path.read_text())
-            stmts += [(path.stem, node) for node in tree.body]
+        tree = ast.parse(path.read_text())
+        stmts += [(path.stem, node) for node in tree.body]
     refs = [_referenced_names(node) for _, node in stmts]
     unreached = set()
     for i, (module, node) in enumerate(stmts):
@@ -383,7 +425,7 @@ def test_every_public_name_is_reached_by_the_program():
                 and not any(node.name in r for j, r in enumerate(refs)
                             if j != i)):
             unreached.add(f"{module}.{node.name}")
-    assert unreached == set(UNREACHED_ALLOWED)
+    assert unreached == set()
 
 
 def test_benchmark_tracer_finds_every_traced_name(tmp_path):

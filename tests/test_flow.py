@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mssflow import boundary as bd, flow, jets, shrinker
+import reference as jets
+from mssflow import boundary as bd, flow, shrinker
 from mssflow.domains import DomainSpec, estimate_c0_eta0
 from mssflow.grid import build_grid
 
@@ -37,7 +38,7 @@ def test_jet_at_exact_on_affine_data():
     grid = build_grid(BALL, 1.0 / 16)
     psi = bd.LinearMap([[0.25, -0.1], [0.0, 0.3]], offset=[0.2, 0.0])
     state = flow.make_state(grid, psi)
-    J, H = flow.jets_all(state)
+    J, H = jets.jets_all(state)
     k = grid.num_interior // 2
     np.testing.assert_allclose(J[k], psi.A, atol=1e-12)
     np.testing.assert_allclose(H[k], 0.0, atol=1e-12)
@@ -54,7 +55,7 @@ def test_jet_at_exact_on_quadratics(spec, h):
     poly = bd.PolynomialMap([([0.5, 0.25, -0.3], [[2, 0], [1, 1], [0, 2]]),
                              ([-0.2, 0.4, 0.1], [[2, 0], [1, 1], [0, 2]])], 2)
     state = flow.make_state(grid, poly)
-    J, H = flow.jets_all(state)
+    J, H = jets.jets_all(state)
     _, ja, ha = poly.jets(grid.interior_pos)
     np.testing.assert_allclose(J, ja, rtol=0, atol=1e-10)
     np.testing.assert_allclose(H, ha, rtol=0, atol=1e-10)
@@ -66,7 +67,7 @@ def test_jet_richardson_order_two():
         grid = build_grid(DomainSpec.box([1.0, 1.0]), h)
         trig = bd.TrigMap([1.0], [[np.pi, 0.0]])
         state = flow.make_state(grid, trig)
-        _, H = flow.jets_all(state)
+        _, H = jets.jets_all(state)
         _, _, ha = trig.jets(grid.interior_pos)
         errs.append(np.abs(H - ha).max())
     assert errs[0] / errs[1] > 3.5
@@ -107,7 +108,8 @@ def _oracle_maps(draw, n, m):
 @given(st.data())
 def test_field_kernel_matches_pointwise_reference(data):
     """compute_fields, FlowMonitors.record, shrinker_residual_field and
-    dissipation_rate agree with jets.py evaluated on the discrete jets."""
+    dissipation_rate agree with the pointwise reference evaluated on the
+    discrete jets."""
     kind = data.draw(st.sampled_from(["box", "ball"]))
     n = data.draw(st.integers(1, 3))
     m = data.draw(st.integers(1, 3))
@@ -118,7 +120,7 @@ def test_field_kernel_matches_pointwise_reference(data):
     state = flow.make_state(grid, psi)
     bundle = flow.compute_fields(state)
     shrink = shrinker.shrinker_residual_field(state, c)
-    J, H = flow.jets_all(state)
+    J, H = jets.jets_all(state)
     pointwise = [jets.PointJet(x=grid.interior_pos[k], value=state.f[k],
                                jac=J[k], hess=H[k])
                  for k in range(grid.num_interior)]

