@@ -1,8 +1,11 @@
-"""Boundary map families, their norms, and the solvability checkers.
+"""Boundary data, its norms, and the solvability checkers.
 
-Each family carries exact analytic jets (value, Jacobian, Hessian) at any
-point of R^n, so the Dirichlet data and its derivative norms are never
-themselves approximated by differencing.
+Two data classes carry exact analytic jets (value, Jacobian, Hessian) at
+any point of R^n, so the Dirichlet data and its derivative norms are never
+themselves approximated by differencing: `PolynomialMap` (term lists of
+total degree <= 4) and `TrigMap` (plane waves).  The constant, linear and
+sphere-to-sphere families are term lists (`constant_map`, `linear_map`,
+`lawson_osserman_map`) labelled with their family name.
 
 `sup_norms` is the only place that samples the data on a grid: one jets
 call over the closure sample of a `grid.Closure` gives the oscillation,
@@ -63,55 +66,16 @@ class HypothesisError(ValueError):
 # map families
 # ---------------------------------------------------------------------------
 
-class ConstantMap:
-    family = "constant"
-
-    def __init__(self, values, dim):
-        self.c = np.asarray(values, float)
-        self.n = int(dim)
-        self.m = self.c.size
-
-    def values(self, pts):
-        pts = np.atleast_2d(pts)
-        return np.broadcast_to(self.c, (pts.shape[0], self.m)).copy()
-
-    def jets(self, pts):
-        pts = np.atleast_2d(pts)
-        B = pts.shape[0]
-        return (self.values(pts), np.zeros((B, self.m, self.n)),
-                np.zeros((B, self.m, self.n, self.n)))
-
-
-class LinearMap:
-    family = "linear"
-
-    def __init__(self, matrix, offset=None):
-        self.A = np.atleast_2d(np.asarray(matrix, float))
-        self.m, self.n = self.A.shape
-        self.b = np.zeros(self.m) if offset is None else np.asarray(offset, float)
-        if self.b.shape != (self.m,):
-            raise ValueError("need one offset per component")
-
-    def values(self, pts):
-        return np.atleast_2d(pts) @ self.A.T + self.b
-
-    def jets(self, pts):
-        pts = np.atleast_2d(pts)
-        B = pts.shape[0]
-        jac = np.broadcast_to(self.A, (B, self.m, self.n)).copy()
-        return self.values(pts), jac, np.zeros((B, self.m, self.n, self.n))
-
-
 class PolynomialMap:
     """Component-wise multivariate polynomials of total degree <= 4.
 
     terms: list (one entry per component) of (coeffs, exponents) pairs,
     coeffs shape (T,), exponents shape (T, n) of non-negative ints.
+    family names the configuration family the terms came from.
     """
 
-    family = "polynomial"
-
-    def __init__(self, terms, dim):
+    def __init__(self, terms, dim, family="polynomial"):
+        self.family = family
         self.n = int(dim)
         self.terms = []
         for coeffs, expos in terms:
@@ -164,6 +128,45 @@ class PolynomialMap:
         return vals, jac, hess
 
 
+def constant_map(values, dim) -> PolynomialMap:
+    """x -> values on R^dim: one constant term per component."""
+    zero = np.zeros((1, int(dim)), int)
+    return PolynomialMap([([c], zero) for c in values], dim, "constant")
+
+
+def linear_map(matrix, offset=None) -> PolynomialMap:
+    """x -> matrix x + offset: per component one term per column, then the
+    offset's constant term (none without an offset)."""
+    rows = np.atleast_2d(np.asarray(matrix, float))
+    m, n = rows.shape
+    expos = np.eye(n + 1, n, dtype=int)     # x_1, ..., x_n, then 1
+    if offset is None:
+        return PolynomialMap([(row, expos[:n]) for row in rows], n, "linear")
+    offset = np.asarray(offset, float)
+    if offset.shape != (m,):
+        raise ValueError("need one offset per component")
+    return PolynomialMap([(np.append(row, b), expos)
+                          for row, b in zip(rows, offset)], n, "linear")
+
+
+def lawson_osserman_map(scale) -> PolynomialMap:
+    """Scaled quadratic extension of the classical sphere-to-sphere map.
+
+    psi(x) = R * (x1^2 + x2^2 - x3^2 - x4^2,
+                  2 (x1 x3 + x2 x4),
+                  2 (x2 x3 - x1 x4)),
+    whose restriction to the unit 3-sphere is the Hopf fibration scaled
+    by R (Lawson and Osserman).  Large R drives the oscillation past the
+    solvable regime.
+    """
+    R = float(scale)
+    return PolynomialMap(
+        [([R, R, -R, -R], 2 * np.eye(4, dtype=int)),
+         ([2 * R, 2 * R], [[1, 0, 1, 0], [0, 1, 0, 1]]),
+         ([2 * R, -2 * R], [[0, 1, 1, 0], [1, 0, 0, 1]])],
+        4, "lawson_osserman_scaled")
+
+
 class TrigMap:
     """Plane-wave components amp_A * sin(<k_A, x> + phase_A)."""
 
@@ -191,42 +194,6 @@ class TrigMap:
         jac = (self.amp * np.cos(arg))[:, :, None] * self.k[None, :, :]
         kk = self.k[:, :, None] * self.k[:, None, :]
         hess = -(vals)[:, :, None, None] * kk[None]
-        return vals, jac, hess
-
-
-class LawsonOssermanMap:
-    """Scaled quadratic extension of the classical sphere-to-sphere map.
-
-    psi(x) = R * (x1^2 + x2^2 - x3^2 - x4^2,
-                  2 (x1 x3 + x2 x4),
-                  2 (x2 x3 - x1 x4)),
-    whose restriction to the unit 3-sphere is the Hopf fibration scaled
-    by R.  Large R drives the oscillation past the solvable regime.
-    """
-
-    family = "lawson_osserman_scaled"
-    n = 4
-    m = 3
-
-    def __init__(self, scale):
-        self.scale = float(scale)
-        Q = np.zeros((3, 4, 4))
-        Q[0] = np.diag([1.0, 1.0, -1.0, -1.0])
-        Q[1, 0, 2] = Q[1, 2, 0] = 1.0
-        Q[1, 1, 3] = Q[1, 3, 1] = 1.0
-        Q[2, 1, 2] = Q[2, 2, 1] = 1.0
-        Q[2, 0, 3] = Q[2, 3, 0] = -1.0
-        self._Q = Q * self.scale
-
-    def values(self, pts):
-        pts = np.atleast_2d(pts)
-        return np.einsum("bi,Aij,bj->bA", pts, self._Q, pts)
-
-    def jets(self, pts):
-        pts = np.atleast_2d(pts)
-        vals = self.values(pts)
-        jac = 2.0 * np.einsum("Aij,bj->bAi", self._Q, pts)
-        hess = np.broadcast_to(2.0 * self._Q, (pts.shape[0], 3, 4, 4)).copy()
         return vals, jac, hess
 
 
@@ -321,17 +288,6 @@ def top_singular_values(mats: np.ndarray,
     upper, lower = _norm2_bounds(mats)
     return _screened(lambda a: np.linalg.svd(a, compute_uv=False)[:, 0],
                      mats, upper, lower, band)
-
-
-def top_abs_eigenvalues(sym: np.ndarray) -> np.ndarray:
-    """Largest |eigenvalue| of each symmetric (B, n, n) matrix, screened.
-
-    Exact (LAPACK eigvalsh) wherever a matrix can hold the maximum over
-    all rows, a lower bound below it elsewhere; as `top_singular_values`.
-    """
-    upper, lower = _norm2_bounds(sym)
-    return _screened(lambda a: np.abs(np.linalg.eigvalsh(a)).max(axis=1),
-                     sym, upper, lower)
 
 
 def _cell_round(hess, offsets, corners, pt, face, centre, half):

@@ -5,7 +5,12 @@ fully deterministic functions of the file content.  The parser is the
 schema: a section or key that the run does not read is a hard error, so
 neither a typo nor a key meant for another setting can silently leave a
 run unchanged.  `c` under condition A is rejected, as is `inner_radius`
-on a ball (the message names the condition or kind that decides).
+on a ball (the message names the condition or kind that decides).  A
+boundary data key with a nan or inf, or with no number, is rejected by
+name.  Of the five
+boundary families, trigonometric data becomes a `TrigMap`; constant,
+linear, polynomial and lawson_osserman_scaled data become `PolynomialMap`
+term lists that keep their family name.
 
 Example::
 
@@ -45,8 +50,8 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-from .boundary import (ConstantMap, LawsonOssermanMap, LinearMap, PolynomialMap,
-                       TrigMap)
+from .boundary import (PolynomialMap, TrigMap, constant_map,
+                       lawson_osserman_map, linear_map)
 from .domains import DomainSpec
 
 MODES = ("solve", "check_hypothesis", "density_oracle", "exterior")
@@ -171,17 +176,34 @@ def _required(sec, key: str, family: str) -> str:
     return sec[key]
 
 
+def _finite(key: str, numbers: list) -> list:
+    """numbers, if there are some and all are finite; else an error that
+    names the key (a nan or inf datum would surface as a LAPACK failure,
+    no data as a numpy reduction error)."""
+    if not numbers or not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"[boundary] {key} must hold finite numbers, "
+                          f"got {numbers}")
+    return numbers
+
+
+def _data(sec, key: str, family: str) -> list:
+    return _finite(key, _floats(_required(sec, key, family)))
+
+
 def _boundary_map(sec, dim: int):
+    """The data of [boundary]: a TrigMap, or a PolynomialMap term list
+    labelled with its family."""
     family = sec.get("family")
-    m = sec.getint("m", fallback=1)
     if family == "constant":
-        return ConstantMap(_floats(_required(sec, "values", family)), dim)
+        return constant_map(_data(sec, "values", family), dim)
     if family == "linear":
-        offset = _floats(sec["offset"]) if "offset" in sec else None
-        return LinearMap(_matrix(_required(sec, "matrix", family)), offset)
+        rows = _matrix(_required(sec, "matrix", family))
+        _finite("matrix", [x for row in rows for x in row])
+        offset = _data(sec, "offset", family) if "offset" in sec else None
+        return linear_map(rows, offset)
     if family == "polynomial":
         terms = []
-        for A in range(1, m + 1):
+        for A in range(1, sec.getint("m", fallback=1) + 1):
             coeffs, expos = [], []
             for term in _required(sec, f"poly_{A}", family).split(";"):
                 toks = _floats(term)
@@ -194,16 +216,17 @@ def _boundary_map(sec, dim: int):
                         f"and {dim} integral exponents")
                 coeffs.append(toks[0])
                 expos.append([int(e) for e in exps])
-            terms.append((coeffs, expos))
+            terms.append((_finite(f"poly_{A}", coeffs), expos))
         return PolynomialMap(terms, dim)
     if family == "trigonometric":
-        amps = _floats(_required(sec, "amplitudes", family))
-        waves = [_floats(_required(sec, f"wave_vector_{A}", family))
+        amps = _data(sec, "amplitudes", family)
+        waves = [_data(sec, f"wave_vector_{A}", family)
                  for A in range(1, len(amps) + 1)]
-        phases = _floats(sec["phases"]) if "phases" in sec else None
+        phases = _data(sec, "phases", family) if "phases" in sec else None
         return TrigMap(amps, waves, phases)
     if family == "lawson_osserman_scaled":
-        return LawsonOssermanMap(float(_required(sec, "scale", family)))
+        scale = float(_required(sec, "scale", family))
+        return lawson_osserman_map(_finite("scale", [scale])[0])
     raise ConfigError(f"unknown boundary family {family!r}")
 
 
@@ -275,7 +298,7 @@ def load_config(path: str, mode: str | None = None) -> RunConfig:
         truncation = cfg.radii[-1]
     cfg.domain = _parse_domain(cp, truncation)
     cfg.psi = _parse_boundary(cp, cfg.domain.dim)
-    if getattr(cfg.psi, "n", cfg.domain.dim) != cfg.domain.dim:
+    if cfg.psi.n != cfg.domain.dim:
         raise ConfigError("boundary map dimension does not match the domain")
     if "grid" not in cp:
         raise ConfigError("missing [grid] section")

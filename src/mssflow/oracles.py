@@ -3,14 +3,15 @@
 These are the density_oracle mode's states: flat planes and half-planes
 pin the Gaussian-density dichotomy (1 vs 1/2), and the radius sqrt(2n)
 sphere cap solves the self-shrinker system exactly, so every discrete
-residual on it is pure truncation error.
+residual on it is pure truncation error.  Flat data is one constant
+polynomial term; the cap has its own map class.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .boundary import LinearMap
+from .boundary import constant_map
 from .domains import DomainSpec
 from .flow import GraphState, make_state
 from .grid import build_grid
@@ -45,8 +46,8 @@ def plane_state(h: float, halfwidth: float, offset=None) -> GraphState:
     spec = DomainSpec.box(np.full(2, 2.0 * halfwidth),
                           lo=np.full(2, -halfwidth))
     grid = build_grid(spec, h)
-    b = np.zeros(1) if offset is None else np.asarray(offset, float)
-    return make_state(grid, LinearMap(np.zeros((1, 2)), b))
+    values = [0.0] if offset is None else offset
+    return make_state(grid, constant_map(values, 2))
 
 
 def half_plane_state(h: float, halfwidth: float) -> GraphState:
@@ -55,7 +56,7 @@ def half_plane_state(h: float, halfwidth: float) -> GraphState:
     oracle."""
     spec = DomainSpec.box([2.0 * halfwidth, halfwidth], lo=[-halfwidth, 0.0])
     grid = build_grid(spec, h)
-    return make_state(grid, LinearMap(np.zeros((1, 2))))
+    return make_state(grid, constant_map([0.0], 2))
 
 
 def sphere_cap_state(h: float, halfwidth: float) -> GraphState:

@@ -19,6 +19,9 @@ that no program mode runs.
 - The Scherk graph, a closed-form minimal graph (criterion 2).
 - The odd reflection of a half-space graph across its flat edge and the
   sloped half-plane it is tested on (criterion 8).
+- Closed-form evaluations of linear and sphere-to-sphere data (a matmul
+  and an einsum), which the program's polynomial term lists for these
+  families are checked against.
 
 The package never imports this module.
 """
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mssflow.boundary import LinearMap
+from mssflow.boundary import linear_map
 from mssflow.domains import DomainSpec
 from mssflow.flow import GraphState, _differences, _symmetric, make_state
 from mssflow.grid import CLS_TOL, build_grid
@@ -337,4 +340,56 @@ def reflect_halfspace(state: GraphState) -> tuple[GraphState, float]:
 def sloped_half_plane_state(h: float, halfwidth: float, slope) -> GraphState:
     """Linear graph x -> slope x over the half-plane oracle's rectangle."""
     grid = half_plane_state(h=h, halfwidth=halfwidth).grid
-    return make_state(grid, LinearMap(slope))
+    return make_state(grid, linear_map(slope))
+
+
+# ---------------------------------------------------------------------------
+# closed-form data
+# ---------------------------------------------------------------------------
+
+class LinearMap:
+    """x -> A x + b by a matmul; A zero gives constant data."""
+
+    family = "linear"
+
+    def __init__(self, matrix, offset=None):
+        self.A = np.atleast_2d(np.asarray(matrix, float))
+        self.m, self.n = self.A.shape
+        self.b = np.zeros(self.m) if offset is None else np.asarray(offset, float)
+
+    def values(self, pts):
+        return np.atleast_2d(pts) @ self.A.T + self.b
+
+    def jets(self, pts):
+        pts = np.atleast_2d(pts)
+        B = pts.shape[0]
+        jac = np.broadcast_to(self.A, (B, self.m, self.n)).copy()
+        return self.values(pts), jac, np.zeros((B, self.m, self.n, self.n))
+
+
+class LawsonOssermanMap:
+    """R (x1^2 + x2^2 - x3^2 - x4^2, 2 (x1 x3 + x2 x4), 2 (x2 x3 - x1 x4))
+    as three quadratic forms x^T Q_A x."""
+
+    family = "lawson_osserman_scaled"
+    n = 4
+    m = 3
+
+    def __init__(self, scale):
+        Q = np.zeros((3, 4, 4))
+        Q[0] = np.diag([1.0, 1.0, -1.0, -1.0])
+        Q[1, 0, 2] = Q[1, 2, 0] = 1.0
+        Q[1, 1, 3] = Q[1, 3, 1] = 1.0
+        Q[2, 1, 2] = Q[2, 2, 1] = 1.0
+        Q[2, 0, 3] = Q[2, 3, 0] = -1.0
+        self._Q = Q * float(scale)
+
+    def values(self, pts):
+        pts = np.atleast_2d(pts)
+        return np.einsum("bi,Aij,bj->bA", pts, self._Q, pts)
+
+    def jets(self, pts):
+        pts = np.atleast_2d(pts)
+        jac = 2.0 * np.einsum("Aij,bj->bAi", self._Q, pts)
+        hess = np.broadcast_to(2.0 * self._Q, (pts.shape[0], 3, 4, 4)).copy()
+        return self.values(pts), jac, hess

@@ -166,7 +166,7 @@ def test_criterion_2_exact_solution_residuals():
     with criterion(2, "linear/Scherk/sphere-cap residuals at stated orders"):
         # linear maps are exact discrete solutions, cut arms included
         grid = build_grid(DomainSpec.ball(1.0, 2), 1.0 / 32)
-        state = flow.make_state(grid, bd.LinearMap([[0.2, -0.3], [0.1, 0.05]]))
+        state = flow.make_state(grid, bd.linear_map([[0.2, -0.3], [0.1, 0.05]]))
         bundle = flow.compute_fields(state)
         assert bundle.residual_sup <= 1e-12
 
@@ -239,16 +239,16 @@ def test_criterion_6_hypothesis_checker_arithmetic():
     with criterion(6, "worked checker examples reproduce exactly"):
         grid = build_grid(DomainSpec.ball(1.0, 2), 1.0 / 16)
         geom = estimate_c0_eta0(DomainSpec.ball(1.0, 2))
-        rep = bd.check_condition_A(bd.LinearMap([[0.2, 0.0], [0.0, 0.0]]),
+        rep = bd.check_condition_A(bd.linear_map([[0.2, 0.0], [0.0, 0.0]]),
                                    grid, geom, 0.25)
         assert abs(rep.lhs_condition - 1.8) <= 1e-12 and not rep.passed
-        rep2 = bd.check_condition_A(bd.LinearMap([[0.02, 0.0], [0.0, 0.0]]),
+        rep2 = bd.check_condition_A(bd.linear_map([[0.02, 0.0], [0.0, 0.0]]),
                                     grid, geom, 0.25)
         assert abs(rep2.lhs_condition - 0.18) <= 1e-12 and rep2.passed
 
         box = build_grid(DomainSpec.box([1.0, 1.0]), 1.0 / 32)
         box_geom = estimate_c0_eta0(DomainSpec.box([1.0, 1.0]))
-        rep3 = bd.check_condition_B(bd.ConstantMap([2.0], 2), box, box_geom,
+        rep3 = bd.check_condition_B(bd.constant_map([2.0], 2), box, box_geom,
                                     0.1, 0.5)
         assert rep3.passed and rep3.lhs_condition == 0.0
 

@@ -23,12 +23,12 @@ def box_grid():
 
 def all_families():
     return [
-        bd.ConstantMap([0.3, -0.1], 2),
-        bd.LinearMap([[0.2, -0.3], [0.1, 0.05]], offset=[1.0, -2.0]),
+        bd.constant_map([0.3, -0.1], 2),
+        bd.linear_map([[0.2, -0.3], [0.1, 0.05]], offset=[1.0, -2.0]),
         bd.PolynomialMap([([0.5, -0.2, 0.1], [[2, 0], [1, 1], [0, 4]]),
                           ([0.3], [[3, 1]])], 2),
         bd.TrigMap([0.4, 0.2], [[1.5, -2.0], [0.7, 0.3]], [0.2, -0.4]),
-        bd.LawsonOssermanMap(0.7),
+        bd.lawson_osserman_map(0.7),
     ]
 
 
@@ -72,10 +72,10 @@ def test_oscillation_examples(box_grid, ball_grid):
     def w(psi, grid, delta=None):
         return bd.sup_norms(psi, grid, delta)[0].w
 
-    assert w(bd.ConstantMap([2.0], 2), ball_grid) == 0.0
-    lin = bd.LinearMap([[0.2, 0.0], [0.0, 0.0]])
+    assert w(bd.constant_map([2.0], 2), ball_grid) == 0.0
+    lin = bd.linear_map([[0.2, 0.0], [0.0, 0.0]])
     np.testing.assert_allclose(w(lin, box_grid), 0.2, rtol=1e-15)
-    two = bd.LinearMap([[0.1, 0.0], [0.3, 0.0]])
+    two = bd.linear_map([[0.1, 0.0], [0.3, 0.0]])
     np.testing.assert_allclose(w(two, box_grid), 0.3, rtol=1e-15)
     # the oscillation always spans the whole closure, whatever the band
     assert w(two, box_grid, 0.1) == w(two, box_grid)
@@ -88,7 +88,7 @@ BUMP = bd.PolynomialMap([([1.0, 1.0, -0.5, -1.0, -0.5],
 
 
 def test_sup_norms_examples(box_grid, ball_grid):
-    norms, glob = bd.sup_norms(bd.LinearMap(np.diag([0.3, 0.1])), box_grid, None)
+    norms, glob = bd.sup_norms(bd.linear_map(np.diag([0.3, 0.1])), box_grid, None)
     np.testing.assert_allclose([norms.sup_dpsi, norms.sup_d2psi, glob],
                                [0.3, 0.0, 0.3], atol=1e-14)
     trig = bd.TrigMap([0.1, 0.0], [[np.pi, 0.0], [0.0, 0.0]])
@@ -96,12 +96,12 @@ def test_sup_norms_examples(box_grid, ball_grid):
     np.testing.assert_allclose(norms.sup_dpsi, np.pi / 10, rtol=1e-12)
     np.testing.assert_allclose(norms.sup_d2psi, np.pi ** 2 / 10, rtol=1e-12)
     assert glob == norms.sup_dpsi
-    norms, glob = bd.sup_norms(bd.ConstantMap([5.0], 2), box_grid, None)
+    norms, glob = bd.sup_norms(bd.constant_map([5.0], 2), box_grid, None)
     assert norms.sup_dpsi == norms.sup_d2psi == glob == 0.0
     # n = 3, m = 2: zero Hessians are screened out before any eigensolve
     A = np.array([[0.3, 0.1, 0.0], [0.0, 0.2, -0.1]])
     cube = build_grid(DomainSpec.box([1.0, 1.0, 1.0]), 1.0 / 10)
-    norms, _ = bd.sup_norms(bd.LinearMap(A), cube, None)
+    norms, _ = bd.sup_norms(bd.linear_map(A), cube, None)
     np.testing.assert_allclose(norms.sup_dpsi, np.linalg.svd(A)[1][0], rtol=1e-14)
     assert norms.sup_d2psi == 0.0
 
@@ -246,7 +246,7 @@ def _disk_band_hessians(psi):
 
 
 def _lawson_osserman(scale):
-    psi = bd.LawsonOssermanMap(scale)
+    psi = bd.lawson_osserman_map(scale)
     pts = np.random.default_rng(31).uniform(-0.5, 0.5, (50, 4))
     return psi.jets(pts)[2], 2.0 * scale
 
@@ -310,25 +310,25 @@ def test_delta0_cases():
 
 def test_condition_A_worked_examples(ball_grid):
     geom = estimate_c0_eta0(BALL)
-    rep = bd.check_condition_A(bd.LinearMap([[0.2, 0.0], [0.0, 0.0]]),
+    rep = bd.check_condition_A(bd.linear_map([[0.2, 0.0], [0.0, 0.0]]),
                                ball_grid, geom, 0.25)
     assert not rep.passed
     assert abs(rep.lhs_condition - 1.8) <= 1e-12
     assert abs(rep.w_psi - 0.4) <= 1e-12
 
-    rep2 = bd.check_condition_A(bd.LinearMap([[0.02, 0.0], [0.0, 0.0]]),
+    rep2 = bd.check_condition_A(bd.linear_map([[0.02, 0.0], [0.0, 0.0]]),
                                 ball_grid, geom, 0.25)
     assert rep2.passed
     assert abs(rep2.lhs_condition - 0.18) <= 1e-12
 
-    rep3 = bd.check_condition_A(bd.ConstantMap([1.0, 2.0], 2), ball_grid,
+    rep3 = bd.check_condition_A(bd.constant_map([1.0, 2.0], 2), ball_grid,
                                 geom, 0.25)
     assert rep3.passed and rep3.lhs_condition == 0.0 and rep3.eps == 1.0
 
 
 def test_condition_A_rejects_bad_delta(ball_grid):
     geom = estimate_c0_eta0(BALL)
-    psi = bd.ConstantMap([0.0], 2)
+    psi = bd.constant_map([0.0], 2)
     with pytest.raises(bd.HypothesisError):
         bd.check_condition_A(psi, ball_grid, geom, 0.5)     # delta = delta0
     with pytest.raises(bd.HypothesisError):
@@ -350,7 +350,7 @@ def test_condition_A_monotone_under_scaling(ball_grid):
 
 def test_condition_B_examples(box_grid):
     geom = estimate_c0_eta0(BOX)
-    rep = bd.check_condition_B(bd.ConstantMap([3.0], 2), box_grid, geom,
+    rep = bd.check_condition_B(bd.constant_map([3.0], 2), box_grid, geom,
                                0.1, 0.5)
     assert rep.passed and rep.lhs_condition == 0.0
 
@@ -369,7 +369,7 @@ def test_condition_B_examples(box_grid):
     np.testing.assert_allclose(rep2.lhs_condition, expected, rtol=1e-14)
 
     # strictness: lhs exactly 1 - c fails (dyadic values keep it exact)
-    lin = bd.LinearMap([[0.0625, 0.0], [0.0, 0.0]])
+    lin = bd.linear_map([[0.0625, 0.0], [0.0, 0.0]])
     rep3 = bd.check_condition_B(lin, box_grid, geom, 0.125, 0.4375)
     assert rep3.lhs_condition == 1.0 - 0.4375
     assert not rep3.passed
@@ -545,7 +545,7 @@ WORKLOADS = {
     "exterior-shells": (bd.TrigMap([0.002], [[2.0, 0.5]]),
                         [DomainSpec.exterior(1.0, r, 2) for r in (9.0, 11.0, 13.0)],
                         0.203125, None, 0.012),
-    "check-linear": (bd.LinearMap([[0.02, -0.03], [0.01, 0.005]]), [BALL],
+    "check-linear": (bd.linear_map([[0.02, -0.03], [0.01, 0.005]]), [BALL],
                      1.0 / 32, 0.1, 0.1),
 }
 
@@ -631,8 +631,9 @@ def test_screened_helpers_match_lapack_on_synthetic_stacks(make):
         assert d1[band].max() == _lapack_sigma(jac[band]).max()
         assert (d1 <= _lapack_sigma(jac) * (1.0 + 1e-12)).all()
         if shape[1] == shape[2]:
+            # the direction rule at m = 1: the largest |eigenvalue|
             sym = _symmetric(jac)
-            assert (bd.top_abs_eigenvalues(sym).max()
+            assert (bd._sup_hessian_norm(sym[:, None])
                     == _lapack_abs_eig(sym).max())
     for m in (1, 2, 3):
         hess = _symmetric(make((B, m, 2, 2)))
@@ -649,7 +650,7 @@ def test_tied_stack_reaches_lapack_once(monkeypatch, make, rows):
     counts = _RowCount(monkeypatch)
     for shape in ((300, 2, 2), (300, 2, 3), (300, 1, 3)):
         bd.top_singular_values(make(shape), np.arange(300) < 150)
-    bd.top_abs_eigenvalues(_symmetric(make((300, 3, 3))))
+    bd._sup_hessian_norm(_symmetric(make((300, 1, 3, 3))))
     bd._sup_hessian_norm(_symmetric(make((300, 2, 2, 2))))
     assert counts.rows["svd"] == [rows] * 3
     # m = 2: the direction rule's first round solves 2 faces x 3 vertices

@@ -15,6 +15,7 @@ from mssflow import boundary as bd, driver, flow
 from mssflow.config import ConfigError, load_config
 from mssflow.domains import DomainError, DomainSpec
 from mssflow.grid import build_grid
+from reference import LawsonOssermanMap, LinearMap
 
 BALL_SOLVE = """
 [run]
@@ -152,6 +153,64 @@ def test_lawson_osserman_family_parses(tmp_path):
     cfg = load_config(write_cfg(tmp_path, text), mode="check_hypothesis")
     assert cfg.psi.family == "lawson_osserman_scaled"
     assert cfg.psi.n == 4 and cfg.psi.m == 3
+
+
+def _boundary_case(family, body):
+    # BALL_SOLVE with other [boundary] data; the sphere-to-sphere family
+    # lives on the 4-ball
+    dim = 4 if family == "lawson_osserman_scaled" else 2
+    return BALL_SOLVE.replace("dim = 2", f"dim = {dim}").replace(
+        BALL_TRIG, f"family = {family}\n{body}")
+
+
+@pytest.mark.parametrize("family, body, ref", [
+    ("constant", "values = 0.4, -0.1",
+     LinearMap(np.zeros((2, 2)), [0.4, -0.1])),
+    ("linear", "matrix = 0.2, -0.3; 0.1, 0.05",
+     LinearMap([[0.2, -0.3], [0.1, 0.05]])),
+    ("linear", "matrix = 0.2, -0.3; 0.1, 0.05\noffset = 1.0, -2.0",
+     LinearMap([[0.2, -0.3], [0.1, 0.05]], [1.0, -2.0])),
+    ("lawson_osserman_scaled", "scale = 0.7", LawsonOssermanMap(0.7)),
+], ids=["constant", "linear", "linear-offset", "lawson-osserman"])
+def test_term_list_families_match_closed_forms(tmp_path, family, body, ref):
+    # the config's polynomial term lists against a matmul and an einsum:
+    # derivatives bit for bit; values, summed in another order, to 4 ulps
+    # of each component's largest value
+    psi = load_config(write_cfg(tmp_path, _boundary_case(family, body))).psi
+    assert (psi.family, psi.n, psi.m) == (family, ref.n, ref.m)
+    pts = np.random.default_rng(7).uniform(-1.0, 1.0, (200, ref.n))
+    vals, jac, hess = psi.jets(pts)
+    ref_vals, ref_jac, ref_hess = ref.jets(pts)
+    assert (jac == ref_jac).all() and (hess == ref_hess).all()
+    ulp = np.spacing(np.abs(ref_vals).max(axis=0))
+    assert (np.abs(vals - ref_vals) <= 4 * ulp).all()
+
+
+_WAVES = "wave_vector_1 = 2.0, 1.0\nwave_vector_2 = 0.0, 2.0"
+
+
+@pytest.mark.parametrize("family, body, key", [
+    ("constant", "values = 0.4, nan", "values"),
+    ("linear", "matrix = 0.2, 0.0; inf, 0.1", "matrix"),
+    ("linear", "matrix = ;", "matrix"),
+    ("linear", "matrix = 0.2, 0.0; 0.0, 0.1\noffset = 0.0, -inf", "offset"),
+    ("polynomial", "m = 2\npoly_1 = 0.01, 2, 0\npoly_2 = nan, 0, 2",
+     "poly_2"),
+    ("trigonometric", f"amplitudes = inf, 0.005\n{_WAVES}", "amplitudes"),
+    ("trigonometric", "amplitudes = 0.01, 0.005\nwave_vector_1 = 2.0, 1.0\n"
+                      "wave_vector_2 = nan, 2.0", "wave_vector_2"),
+    ("trigonometric", f"amplitudes = 0.01, 0.005\n{_WAVES}\nphases = 0, nan",
+     "phases"),
+    ("lawson_osserman_scaled", "scale = nan", "scale"),
+], ids=["values", "matrix", "matrix-empty", "offset", "poly", "amplitudes",
+        "wave-vector", "phases", "scale"])
+def test_boundary_data_must_be_finite_numbers(tmp_path, family, body, key):
+    # a nan or inf datum, or an empty key, is a configuration error that
+    # names the key, not a LAPACK or numpy failure
+    path = write_cfg(tmp_path, _boundary_case(family, body))
+    with pytest.raises(ConfigError,
+                       match=rf"\[boundary\] {key} must hold finite numbers"):
+        load_config(path)
 
 
 @pytest.mark.parametrize("line", ["h = nan", "halfwidth = inf",
@@ -628,7 +687,7 @@ def test_lawson_osserman_large_scale_blows_up():
     # driving the sphere-to-sphere family far beyond the small-data regime
     # must trip the singular-value guard, not produce garbage
     grid = build_grid(DomainSpec.ball(1.0, 4), 0.2)
-    psi = bd.LawsonOssermanMap(12.0)
+    psi = bd.lawson_osserman_map(12.0)
     state = flow.make_state(grid, psi)
     final, records, outcome = flow.run_to_steady(state, 1e-6, 2000, 100)
     assert outcome == "BlowUp"

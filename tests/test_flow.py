@@ -36,11 +36,11 @@ def ball_run():
 
 def test_jet_at_exact_on_affine_data():
     grid = build_grid(BALL, 1.0 / 16)
-    psi = bd.LinearMap([[0.25, -0.1], [0.0, 0.3]], offset=[0.2, 0.0])
-    state = flow.make_state(grid, psi)
+    A = [[0.25, -0.1], [0.0, 0.3]]
+    state = flow.make_state(grid, bd.linear_map(A, offset=[0.2, 0.0]))
     J, H = jets.jets_all(state)
     k = grid.num_interior // 2
-    np.testing.assert_allclose(J[k], psi.A, atol=1e-12)
+    np.testing.assert_allclose(J[k], A, atol=1e-12)
     np.testing.assert_allclose(H[k], 0.0, atol=1e-12)
 
 
@@ -192,7 +192,7 @@ def test_bundle_is_unchanged_by_later_calls():
 
 def test_step_linear_data_is_stationary():
     grid = build_grid(BALL, 1.0 / 16)
-    state = flow.make_state(grid, bd.LinearMap([[0.2, -0.1], [0.05, 0.3]]))
+    state = flow.make_state(grid, bd.linear_map([[0.2, -0.1], [0.05, 0.3]]))
     dt = flow.stable_dt(grid, 0.9)
     new = flow.euler_step(state, flow.compute_fields(state), dt, dt)
     assert new.t == dt
@@ -202,7 +202,7 @@ def test_step_linear_data_is_stationary():
 
 def test_step_constant_data_is_exact_fixed_point():
     grid = build_grid(BALL, 1.0 / 16)
-    state = flow.make_state(grid, bd.ConstantMap([0.7, -0.2], 2))
+    state = flow.make_state(grid, bd.constant_map([0.7, -0.2], 2))
     dt = flow.stable_dt(grid, 0.9)
     new = flow.euler_step(state, flow.compute_fields(state), dt, dt)
     assert np.array_equal(new.f, state.f)
@@ -254,7 +254,7 @@ def test_super_step_multiplies_sin_mode_by_legendre_value(n, s):
 
 def test_run_to_steady_constant_converges_in_zero_steps():
     grid = build_grid(BALL, 1.0 / 16)
-    state = flow.make_state(grid, bd.ConstantMap([1.5], 2))
+    state = flow.make_state(grid, bd.constant_map([1.5], 2))
     final, records, outcome = flow.run_to_steady(state, 1e-6, 100, 10)
     assert outcome == "Converged"
     assert final.t == 0.0 and len(records) == 1
@@ -262,7 +262,7 @@ def test_run_to_steady_constant_converges_in_zero_steps():
 
 def test_blow_up_guard():
     grid = build_grid(BALL, 1.0 / 16)
-    steep = flow.make_state(grid, bd.LinearMap([[20.0, 0.0], [0.0, 0.0]]))
+    steep = flow.make_state(grid, bd.linear_map([[20.0, 0.0], [0.0, 0.0]]))
     _, _, outcome = flow.run_to_steady(steep, 1e-6, 100, 10)
     assert outcome == "BlowUp"
 
@@ -270,7 +270,7 @@ def test_blow_up_guard():
 def test_blow_up_guard_checks_the_last_super_step():
     # the one-step budget ends on the first state above the guard
     ball = DomainSpec.ball(1.0, 4)
-    state = flow.make_state(build_grid(ball, 0.2), bd.LawsonOssermanMap(12.0))
+    state = flow.make_state(build_grid(ball, 0.2), bd.lawson_osserman_map(12.0))
     assert flow.compute_fields(state).max_lambda < 23.88
     _, _, outcome = flow.run_to_steady(state, 1e-6, 1, 1, lambda_guard=23.88)
     assert outcome == "BlowUp"

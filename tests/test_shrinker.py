@@ -112,7 +112,7 @@ def test_density_monotone_under_support_inclusion():
 
 def test_undercoverage_only_on_truncated_exterior():
     grid = build_grid(DomainSpec.exterior(1.0, 9.0, 2), 18.0 / 128)
-    state = flow.make_state(grid, bd.ConstantMap([0.0], 2))
+    state = flow.make_state(grid, bd.constant_map([0.0], 2))
     q = shrinker.DensityQuery(center=np.array([8.9, 0.0, 0.0]), time_gap=0.005)
     with pytest.raises(shrinker.UndercoverageError):
         shrinker.gaussian_density(state, q)
@@ -167,13 +167,13 @@ def test_reflection_rejects_unmatched_spacing():
     # edges 1 x 0.525 at h = 0.05 snap to spacings (0.05, 0.0525); the
     # doubled box 1 x 1.05 at h = 0.0525 snaps to (0.0526.., 0.0525)
     grid = build_grid(DomainSpec.box([1.0, 0.525]), 0.05)
-    state = flow.make_state(grid, bd.LinearMap([[0.0, 0.3]]))
+    state = flow.make_state(grid, bd.linear_map([[0.0, 0.3]]))
     with pytest.raises(ValueError, match="spacing"):
         reference.reflect_halfspace(state)
 
 
 def test_odd_reflection_map_jets():
-    psi = bd.LinearMap([[0.0, 0.25]])
+    psi = bd.linear_map([[0.0, 0.25]])
     odd = reference.OddReflectionMap(psi, 2)
     pts = np.array([[0.3, 0.4], [0.3, -0.4], [-0.1, -0.2]])
     vals, jac, hess = odd.jets(pts)
