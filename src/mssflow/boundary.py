@@ -30,7 +30,9 @@ Conditions A and B are one rule: the proved mu = 1 ceiling for the
 boundary gradient of the evolving graph (`boundary_gradient_bound`),
 taken with the global sup|Dpsi|, must stay below a threshold.  Condition
 A uses the delta band and threshold 1; condition B, for exterior
-problems, the whole closure and threshold 1 - c.
+problems, the whole closure and threshold 1 - c.  mu is that constant 1
+throughout: the band-width ceiling `delta0`, the ceiling and the barrier
+weight `barrier_nu` carry 1 + mu = 2 in their formulas.
 """
 
 from __future__ import annotations
@@ -413,27 +415,26 @@ def _richardson(coarse: float, fine: float) -> float:
 # solvability checkers
 # ---------------------------------------------------------------------------
 
-def delta0(boundary_geom: BoundaryGeometry, mu: float) -> float:
-    """Admissible band-width ceiling for the boundary gradient barrier."""
-    if mu < 0:
-        raise HypothesisError(f"mu must be non-negative, got {mu}")
+def delta0(boundary_geom: BoundaryGeometry) -> float:
+    """Admissible band-width ceiling for the boundary gradient barrier:
+    eta0, or half of min(1 / (8 c0 (1 + mu)), eta0) when c0 > 0, mu = 1."""
     c0, eta0 = boundary_geom.c0, boundary_geom.eta0
     if c0 == 0.0:
         return eta0
-    return 0.5 * min(1.0 / (8.0 * c0 * (1.0 + mu)), eta0)
+    return 0.5 * min(1.0 / (16.0 * c0), eta0)
 
 
 def _check(psi, grid: Grid, boundary_geom: BoundaryGeometry, delta: float,
            c: float | None) -> HypothesisReport:
     """The solvability rule shared by conditions A (c None) and B.
 
-    lhs = max(boundary_gradient_bound(band norms, delta, 1, n),
+    lhs = max(boundary_gradient_bound(band norms, delta, n),
               sup_global|Dpsi|) over the delta band for A and over the
     whole closure for B (where the max is the first term); passes iff
     lhs < 1 - c, with c = 0 for A.  The first term is also reported as
     boundary_bound, the ceiling of the flow's boundary-gradient clause.
     """
-    d0 = delta0(boundary_geom, mu=1.0)
+    d0 = delta0(boundary_geom)
     if not 0.0 < delta < d0:
         raise HypothesisError(f"delta = {delta} outside the admissible (0, {d0})")
     fine = build_closure(grid.spec, grid.h / 2.0)
@@ -444,7 +445,7 @@ def _check(psi, grid: Grid, boundary_geom: BoundaryGeometry, delta: float,
                     sup_dpsi=_richardson(band_c.sup_dpsi, band_f.sup_dpsi),
                     sup_d2psi=_richardson(band_c.sup_d2psi, band_f.sup_d2psi))
     glob_dpsi = _richardson(glob_c, glob_f)
-    bound = boundary_gradient_bound(band, delta, 1.0, grid.n)
+    bound = boundary_gradient_bound(band, delta, grid.n)
     lhs = max(bound, glob_dpsi)
     return HypothesisReport(
         condition="A" if c is None else "B", w_psi=band.w,
@@ -467,28 +468,28 @@ def check_condition_B(psi, grid: Grid, boundary_geom: BoundaryGeometry,
     return _check(psi, grid, boundary_geom, delta, c)
 
 
-def boundary_gradient_bound(psi_norms: PsiNorms, delta: float, mu: float,
+def boundary_gradient_bound(psi_norms: PsiNorms, delta: float,
                             n: int) -> float:
-    """Proved ceiling for sup|Df| on the boundary along the flow.
+    """Proved mu = 1 ceiling for sup|Df| on the boundary along the flow.
 
-    Returns w/delta + |Dpsi| + 16 n (1+mu) delta |D^2 psi|; at mu = 1 it
-    is the left-hand side of the solvability conditions.
+    Returns w/delta + |Dpsi| + 16 n (1+mu) delta |D^2 psi| with 1 + mu = 2,
+    the left-hand side of the solvability conditions.
     """
     return (psi_norms.w / delta + psi_norms.sup_dpsi
-            + 16.0 * n * (1.0 + mu) * delta * psi_norms.sup_d2psi)
+            + 32.0 * n * delta * psi_norms.sup_d2psi)
 
 
-def barrier_nu(omega_A: float, delta: float, mu: float, c0: float, n: int,
+def barrier_nu(omega_A: float, delta: float, c0: float, n: int,
                sup_d2psi_A: float) -> float:
-    """Log-barrier weight in the boundary gradient estimate.
+    """Log-barrier weight in the mu = 1 boundary gradient estimate.
 
     nu = 4 (1+mu) delta^2 / (1 - 4 c0 (1+mu) delta)
-         * (c0 omega^A / delta + n |D^2 psi^A|).
+         * (c0 omega^A / delta + n |D^2 psi^A|)   with 1 + mu = 2.
     The denominator must stay positive, which delta <= delta0 guarantees.
     """
-    denom = 1.0 - 4.0 * c0 * (1.0 + mu) * delta
+    denom = 1.0 - 8.0 * c0 * delta
     if denom <= 0.0:
         raise HypothesisError(
-            f"barrier weight undefined: 1 - 4 c0 (1+mu) delta = {denom} <= 0")
-    return (4.0 * (1.0 + mu) * delta ** 2 / denom
+            f"barrier weight undefined: 1 - 8 c0 delta = {denom} <= 0")
+    return (8.0 * delta ** 2 / denom
             * (c0 * omega_A / delta + n * sup_d2psi_A))

@@ -6,8 +6,9 @@ schema: a section or key that the run does not read is a hard error, so
 neither a typo nor a key meant for another setting can silently leave a
 run unchanged.  `c` under condition A is rejected, as is `inner_radius`
 on a ball (the message names the condition or kind that decides).  A
-boundary data key with a nan or inf, or with no number, is rejected by
-name.  Of the five
+value that is no number (or no integer, where one is read) is rejected
+by section and key, as is a [domain] or [boundary] number that is a nan
+or an inf, or a [boundary] data key with no number.  Of the five
 boundary families, trigonometric data becomes a `TrigMap`; constant,
 linear, polynomial and lawson_osserman_scaled data become `PolynomialMap`
 term lists that keep their family name.
@@ -60,17 +61,26 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-def _floats(text: str) -> list:
-    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+def _floats(sec, key: str, text: str | None = None) -> list:
+    """The numbers of sec[key] (none if it is absent), or of text (a part
+    of it), split at commas and semicolons; a token that is no number is
+    an error naming the key."""
+    text = sec.get(key, "") if text is None else text
+    try:
+        return [float(tok) for tok in text.replace(";", ",").split(",")
+                if tok.strip()]
+    except ValueError:
+        raise ConfigError(f"[{sec.name}] {key} must hold numbers, got "
+                          f"{text.strip()!r}") from None
 
 
 def _positive_finite(x: float) -> bool:
     return x > 0.0 and math.isfinite(x)
 
 
-def _matrix(text: str) -> list:
-    return [[float(tok) for tok in row.split(",") if tok.strip()]
-            for row in text.split(";") if row.strip()]
+def _matrix(sec, key: str) -> list:
+    return [_floats(sec, key, row) for row in sec[key].split(";")
+            if row.strip()]
 
 
 @dataclass
@@ -105,6 +115,23 @@ class _Parser(configparser.ConfigParser):
         self.looked_up.add((section, self.optionxform(option)))
         return super().get(section, option, **kwargs)
 
+    def getfloat(self, section, option, **kwargs):
+        return self._number(super().getfloat, "a number", section, option,
+                            **kwargs)
+
+    def getint(self, section, option, **kwargs):
+        return self._number(super().getint, "an integer", section, option,
+                            **kwargs)
+
+    def _number(self, read, what, section, option, **kwargs):
+        """read(section, option), with a value it cannot convert reported
+        by section and key."""
+        try:
+            return read(section, option, **kwargs)
+        except ValueError:
+            raise ConfigError(f"[{section}] {option} must be {what}, got "
+                              f"{self.get(section, option)!r}") from None
+
 
 def _check_looked_up(cp: _Parser, mode: str, selectors: dict) -> None:
     """A given section or key that the run never looked up is an error;
@@ -125,7 +152,7 @@ def _check_looked_up(cp: _Parser, mode: str, selectors: dict) -> None:
 def _radius(sec, key: str, kind: str) -> float:
     if key not in sec:
         raise ConfigError(f"{kind} domain needs {key!r}")
-    return sec.getfloat(key)
+    return _finite(sec, key, [sec.getfloat(key)])[0]
 
 
 def _parse_domain(cp, truncation: float | None = None) -> DomainSpec:
@@ -139,11 +166,14 @@ def _parse_domain(cp, truncation: float | None = None) -> DomainSpec:
     if kind == "box":
         if "edges" not in sec:
             raise ConfigError("box domain needs 'edges'")
-        edges = _floats(sec["edges"])
+        edges = _finite(sec, "edges", _floats(sec, "edges"))
         if "dim" in sec and dim != len(edges):
             raise ConfigError(f"box domain has dim = {dim} but "
                               f"{len(edges)} edges")
-        lo = _floats(sec["lo"]) if "lo" in sec else None
+        lo = _finite(sec, "lo", _floats(sec, "lo")) if "lo" in sec else None
+        if lo is not None and len(lo) != len(edges):
+            raise ConfigError(f"[domain] lo must hold one number per edge "
+                              f"({len(edges)}), got {len(lo)}")
         return DomainSpec.box(edges, lo=lo)
     if kind == "ball":
         return DomainSpec.ball(_radius(sec, "radius", kind), dim)
@@ -176,18 +206,19 @@ def _required(sec, key: str, family: str) -> str:
     return sec[key]
 
 
-def _finite(key: str, numbers: list) -> list:
+def _finite(sec, key: str, numbers: list) -> list:
     """numbers, if there are some and all are finite; else an error that
-    names the key (a nan or inf datum would surface as a LAPACK failure,
-    no data as a numpy reduction error)."""
+    names the section and key (a nan or inf datum would surface as a LAPACK
+    failure, no data as a numpy reduction error)."""
     if not numbers or not all(map(math.isfinite, numbers)):
-        raise ConfigError(f"[boundary] {key} must hold finite numbers, "
+        raise ConfigError(f"[{sec.name}] {key} must hold finite numbers, "
                           f"got {numbers}")
     return numbers
 
 
 def _data(sec, key: str, family: str) -> list:
-    return _finite(key, _floats(_required(sec, key, family)))
+    _required(sec, key, family)
+    return _finite(sec, key, _floats(sec, key))
 
 
 def _boundary_map(sec, dim: int):
@@ -197,16 +228,18 @@ def _boundary_map(sec, dim: int):
     if family == "constant":
         return constant_map(_data(sec, "values", family), dim)
     if family == "linear":
-        rows = _matrix(_required(sec, "matrix", family))
-        _finite("matrix", [x for row in rows for x in row])
+        _required(sec, "matrix", family)
+        rows = _matrix(sec, "matrix")
+        _finite(sec, "matrix", [x for row in rows for x in row])
         offset = _data(sec, "offset", family) if "offset" in sec else None
         return linear_map(rows, offset)
     if family == "polynomial":
         terms = []
         for A in range(1, sec.getint("m", fallback=1) + 1):
             coeffs, expos = [], []
-            for term in _required(sec, f"poly_{A}", family).split(";"):
-                toks = _floats(term)
+            key = f"poly_{A}"
+            for term in _required(sec, key, family).split(";"):
+                toks = _floats(sec, key, term)
                 if not toks:
                     continue
                 exps = toks[1:]
@@ -216,7 +249,7 @@ def _boundary_map(sec, dim: int):
                         f"and {dim} integral exponents")
                 coeffs.append(toks[0])
                 expos.append([int(e) for e in exps])
-            terms.append((_finite(f"poly_{A}", coeffs), expos))
+            terms.append((_finite(sec, key, coeffs), expos))
         return PolynomialMap(terms, dim)
     if family == "trigonometric":
         amps = _data(sec, "amplitudes", family)
@@ -225,8 +258,9 @@ def _boundary_map(sec, dim: int):
         phases = _data(sec, "phases", family) if "phases" in sec else None
         return TrigMap(amps, waves, phases)
     if family == "lawson_osserman_scaled":
-        scale = float(_required(sec, "scale", family))
-        return lawson_osserman_map(_finite("scale", [scale])[0])
+        _required(sec, "scale", family)
+        return lawson_osserman_map(_finite(sec, "scale",
+                                           [sec.getfloat("scale")])[0])
     raise ConfigError(f"unknown boundary family {family!r}")
 
 
@@ -286,8 +320,8 @@ def load_config(path: str, mode: str | None = None) -> RunConfig:
         if "exterior" not in cp:
             raise ConfigError("exterior mode needs an [exterior] section")
         sec = cp["exterior"]
-        cfg.radii = _floats(sec.get("radii", ""))
-        cfg.probe_radii = _floats(sec.get("probe_radii", ""))
+        cfg.radii = _floats(sec, "radii")
+        cfg.probe_radii = _floats(sec, "probe_radii")
         if not all(map(math.isfinite, cfg.radii + cfg.probe_radii)):
             raise ConfigError(f"[exterior] radii and probe_radii must be "
                               f"finite, got {cfg.radii} and {cfg.probe_radii}")

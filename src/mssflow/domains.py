@@ -7,7 +7,8 @@ Four shapes are supported, all with closed-form distance functions:
   annulus  -- r_in < |x| < r
   exterior -- complement of a ball, truncated to a computational shell
               r_in < |x| < R; only the inner sphere is the true boundary,
-              the outer sphere is an auxiliary strictly convex cap.
+              the outer sphere (radius R, stored as `radius` as for the
+              annulus) is an auxiliary strictly convex cap.
 
 The distance function d(x) = dist(x, boundary) is C^2 on a collar of
 width eta0; on that collar the trace bound -Laplace(d) >= -c0 holds along
@@ -31,9 +32,10 @@ class DomainSpec:
     """Shape descriptor for the computational domain E.
 
     kind is one of 'box', 'ball', 'annulus', 'exterior'.  Box domains use
-    lo/hi corner arrays; the spherical shapes are centered at the origin.
-    For 'exterior' the excluded compact set is the closed ball of radius
-    inner_radius and truncation_radius is the outer computational radius.
+    lo/hi corner arrays; the spherical shapes are centered at the origin
+    and radius is the outer one.  For 'exterior' the excluded compact set
+    is the closed ball of radius inner_radius and radius is the truncation
+    radius, the outer computational one.
     """
 
     kind: str
@@ -42,15 +44,13 @@ class DomainSpec:
     hi: tuple = ()
     radius: float = 0.0
     inner_radius: float = 0.0
-    truncation_radius: float = 0.0
 
     def __post_init__(self):
         n = self.dim
         if n < 1:
             raise DomainError(f"dim must be >= 1, got {n}")
         sizes = {"lo": self.lo, "hi": self.hi, "radius": self.radius,
-                 "inner_radius": self.inner_radius,
-                 "truncation_radius": self.truncation_radius}
+                 "inner_radius": self.inner_radius}
         bad = [k for k, v in sizes.items()
                if not np.isfinite(np.asarray(v, float)).all()]
         if bad:
@@ -73,9 +73,9 @@ class DomainSpec:
             # The shell must clear the r0 margin: R/2 > diam + 2*eta0 + d0
             # with diam = 2 r_in, eta0 = r_in / 2 and d0 = r_in.
             r0_half = 2.0 * self.inner_radius + self.inner_radius + self.inner_radius
-            if self.truncation_radius / 2.0 <= r0_half:
+            if self.radius / 2.0 <= r0_half:
                 raise DomainError(
-                    f"exterior truncation radius {self.truncation_radius} too small: "
+                    f"exterior truncation radius {self.radius} too small: "
                     f"need R > {2 * r0_half} for the shell construction")
         else:
             raise DomainError(f"unknown domain kind {self.kind!r}")
@@ -102,14 +102,14 @@ class DomainSpec:
     def exterior(inner_radius, truncation_radius, dim) -> "DomainSpec":
         return DomainSpec(kind="exterior", dim=dim,
                           inner_radius=float(inner_radius),
-                          truncation_radius=float(truncation_radius))
+                          radius=float(truncation_radius))
 
     # -- geometry --------------------------------------------------------
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         if self.kind == "box":
             return np.asarray(self.lo, float), np.asarray(self.hi, float)
-        r = self.radius if self.kind in ("ball", "annulus") else self.truncation_radius
+        r = self.radius
         return -r * np.ones(self.dim), r * np.ones(self.dim)
 
     def signed_distance(self, pts: np.ndarray) -> np.ndarray:
@@ -124,8 +124,7 @@ class DomainSpec:
         rho = np.linalg.norm(pts, axis=1)
         if self.kind == "ball":
             return rho - self.radius
-        r_out = self.radius if self.kind == "annulus" else self.truncation_radius
-        return np.maximum(self.inner_radius - rho, rho - r_out)
+        return np.maximum(self.inner_radius - rho, rho - self.radius)
 
     def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
         """Distance to the computational boundary for points inside E."""
@@ -138,8 +137,7 @@ class DomainSpec:
             return float(np.min(hi - lo))
         if self.kind == "ball":
             return 2.0 * self.radius
-        r_out = self.radius if self.kind == "annulus" else self.truncation_radius
-        return r_out - self.inner_radius
+        return self.radius - self.inner_radius
 
 
 @dataclass(frozen=True)

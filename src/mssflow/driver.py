@@ -94,7 +94,7 @@ def _domain_echo(spec: DomainSpec) -> str:
         return (f"annulus inner={_fmt(spec.inner_radius)} "
                 f"outer={_fmt(spec.radius)} dim={spec.dim}")
     return (f"exterior excluded_radius={_fmt(spec.inner_radius)} "
-            f"truncation={_fmt(spec.truncation_radius)} dim={spec.dim}")
+            f"truncation={_fmt(spec.radius)} dim={spec.dim}")
 
 
 def _geometry_header(grid: Grid) -> list:
@@ -363,7 +363,7 @@ def run_exterior(cfg: RunConfig, out_dir: str, force: bool = False) -> int:
 def _radial_density_reference(n: int, tau: float, offset: float,
                               cutoff: float) -> float:
     """Reference value of the cutoff density of a flat plane at distance
-    offset from the center, by fixed-grid Simpson quadrature in the radius."""
+    offset from the origin, by fixed-grid Simpson quadrature in the radius."""
     r = np.linspace(0.0, cutoff, 20001)
     rho_sq = r * r + offset * offset
     phi = shrinker.phi_quintic(np.sqrt(rho_sq), cutoff)
@@ -389,17 +389,14 @@ def run_density_oracle(cfg: RunConfig, out_dir: str) -> int:
     code = EXIT_OK
     residual = float("nan")
     if plane:
-        off = d["offset"] if name == "offset_plane" else 0.0
+        off = d["offset"]       # 0.0 unless the state is offset_plane
         if name == "half_plane":
             state = oracles.half_plane_state(h=h, halfwidth=halfwidth)
         else:
-            state = oracles.plane_state(h=h, halfwidth=halfwidth,
-                                        offset=[off] if off else None)
-        n = state.grid.n
-        query = shrinker.DensityQuery(
-            center=np.zeros(n + state.m), time_gap=tau, cutoff=d["cutoff"])
-        theta = shrinker.gaussian_density(state, query)
-        expected = _radial_density_reference(n, tau, off, d["cutoff"])
+            state = oracles.plane_state(h=h, halfwidth=halfwidth, offset=off)
+        theta = shrinker.gaussian_density(state, tau, d["cutoff"])
+        expected = _radial_density_reference(state.grid.n, tau, off,
+                                             d["cutoff"])
         if name == "half_plane":
             expected *= 0.5
         err = abs(theta - expected)

@@ -392,18 +392,18 @@ class FlowMonitors:
     Owns every value the records and the invariant suite are measured
     against but the boundary-gradient ceiling (the hypothesis report's
     boundary_bound), frozen at construction from the given state and one
-    sample of the data (psi) on the grid's closure: the margin eps,
-    the grid spacing h, the per-component range psi_lo / psi_hi of the
-    state's values, its pinned arm ends and the closure's boundary
-    samples, the *Omega floor, and, with delta, the barrier's band
-    geometry and data sup-norms.  Every program caller builds them from
-    the initial state, so the range is that of the data.  Records are
-    then pure functions of the state.  delta, when given, must lie in
-    (0, eta0]; the barrier needs it.
+    sample of the data (psi) on the grid's closure: the margin eps (None
+    when the hypothesis left no margin), the grid spacing h, the
+    per-component range psi_lo / psi_hi of the state's values, its pinned
+    arm ends and the closure's boundary samples, the *Omega floor, and
+    the barrier's band geometry and data sup-norms.  Every program caller
+    builds them from the initial state, so the range is that of the data.
+    Records are then pure functions of the state.  delta, the barrier's
+    band width, must lie in (0, eta0].
     """
 
-    def __init__(self, state: GraphState, eps: float | None = None,
-                 delta: float | None = None):
+    def __init__(self, state: GraphState, delta: float,
+                 eps: float | None = None):
         grid = state.grid
         self.eps = eps
         self.delta = delta
@@ -412,31 +412,28 @@ class FlowMonitors:
             (grid.arm_src >= grid.num_interior).any(axis=(0, 1)))[0]
         _, wb = pinned_boundary_cells(state)
         self.static_boundary_area = float(wb.sum())
-        self.band_idx = None
-        if delta is not None:
-            geom = estimate_c0_eta0(grid.spec)
-            if not 0.0 < delta <= geom.eta0:
-                raise ValueError(f"delta = {delta} outside (0, eta0 = {geom.eta0}]")
+        geom = estimate_c0_eta0(grid.spec)
+        if not 0.0 < delta <= geom.eta0:
+            raise ValueError(f"delta = {delta} outside (0, eta0 = {geom.eta0}]")
         vals, self._closure_jac, hess = state.psi.jets(grid.closure_points())
         data = np.vstack([state.f, state.pinned, vals[grid.num_interior:]])
         self.psi_lo, self.psi_hi = data.min(axis=0), data.max(axis=0)
-        if delta is not None:
-            # closure rows start with the interior nodes in grid order
-            self.band_idx = np.nonzero(grid.band_mask(delta))[0]
-            band_d = grid.d_bdry[self.band_idx]
-            self.band_psi = vals[self.band_idx]
-            # per-component oscillation and band Hessian sup (the
-            # direction rule at m = 1: the largest |eigenvalue|)
-            self.omega = vals.max(axis=0) - vals.min(axis=0)
-            hb = hess[grid.closure_band_mask(delta)]
-            self.nu = np.array([
-                barrier_nu(self.omega[A], delta, 1.0, geom.c0, grid.n,
-                           _sup_hessian_norm(hb[:, A:A + 1]))
-                for A in range(state.m)])
-            # static barrier part nu log(1 + k d) + (omega / delta) d, k = 1/delta
-            k = 1.0 / delta
-            self.band_base = self.nu[None, :] * np.log1p(k * band_d)[:, None] \
-                + (self.omega[None, :] / delta) * band_d[:, None]
+        # closure rows start with the interior nodes in grid order
+        self.band_idx = np.nonzero(grid.band_mask(delta))[0]
+        band_d = grid.d_bdry[self.band_idx]
+        self.band_psi = vals[self.band_idx]
+        # per-component oscillation and band Hessian sup (the direction
+        # rule at m = 1: the largest |eigenvalue|)
+        self.omega = vals.max(axis=0) - vals.min(axis=0)
+        hb = hess[grid.closure_band_mask(delta)]
+        self.nu = np.array([
+            barrier_nu(self.omega[A], delta, geom.c0, grid.n,
+                       _sup_hessian_norm(hb[:, A:A + 1]))
+            for A in range(state.m)])
+        # static barrier part nu log(1 + k d) + (omega / delta) d, k = 1/delta
+        k = 1.0 / delta
+        self.band_base = self.nu[None, :] * np.log1p(k * band_d)[:, None] \
+            + (self.omega[None, :] / delta) * band_d[:, None]
 
     def star_omega_floor(self) -> float:
         """min over the sampled closure of *Omega of the initial graph."""
@@ -451,7 +448,7 @@ class FlowMonitors:
         S        = nu log(1 + k d) + (psi^A - f^A) + (omega^A / delta) d
         S_mirror = nu log(1 + k d) + (f^A - psi^A) + (omega^A / delta) d
         with k = 1/delta; both stay non-negative on the band while the
-        boundary gradient estimate is in force.  Needs delta and psi.
+        boundary gradient estimate is in force.
         """
         diff = self.band_psi - state.f[self.band_idx]
         return self.band_base + diff, self.band_base - diff
@@ -476,8 +473,8 @@ class FlowMonitors:
         bgrad = float(np.sqrt(lam_sq[self.boundary_adjacent].max())) \
             if self.boundary_adjacent.size else 0.0
 
-        barrier_min = np.nan
-        if self.band_idx is not None and self.band_idx.size:
+        barrier_min = np.nan        # an empty band has no barrier
+        if self.band_idx.size:
             S, S_mirror = self.barrier_fields(state)
             barrier_min = float(np.minimum(S, S_mirror).min())
 
@@ -558,8 +555,8 @@ def super_step(state: GraphState, bundle: FieldBundle, dt: float, n: int,
 
 
 def run_to_steady(state0: GraphState, tol_residual: float, max_steps: int,
-                  monitor_every: int, cfl: float = 0.9,
-                  monitors: FlowMonitors | None = None,
+                  monitor_every: int, monitors: FlowMonitors,
+                  cfl: float = 0.9,
                   lambda_guard: float = DEFAULT_LAMBDA_GUARD
                   ) -> tuple[GraphState, list, str]:
     """Iterate the flow until the system residual drops below tolerance.
@@ -571,15 +568,13 @@ def run_to_steady(state0: GraphState, tol_residual: float, max_steps: int,
     steps, at the budget, or after as many steps as have already been
     taken, whichever comes first.  Super-steps thus grow geometrically
     from one explicit step, and monitor_every = 1 is plain explicit Euler.
-    Records are taken at t = 0, every monitor_every-th step, and at the
-    final step; the residual, the guard and finiteness are checked after
-    every super-step.  Guard violations and non-finite values terminate
-    the run with the BlowUp outcome.
+    monitors, built from state0, take the records at t = 0, every
+    monitor_every-th step, and at the final step; the residual, the guard
+    and finiteness are checked after every super-step.  Guard violations
+    and non-finite values terminate the run with the BlowUp outcome.
     """
     if tol_residual <= 0:
         raise ValueError(f"tol_residual must be positive, got {tol_residual}")
-    if monitors is None:
-        monitors = FlowMonitors(state0)
     dt = stable_dt(state0.grid, cfl)
     state = state0
     bundle = compute_fields(state)

@@ -175,12 +175,8 @@ def _crossing_fraction(spec: DomainSpec, p: np.ndarray, step: np.ndarray) -> np.
     """
     K = p.shape[0]
     tol = 1e-12
-    if spec.kind == "ball":
-        radii = [spec.radius]
-    elif spec.kind == "annulus":
-        radii = [spec.inner_radius, spec.radius]
-    else:  # exterior shell
-        radii = [spec.inner_radius, spec.truncation_radius]
+    radii = [spec.radius] if spec.kind == "ball" \
+        else [spec.inner_radius, spec.radius]     # annulus or exterior shell
     a = np.einsum("ki,ki->k", step, step)
     b = np.einsum("ki,ki->k", p, step)
     t = np.full(K, np.inf)
@@ -286,9 +282,8 @@ def _classify(spec: DomainSpec, target_h: float) -> tuple[Closure, list]:
         los = lo.copy()
         dims = tuple(counts + 1)
     else:
-        r = spec.radius if spec.kind in ("ball", "annulus") else spec.truncation_radius
         hs = np.full(n, float(target_h))
-        half = int(np.ceil(r / target_h)) + 1
+        half = int(np.ceil(spec.radius / target_h)) + 1
         los = -half * hs
         dims = tuple([2 * half + 1] * n)
 

@@ -1,7 +1,9 @@
 """Closed-form graphs with exact jets, used as numerical oracles.
 
 These are the density_oracle mode's states: flat planes and half-planes
-pin the Gaussian-density dichotomy (1 vs 1/2), and the radius sqrt(2n)
+pin the Gaussian-density dichotomy at the origin (1 on the plane through
+it, 1/2 on the half-plane whose edge passes through it; the plane lifted
+by an offset gives the Gaussian factor), and the radius sqrt(2n)
 sphere cap solves the self-shrinker system exactly, so every discrete
 residual on it is pure truncation error.  Flat data is one constant
 polynomial term; the cap has its own map class.
@@ -41,13 +43,12 @@ class SphereCapMap:
         return f[:, None], jac, hess
 
 
-def plane_state(h: float, halfwidth: float, offset=None) -> GraphState:
-    """Horizontal graph of height offset (default 0) over a centered square."""
+def plane_state(h: float, halfwidth: float, offset: float = 0.0) -> GraphState:
+    """Horizontal graph of height offset over a centered square."""
     spec = DomainSpec.box(np.full(2, 2.0 * halfwidth),
                           lo=np.full(2, -halfwidth))
     grid = build_grid(spec, h)
-    values = [0.0] if offset is None else offset
-    return make_state(grid, constant_map(values, 2))
+    return make_state(grid, constant_map([offset], 2))
 
 
 def half_plane_state(h: float, halfwidth: float) -> GraphState:

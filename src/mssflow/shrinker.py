@@ -1,56 +1,21 @@
 """Self-shrinker and Gaussian-density toolkit.
 
-Implements the cutoff-weighted Gaussian density of a flow state around a
-space-time center and the residual field of the c-minimal (self-shrinker)
-system.  The density is evaluated directly at a time gap T - t; no state
-is ever rescaled.
+Implements the cutoff-weighted Gaussian density of a flow state around
+the space-time origin and the residual field of the c-minimal
+(self-shrinker) system.  The density is evaluated directly at a time gap
+T - t; no state is ever rescaled.
 
 The density of a smooth flow at a point is 1 when the point is interior
 and 1/2 when it sits on the boundary of the evolving graph; those two
-values are the blow-up dichotomy the acceptance oracles pin down.
+values are the blow-up dichotomy the acceptance oracles pin down, read
+at the origin of R^(n+m).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .flow import GraphState, compute_fields, pinned_boundary_cells
-from .grid import CLS_TOL
-
-GAUSS_TAIL_FACTOR = 6.0     # kernel mass beyond 6 sqrt(time_gap) is < 1e-8
-
-
-class UndercoverageError(RuntimeError):
-    """The kernel's effective support leaks off the sampled region."""
-
-
-@dataclass(frozen=True)
-class DensityQuery:
-    """Space-time center and quadrature window for a density evaluation.
-
-    center is a point of R^(n+m); time_gap is T - t > 0.  phi is supported
-    on [0, cutoff] (ambient distance).  Nodes beyond the truncation radius
-    max(6 sqrt(time_gap), cutoff) are skipped: it is derived, never set,
-    and keeps the Gaussian tail below 1e-8.
-    """
-
-    center: np.ndarray
-    time_gap: float
-    cutoff: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, float))
-        if self.time_gap <= 0:
-            raise ValueError(f"time_gap must be positive, got {self.time_gap}")
-        if self.cutoff <= 0:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
-
-    @property
-    def truncation(self) -> float:
-        floor = GAUSS_TAIL_FACTOR * np.sqrt(self.time_gap)
-        return max(float(floor), self.cutoff)
 
 
 def phi_quintic(r: np.ndarray, cutoff: float = 1.0) -> np.ndarray:
@@ -63,36 +28,19 @@ def phi_quintic(r: np.ndarray, cutoff: float = 1.0) -> np.ndarray:
     return 1.0 - s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
-def _coverage_check(state: GraphState, query: DensityQuery) -> None:
-    """The kernel support intersected with the domain must be sampled.
+def gaussian_density(state: GraphState, time_gap: float,
+                     cutoff: float) -> float:
+    """Cutoff-weighted Gaussian density of the graph around the origin.
 
-    Bounded shapes are always fully covered by their lattice; only the
-    truncated exterior shell can genuinely leak (the domain continues past
-    the outer quadrature sphere).
-    """
-    spec = state.grid.spec
-    if spec.kind == "exterior":
-        y_base = query.center[:state.grid.n]
-        reach = float(np.linalg.norm(y_base)) + query.cutoff
-        if reach > spec.truncation_radius + CLS_TOL:
-            raise UndercoverageError(
-                f"kernel support reaches |x| = {reach} but the shell is "
-                f"truncated at {spec.truncation_radius}")
-
-
-def gaussian_density(state: GraphState, query: DensityQuery) -> float:
-    """Cutoff-weighted Gaussian density of the graph around the center.
-
-    Quadrature of phi(|z - Y|) * rho(z) * sqrt(det g) over the discrete
-    graph, with phi = phi_quintic and rho the backward heat kernel
-    (4 pi (T-t))^(-n/2) exp(-|z - Y|^2 / (4 (T-t))), n the dimension of
-    the graph.  Interior nodes carry full cells; lattice nodes sitting on
-    flat boundary faces carry the matching cell fraction, which is what
+    Quadrature of phi(|z|) * rho(z) * sqrt(det g) over the discrete graph,
+    with phi = phi_quintic (supported on |z| <= cutoff) and rho the
+    backward heat kernel (4 pi T)^(-n/2) exp(-|z|^2 / (4 T)), T the time
+    gap and n the dimension of the graph; the sum runs over the nodes of
+    phi's support.  Interior nodes carry full cells; lattice nodes sitting
+    on flat boundary faces carry the matching cell fraction, which is what
     makes the half-plane value come out at 1/2 instead of 1/2 + O(h).
     """
-    _coverage_check(state, query)
     grid = state.grid
-    n = grid.n
     bundle = compute_fields(state)
 
     z = np.concatenate([grid.interior_pos, state.f], axis=1)
@@ -101,14 +49,11 @@ def gaussian_density(state: GraphState, query: DensityQuery) -> float:
     if wb.size:
         z = np.vstack([z, zb])
         w = np.concatenate([w, wb])
-    dist = np.linalg.norm(z - query.center, axis=1)
-    mask = dist <= query.truncation
-    if not mask.any():
-        return 0.0
-    tau = query.time_gap
-    rho = (4.0 * np.pi * tau) ** (-0.5 * n) \
-        * np.exp(-dist[mask] ** 2 / (4.0 * tau))
-    return float((phi_quintic(dist[mask], query.cutoff) * rho * w[mask]).sum())
+    dist = np.linalg.norm(z, axis=1)
+    mask = dist <= cutoff
+    rho = (4.0 * np.pi * time_gap) ** (-0.5 * grid.n) \
+        * np.exp(-dist[mask] ** 2 / (4.0 * time_gap))
+    return float((phi_quintic(dist[mask], cutoff) * rho * w[mask]).sum())
 
 
 def shrinker_residual_field(state: GraphState, c: float) -> np.ndarray:

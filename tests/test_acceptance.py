@@ -153,12 +153,11 @@ def test_criterion_1_gaussian_density_dichotomy():
     with criterion(1, "Gaussian density 1 in the interior, 1/2 on the edge"):
         tau = 0.005
         plane = oracles.plane_state(h=0.025, halfwidth=1.3)
-        q = shrinker.DensityQuery(center=np.zeros(3), time_gap=tau)
-        theta_int = shrinker.gaussian_density(plane, q)
+        theta_int = shrinker.gaussian_density(plane, tau, 1.0)
         assert abs(theta_int - 1.0) <= 1e-3, theta_int
 
         half = oracles.half_plane_state(h=0.025, halfwidth=1.3)
-        theta_edge = shrinker.gaussian_density(half, q)
+        theta_edge = shrinker.gaussian_density(half, tau, 1.0)
         assert abs(theta_edge - 0.5) <= 1e-3, theta_edge
 
 
@@ -222,7 +221,8 @@ def test_criterion_5_steady_limit_is_minimal():
         grid = build_grid(DomainSpec.box([1.0, 1.0]), 1.0 / 32)
         psi = bd.TrigMap([0.02, 0.01], [[2.0, 1.0], [1.0, 2.0]])
         state = flow.make_state(grid, psi)
-        final, records, outcome = flow.run_to_steady(state, 1e-9, 200_000, 100)
+        final, records, outcome = flow.run_to_steady(
+            state, 1e-9, 200_000, 100, flow.FlowMonitors(state, 0.1))
         assert outcome == "Converged"
         assert records[-1].residual_sup < 1e-9
         dt = flow.stable_dt(grid, 0.9)
@@ -231,7 +231,8 @@ def test_criterion_5_steady_limit_is_minimal():
         drift = np.abs(stepped.f - final.f).max()
         assert drift < 1e-12, drift
         # and restarting reports immediate convergence
-        _, records2, outcome2 = flow.run_to_steady(final, 1e-9, 100, 10)
+        _, records2, outcome2 = flow.run_to_steady(
+            final, 1e-9, 100, 10, flow.FlowMonitors(final, 0.1))
         assert outcome2 == "Converged" and len(records2) == 1
 
 
@@ -253,7 +254,7 @@ def test_criterion_6_hypothesis_checker_arithmetic():
         assert rep3.passed and rep3.lhs_condition == 0.0
 
         bound = bd.boundary_gradient_bound(
-            bd.PsiNorms(w=0.1, sup_dpsi=0.3, sup_d2psi=0.05), 0.2, 1.0, 2)
+            bd.PsiNorms(w=0.1, sup_dpsi=0.3, sup_d2psi=0.05), 0.2, 2)
         assert abs(bound - 1.44) <= 1e-12
 
 

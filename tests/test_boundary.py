@@ -297,12 +297,12 @@ def test_direction_max_on_flat_data(monkeypatch, make):
 
 def test_delta0_cases():
     ball_geom = estimate_c0_eta0(DomainSpec.ball(1.0, 2))
-    np.testing.assert_allclose(bd.delta0(ball_geom, 1.0), 0.5)
+    np.testing.assert_allclose(bd.delta0(ball_geom), 0.5)
     geom = BoundaryGeometry(eta0=10.0, c0=1.0, hess_d_bound=0.5)
-    np.testing.assert_allclose(bd.delta0(geom, 1.0), 1.0 / 32)
+    np.testing.assert_allclose(bd.delta0(geom), 1.0 / 32)
     prev = np.inf
     for c0 in (1.0, 10.0, 100.0, 1e4):
-        cur = bd.delta0(BoundaryGeometry(eta0=10.0, c0=c0, hess_d_bound=c0), 1.0)
+        cur = bd.delta0(BoundaryGeometry(eta0=10.0, c0=c0, hess_d_bound=c0))
         assert cur < prev
         prev = cur
     assert prev < 1e-5
@@ -377,14 +377,9 @@ def test_condition_B_examples(box_grid):
 
 def test_boundary_gradient_bound_values():
     norms = bd.PsiNorms(w=0.1, sup_dpsi=0.3, sup_d2psi=0.05)
-    assert abs(bd.boundary_gradient_bound(norms, 0.2, 1.0, 2) - 1.44) <= 1e-12
+    assert abs(bd.boundary_gradient_bound(norms, 0.2, 2) - 1.44) <= 1e-12
     zero = bd.PsiNorms(w=0.0, sup_dpsi=0.0, sup_d2psi=0.0)
-    assert bd.boundary_gradient_bound(zero, 0.2, 1.0, 2) == 0.0
-    # third term is linear in (1 + mu)
-    only2 = bd.PsiNorms(w=0.0, sup_dpsi=0.0, sup_d2psi=0.05)
-    r1 = bd.boundary_gradient_bound(only2, 0.2, 1.0, 2)
-    r3 = bd.boundary_gradient_bound(only2, 0.2, 3.0, 2)
-    np.testing.assert_allclose(r3 / r1, 2.0, rtol=1e-14)
+    assert bd.boundary_gradient_bound(zero, 0.2, 2) == 0.0
 
 
 def test_condition_A_pass_implies_gradient_bound_below_one(ball_grid):
@@ -398,27 +393,27 @@ def test_condition_A_pass_implies_gradient_bound_below_one(ball_grid):
         delta = rng.uniform(0.05, 0.4)
         rep = bd.check_condition_A(psi, ball_grid, geom, delta)
         band = bd.PsiNorms(rep.w_psi, rep.sup_dpsi_band, rep.sup_d2psi_band)
-        bound = bd.boundary_gradient_bound(band, delta, 1.0, 2)
+        bound = bd.boundary_gradient_bound(band, delta, 2)
         assert rep.boundary_bound == bound
         assert max(bound, rep.sup_dpsi_global) == rep.lhs_condition
         if rep.passed:
             assert bound < 1.0
     rep_b = bd.check_condition_B(psi, ball_grid, geom, delta, 0.5)
     glob = bd.PsiNorms(rep_b.w_psi, rep_b.sup_dpsi_band, rep_b.sup_d2psi_band)
-    bound_b = bd.boundary_gradient_bound(glob, delta, 1.0, 2)
+    bound_b = bd.boundary_gradient_bound(glob, delta, 2)
     assert rep_b.boundary_bound == bound_b == rep_b.lhs_condition
 
 
 def test_barrier_nu():
     # c0 = 0 branch drops the denominator entirely
-    nu = bd.barrier_nu(0.5, 0.1, 1.0, 0.0, 2, 0.3)
+    nu = bd.barrier_nu(0.5, 0.1, 0.0, 2, 0.3)
     np.testing.assert_allclose(nu, 4 * 2 * 0.01 * 2 * 0.3, rtol=1e-14)
-    assert bd.barrier_nu(0.5, 0.1, 1.0, 0.0, 2, 0.0) == 0.0
-    nu2 = bd.barrier_nu(0.1, 1.0 / 32, 1.0, 1.0, 2, 1.0)
+    assert bd.barrier_nu(0.5, 0.1, 0.0, 2, 0.0) == 0.0
+    nu2 = bd.barrier_nu(0.1, 1.0 / 32, 1.0, 2, 1.0)
     np.testing.assert_allclose(nu2, (4 * 2 * (1 / 1024) / 0.75) * (3.2 + 2),
                                rtol=1e-13)
     with pytest.raises(bd.HypothesisError):
-        bd.barrier_nu(0.1, 0.5, 1.0, 1.0, 2, 1.0)   # 1 - 4 c0 (1+mu) delta < 0
+        bd.barrier_nu(0.1, 0.5, 1.0, 2, 1.0)   # 1 - 8 c0 delta < 0
 
 
 def test_refinement_pass_is_conservative(ball_grid):
@@ -570,7 +565,7 @@ def test_screened_reductions_match_lapack_on_every_row(name):
                                          delta=monitor_delta)
             hb = hess[grid.closure_band_mask(monitor_delta)]
             geom = estimate_c0_eta0(spec)
-            nu = [bd.barrier_nu(monitors.omega[A], monitor_delta, 1.0, geom.c0,
+            nu = [bd.barrier_nu(monitors.omega[A], monitor_delta, geom.c0,
                                 grid.n, _lapack_abs_eig(hb[:, A]).max())
                   for A in range(psi.m)]
             assert monitors.nu.tolist() == nu

@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -398,6 +399,52 @@ def test_cli_non_finite_sizes_exit_one(tmp_path, text):
     assert "Traceback" not in r.stderr
 
 
+_BALL_DOMAIN = "kind = ball\ndim = 2\nradius = 1.0"
+# case -> (replacements in BALL_SOLVE, the section and key the error names)
+_MALFORMED = {
+    "h-word": ([("h = 0.0625", "h = abc")], "[grid] h"),
+    "dim-fraction": ([("dim = 2", "dim = 2.5")], "[domain] dim"),
+    "max-steps-float": ([("max_steps = 100000", "max_steps = 1e5")],
+                        "[flow] max_steps"),
+    "values-word": ([(BALL_TRIG, "family = constant\nm = 2\nvalues = 0.1, x")],
+                    "[boundary] values"),
+    "matrix-word": ([(BALL_TRIG, "family = linear\nm = 2\n"
+                                 "matrix = 0.2, x; 0.1, 0.05")],
+                    "[boundary] matrix"),
+    "poly-word": ([(BALL_TRIG, "family = polynomial\nm = 1\n"
+                               "poly_1 = 0.01, 2, x")], "[boundary] poly_1"),
+    "scale-word": ([("dim = 2", "dim = 4"),
+                    (BALL_TRIG, "family = lawson_osserman_scaled\n"
+                                "scale = 0.1x")], "[boundary] scale"),
+    "lo-three-for-two-edges": (
+        [(_BALL_DOMAIN, "kind = box\ndim = 2\nedges = 1.0, 1.0\n"
+                        "lo = 0.0, 0.0, 0.0")], "[domain] lo"),
+    "truncation-radius-inf": (
+        [(_BALL_DOMAIN, "kind = exterior\ndim = 2\ninner_radius = 1.0\n"
+                        "truncation_radius = inf")],
+        "[domain] truncation_radius"),
+}
+
+
+@pytest.mark.parametrize("name", _MALFORMED)
+def test_malformed_number_names_its_key(tmp_path, name):
+    # a value no float() or int() takes, a mis-sized lo and a non-finite
+    # [domain] size are ConfigErrors that name section and key, in the
+    # library and on the command line
+    edits, key = _MALFORMED[name]
+    text = BALL_SOLVE
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path = write_cfg(tmp_path, text)
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_config(path)
+    r = run_cli(["solve", "--config", path, "--out", str(tmp_path / "out")])
+    assert r.returncode == 1
+    assert "configuration error:" in r.stderr and key in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_program_does_not_import_the_pointwise_oracle():
     # the tests' reference (tests/reference.py) lies outside the package:
     # every package module imports with only src on the path, none pulls
@@ -689,7 +736,8 @@ def test_lawson_osserman_large_scale_blows_up():
     grid = build_grid(DomainSpec.ball(1.0, 4), 0.2)
     psi = bd.lawson_osserman_map(12.0)
     state = flow.make_state(grid, psi)
-    final, records, outcome = flow.run_to_steady(state, 1e-6, 2000, 100)
+    final, records, outcome = flow.run_to_steady(
+        state, 1e-6, 2000, 100, flow.FlowMonitors(state, 0.1))
     assert outcome == "BlowUp"
 
 

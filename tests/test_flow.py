@@ -23,9 +23,9 @@ def ball_run():
     rep = bd.check_condition_A(SMALL_TRIG, grid, geom, 0.1)
     assert rep.passed
     state = flow.make_state(grid, SMALL_TRIG)
-    monitors = flow.FlowMonitors(state, eps=rep.eps, delta=0.1)
+    monitors = flow.FlowMonitors(state, 0.1, eps=rep.eps)
     final, records, outcome = flow.run_to_steady(
-        state, 1e-6, 100_000, 25, monitors=monitors)
+        state, 1e-6, 100_000, 25, monitors)
     assert outcome == "Converged"
     return grid, rep, state, monitors, final, records
 
@@ -148,7 +148,8 @@ def test_field_kernel_matches_pointwise_reference(data):
     # monitors: the minima of *Omega and of the strict-margin tensor
     lams = [jets.singular_values(jet) for jet in pointwise]
     diss = flow.dissipation_rate(state, bundle)
-    rec = flow.FlowMonitors(state, eps=eps).record(state, bundle, 1.0, diss, 0.0)
+    rec = flow.FlowMonitors(state, 0.1, eps=eps).record(state, bundle, 1.0,
+                                                       diss, 0.0)
     tol = 1e-12 * (1.0 + max(lam[0] ** 2 for lam in lams))
     assert abs(rec.min_star_omega - min(map(jets.star_omega, lams))) <= tol
     assert abs(rec.min_p_eig
@@ -255,7 +256,8 @@ def test_super_step_multiplies_sin_mode_by_legendre_value(n, s):
 def test_run_to_steady_constant_converges_in_zero_steps():
     grid = build_grid(BALL, 1.0 / 16)
     state = flow.make_state(grid, bd.constant_map([1.5], 2))
-    final, records, outcome = flow.run_to_steady(state, 1e-6, 100, 10)
+    final, records, outcome = flow.run_to_steady(
+        state, 1e-6, 100, 10, flow.FlowMonitors(state, 0.1))
     assert outcome == "Converged"
     assert final.t == 0.0 and len(records) == 1
 
@@ -263,7 +265,8 @@ def test_run_to_steady_constant_converges_in_zero_steps():
 def test_blow_up_guard():
     grid = build_grid(BALL, 1.0 / 16)
     steep = flow.make_state(grid, bd.linear_map([[20.0, 0.0], [0.0, 0.0]]))
-    _, _, outcome = flow.run_to_steady(steep, 1e-6, 100, 10)
+    _, _, outcome = flow.run_to_steady(steep, 1e-6, 100, 10,
+                                       flow.FlowMonitors(steep, 0.1))
     assert outcome == "BlowUp"
 
 
@@ -272,7 +275,9 @@ def test_blow_up_guard_checks_the_last_super_step():
     ball = DomainSpec.ball(1.0, 4)
     state = flow.make_state(build_grid(ball, 0.2), bd.lawson_osserman_map(12.0))
     assert flow.compute_fields(state).max_lambda < 23.88
-    _, _, outcome = flow.run_to_steady(state, 1e-6, 1, 1, lambda_guard=23.88)
+    _, _, outcome = flow.run_to_steady(state, 1e-6, 1, 1,
+                                       flow.FlowMonitors(state, 0.1),
+                                       lambda_guard=23.88)
     assert outcome == "BlowUp"
 
 
@@ -288,8 +293,9 @@ def test_super_steps_converge_to_the_explicit_euler_state(ball_run):
     # runs stop within tol_residual / lambda_1 of the discrete steady state,
     # lambda_1 = 5.78 the unit disk's first Dirichlet eigenvalue
     grid, _, _, _, final, _ = ball_run
-    euler, _, outcome = flow.run_to_steady(flow.make_state(grid, SMALL_TRIG),
-                                           1e-6, 100_000, 1)
+    state = flow.make_state(grid, SMALL_TRIG)
+    euler, _, outcome = flow.run_to_steady(state, 1e-6, 100_000, 1,
+                                           flow.FlowMonitors(state, 0.1))
     assert outcome == "Converged"
     assert np.abs(final.f - euler.f).max() <= 1e-6 / 5.78
 
@@ -298,7 +304,8 @@ def test_step_budget_ends_on_the_last_explicit_step():
     grid = build_grid(BALL, 1.0 / 16)
     state0 = flow.make_state(grid, SMALL_TRIG, t=0.25)
     dt = flow.stable_dt(grid, 0.9)
-    final, records, outcome = flow.run_to_steady(state0, 1e-9, 60, 25)
+    final, records, outcome = flow.run_to_steady(
+        state0, 1e-9, 60, 25, flow.FlowMonitors(state0, 0.1))
     assert outcome == "MaxSteps"
     assert final.t == state0.t + 60 * dt
     assert [r.t for r in records] == [state0.t + k * dt for k in (0, 25, 50, 60)]
@@ -309,7 +316,8 @@ def test_determinism_of_runs():
     outs = []
     for _ in range(2):
         state = flow.make_state(grid, SMALL_TRIG)
-        final, records, _ = flow.run_to_steady(state, 1e-4, 5000, 50)
+        final, records, _ = flow.run_to_steady(
+            state, 1e-4, 5000, 50, flow.FlowMonitors(state, 0.1))
         outs.append((final.f.copy(), [r.csv_row() for r in records]))
     assert np.array_equal(outs[0][0], outs[1][0])
     assert outs[0][1] == outs[1][1]
@@ -388,7 +396,8 @@ def test_grid_refinement_second_order_interior():
     for h in (1.0 / 16, 1.0 / 32, 1.0 / 64):
         grid = build_grid(spec, h)
         state = flow.make_state(grid, psi)
-        final, _, outcome = flow.run_to_steady(state, 1e-10, 400_000, 1000)
+        final, _, outcome = flow.run_to_steady(
+            state, 1e-10, 400_000, 1000, flow.FlowMonitors(state, 0.1))
         assert outcome == "Converged"
         index = {tuple(c): k for k, c in enumerate(grid.lattice_coords().tolist())}
         solutions[h] = (final, index)
