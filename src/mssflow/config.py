@@ -8,10 +8,12 @@ run unchanged.  `c` under condition A is rejected, as is `inner_radius`
 on a ball (the message names the condition or kind that decides).  A
 value that is no number (or no integer, where one is read) is rejected
 by section and key, as is a [domain] or [boundary] number that is a nan
-or an inf, or a [boundary] data key with no number.  Of the five
-boundary families, trigonometric data becomes a `TrigMap`; constant,
-linear, polynomial and lawson_osserman_scaled data become `PolynomialMap`
-term lists that keep their family name.
+or an inf, or a [boundary] data key with no number.  A section or key
+given twice and a line before the first section header are rejected by
+file and line; a '%' is plain text.  Of the five boundary families,
+trigonometric data becomes a `TrigMap`; constant, linear, polynomial and
+lawson_osserman_scaled data become `PolynomialMap` term lists that keep
+their family name.
 
 Example::
 
@@ -108,7 +110,8 @@ class _Parser(configparser.ConfigParser):
     fallback= read goes through get; `key in sec` does not."""
 
     def __init__(self):
-        super().__init__(inline_comment_prefixes=("#",))
+        # no interpolation: a '%' in a value is text, not a syntax error
+        super().__init__(inline_comment_prefixes=("#",), interpolation=None)
         self.looked_up = set()
 
     def get(self, section, option, **kwargs):
@@ -271,7 +274,13 @@ def load_config(path: str, mode: str | None = None) -> RunConfig:
     [run] mode if both are present.
     """
     cp = _Parser()
-    if not cp.read(path):
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        # a repeated section or key, or a line outside any section; the
+        # message names the file and line, spread over several lines
+        raise ConfigError(" ".join(str(exc).split())) from None
+    if not read:
         raise ConfigError(f"cannot read config file {path!r}")
 
     file_mode = cp.get("run", "mode", fallback=None)

@@ -25,7 +25,7 @@ import numpy as np
 from . import flow, oracles, shrinker
 from .boundary import (HypothesisReport, check_condition_A, check_condition_B,
                        top_singular_values)
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .domains import DomainSpec, estimate_c0_eta0
 from .grid import Grid, build_grid
 
@@ -250,31 +250,109 @@ class ExteriorReport:
     notes: list
 
 
+def _shell_worker(conn, cfg: RunConfig, specs: list, force: bool) -> None:
+    """Forked worker: solve_once on each shell index received on conn and
+    send back (index, SolveResult or the exception it raised), until the
+    parent kills it.  The state goes back without its boundary map, which
+    may hold closures that do not pickle."""
+    while True:
+        i = conn.recv()
+        try:
+            res = solve_once(cfg, spec=specs[i], force=force)
+            if res.state is not None:
+                res.state.psi = None
+        except Exception as exc:
+            res = exc
+        conn.send((i, res))
+
+
+def _solve_shells(cfg: RunConfig, specs: list, force: bool) -> list:
+    """solve_once on each spec, concurrently in forked worker processes.
+
+    One worker per CPU this process may run on, at most one per shell;
+    workers take the shells largest first, the longest solves.  Forked
+    workers inherit solve_once and its inputs (patched or wrapped ones
+    included), so no callable is pickled and no module is imported again.
+    Returns the results in spec order up to and including the first whose
+    exit code is not EXIT_OK, as a serial loop would; an exception raised
+    by that shell's solve is raised instead.  Workers still solving are
+    killed.  A worker that dies without a result raises RuntimeError.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    todo = list(range(len(specs)))        # popped from the end
+    results = {}
+    idle, busy, procs = [], {}, {}
+    try:
+        for _ in range(min(len(specs), len(os.sched_getaffinity(0)))):
+            conn, child_conn = ctx.Pipe()
+            with child_conn:
+                proc = ctx.Process(target=_shell_worker, daemon=True,
+                                   args=(child_conn, cfg, specs, force))
+                proc.start()
+            procs[conn] = proc
+            idle.append(conn)
+        while True:
+            shells = []
+            for i in range(len(specs)):
+                if i not in results:
+                    break
+                if isinstance(results[i], Exception):
+                    raise results[i]
+                shells.append(results[i])
+                if results[i].exit_code != EXIT_OK or i == len(specs) - 1:
+                    return shells
+            while todo and idle:
+                conn = idle.pop()
+                busy[conn] = todo.pop()
+                conn.send(busy[conn])
+            for conn in wait(list(busy)):
+                try:
+                    i, res = conn.recv()
+                except EOFError:
+                    procs[conn].join()
+                    raise RuntimeError(
+                        f"the worker solving the shell r = "
+                        f"{specs[busy[conn]].radius} exited with code "
+                        f"{procs[conn].exitcode} without a result") from None
+                if not isinstance(res, Exception) and res.state is not None:
+                    res.state.psi = cfg.psi
+                results[i] = res
+                del busy[conn]
+                idle.append(conn)
+    finally:
+        for conn, proc in procs.items():
+            proc.kill()
+            proc.join()
+            proc.close()
+            conn.close()
+
+
 def exterior_pipeline(cfg: RunConfig, force: bool = False) -> ExteriorReport:
     """Solve on an increasing family of shells and study the far field.
 
     Every shell shares the boundary-geometry constants of the inner
     boundary (they do not depend on the truncation radius), the same
     Dirichlet family, and nested lattices, so successive solutions are
-    compared node-by-node on the fixed region |x| <= r_1 / 2.
+    compared node-by-node on the fixed region |x| <= r_1 / 2.  The shells
+    are independent problems and are solved concurrently (_solve_shells);
+    the first that fails, in radius order, ends the pipeline.
     """
-    prev = None
-    diffs = []
-    shells = []
     notes = []
     region = 0.5 * cfg.radii[0]
-    for r in cfg.radii:
-        spec = DomainSpec.exterior(cfg.domain.inner_radius, r, cfg.domain.dim)
-        res = solve_once(cfg, spec=spec, force=force)
-        shells.append(res)
-        if res.exit_code != EXIT_OK:
-            return ExteriorReport(shells=shells, agreement=diffs,
-                                  agreement_region=region, l_estimate=None,
-                                  fit_rms=float("nan"), decay_table=[],
-                                  exit_code=res.exit_code, notes=notes)
-        if prev is not None:
-            diffs.append(_common_region_diff(prev.state, res.state, region))
-        prev = res
+    shells = _solve_shells(cfg, [
+        DomainSpec.exterior(cfg.domain.inner_radius, r, cfg.domain.dim)
+        for r in cfg.radii], force)
+    solved = [res for res in shells if res.exit_code == EXIT_OK]
+    diffs = [_common_region_diff(prev.state, res.state, region)
+             for prev, res in zip(solved, solved[1:])]
+    if len(solved) < len(shells):
+        return ExteriorReport(shells=shells, agreement=diffs,
+                              agreement_region=region, l_estimate=None,
+                              fit_rms=float("nan"), decay_table=[],
+                              exit_code=shells[-1].exit_code, notes=notes)
 
     code = EXIT_OK
     if any(b > a for a, b in zip(diffs, diffs[1:])):
@@ -432,7 +510,11 @@ def _write_report(out_dir: str, lines: list) -> None:
 
 def run(cfg: RunConfig, out_dir: str | None = None, force: bool = False) -> int:
     out_dir = out_dir or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:      # a file in the way, or no permission
+        raise ConfigError(f"cannot make the output directory {out_dir!r}: "
+                          f"{exc.strerror}") from None
     if cfg.mode == "check_hypothesis":
         return run_check_hypothesis(cfg, out_dir)
     if cfg.mode == "solve":

@@ -489,8 +489,11 @@ class FlowMonitors:
             boundary_grad_sup=bgrad,
             barrier_min=barrier_min,
             step_dt=dt,
-            comp_min=state.f.min(axis=0) if state.f.size else np.zeros(state.m),
-            comp_max=state.f.max(axis=0) if state.f.size else np.zeros(state.m),
+            # per column: a (K, m) axis-0 reduction is several times slower
+            comp_min=np.array([col.min() for col in state.f.T])
+            if state.f.size else np.zeros(state.m),
+            comp_max=np.array([col.max() for col in state.f.T])
+            if state.f.size else np.zeros(state.m),
             dissipation_integral=diss_integral)
 
 

@@ -2,17 +2,20 @@
 
 import ast
 import json
+import multiprocessing
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
 
-from mssflow import boundary as bd, driver, flow
+from mssflow import boundary as bd, cli, driver, flow
 from mssflow.config import ConfigError, load_config
 from mssflow.domains import DomainError, DomainSpec
 from mssflow.grid import build_grid
@@ -445,6 +448,31 @@ def test_malformed_number_names_its_key(tmp_path, name):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t.replace("cfl = 0.9", "cfl = 0.9\ncfl = 0.8"),
+     r"\[line \d+\]: option 'cfl' in section 'flow' already exists"),
+    (lambda t: t + "\n[grid]\nh = 0.125\n",
+     r"\[line \d+\]: section 'grid' already exists"),
+    (lambda t: t.replace("cfl = 0.9", "cfl = 0.9 %"),
+     re.escape("[flow] cfl must be a number, got '0.9 %'")),
+    (lambda t: "h = 0.0625\n" + t, r"no section headers\. file: .*, line: 1 "),
+    (None, "cannot make the output directory"),
+], ids=["key-twice", "section-twice", "percent-sign", "text-before-header",
+        "out-is-a-file"])
+def test_cli_parser_and_output_errors_exit_one(tmp_path, capsys, edit,
+                                               message):
+    # configparser's own errors and an unusable --out end as configuration
+    # errors, not tracebacks; parse errors keep their line number
+    text = textwrap.dedent(BALL_SOLVE).lstrip()
+    path = write_cfg(tmp_path, edit(text) if edit else text)
+    out = tmp_path / "out"
+    if edit is None:
+        out.write_text("a file, not a directory\n")
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and re.search(message, err)
+
+
 def test_program_does_not_import_the_pointwise_oracle():
     # the tests' reference (tests/reference.py) lies outside the package:
     # every package module imports with only src on the path, none pulls
@@ -840,3 +868,109 @@ def test_decay_table_is_the_unscreened_svd_maximum(tmp_path):
         dev = J[driver._probe_ring(final.grid, rho)] - rep.l_estimate
         table.append((rho, float(np.linalg.svd(dev, compute_uv=False)[:, 0].max())))
     assert rep.decay_table == table
+
+
+# ---------------------------------------------------------------------------
+# exterior shells in forked workers
+# ---------------------------------------------------------------------------
+
+# two shells of trigonometric data, converged loosely to stay quick
+SHELL_TRIG = (EXTERIOR.format(radii="9.0, 11.0", probes="2.5, 3.5")
+              .replace("family = constant\nm = 1\nvalues = 0.0",
+                       "family = trigonometric\nm = 1\namplitudes = 0.002\n"
+                       "wave_vector_1 = 2.0, 0.5")
+              .replace("h = 0.2\n", "h = 0.203125\n\n[flow]\n"
+                       "tol_residual = 1e-5\nmonitor_every = 100\n"))
+
+
+@pytest.fixture
+def deadline():
+    """Fails a test still running after a minute, where a lost worker
+    would otherwise hang it (forked workers do not inherit the alarm)."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after 60 s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def _shell_report(res) -> list:
+    return (driver._geometry_header(res.grid)
+            + driver._hypothesis_lines(res.hypothesis)
+            + driver._invariant_lines(res.invariants)
+            + [",".join(map(driver._fmt, r.csv_row())) + " "
+               + r.comp_min.tobytes().hex() + r.comp_max.tobytes().hex()
+               for r in res.records])
+
+
+def test_worker_shells_equal_in_process_solves(tmp_path, deadline):
+    cfg = load_config(write_cfg(tmp_path, SHELL_TRIG))
+    rep = driver.exterior_pipeline(cfg)
+    assert rep.exit_code == 0 and len(rep.shells) == 2
+    assert not multiprocessing.active_children()
+    for r, res in zip(cfg.radii, rep.shells):
+        ref = driver.solve_once(cfg, spec=DomainSpec.exterior(1.0, r, 2))
+        assert res.outcome == ref.outcome == "Converged"
+        assert len(res.records) > 1
+        assert res.state.psi is cfg.psi and res.grid is res.state.grid
+        assert res.state.t == ref.state.t
+        assert res.state.f.tobytes() == ref.state.f.tobytes()
+        assert _shell_report(res) == _shell_report(ref)
+
+
+def _fake_shell(r_fail: float, code: int, r_slow: float | None = None):
+    """A solve_once stand-in: exit code `code` at r_fail, a success below
+    it, and at r_slow a solve far longer than the test."""
+    def solve(cfg, spec=None, force=False):
+        if spec.radius == r_slow:
+            time.sleep(600.0)
+        failed = spec.radius == r_fail
+        return driver.SolveResult(
+            outcome="MaxSteps" if failed else "Converged", state=None,
+            records=[], hypothesis=None, invariants=None,
+            exit_code=code if failed else driver.EXIT_OK, grid=None)
+    return solve
+
+
+def test_first_failing_shell_ends_the_pipeline(tmp_path, monkeypatch,
+                                               deadline):
+    # one worker per shell: the r = 13 worker is still solving when the
+    # r = 11 failure decides the run, and is stopped
+    monkeypatch.setattr(driver, "solve_once",
+                        _fake_shell(11.0, driver.EXIT_MAXSTEPS, r_slow=13.0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    cfg = load_config(write_cfg(tmp_path, EXTERIOR.format(
+        radii="9.0, 11.0, 13.0", probes="2.5, 3.5")))
+    rep = driver.exterior_pipeline(cfg)
+    assert [res.exit_code for res in rep.shells] == [0, driver.EXIT_MAXSTEPS]
+    assert rep.exit_code == driver.EXIT_MAXSTEPS and rep.agreement == []
+    assert not multiprocessing.active_children()
+
+
+def test_worker_domain_error_is_a_configuration_error(tmp_path, monkeypatch,
+                                                      capsys, deadline):
+    def solve(cfg, spec=None, force=False):
+        raise DomainError(f"no shell at r = {spec.radius}")
+    monkeypatch.setattr(driver, "solve_once", solve)
+    path = write_cfg(tmp_path, EXTERIOR.format(radii="9.0, 11.0",
+                                               probes="2.5, 3.5"))
+    assert cli.main(["exterior", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 1
+    # the first shell's error, as a serial loop would raise it
+    assert capsys.readouterr().err == \
+        "configuration error: no shell at r = 9.0\n"
+    assert not multiprocessing.active_children()
+
+
+def test_worker_death_raises_instead_of_hanging(tmp_path, monkeypatch,
+                                                deadline):
+    monkeypatch.setattr(driver, "solve_once",
+                        lambda cfg, spec=None, force=False: os._exit(3))
+    cfg = load_config(write_cfg(tmp_path, EXTERIOR.format(
+        radii="9.0, 11.0, 13.0", probes="2.5, 3.5")))
+    with pytest.raises(RuntimeError, match="exited with code 3 without a "
+                                           "result"):
+        driver.exterior_pipeline(cfg)
+    assert not multiprocessing.active_children()
