@@ -8,7 +8,8 @@ run unchanged.  `c` under condition A is rejected, as is `inner_radius`
 on a ball (the message names the condition or kind that decides).  A
 value that is no number (or no integer, where one is read) is rejected
 by section and key, as is a [domain] or [boundary] number that is a nan
-or an inf, or a [boundary] data key with no number.  A section or key
+or an inf, a [boundary] data key with no number, and a wave vector,
+matrix row, phases or offset of the wrong length.  A section or key
 given twice and a line before the first section header are rejected by
 file and line; a '%' is plain text.  Of the five boundary families,
 trigonometric data becomes a `TrigMap`; constant, linear, polynomial and
@@ -224,6 +225,14 @@ def _data(sec, key: str, family: str) -> list:
     return _finite(sec, key, _floats(sec, key))
 
 
+def _sized(sec, key: str, numbers: list, size: int, per: str) -> list:
+    """numbers, if there are size of them; else an error naming the key."""
+    if len(numbers) != size:
+        raise ConfigError(f"[{sec.name}] {key} must hold one number per "
+                          f"{per} ({size}), got {numbers}")
+    return numbers
+
+
 def _boundary_map(sec, dim: int):
     """The data of [boundary]: a TrigMap, or a PolynomialMap term list
     labelled with its family."""
@@ -234,7 +243,10 @@ def _boundary_map(sec, dim: int):
         _required(sec, "matrix", family)
         rows = _matrix(sec, "matrix")
         _finite(sec, "matrix", [x for row in rows for x in row])
-        offset = _data(sec, "offset", family) if "offset" in sec else None
+        for row in rows:
+            _sized(sec, "matrix", row, dim, "axis in every row")
+        offset = _sized(sec, "offset", _data(sec, "offset", family),
+                        len(rows), "component") if "offset" in sec else None
         return linear_map(rows, offset)
     if family == "polynomial":
         terms = []
@@ -246,19 +258,23 @@ def _boundary_map(sec, dim: int):
                 if not toks:
                     continue
                 exps = toks[1:]
-                if len(exps) != dim or not all(e.is_integer() for e in exps):
+                if len(exps) != dim or not all(e.is_integer() for e in exps) \
+                        or min(exps) < 0 or sum(exps) > 4:
                     raise ConfigError(
                         f"poly_{A} term {term.strip()!r} must be a coefficient "
-                        f"and {dim} integral exponents")
+                        f"and {dim} integral exponents, none negative, of "
+                        f"total degree <= 4")
                 coeffs.append(toks[0])
                 expos.append([int(e) for e in exps])
             terms.append((_finite(sec, key, coeffs), expos))
         return PolynomialMap(terms, dim)
     if family == "trigonometric":
         amps = _data(sec, "amplitudes", family)
-        waves = [_data(sec, f"wave_vector_{A}", family)
+        waves = [_sized(sec, f"wave_vector_{A}",
+                        _data(sec, f"wave_vector_{A}", family), dim, "axis")
                  for A in range(1, len(amps) + 1)]
-        phases = _data(sec, "phases", family) if "phases" in sec else None
+        phases = _sized(sec, "phases", _data(sec, "phases", family),
+                        len(amps), "component") if "phases" in sec else None
         return TrigMap(amps, waves, phases)
     if family == "lawson_osserman_scaled":
         _required(sec, "scale", family)

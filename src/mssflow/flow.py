@@ -14,9 +14,12 @@ the actual dt is computed from the worst stencil weight sum.
 
 The steady-state loop covers n explicit steps at a time with one
 first-order Runge-Kutta-Legendre super-step of s ~ sqrt(2n) stages, each
-at most dt long; one stage is the explicit step itself.  Super-steps
-reach the next monitor record and grow geometrically from a single step,
-so monitor_every = 1 is plain explicit Euler.
+at most dt long; one stage is the explicit step itself.  Stages go in
+pairs: the second of a pair skips the Jacobian and the metric and
+contracts its Hessian with the inverse metric of the first, so about half
+the stages build the metric.  Super-steps reach the next monitor record
+and grow geometrically from a single step, so monitor_every = 1 is plain
+explicit Euler.
 
 Alongside the update the flow tracks every quantity the continuous
 theory controls: the largest singular value (length-decreasing), the
@@ -123,11 +126,13 @@ def _stencils(grid: Grid, m: int) -> tuple:
     return grid.stencils[m]
 
 
-def _differences(state: GraphState) -> tuple[list, dict]:
+def _differences(state: GraphState,
+                 jacobian: bool = True) -> tuple[list | None, dict]:
     """One divided-difference pass over every stencil direction.
 
     Returns the Jacobian as n columns J[i] = df/dx_i and the Hessian as
-    columns H[i, j] = d2f/dx_i dx_j for i <= j, each of shape (K, m).
+    columns H[i, j] = d2f/dx_i dx_j for i <= j, each of shape (K, m);
+    with jacobian false J is None and no first difference is formed.
     Every arm end is a row of the stacked array [f; pinned].  All rows
     take the uniform differences (0.5 (u+ - u-)) / h and (u+ + u-) - 2u;
     the clipped rows, whose weighted differences are formed for every
@@ -144,8 +149,9 @@ def _differences(state: GraphState) -> tuple[list, dict]:
     FR = F.take(rows, axis=0)
     ends = FP.take(src, axis=0)                      # (D, 2, R, m)
     d2_clip = c2p * ends[:, 0] + c2m * ends[:, 1] + c20 * FR
-    jac_clip = (c1p * ends[:n, 0] + c1m * ends[:n, 1] + c10 * FR) \
-        / hs[:, None, None]
+    if jacobian:
+        jac_clip = (c1p * ends[:n, 0] + c1m * ends[:n, 1] + c10 * FR) \
+            / hs[:, None, None]
 
     def arms(d):
         """Both arm ends of direction d on every row."""
@@ -160,14 +166,15 @@ def _differences(state: GraphState) -> tuple[list, dict]:
         return d2
 
     # in-place updates: fewer temporaries and passes over memory
-    J = [None] * n
+    J = [None] * n if jacobian else None
     H = {}
     for i in range(n):
         up, um = arms(i)
-        J[i] = up - um
-        J[i] *= 0.5
-        J[i] /= hs[i]
-        np.put(J[i], put, jac_clip[i])
+        if jacobian:
+            J[i] = up - um
+            J[i] *= 0.5
+            J[i] /= hs[i]
+            np.put(J[i], put, jac_clip[i])
         H[i, i] = second(i, up, um)
         H[i, i] /= hs[i] * hs[i]
     for p, (i, j) in enumerate(axis_pairs(n)):
@@ -245,17 +252,21 @@ class FieldBundle:
 
     jac holds the n Jacobian columns (K, m); g and gi the upper triangles
     of the metric and its inverse, (i, j) -> (K,) for i <= j, in
-    lexicographic order.  lam_max_sq is computed from g on first read, so
-    the super-step stages, which read only the residual, never pay for it.
+    lexicographic order, and weights the pair weights of gi by which the
+    residual contracts the Hessian.  lam_max_sq is computed from g on first
+    read, so the super-step stages, which read only the residual, never
+    pay for it.  A bundle built from another state's weights holds only
+    weights and residual; jac, g, gi and detg are None.
     residual_sup only counts stepped unknowns: interpolated near-boundary
     nodes do not satisfy the discrete system, they satisfy their
     interpolation rule.
     """
 
-    jac: list
-    g: dict
-    gi: dict
-    detg: np.ndarray
+    jac: list | None
+    g: dict | None
+    gi: dict | None
+    detg: np.ndarray | None
+    weights: dict
     residual: np.ndarray      # (K, m) system residual g^{ij} f_ij
     stepped: np.ndarray
 
@@ -287,18 +298,27 @@ class FieldBundle:
             if self.lam_max_sq.size else 0.0
 
 
-def compute_fields(state: GraphState) -> FieldBundle:
+def compute_fields(state: GraphState, weights: dict | None = None
+                   ) -> FieldBundle:
     """Metric, inverse metric and system residual; the bundle computes the
-    top singular value when it is first read."""
-    J, H = _differences(state)
-    g = _metric(J)
-    gi, detg = _metric_inverse(g, state.grid.n)
-    weights = _pair_weights(gi)
+    top singular value when it is first read.
+
+    Given weights, the pair weights of another bundle, only the residual
+    is formed: this state's Hessian columns contracted with those weights,
+    the same arithmetic, so a state's own weights give its residual bit
+    for bit.  The Jacobian columns and the metric are skipped.
+    """
+    J, H = _differences(state, jacobian=weights is None)
+    g = gi = detg = None
+    if weights is None:
+        g = _metric(J)
+        gi, detg = _metric_inverse(g, state.grid.n)
+        weights = _pair_weights(gi)
     residual = np.empty_like(state.f)
     for A in range(state.m):
         residual[:, A] = _accumulate(w * H[p][:, A] for p, w in weights.items())
-    return FieldBundle(jac=J, g=g, gi=gi, detg=detg, residual=residual,
-                       stepped=state.grid.stepped)
+    return FieldBundle(jac=J, g=g, gi=gi, detg=detg, weights=weights,
+                       residual=residual, stepped=state.grid.stepped)
 
 
 def pinned_boundary_cells(state: GraphState):
@@ -330,7 +350,7 @@ def dissipation_rate(state: GraphState, bundle: FieldBundle) -> float:
     grid = state.grid
     JtR = [_coldot_sum(col, R) for col in bundle.jac]
     quad = _accumulate(w * JtR[i] * JtR[j]
-                       for (i, j), w in _pair_weights(bundle.gi).items())
+                       for (i, j), w in bundle.weights.items())
     hsq = _coldot_sum(R, R) - quad
     # Second derivatives at interpolated nodes are unreliable by
     # construction; borrow the inward neighbor's dissipation density.
@@ -541,7 +561,10 @@ def super_step(state: GraphState, bundle: FieldBundle, dt: float, n: int,
     polynomial P_s(1 + w lambda), which stays in [-1, 1]; it tracks the
     exact exp(n dt lambda) only while |lambda| n dt is at most about 1.
     With n = 1 this is euler_step.  bundle is compute_fields(state); the
-    stages call compute_fields s - 1 more times.
+    stages call compute_fields s - 1 more times, in pairs: stages 2, 4, ...
+    build the metric of Y_{j-1}, and stages 3, 5, ... contract the Hessian
+    of Y_{j-1} with the inverse metric of the stage before (Y_{j-2}).  The
+    lag is within the first-order accuracy of the super-step.
     """
     s = 1
     while s * (s + 1) // 2 < n:
@@ -549,9 +572,9 @@ def super_step(state: GraphState, bundle: FieldBundle, dt: float, n: int,
     w = 2.0 * n * dt / (s * (s + 1))
     prev, cur = state, euler_step(state, bundle, w, t)
     for j in range(2, s + 1):
+        bundle = compute_fields(cur, None if j % 2 == 0 else bundle.weights)
         mu = (2 * j - 1) / j
-        f = mu * cur.f + (1.0 - mu) * prev.f \
-            + (mu * w) * compute_fields(cur).residual
+        f = mu * cur.f + (1.0 - mu) * prev.f + (mu * w) * bundle.residual
         _interpolate_dependent(f, state)
         prev, cur = cur, state.replace_values(f, t)
     return cur

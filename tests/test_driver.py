@@ -1,6 +1,8 @@
 """Configuration parsing, CLI contract, artifacts and exit codes."""
 
 import ast
+import contextlib
+import io
 import json
 import multiprocessing
 import os
@@ -9,11 +11,13 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mssflow import boundary as bd, cli, driver, flow
 from mssflow.config import ConfigError, load_config
@@ -257,12 +261,15 @@ def test_polynomial_terms_parse(tmp_path):
 
 
 @pytest.mark.parametrize("term", ["0.01, 2, 0, 5", "0.01, 2.7, 0", "0.01",
-                                  "0.01, 2, nan", "0.01, inf, 0"],
+                                  "0.01, 2, nan", "0.01, inf, 0",
+                                  "0.01, 3, 2", "0.01, -1, 2"],
                          ids=["extra-exponent", "fractional-exponent",
-                              "no-exponents", "nan-exponent", "inf-exponent"])
+                              "no-exponents", "nan-exponent", "inf-exponent",
+                              "degree-five", "negative-exponent"])
 def test_polynomial_term_needs_dim_integral_exponents(tmp_path, term):
-    # each term is a coefficient and exactly dim integral exponents: an
-    # extra, missing or fractional exponent names the key and the term
+    # each term is a coefficient and exactly dim integral exponents, none
+    # negative, of total degree <= 4: any other term names the key and
+    # the term
     path = write_cfg(tmp_path, _poly_solve(f"0.02, 1, 1; {term}"))
     with pytest.raises(ConfigError, match=f"poly_1 term '{term}'"):
         load_config(path)
@@ -726,6 +733,101 @@ def test_cli_unread_section_or_key_exit_one(tmp_path, mode, text, name,
     assert name in r.stderr and f"({selector}" in r.stderr
     assert "does not read it)" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("wave_vector_2 = 0.0, 2.0", "wave_vector_2 = 0.0",
+     "[boundary] wave_vector_2 must hold one number per axis (2)"),
+    (BALL_TRIG, "family = linear\nm = 2\nmatrix = 0.02, 0.0; 0.01",
+     "[boundary] matrix must hold one number per axis in every row (2)"),
+], ids=["short-wave-vector", "short-matrix-row"])
+def test_mis_sized_wave_vector_or_matrix_row_names_its_key(tmp_path, old, new,
+                                                            message):
+    # one number per axis, not a numpy error about a ragged array
+    path = write_cfg(tmp_path, BALL_SOLVE.replace(old, new))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(path)
+
+
+_TOKENS = ("", "nan", "inf", "1e999", "-1", "abc", "%", "Grüße")
+
+
+@st.composite
+def _mutated(draw, text):
+    """text with one line deleted, one line (a header too) repeated, one
+    value replaced by a token of _TOKENS, or the file cut short."""
+    lines = textwrap.dedent(text).strip().splitlines()
+    kind = draw(st.sampled_from(("delete", "repeat", "token", "truncate")))
+    if kind == "truncate":
+        body = "\n".join(lines)
+        return body[:draw(st.integers(0, len(body) - 1))]
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "repeat":
+        lines.insert(draw(st.integers(0, len(lines))), lines[i])
+    else:
+        i = draw(st.sampled_from([k for k, line in enumerate(lines)
+                                  if "=" in line]))
+        lines[i] = lines[i].split("=")[0] + "= " + draw(st.sampled_from(_TOKENS))
+    return "\n".join(lines) + "\n"
+
+
+_FUZZ_LOADED = {
+    "trigonometric": BALL_SOLVE,
+    "constant": _boundary_case("constant", "values = 0.4, -0.1"),
+    "linear": _boundary_case("linear", "matrix = 0.2, -0.3; 0.1, 0.05\n"
+                                       "offset = 1.0, -2.0"),
+    "polynomial": _poly_solve("0.01, 2, 0; 0.02, 1, 1"),
+    "lawson-osserman": _boundary_case("lawson_osserman_scaled", "scale = 0.7"),
+    "exterior": EXTERIOR_RUN,
+}
+_FUZZ_RUN = {
+    "check-hypothesis": ("check_hypothesis",
+                         BALL_SOLVE.replace("mode = solve",
+                                            "mode = check_hypothesis")),
+    **{state: ("density_oracle", f"[run]\nmode = density_oracle\n\n"
+                                 f"[density]\nstate = {state}\n{extra}\n")
+       for state, extra in (("plane", ""), ("half_plane", ""),
+                            ("offset_plane", "offset = 0.08\ntime_gap = 0.05"),
+                            ("sphere_cap", "h = 0.05\nhalfwidth = 0.8"))},
+}
+
+
+@pytest.mark.parametrize("name", _FUZZ_LOADED)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_loads_or_raises_a_config_error(name, data):
+    # one mutation of a valid solve or exterior config either loads or is
+    # a ConfigError (a DomainError for an impossible domain), never another
+    # exception
+    text = data.draw(_mutated(_FUZZ_LOADED[name]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_cfg(pathlib.Path(tmp), text)
+        try:
+            load_config(path)
+        except (ConfigError, DomainError):
+            pass
+
+
+@pytest.mark.parametrize("name", _FUZZ_RUN)
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_fuzzed_cli_run_ends_in_an_exit_code(name, data):
+    # nothing raises out of cli.main; exit 1 prints one configuration error
+    mode, text = _FUZZ_RUN[name]
+    text = data.draw(_mutated(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_cfg(pathlib.Path(tmp), text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main([mode, "--config", path,
+                             "--out", os.path.join(tmp, "out")])
+    assert 0 <= code <= 6
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error:")
 
 
 def test_cli_determinism_bitwise(tmp_path):

@@ -253,6 +253,50 @@ def test_super_step_multiplies_sin_mode_by_legendre_value(n, s):
         assert np.array_equal(new.f, flow.euler_step(state, bundle, dt, dt).f)
 
 
+# z1^2 z2 = (x1 + i x2)^2 (x3 + i x4) on the unit 4-ball, plus a bump
+_Z1SQ_Z2 = bd.PolynomialMap([
+    ([0.004, -0.004, -0.008, 0.005, -0.005, -0.005, -0.005, -0.005],
+     [[2, 0, 1, 0], [0, 2, 1, 0], [1, 1, 0, 1], [0, 0, 0, 0], [2, 0, 0, 0],
+      [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]),
+    ([0.004, -0.004, 0.008], [[2, 0, 0, 1], [0, 2, 0, 1], [1, 1, 1, 0]])], 4)
+
+
+@pytest.mark.parametrize("spec, h, psi", [
+    (BALL, 1.0 / 32, SMALL_TRIG),
+    (DomainSpec.box([1.0]), 1.0 / 32, bd.TrigMap([0.3], [[np.pi]])),
+    (DomainSpec.ball(1.0, 4), 1.0 / 6, _Z1SQ_Z2),
+], ids=["ball-trig", "box-1d", "ball-4d-polynomial"])
+def test_reused_weights_give_the_residual_bit_for_bit(spec, h, psi):
+    # a stage given its own state's pair weights runs the Hessian-only pass
+    # and the same accumulation as compute_fields
+    state = flow.make_state(build_grid(spec, h), psi)
+    bundle = flow.compute_fields(state)
+    stage = flow.compute_fields(state, bundle.weights)
+    assert stage.jac is None and stage.gi is None
+    assert np.array_equal(stage.residual, bundle.residual)
+
+
+def test_super_step_builds_the_metric_on_every_second_stage(monkeypatch):
+    # s = 32 stages: stage 1 takes the given bundle, stages 2, 4, ..., 32
+    # build the metric and stages 3, 5, ..., 31 reuse the one before
+    grid = build_grid(DomainSpec.box([1.0]), 1.0 / 32)
+    state = flow.make_state(grid, bd.TrigMap([0.3], [[np.pi]]))
+    compute = flow.compute_fields
+    calls = []      # (bundle, the call whose weights it reused, or None)
+
+    def spy(cur, weights=None):
+        out = compute(cur, weights)
+        calls.append((out, None if weights is None else next(
+            k for k, (b, _) in enumerate(calls) if b.weights is weights)))
+        return out
+
+    monkeypatch.setattr(flow, "compute_fields", spy)
+    dt = flow.stable_dt(grid, 0.9)
+    flow.super_step(state, compute(state), dt, 500, 500 * dt)
+    assert [src for _, src in calls] == [None if k % 2 == 0 else k - 1
+                                         for k in range(31)]
+
+
 def test_run_to_steady_constant_converges_in_zero_steps():
     grid = build_grid(BALL, 1.0 / 16)
     state = flow.make_state(grid, bd.constant_map([1.5], 2))
