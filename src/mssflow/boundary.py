@@ -18,13 +18,14 @@ gap assumes second-order saturation, so these are estimates, not
 certified bounds; certified bounds (ROADMAP item 2) replace the
 reductions inside `sup_norms`.
 
-Each reduction there is a per-point spectral maximum (svd for sup|Dpsi|,
-the certified direction rule `_direction_max` for sup|D^2 psi|), as are
-the barrier weight of `flow.FlowMonitors` and the far-field table of the
-exterior driver.  All of them screen first (`_screened`): certified
-per-point bounds drop every point that cannot hold the maximum, LAPACK
-sees the rest (a stack of bitwise-equal matrices, as linear data gives,
-once), and every figure is bit-identical to an unscreened pass.
+Each reduction there is a spectral maximum over points: svd for sup|Dpsi|
+and the far-field table of the exterior driver, the certified direction
+rule `_direction_max` for sup|D^2 psi| and the barrier weight of
+`flow.FlowMonitors`; the rule owns its screen and returns one number.
+Both screen first (`_live`): certified per-point bounds drop every point
+that cannot hold the maximum, LAPACK sees the rest (a bitwise-tied stack,
+as linear data gives, once), and every figure is bit-identical to an
+unscreened pass.
 
 Conditions A and B are one rule: the proved mu = 1 ceiling for the
 boundary gradient of the evolving graph (`boundary_gradient_bound`),
@@ -228,39 +229,21 @@ class HypothesisReport:
     c: float | None = None    # condition-B gap, None for condition A
 
 
-def _screened(exact, mats: np.ndarray, upper: np.ndarray,
-              lower: np.ndarray, band: np.ndarray | None = None) -> np.ndarray:
-    """exact(mats) per point, computed only where a point can hold the max.
-
-    upper and lower are certified per-point bounds on the exact value.  A
-    point whose upper bound lies below the largest lower bound (of the
-    band for band rows when band is given, of all rows otherwise), less
-    _SCREEN_SLACK relative, cannot hold the maximum and keeps its lower
-    bound, strictly below that maximum.  Every other point goes to exact,
-    which must give it the same value whatever the batch (LAPACK solves
-    each matrix on its own; `_direction_max` says why it qualifies), so
-    the maxima of the result are the unscreened ones bit for bit, also
-    when a stack of equal matrices sends only its first.
-    """
-    live = _live(mats, upper, lower)
-    if band is not None:
-        live[band] |= _live(mats[band], upper[band], lower[band])
-    out = lower.copy()
-    if live.any():
-        sub = mats[live]
-        bits = sub.view(np.uint8)
-        # a stack of bitwise-equal matrices (linear data) is solved once
-        out[live] = exact(sub[:1]) if (bits == bits[:1]).all() else exact(sub)
-    return out
-
-
 def _live(mats, upper, lower) -> np.ndarray:
-    """Points whose upper bound can reach the best lower bound."""
+    """Points whose certified upper bound reaches the best certified lower
+    bound, less _SCREEN_SLACK relative: the only ones that can hold the max."""
     floor = lower.max(initial=0.0)
     if _SCREEN_RANGE[0] <= floor <= _SCREEN_RANGE[1]:
         return ~(upper < floor * (1.0 - _SCREEN_SLACK))
     # nothing to screen against: keep every point but the exact zeros
     return mats.any(axis=tuple(range(1, mats.ndim)))
+
+
+def _once(mats: np.ndarray) -> np.ndarray:
+    """mats, or only its first matrix when all are bitwise equal: LAPACK
+    solves each matrix on its own, so that one stands for every copy."""
+    bits = mats.view(np.uint8)
+    return mats[:1] if (bits == bits[:1]).all() else mats
 
 
 def _norm2_bounds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,8 +271,13 @@ def top_singular_values(mats: np.ndarray,
     that maximum elsewhere.  Only maxima of the result are meaningful.
     """
     upper, lower = _norm2_bounds(mats)
-    return _screened(lambda a: np.linalg.svd(a, compute_uv=False)[:, 0],
-                     mats, upper, lower, band)
+    live = _live(mats, upper, lower)
+    if band is not None:
+        live[band] |= _live(mats[band], upper[band], lower[band])
+    out = lower.copy()
+    if live.any():
+        out[live] = np.linalg.svd(_once(mats[live]), compute_uv=False)[:, 0]
+    return out
 
 
 def _cell_round(hess, offsets, corners, pt, face, centre, half):
@@ -311,26 +299,34 @@ def _cell_round(hess, offsets, corners, pt, face, centre, half):
             rho[:, corners].max(axis=2) / cos)
 
 
-def _direction_max(hess: np.ndarray) -> tuple[np.ndarray, float]:
-    """Per-point certified upper ends of max_{|tau|=1} |D^2 psi(tau, tau)|
-    and F, a lower end of their maximum (ROADMAP item 11).
+def _direction_max(hess: np.ndarray) -> tuple[float, float]:
+    """Certified upper and lower ends U, F of the sup over a (B, m, n, n)
+    stack of max_{|tau|=1} |D^2 psi(tau, tau)| (ROADMAP item 11).
 
-    That is max_{|c|=1} rho(M(c)), M(c) = sum_A c_A H_A, rho the spectral
-    radius, convex and even in c.  On a cell (sub-square of a face
+    At a point that is max_{|c|=1} rho(M(c)), M(c) = sum_A c_A H_A, rho the
+    spectral radius, convex and even in c.  On a cell (sub-square of a face
     c_j = +1) rho(M(c/|c|)) <= max_i rho(M(u_i)) / min_i u_i.z (u_i its
     normalised corners, z their normalised sum) and <= |(rho(H_A))_A|.
     Rounds solve the vertices of the live cells (the first splits each
     face at e_j), raise F, the best vertex value, drop every child whose
     bound is within _DIRECTION_TOL of F and split the rest, until none is
-    live or the next round would pass _VERTEX_BUDGET.  A point reports the
-    largest bound of its cells dropped or left live; flat data (as large
-    in every direction) keeps the last round's width.  At m = 1 this is
-    max |eig H| bit for bit.  A point whose cap is below the screen's
-    lower bound (<= F) never raises F and loses all its cells in the first
-    round, so screening it out changes no other value (a tied stack solved
-    once may refine deeper within the budget than its copies would).
+    live or the next round would pass _VERTEX_BUDGET.  U is the largest
+    bound of a cell dropped or left live; flat data (as large in every
+    direction) keeps the last round's width.  At m = 1 U is max |eig H|
+    bit for bit.  The rule owns its screen: points whose Frobenius norm
+    of (H_A)_A is below the best `_norm2_bounds` lower bound of an H_A
+    would never raise F and lose all their cells in the first round, so
+    dropping them changes neither end (a tied stack, solved once, may
+    refine deeper within the budget than its copies would).  An empty or
+    all-zero stack gives (0, 0) and never reaches LAPACK.
     """
-    B, m = hess.shape[:2]
+    B, m, n, _ = hess.shape
+    lower = _norm2_bounds(hess.reshape(B * m, n, n))[1].reshape(B, m).max(1)
+    live = _live(hess, np.sqrt(np.einsum("bAij,bAij->b", hess, hess)), lower)
+    if not live.any():
+        return 0.0, 0.0
+    hess = _once(hess[live])
+    B = hess.shape[0]
     # a cell of face j with centre z and half-side s has the vertices
     # z + s offsets[j]; its child k has the corners corners[k] of them
     grid = np.array(list(product((-1, 0, 1), repeat=m - 1)), float)
@@ -340,7 +336,7 @@ def _direction_max(hess: np.ndarray) -> tuple[np.ndarray, float]:
     offsets = np.stack([np.insert(grid, j, 0.0, axis=1) for j in range(m)])
     step = max(1, _EIG_CHUNK // len(grid))
     pt, face = np.divmod(np.arange(B * m), m)
-    centre, half, best, cap, out = np.eye(m)[face], 1.0, 0.0, None, np.zeros(B)
+    centre, half, best, cap, upper = np.eye(m)[face], 1.0, 0.0, None, 0.0
     while True:
         parts = [_cell_round(hess, offsets, corners, pt[s:s + step],
                              face[s:s + step], centre[s:s + step], half)
@@ -353,10 +349,9 @@ def _direction_max(hess: np.ndarray) -> tuple[np.ndarray, float]:
                            cap[pt][:, None])
         live = bound > best * (1.0 + _DIRECTION_TOL)
         live &= np.count_nonzero(live) * len(grid) <= _VERTEX_BUDGET
-        np.maximum.at(out, np.broadcast_to(pt[:, None], live.shape)[~live],
-                      bound[~live])
+        upper = max(upper, bound[~live].max(initial=0.0))
         if not live.any():
-            return out, best
+            return float(upper), float(best)
         parent, kid = np.nonzero(live)
         centre = centre[parent] + half * offsets[face[parent, None],
                                                  corners[kid]].mean(axis=1)
@@ -364,18 +359,9 @@ def _direction_max(hess: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _sup_hessian_norm(hess: np.ndarray) -> float:
-    """sup over samples of max_{|tau|=1} |D^2 psi(tau, tau)| (vector norm).
-
-    The upper end of `_direction_max`, screened by the Frobenius norm of
-    (H_A)_A and the best `_norm2_bounds` lower bound of an H_A.
-    """
-    B, m, n, _ = hess.shape
-    if B == 0:
-        return 0.0
-    lower = _norm2_bounds(hess.reshape(B * m, n, n))[1].reshape(B, m).max(1)
-    upper = np.sqrt(np.einsum("bAij,bAij->b", hess, hess))
-    return float(_screened(lambda sub: _direction_max(sub)[0], hess, upper,
-                           lower).max())
+    """sup over samples of max_{|tau|=1} |D^2 psi(tau, tau)| (vector norm):
+    the upper end of `_direction_max`."""
+    return _direction_max(hess)[0]
 
 
 def sup_norms(psi, grid: Closure, delta: float | None) -> tuple[PsiNorms, float]:

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 from .boundary import (PolynomialMap, TrigMap, constant_map,
                        lawson_osserman_map, linear_map)
-from .domains import DomainSpec
+from .domains import DomainSpec, exterior_margin
 
 MODES = ("solve", "check_hypothesis", "density_oracle", "exterior")
 
@@ -97,7 +97,6 @@ class RunConfig:
     tol_residual: float = 1e-6
     max_steps: int = 200_000
     monitor_every: int = 50
-    lambda_guard: float = 10.0
     condition: str = "A"
     delta: float = None
     c: float = None
@@ -371,7 +370,6 @@ def load_config(path: str, mode: str | None = None) -> RunConfig:
         cfg.tol_residual = sec.getfloat("tol_residual", fallback=cfg.tol_residual)
         cfg.max_steps = sec.getint("max_steps", fallback=cfg.max_steps)
         cfg.monitor_every = sec.getint("monitor_every", fallback=cfg.monitor_every)
-        cfg.lambda_guard = sec.getfloat("lambda_guard", fallback=cfg.lambda_guard)
         if not 0.0 < cfg.cfl < 1.0:
             raise ConfigError(f"cfl must lie in (0, 1), got {cfg.cfl}")
         if not cfg.tol_residual > 0.0:
@@ -381,9 +379,6 @@ def load_config(path: str, mode: str | None = None) -> RunConfig:
             raise ConfigError(f"monitor_every must be >= 1, got {cfg.monitor_every}")
         if cfg.max_steps < 0:
             raise ConfigError(f"max_steps must be >= 0, got {cfg.max_steps}")
-        if not _positive_finite(cfg.lambda_guard):
-            raise ConfigError(f"lambda_guard must be a finite positive number, "
-                              f"got {cfg.lambda_guard}")
 
     if "hypothesis" in cp:
         sec = cp["hypothesis"]
@@ -406,8 +401,7 @@ def load_config(path: str, mode: str | None = None) -> RunConfig:
         if cfg.condition != "B":
             raise ConfigError("exterior mode uses condition B")
         r_in = cfg.domain.inner_radius
-        # shell construction margin: r/2 > diam(boundary) + 2 eta0 + d0
-        r0 = 2.0 * (2.0 * r_in + 2.0 * (r_in / 2.0) + r_in)
+        r0 = exterior_margin(r_in)
         if cfg.radii[0] <= r0:
             raise ConfigError(
                 f"first shell radius {cfg.radii[0]} violates the margin "

@@ -27,6 +27,12 @@ class DomainError(ValueError):
     """Invalid domain parameters or query outside the supported region."""
 
 
+def exterior_margin(inner_radius: float) -> float:
+    """r0 = 8 r_in, which every exterior shell radius R must exceed:
+    R/2 > diam + 2 eta0 + d0 with diam = 2 r_in, eta0 = r_in/2, d0 = r_in."""
+    return 2.0 * (2.0 * inner_radius + inner_radius + inner_radius)
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Shape descriptor for the computational domain E.
@@ -70,13 +76,11 @@ class DomainSpec:
         elif self.kind == "exterior":
             if self.inner_radius <= 0:
                 raise DomainError("exterior needs a positive excluded radius")
-            # The shell must clear the r0 margin: R/2 > diam + 2*eta0 + d0
-            # with diam = 2 r_in, eta0 = r_in / 2 and d0 = r_in.
-            r0_half = 2.0 * self.inner_radius + self.inner_radius + self.inner_radius
-            if self.radius / 2.0 <= r0_half:
+            r0 = exterior_margin(self.inner_radius)
+            if self.radius <= r0:
                 raise DomainError(
                     f"exterior truncation radius {self.radius} too small: "
-                    f"need R > {2 * r0_half} for the shell construction")
+                    f"need R > {r0} for the shell construction")
         else:
             raise DomainError(f"unknown domain kind {self.kind!r}")
 

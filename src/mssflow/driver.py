@@ -169,7 +169,7 @@ def solve_once(cfg: RunConfig, spec: DomainSpec | None = None,
     monitors = flow.FlowMonitors(state, eps=eps, delta=cfg.delta)
     final, records, outcome = flow.run_to_steady(
         state, cfg.tol_residual, cfg.max_steps, cfg.monitor_every,
-        cfl=cfg.cfl, monitors=monitors, lambda_guard=cfg.lambda_guard)
+        cfl=cfg.cfl, monitors=monitors)
 
     invariants = None
     code = _OUTCOME_EXIT[outcome]

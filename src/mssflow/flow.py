@@ -42,7 +42,8 @@ from .boundary import _sup_hessian_norm, barrier_nu
 from .domains import estimate_c0_eta0
 from .grid import Grid, axis_pairs
 
-DEFAULT_LAMBDA_GUARD = 10.0
+# largest singular value of Df a run may reach before it ends as BlowUp
+LAMBDA_GUARD = 10.0
 
 
 @dataclass
@@ -582,9 +583,7 @@ def super_step(state: GraphState, bundle: FieldBundle, dt: float, n: int,
 
 def run_to_steady(state0: GraphState, tol_residual: float, max_steps: int,
                   monitor_every: int, monitors: FlowMonitors,
-                  cfl: float = 0.9,
-                  lambda_guard: float = DEFAULT_LAMBDA_GUARD
-                  ) -> tuple[GraphState, list, str]:
+                  cfl: float = 0.9) -> tuple[GraphState, list, str]:
     """Iterate the flow until the system residual drops below tolerance.
 
     Returns (final state, monitor records, outcome) with outcome one of
@@ -596,8 +595,9 @@ def run_to_steady(state0: GraphState, tol_residual: float, max_steps: int,
     from one explicit step, and monitor_every = 1 is plain explicit Euler.
     monitors, built from state0, take the records at t = 0, every
     monitor_every-th step, and at the final step; the residual, the guard
-    and finiteness are checked after every super-step.  Guard violations
-    and non-finite values terminate the run with the BlowUp outcome.
+    (max_lambda <= LAMBDA_GUARD) and finiteness are checked after every
+    super-step.  Guard violations and non-finite values terminate the run
+    with the BlowUp outcome.
     """
     if tol_residual <= 0:
         raise ValueError(f"tol_residual must be positive, got {tol_residual}")
@@ -607,7 +607,7 @@ def run_to_steady(state0: GraphState, tol_residual: float, max_steps: int,
     diss = dissipation_rate(state, bundle)
     diss_integral = 0.0
     records = [monitors.record(state, bundle, dt, diss, diss_integral)]
-    if bundle.max_lambda > lambda_guard:
+    if bundle.max_lambda > LAMBDA_GUARD:
         return state, records, "BlowUp"
     if bundle.residual_sup < tol_residual:
         return state, records, "Converged"     # already stationary
@@ -630,7 +630,7 @@ def run_to_steady(state0: GraphState, tol_residual: float, max_steps: int,
         if done:
             outcome = "Converged"
             break
-        if bundle.max_lambda > lambda_guard:
+        if bundle.max_lambda > LAMBDA_GUARD:
             outcome = "BlowUp"
             break
     return state, records, outcome

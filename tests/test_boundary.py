@@ -213,7 +213,7 @@ def test_vector_hessian_norm_against_dense_sampling(ball_grid, make_hessians,
     assert dense - 1e-12 <= value <= dense + 1e-9
     if against_iteration:
         upper, lower = bd._direction_max(hess)
-        assert lower <= BALL_TRIG_ITERATION <= upper.max() == value
+        assert lower <= BALL_TRIG_ITERATION <= upper == value
 
 
 def _seeded_hessians(n, m, seed, count=40):
@@ -233,9 +233,9 @@ def test_direction_max_brackets_the_power_iteration(n, m, iteration):
     # the certified interval [F, U], which is 1e-12 relative wide
     hess = _seeded_hessians(n, m, seed=10 * n + m)
     upper, lower = bd._direction_max(hess)
-    assert lower <= iteration <= upper.max()
-    assert upper.max() <= lower * (1.0 + 1e-12)
-    assert bd._sup_hessian_norm(hess) == upper.max()
+    assert lower <= iteration <= upper
+    assert upper <= lower * (1.0 + 1e-12)
+    assert bd._sup_hessian_norm(hess) == upper
 
 
 def _disk_band_hessians(psi):
@@ -487,7 +487,7 @@ def test_direction_tolerance_is_relative():
     hess = _random_hessians(3, count=20)
     for scale in (1.0, 1e-9):
         upper, lower = bd._direction_max(scale * hess)
-        assert lower <= upper.max() <= lower * (1.0 + 1e-12)
+        assert lower <= upper <= lower * (1.0 + 1e-12)
     np.testing.assert_allclose(bd._sup_hessian_norm(1e-9 * hess),
                                1e-9 * bd._sup_hessian_norm(hess), rtol=1e-12)
 
@@ -500,7 +500,9 @@ def test_direction_set(n, count):
     # local maxima of a projected power iteration from 32 restarts
     m = 2 if n > 1 else 3
     hess = _seeded_hessians(n, m, seed=50 + n, count=10)
-    upper, lower = bd._direction_max(hess)
+    # per point: the rule on that point's one-row stack
+    upper = np.array([bd._direction_max(h[None])[0] for h in hess])
+    lower = bd._direction_max(hess)[1]
     rng = np.random.default_rng(n)
     if count == "dense":
         taus = np.broadcast_to(rng.standard_normal((10_000, n)), (10, 10_000, n))
@@ -529,8 +531,11 @@ def _lapack_abs_eig(sym):
 
 
 def _lapack_d2(hess):
-    """sup|D2psi| with the direction rule run on every row, unscreened."""
-    return float(bd._direction_max(hess)[0].max())
+    """sup|D2psi| with the direction rule run on every nonzero row: no
+    lower bound lies in the screen's range, so nothing is screened."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bd, "_SCREEN_RANGE", (np.inf, np.inf))
+        return bd._direction_max(hess)[0]
 
 
 # the seed-0 data of the three benchmark workloads (perfbench/workloads.py):
@@ -664,6 +669,14 @@ class _RowCount:
                 _rows.append(a.shape[0])
                 return _solver(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 2), (3, 4)])
+def test_empty_stack_reaches_no_solver(monkeypatch, m, n):
+    # an empty band (no sample within delta) has sup|D2psi| = 0
+    counts = _RowCount(monkeypatch)
+    assert bd._sup_hessian_norm(np.zeros((0, m, n, n))) == 0.0
+    assert counts.rows["eigvalsh"] == []
 
 
 def test_screen_prunes_lapack_rows(monkeypatch):

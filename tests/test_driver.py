@@ -351,6 +351,9 @@ def test_cli_config_error_exit_one(tmp_path, old, new):
     assert r.returncode == 1
     assert "configuration error:" in r.stderr
     assert "Traceback" not in r.stderr
+    if "lambda_guard" in new:
+        # the blow-up guard is a constant, not a setting
+        assert "unknown key 'lambda_guard' in section [flow]" in r.stderr
 
 
 @pytest.mark.parametrize("old, new", [

@@ -314,14 +314,14 @@ def test_blow_up_guard():
     assert outcome == "BlowUp"
 
 
-def test_blow_up_guard_checks_the_last_super_step():
+def test_blow_up_guard_checks_the_last_super_step(monkeypatch):
     # the one-step budget ends on the first state above the guard
     ball = DomainSpec.ball(1.0, 4)
     state = flow.make_state(build_grid(ball, 0.2), bd.lawson_osserman_map(12.0))
     assert flow.compute_fields(state).max_lambda < 23.88
+    monkeypatch.setattr(flow, "LAMBDA_GUARD", 23.88)
     _, _, outcome = flow.run_to_steady(state, 1e-6, 1, 1,
-                                       flow.FlowMonitors(state, 0.1),
-                                       lambda_guard=23.88)
+                                       flow.FlowMonitors(state, 0.1))
     assert outcome == "BlowUp"
 
 
