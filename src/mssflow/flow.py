@@ -73,9 +73,9 @@ class GraphState:
 
 def make_state(grid: Grid, psi, t: float = 0.0) -> GraphState:
     """Initial state: the flow starts from the graph of the Dirichlet data."""
-    f0 = psi.values(grid.interior_pos)
+    f0 = psi.jets(grid.interior_pos)[0]
     # one batch: evaluating row subsets can round differently
-    pinned = psi.values(grid.pinned_pos)
+    pinned = psi.jets(grid.pinned_pos)[0]
     return GraphState(grid=grid, t=t, f=f0, pinned=pinned, psi=psi)
 
 

@@ -29,10 +29,6 @@ class SphereCapMap:
         self.radius = float(radius)
         self.n = int(dim)
 
-    def values(self, pts):
-        pts = np.atleast_2d(pts)
-        return np.sqrt(self.radius ** 2 - (pts ** 2).sum(axis=1))[:, None]
-
     def jets(self, pts):
         pts = np.atleast_2d(pts)
         f = np.sqrt(self.radius ** 2 - (pts ** 2).sum(axis=1))

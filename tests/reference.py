@@ -20,8 +20,8 @@ that no program mode runs.
 - The odd reflection of a half-space graph across its flat edge and the
   sloped half-plane it is tested on (criterion 8).
 - Closed-form evaluations of linear and sphere-to-sphere data (a matmul
-  and an einsum), which the program's polynomial term lists for these
-  families are checked against.
+  and an einsum) and of one quartic written out by hand, which the
+  program's polynomial term lists are checked against.
 
 The package never imports this module.
 """
@@ -210,10 +210,6 @@ class ScherkMap:
     n = 2
     m = 1
 
-    def values(self, pts):
-        pts = np.atleast_2d(pts)
-        return (np.log(np.cos(pts[:, 0])) - np.log(np.cos(pts[:, 1])))[:, None]
-
     def jets(self, pts):
         pts = np.atleast_2d(pts)
         t0, t1 = np.tan(pts[:, 0]), np.tan(pts[:, 1])
@@ -257,12 +253,6 @@ class OddReflectionMap:
         flipped[lower, self.n - 1] *= -1.0
         return lower, flipped
 
-    def values(self, pts):
-        lower, flipped = self._split(pts)
-        vals = self.psi.values(flipped)
-        vals[lower] *= -1.0
-        return vals
-
     def jets(self, pts):
         lower, flipped = self._split(pts)
         vals, jac, hess = self.psi.jets(flipped)
@@ -294,7 +284,7 @@ def reflect_halfspace(state: GraphState) -> tuple[GraphState, float]:
     lo, hi = spec.bounding_box()
     face = np.abs(grid.boundary_nodes_pos[:, n - 1]) <= CLS_TOL
     if face.any():
-        trace = state.psi.values(grid.boundary_nodes_pos[face])
+        trace = state.psi.jets(grid.boundary_nodes_pos[face])[0]
         worst = float(np.abs(trace).max())
         if worst > 1e-10:
             raise ValueError(
@@ -357,14 +347,12 @@ class LinearMap:
         self.m, self.n = self.A.shape
         self.b = np.zeros(self.m) if offset is None else np.asarray(offset, float)
 
-    def values(self, pts):
-        return np.atleast_2d(pts) @ self.A.T + self.b
-
     def jets(self, pts):
         pts = np.atleast_2d(pts)
         B = pts.shape[0]
         jac = np.broadcast_to(self.A, (B, self.m, self.n)).copy()
-        return self.values(pts), jac, np.zeros((B, self.m, self.n, self.n))
+        return (pts @ self.A.T + self.b, jac,
+                np.zeros((B, self.m, self.n, self.n)))
 
 
 class LawsonOssermanMap:
@@ -384,12 +372,49 @@ class LawsonOssermanMap:
         Q[2, 0, 3] = Q[2, 3, 0] = -1.0
         self._Q = Q * float(scale)
 
-    def values(self, pts):
-        pts = np.atleast_2d(pts)
-        return np.einsum("bi,Aij,bj->bA", pts, self._Q, pts)
-
     def jets(self, pts):
         pts = np.atleast_2d(pts)
+        vals = np.einsum("bi,Aij,bj->bA", pts, self._Q, pts)
         jac = 2.0 * np.einsum("Aij,bj->bAi", self._Q, pts)
         hess = np.broadcast_to(2.0 * self._Q, (pts.shape[0], 3, 4, 4)).copy()
-        return self.values(pts), jac, hess
+        return vals, jac, hess
+
+
+class QuarticMap:
+    """0.1 (x1^4 + x1^3 x2 + x1^2 x2^2 + x1^2 x2 x3 + x1 x2 x3 x4) on R^4,
+    written out: every derivative factor degree 4 allows (1, 2, 3, 4, 6
+    and 12), each multiplied into the coefficient first, and every sum in
+    the order of the five monomials."""
+
+    family = "polynomial"
+    n = 4
+    m = 1
+
+    def jets(self, pts):
+        x1, x2, x3, x4 = np.atleast_2d(pts).T
+        c = 0.1
+        val = (c * x1 ** 4 + c * (x1 ** 3 * x2) + c * (x1 ** 2 * x2 ** 2)
+               + c * (x1 ** 2 * x2 * x3) + c * (x1 * x2 * x3 * x4))
+        d1 = ((c * 4) * x1 ** 3 + (c * 3) * (x1 ** 2 * x2)
+              + (c * 2) * (x1 * x2 ** 2) + (c * 2) * (x1 * x2 * x3)
+              + c * (x2 * x3 * x4))
+        d2 = (c * x1 ** 3 + (c * 2) * (x1 ** 2 * x2) + c * (x1 ** 2 * x3)
+              + c * (x1 * x3 * x4))
+        d3 = c * (x1 ** 2 * x2) + c * (x1 * x2 * x4)
+        d4 = c * (x1 * x2 * x3)
+        h11 = ((c * 12) * x1 ** 2 + (c * 6) * (x1 * x2) + (c * 2) * x2 ** 2
+               + (c * 2) * (x2 * x3))
+        h12 = ((c * 3) * x1 ** 2 + (c * 4) * (x1 * x2) + (c * 2) * (x1 * x3)
+               + c * (x3 * x4))
+        h13 = (c * 2) * (x1 * x2) + c * (x2 * x4)
+        h14 = c * (x2 * x3)
+        h22 = (c * 2) * x1 ** 2
+        h23 = c * x1 ** 2 + c * (x1 * x4)
+        h24 = c * (x1 * x3)
+        h34 = c * (x1 * x2)
+        zero = np.zeros_like(x1)
+        jac = np.stack([d1, d2, d3, d4], axis=1)[:, None]
+        hess = np.stack([np.stack(row, axis=1) for row in (
+            (h11, h12, h13, h14), (h12, h22, h23, h24),
+            (h13, h23, zero, h34), (h14, h24, h34, zero))], axis=1)[:, None]
+        return val[:, None], jac, hess

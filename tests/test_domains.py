@@ -175,7 +175,7 @@ def test_interpolated_nodes_reference_stepped_neighbors():
     # the state pins exactly the data at those rows, evaluated in one batch
     psi = bd.TrigMap([0.3, 0.1], [[2.0, 1.0], [0.0, 3.0]], [0.0, 0.5])
     np.testing.assert_array_equal(flow.make_state(grid, psi).pinned,
-                                  psi.values(grid.pinned_pos))
+                                  psi.jets(grid.pinned_pos)[0])
 
 
 def test_box_faces_carry_quadrature_fractions():

@@ -23,7 +23,7 @@ from mssflow import boundary as bd, cli, driver, flow
 from mssflow.config import ConfigError, load_config
 from mssflow.domains import DomainError, DomainSpec
 from mssflow.grid import build_grid
-from reference import LawsonOssermanMap, LinearMap
+from reference import LawsonOssermanMap, LinearMap, QuarticMap
 
 BALL_SOLVE = """
 [run]
@@ -179,14 +179,19 @@ def _boundary_case(family, body):
     ("linear", "matrix = 0.2, -0.3; 0.1, 0.05\noffset = 1.0, -2.0",
      LinearMap([[0.2, -0.3], [0.1, 0.05]], [1.0, -2.0])),
     ("lawson_osserman_scaled", "scale = 0.7", LawsonOssermanMap(0.7)),
-], ids=["constant", "linear", "linear-offset", "lawson-osserman"])
+    ("polynomial", "poly_1 = 0.1, 4, 0, 0, 0; 0.1, 3, 1, 0, 0; "
+     "0.1, 2, 2, 0, 0; 0.1, 2, 1, 1, 0; 0.1, 1, 1, 1, 1", QuarticMap()),
+], ids=["constant", "linear", "linear-offset", "lawson-osserman", "quartic"])
 def test_term_list_families_match_closed_forms(tmp_path, family, body, ref):
-    # the config's polynomial term lists against a matmul and an einsum:
+    # the config's polynomial term lists against a matmul, an einsum and a
+    # quartic written out by hand, at random points and the origin:
     # derivatives bit for bit; values, summed in another order, to 4 ulps
     # of each component's largest value
-    psi = load_config(write_cfg(tmp_path, _boundary_case(family, body))).psi
+    text = _boundary_case(family, body).replace("dim = 2", f"dim = {ref.n}")
+    psi = load_config(write_cfg(tmp_path, text)).psi
     assert (psi.family, psi.n, psi.m) == (family, ref.n, ref.m)
     pts = np.random.default_rng(7).uniform(-1.0, 1.0, (200, ref.n))
+    pts[0] = 0.0
     vals, jac, hess = psi.jets(pts)
     ref_vals, ref_jac, ref_hess = ref.jets(pts)
     assert (jac == ref_jac).all() and (hess == ref_hess).all()
@@ -221,11 +226,8 @@ def test_boundary_data_must_be_finite_numbers(tmp_path, family, body, key):
         load_config(path)
 
 
-@pytest.mark.parametrize("line", ["h = nan", "halfwidth = inf",
-                                  "time_gap = 0.0", "cutoff = -1.0",
-                                  "offset = nan"],
-                         ids=["h-nan", "halfwidth-inf", "time-gap-zero",
-                              "cutoff-negative", "offset-nan"])
+@pytest.mark.parametrize("line", ["time_gap = 0.0", "offset = nan"],
+                         ids=["time-gap-zero", "offset-nan"])
 def test_density_config_rejects_bad_numbers(tmp_path, line):
     text = ("[run]\nmode = density_oracle\n\n[density]\n"
             f"state = offset_plane\n{line}\n")
@@ -336,12 +338,13 @@ def test_cli_forced_run_proceeds(tmp_path):
     (BALL_TRIG, "family = linear\nm = 2"),
     ("amplitudes = 0.01, 0.005\n", ""),
     (BALL_TRIG, "family = lawson_osserman_scaled"),
+    (BALL_TRIG, "family = polynomial\nm = 0\npoly_1 = 0.01, 2, 0"),
 ], ids=["no-delta", "monitor-every-zero", "m-mismatch", "wave-vector-3",
         "cfl-above-one", "cfl-zero", "tol-residual-zero", "lambda-guard-nan",
         "lambda-guard-negative", "h-nan", "box-dim-mismatch",
         "lawson-osserman-dim-2", "ball-no-radius", "constant-no-values",
         "linear-no-matrix", "trigonometric-no-amplitudes",
-        "lawson-osserman-no-scale"])
+        "lawson-osserman-no-scale", "polynomial-m-zero"])
 def test_cli_config_error_exit_one(tmp_path, old, new):
     assert old in BALL_SOLVE
     path = write_cfg(tmp_path, BALL_SOLVE.replace(old, new))
@@ -354,6 +357,9 @@ def test_cli_config_error_exit_one(tmp_path, old, new):
     if "lambda_guard" in new:
         # the blow-up guard is a constant, not a setting
         assert "unknown key 'lambda_guard' in section [flow]" in r.stderr
+    if "m = 0" in new:
+        # a map of no components is refused by its key, before any term
+        assert "[boundary] m must be at least 1, got 0" in r.stderr
 
 
 @pytest.mark.parametrize("old, new", [
@@ -619,8 +625,7 @@ def test_cli_check_hypothesis_mode(tmp_path):
 
 def test_cli_density_oracles(tmp_path):
     for state, extra in (("plane", ""), ("half_plane", ""),
-                         ("offset_plane", "offset = 0.08"),
-                         ("sphere_cap", "h = 0.05\nhalfwidth = 0.8")):
+                         ("offset_plane", "offset = 0.08")):
         text = f"""
         [run]
         mode = density_oracle
@@ -636,13 +641,12 @@ def test_cli_density_oracles(tmp_path):
         assert "outcome=OracleMatch" in r.stdout
         report = (out / "report.txt").read_text()
         assert "oracle match" in report
-        if state != "sphere_cap":
-            assert "time_gap = " in report.splitlines()[1]
+        assert "time_gap = " in report.splitlines()[1]
 
 
 def test_cli_sphere_cap_defaults(tmp_path):
-    # the cap keeps its own halfwidth default; the planes' 1.3 would put
-    # the residual far above its ceiling
+    # the cap has its own halfwidth; the planes' 1.3 would put the
+    # residual far above its ceiling
     path = write_cfg(tmp_path, "[run]\nmode = density_oracle\n\n"
                                "[density]\nstate = sphere_cap\n")
     out = tmp_path / "out"
@@ -650,7 +654,7 @@ def test_cli_sphere_cap_defaults(tmp_path):
     assert r.returncode == 0, (r.stdout, r.stderr)
     assert "outcome=OracleMatch" in r.stdout
     report = (out / "report.txt").read_text()
-    assert "halfwidth = 0.8" in report
+    assert "h = 0.025, halfwidth = 0.8" in report
     assert "time_gap" not in report    # the cap reads no time gap
 
 
@@ -660,9 +664,14 @@ def test_cli_sphere_cap_defaults(tmp_path):
     ("sphere_cap", "time_gap = 7.0"),
     ("sphere_cap", "cutoff = 9.0"),
     ("sphere_cap", "offset = 1.0"),
+    ("plane", "h = 0.05"),
+    ("offset_plane", "halfwidth = 0.8"),
+    ("half_plane", "cutoff = 1.0"),
 ], ids=["plane-offset", "half-plane-offset", "cap-time-gap", "cap-cutoff",
-        "cap-offset"])
+        "cap-offset", "plane-h", "offset-plane-halfwidth", "half-plane-cutoff"])
 def test_cli_density_key_unread_by_state_exit_one(tmp_path, state, line):
+    # spacing, half-width and cutoff are constants of the mode: no state
+    # reads them
     path = write_cfg(tmp_path, "[run]\nmode = density_oracle\n\n"
                                f"[density]\nstate = {state}\n{line}\n")
     key = line.split()[0]
@@ -793,7 +802,7 @@ _FUZZ_RUN = {
                                  f"[density]\nstate = {state}\n{extra}\n")
        for state, extra in (("plane", ""), ("half_plane", ""),
                             ("offset_plane", "offset = 0.08\ntime_gap = 0.05"),
-                            ("sphere_cap", "h = 0.05\nhalfwidth = 0.8"))},
+                            ("sphere_cap", ""))},
 }
 
 
