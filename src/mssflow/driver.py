@@ -131,6 +131,17 @@ def _hypothesis_lines(rep: HypothesisReport) -> list:
     return lines
 
 
+def _stage_line(res: SolveResult, monitor_every: int) -> str:
+    """The super-step stage rule of a flow run: dt times the operator's
+    estimated spectral radius, and the stages of a super-step that spans
+    a whole record interval."""
+    dt = res.records[-1].step_dt
+    frac = flow.stage_fraction(res.grid, dt)
+    return (f"stage rule: dt * rho = {_fmt(dt * res.grid.rho_estimate)}, "
+            f"{flow.stage_count(monitor_every, frac)} stages per "
+            f"{monitor_every}-step super-step")
+
+
 def _invariant_lines(report: flow.InvariantReport) -> list:
     lines = []
     for c in report.clauses:
@@ -208,7 +219,8 @@ def run_solve(cfg: RunConfig, out_dir: str, force: bool = False) -> int:
         lines += ["", f"outcome: {res.outcome}",
                   f"final residual sup = {_fmt(last.residual_sup)}",
                   f"final max lambda = {_fmt(last.max_lambda)}",
-                  f"steps dt = {_fmt(last.step_dt)}, final t = {_fmt(last.t)}"]
+                  f"steps dt = {_fmt(last.step_dt)}, final t = {_fmt(last.t)}",
+                  _stage_line(res, cfg.monitor_every)]
         if res.invariants is not None:
             lines += [""] + _invariant_lines(res.invariants)
         print(summary_line("solve", res.outcome, last.residual_sup,
@@ -398,7 +410,8 @@ def run_exterior(cfg: RunConfig, out_dir: str, force: bool = False) -> int:
             last = res.records[-1]
             lines += [f"outcome: {res.outcome}",
                       f"final residual sup = {_fmt(last.residual_sup)}",
-                      f"final max lambda = {_fmt(last.max_lambda)}"]
+                      f"final max lambda = {_fmt(last.max_lambda)}",
+                      _stage_line(res, cfg.monitor_every)]
             if res.invariants is not None:
                 lines += _invariant_lines(res.invariants)
         else:

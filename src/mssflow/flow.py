@@ -13,13 +13,17 @@ stable on uniform stencils; clipped arms shorten the admissible step and
 the actual dt is computed from the worst stencil weight sum.
 
 The steady-state loop covers n explicit steps at a time with one
-first-order Runge-Kutta-Legendre super-step of s ~ sqrt(2n) stages, each
-at most dt long; one stage is the explicit step itself.  Stages go in
-pairs: the second of a pair skips the Jacobian and the metric and
-contracts its Hessian with the inverse metric of the first, so about half
-the stages build the metric.  Super-steps reach the next monitor record
-and grow geometrically from a single step, so monitor_every = 1 is plain
-explicit Euler.
+first-order Runge-Kutta-Legendre super-step of s stages, the fewest with
+s(s+1)/2 >= c n; one stage is the explicit step itself.  The row-sum dt
+overstates the stiffness, so c = min(1, 1.1 dt rho / 2) comes from rho,
+a power-iteration estimate of the spectral radius of the metric-free
+operator (stage_fraction); each stage step w then has w 1.1 rho <= 2,
+where RKL1 is stable, and c <= 1 never adds a stage.  Stages go in pairs:
+the first stage after the given fields and every second one after it
+skip the Jacobian and the metric and contract their Hessian with the
+inverse metric of the stage before, so about half the stages build the
+metric.  Super-steps reach the next monitor record and grow geometrically
+from a single step, so monitor_every = 1 is plain explicit Euler.
 
 Alongside the update the flow tracks every quantity the continuous
 theory controls: the largest singular value (length-decreasing), the
@@ -377,6 +381,60 @@ def stable_dt(grid: Grid, cfl: float) -> float:
     return cfl / float(total.max())
 
 
+# power-iteration sweeps of the spectral-radius estimate, and the margin
+# that lifts the estimate, a lower bound, above the spectral radius
+RHO_SWEEPS = 20
+RHO_MARGIN = 1.1
+
+
+def _top_mode(grid: Grid) -> tuple[float, np.ndarray]:
+    """Power-iteration estimate of the flow operator's spectral radius.
+
+    The operator is the residual at g = I (identity pair weights, the
+    Hessian-only pass) with zero pinned data, acting on the stepped
+    unknowns; interpolated nodes follow their rule.  Starting from the
+    lattice checkerboard, its highest mode, RHO_SWEEPS sweeps each take
+    the ratio of the stepped rows' norms.  Returns (estimate, unit top
+    vector (K, 1)).
+    """
+    zero = GraphState(grid=grid, t=0.0, f=None, psi=None,
+                      pinned=np.zeros((grid.pinned_pos.shape[0], 1)))
+    weights = {(i, i): 1.0 for i in range(grid.n)}
+    x = (1.0 - 2.0 * (grid.lattice_coords().sum(axis=1) % 2))[:, None]
+    _interpolate_dependent(x, zero)
+    x /= np.linalg.norm(x[grid.stepped])
+    for _ in range(RHO_SWEEPS):
+        y = compute_fields(zero.replace_values(x, 0.0), weights).residual
+        _interpolate_dependent(y, zero)
+        rho = float(np.linalg.norm(y[grid.stepped]))
+        x = y / rho
+    return rho, x
+
+
+def stage_fraction(grid: Grid, dt: float) -> float:
+    """c = min(1, RHO_MARGIN dt rho / 2), the share of s(s+1)/2 explicit
+    steps of dt that an RKL1 super-step of s stages may cover.
+
+    rho is _top_mode's estimate, kept on the grid.  Raises ValueError
+    when dt rho >= 2: explicit Euler itself is then unstable.
+    """
+    if grid.rho_estimate is None:
+        grid.rho_estimate = _top_mode(grid)[0]
+    dt_rho = dt * grid.rho_estimate
+    if dt_rho >= 2.0:
+        raise ValueError(f"dt = {dt} is unstable: dt times the operator's "
+                         f"spectral radius is {dt_rho} >= 2")
+    return min(1.0, RHO_MARGIN * dt_rho / 2.0)
+
+
+def stage_count(n: int, frac: float) -> int:
+    """Fewest RKL1 stages s with s(s+1)/2 >= frac n."""
+    s = 1
+    while s * (s + 1) / 2 < frac * n:
+        s += 1
+    return s
+
+
 # ---------------------------------------------------------------------------
 # monitors
 # ---------------------------------------------------------------------------
@@ -546,34 +604,38 @@ def euler_step(state: GraphState, bundle: FieldBundle, dt: float,
 
 
 def super_step(state: GraphState, bundle: FieldBundle, dt: float, n: int,
-               t: float) -> GraphState:
+               t: float, frac: float) -> GraphState:
     """The state at time t after one RKL1 super-step as long as n steps of dt.
 
     First-order Runge-Kutta-Legendre (Meyer, Balsara & Aslam, J. Comput.
-    Phys. 257, 2014) with s stages is stable over s(s+1)/2 explicit steps.
-    The fewest such stages run at stage step w = 2 n dt / (s(s+1)) <= dt:
+    Phys. 257, 2014) with s stages of step w is stable while w rho <= 2,
+    rho the operator's spectral radius.  The stages are the fewest with
+    s(s+1)/2 >= frac n (stage_count), at stage step w = 2 n dt / (s(s+1))
+    <= dt / frac:
 
         Y_0 = f,   Y_1 = Y_0 + w L(Y_0),
         Y_j = mu_j Y_{j-1} + (1 - mu_j) Y_{j-2} + mu_j w L(Y_{j-1}),
         mu_j = (2j - 1) / j,
 
     with L the system residual and the interpolation rule applied after
-    every stage.  A mode with L Y = lambda Y is multiplied by the Legendre
-    polynomial P_s(1 + w lambda), which stays in [-1, 1]; it tracks the
-    exact exp(n dt lambda) only while |lambda| n dt is at most about 1.
-    With n = 1 this is euler_step.  bundle is compute_fields(state); the
-    stages call compute_fields s - 1 more times, in pairs: stages 2, 4, ...
-    build the metric of Y_{j-1}, and stages 3, 5, ... contract the Hessian
-    of Y_{j-1} with the inverse metric of the stage before (Y_{j-2}).  The
-    lag is within the first-order accuracy of the super-step.
+    every stage.  frac = 1 is stable wherever dt is; stage_fraction(grid,
+    dt) is the smallest frac that keeps w RHO_MARGIN rho <= 2 at every n,
+    with rho its estimate.  A mode with
+    L Y = lambda Y is multiplied by the Legendre polynomial
+    P_s(1 + w lambda), which stays in [-1, 1] while w |lambda| <= 2; it
+    tracks the exact exp(n dt lambda) only while |lambda| n dt is at most
+    about 1.  With n = 1 this is euler_step.  bundle is
+    compute_fields(state); the stages call compute_fields s - 1 more
+    times, in pairs: stages 2, 4, ... contract the Hessian of Y_{j-1} with
+    the inverse metric of the stage before (Y_{j-2}, bundle's for stage 2),
+    and stages 3, 5, ... build the metric of Y_{j-1}.  The lag is within
+    the first-order accuracy of the super-step.
     """
-    s = 1
-    while s * (s + 1) // 2 < n:
-        s += 1
+    s = stage_count(n, frac)
     w = 2.0 * n * dt / (s * (s + 1))
     prev, cur = state, euler_step(state, bundle, w, t)
     for j in range(2, s + 1):
-        bundle = compute_fields(cur, None if j % 2 == 0 else bundle.weights)
+        bundle = compute_fields(cur, bundle.weights if j % 2 == 0 else None)
         mu = (2 * j - 1) / j
         f = mu * cur.f + (1.0 - mu) * prev.f + (mu * w) * bundle.residual
         _interpolate_dependent(f, state)
@@ -589,10 +651,11 @@ def run_to_steady(state0: GraphState, tol_residual: float, max_steps: int,
     Returns (final state, monitor records, outcome) with outcome one of
     'Converged', 'MaxSteps', 'BlowUp'.  Time advances in explicit steps
     of dt = stable_dt(grid, cfl), at most max_steps of them, grouped into
-    super-steps: each one ends at the next multiple of monitor_every
-    steps, at the budget, or after as many steps as have already been
-    taken, whichever comes first.  Super-steps thus grow geometrically
-    from one explicit step, and monitor_every = 1 is plain explicit Euler.
+    super-steps sized by stage_fraction(grid, dt), computed once: each
+    one ends at the next multiple of monitor_every steps, at the budget,
+    or after as many steps as have already been taken, whichever comes
+    first.  Super-steps thus grow geometrically from one explicit step,
+    and monitor_every = 1 is plain explicit Euler.
     monitors, built from state0, take the records at t = 0, every
     monitor_every-th step, and at the final step; the residual, the guard
     (max_lambda <= LAMBDA_GUARD) and finiteness are checked after every
@@ -602,6 +665,7 @@ def run_to_steady(state0: GraphState, tol_residual: float, max_steps: int,
     if tol_residual <= 0:
         raise ValueError(f"tol_residual must be positive, got {tol_residual}")
     dt = stable_dt(state0.grid, cfl)
+    frac = stage_fraction(state0.grid, dt)
     state = state0
     bundle = compute_fields(state)
     diss = dissipation_rate(state, bundle)
@@ -615,7 +679,7 @@ def run_to_steady(state0: GraphState, tol_residual: float, max_steps: int,
     k = 0
     while k < max_steps:
         n = min(monitor_every - k % monitor_every, max(1, k), max_steps - k)
-        new = super_step(state, bundle, dt, n, state0.t + (k + n) * dt)
+        new = super_step(state, bundle, dt, n, state0.t + (k + n) * dt, frac)
         if not np.isfinite(new.f).all():
             outcome = "BlowUp"
             break

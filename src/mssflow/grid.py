@@ -164,6 +164,8 @@ class Grid(Closure):
     dep_pin: np.ndarray = field(default=None)       # pinned row of that arm
     # m -> interpolated and clipped rows with the clipped rows' weights
     stencils: dict = field(default_factory=dict, repr=False)
+    # power-iteration estimate of the flow operator's spectral radius
+    rho_estimate: float | None = field(default=None, repr=False)
 
 
 def _crossing_fraction(spec: DomainSpec, p: np.ndarray, step: np.ndarray) -> np.ndarray:

@@ -180,8 +180,8 @@ def test_bundle_is_unchanged_by_later_calls():
         grid, bd.TrigMap([0.2, -0.1], [[1.0, 3.0], [2.0, 0.0]]))
     for _ in range(3):
         other = flow.super_step(other, flow.compute_fields(other), dt, 10,
-                                other.t + 10 * dt)
-    flow.super_step(state, flow.compute_fields(state), dt, 10, 10 * dt)
+                                other.t + 10 * dt, 1.0)
+    flow.super_step(state, flow.compute_fields(state), dt, 10, 10 * dt, 1.0)
     fresh = flow.compute_fields(state)
     assert np.array_equal(bundle.lam_max_sq, fresh.lam_max_sq)
     assert np.array_equal(bundle.residual, fresh.residual)
@@ -232,8 +232,10 @@ def test_sin_decay_matches_heat_scheme_at_small_amplitude():
     assert np.abs(state.f[:, 0] - u).max() <= 5e-4 * amp
 
 
-@pytest.mark.parametrize("n, s", [(1, 1), (25, 7), (500, 32)])
-def test_super_step_multiplies_sin_mode_by_legendre_value(n, s):
+@pytest.mark.parametrize("n, s, frac", [
+    (1, 1, 1.0), (25, 7, 1.0), (500, 32, 1.0), (500, 27, 0.75),
+], ids=["1-1", "25-7", "500-32", "500-27-frac0.75"])
+def test_super_step_multiplies_sin_mode_by_legendre_value(n, s, frac):
     """At small amplitude the flow is the heat equation, and the discrete
     sin mode is an eigenvector with lambda_h = -(4/h^2) sin^2(pi h/2); one
     RKL1 super-step of s stages multiplies it by P_s(1 + w lambda_h)."""
@@ -242,7 +244,8 @@ def test_super_step_multiplies_sin_mode_by_legendre_value(n, s):
     state = flow.make_state(grid, bd.TrigMap([amp], [[np.pi]]))
     bundle = flow.compute_fields(state)
     dt = flow.stable_dt(grid, 0.9)
-    new = flow.super_step(state, bundle, dt, n, n * dt)
+    assert flow.stage_count(n, frac) == s
+    new = flow.super_step(state, bundle, dt, n, n * dt, frac)
     h = grid.hs[0]
     lam = -(4.0 / h ** 2) * np.sin(np.pi * h / 2) ** 2
     w = 2.0 * n * dt / (s * (s + 1))
@@ -277,8 +280,9 @@ def test_reused_weights_give_the_residual_bit_for_bit(spec, h, psi):
 
 
 def test_super_step_builds_the_metric_on_every_second_stage(monkeypatch):
-    # s = 32 stages: stage 1 takes the given bundle, stages 2, 4, ..., 32
-    # build the metric and stages 3, 5, ..., 31 reuse the one before
+    # s = 32 stages: stage 1 takes the given bundle (call 0), stage 2
+    # reuses its weights, and stages 3, 5, ..., 31 build the metric that
+    # stages 4, 6, ..., 32 reuse; stage j is call j - 1
     grid = build_grid(DomainSpec.box([1.0]), 1.0 / 32)
     state = flow.make_state(grid, bd.TrigMap([0.3], [[np.pi]]))
     compute = flow.compute_fields
@@ -292,9 +296,92 @@ def test_super_step_builds_the_metric_on_every_second_stage(monkeypatch):
 
     monkeypatch.setattr(flow, "compute_fields", spy)
     dt = flow.stable_dt(grid, 0.9)
-    flow.super_step(state, compute(state), dt, 500, 500 * dt)
+    flow.super_step(state, flow.compute_fields(state), dt, 500, 500 * dt, 1.0)
     assert [src for _, src in calls] == [None if k % 2 == 0 else k - 1
-                                         for k in range(31)]
+                                         for k in range(32)]
+
+
+def _dense_operator(grid):
+    """The estimator's operator as a dense matrix over the stepped rows,
+    built from the arm lengths: the three-point second difference of
+    every axis with zero pinned ends, an interpolated end replaced by
+    t / (1 + t) times its inward neighbour."""
+    K, h = grid.num_interior, grid.hs
+    full = np.zeros((K, K + grid.pinned_pos.shape[0]))
+    rows = np.arange(K)
+    for i in range(grid.n):
+        tp, tm = grid.arm_theta[i]
+        denom = tp * tm * (tp + tm) * h[i] ** 2
+        np.add.at(full, (rows, grid.arm_src[i, 0]), 2.0 * tm / denom)
+        np.add.at(full, (rows, grid.arm_src[i, 1]), 2.0 * tp / denom)
+        full[rows, rows] -= 2.0 * (tp + tm) / denom
+    assert grid.stepped[grid.dep_opp].all()
+    extend = np.eye(K)
+    extend[grid.dep_idx] = 0.0
+    extend[grid.dep_idx, grid.dep_opp] = grid.dep_t / (1.0 + grid.dep_t)
+    stepped = np.nonzero(grid.stepped)[0]
+    return (full[:, :K] @ extend)[np.ix_(stepped, stepped)]
+
+
+@pytest.mark.parametrize("spec, h, exact_dt_rho", [
+    (BALL, 1.0 / 16, 1.4983),
+    (DomainSpec.box([1.0]), 1.0 / 32, 1.7957),
+], ids=["disk-16", "box-1d-32"])
+def test_spectral_radius_estimate_brackets_the_exact_radius(spec, h,
+                                                            exact_dt_rho):
+    # the power iteration reads at most the spectral radius and within
+    # 0.5% of it, so the margin RHO_MARGIN lifts it above: against the
+    # dense spectrum on the disk and (4/h^2) cos^2(pi h/2) on the 1-D box
+    grid = build_grid(spec, h)
+    if spec.kind == "box":
+        exact = 4.0 / grid.hs[0] ** 2 * np.cos(np.pi * grid.hs[0] / 2) ** 2
+        assert np.abs(np.linalg.eigvals(_dense_operator(grid))).max() \
+            == pytest.approx(exact, rel=1e-12)
+    else:
+        exact = np.abs(np.linalg.eigvals(_dense_operator(grid))).max()
+    dt = flow.stable_dt(grid, 0.9)
+    assert dt * exact == pytest.approx(exact_dt_rho, abs=1e-4)
+    rho, top = flow._top_mode(grid)
+    assert 0.995 * exact <= rho <= exact
+    assert flow.RHO_MARGIN * rho >= exact
+    assert np.linalg.norm(top[grid.stepped]) == pytest.approx(1.0)
+    frac = flow.stage_fraction(grid, dt)
+    assert grid.rho_estimate == rho
+    assert frac == min(1.0, flow.RHO_MARGIN * (dt * rho) / 2.0)
+    if spec.kind == "box":
+        # near the row-sum bound: c ~ 0.99 keeps a 25-step super-step's 7
+        assert frac == pytest.approx(0.99, abs=0.005)
+        assert flow.stage_count(25, frac) == flow.stage_count(25, 1.0) == 7
+
+
+def test_stage_fraction_sizes_a_stable_super_step():
+    # the estimator's top vector at small amplitude: one 500-step
+    # super-step at the chosen fraction does not grow it, one sized at
+    # half that fraction does
+    grid = build_grid(BALL, 1.0 / 32)
+    dt = flow.stable_dt(grid, 0.9)
+    frac = flow.stage_fraction(grid, dt)
+    assert [flow.stage_count(500, c) for c in (1.0, frac, 0.5 * frac)] \
+        == [32, 27, 19]
+    _, top = flow._top_mode(grid)
+    state = flow.GraphState(grid=grid, t=0.0, f=1e-6 * top, psi=None,
+                            pinned=np.zeros((grid.pinned_pos.shape[0], 1)))
+    norm = np.linalg.norm(state.f[grid.stepped])
+    grown = []
+    for c in (frac, 0.5 * frac):
+        new = flow.super_step(state, flow.compute_fields(state), dt, 500,
+                              500 * dt, c)
+        grown.append(np.linalg.norm(new.f[grid.stepped]) / norm)
+    assert grown[0] <= 1.0 < grown[1]
+
+
+def test_stage_fraction_rejects_an_unstable_step():
+    # 1.5 times the stable step puts dt rho near 2.69 on the 1-D box
+    grid = build_grid(DomainSpec.box([1.0]), 1.0 / 32)
+    dt = flow.stable_dt(grid, 0.9)
+    assert flow.stage_fraction(grid, dt) < 1.0
+    with pytest.raises(ValueError, match="unstable"):
+        flow.stage_fraction(grid, 1.5 * dt)
 
 
 def test_run_to_steady_constant_converges_in_zero_steps():
