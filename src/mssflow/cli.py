@@ -6,23 +6,14 @@ with mode one of solve, check_hypothesis, density_oracle, exterior.  The
 machine-readable summary line on stdout is
 
     mode=<m> outcome=<o> residual=<r> max_lambda=<lambda>
-
-MSSFLOW_THREADS caps the BLAS/OpenMP worker count; it must be applied
-before numpy is imported, hence the environment fiddling at module load.
 """
 
 import argparse
-import os
 import sys
 
-_threads = os.environ.get("MSSFLOW_THREADS")
-if _threads:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = _threads
-
-from .config import MODES, ConfigError, load_config   # noqa: E402
-from .domains import DomainError                      # noqa: E402
+from . import driver
+from .config import MODES, ConfigError, load_config
+from .domains import DomainError
 
 
 def main(argv=None) -> int:
@@ -37,9 +28,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None,
                         help="output directory (overrides the config)")
     args = parser.parse_args(argv)
-
-    from . import driver   # deferred so the thread cap precedes numpy
-
     try:
         cfg = load_config(args.config, mode=args.mode)
         return driver.run(cfg, out_dir=args.out, force=args.force)

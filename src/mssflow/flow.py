@@ -14,16 +14,19 @@ the actual dt is computed from the worst stencil weight sum.
 
 The steady-state loop covers n explicit steps at a time with one
 first-order Runge-Kutta-Legendre super-step of s stages, the fewest with
-s(s+1)/2 >= c n; one stage is the explicit step itself.  The row-sum dt
-overstates the stiffness, so c = min(1, 1.1 dt rho / 2) comes from rho,
-a power-iteration estimate of the spectral radius of the metric-free
-operator (stage_fraction); each stage step w then has w 1.1 rho <= 2,
-where RKL1 is stable, and c <= 1 never adds a stage.  Stages go in pairs:
+s(s+1)/2 >= c n; one recurrence takes every stage, and its first stage
+is the explicit step itself.  The row-sum dt overstates the stiffness,
+so c = min(1, 1.1 dt rho / 2) comes from rho, a power-iteration
+estimate of the spectral radius of the metric-free operator
+(stage_fraction); each stage step w then has w 1.1 rho <= 2, where RKL1
+is stable, and c <= 1 never adds a stage.  Stages go in pairs:
 the first stage after the given fields and every second one after it
 skip the Jacobian and the metric and contract their Hessian with the
 inverse metric of the stage before, so about half the stages build the
 metric.  Super-steps reach the next monitor record and grow geometrically
-from a single step, so monitor_every = 1 is plain explicit Euler.
+from a single step, so monitor_every = 1 is plain explicit Euler.  The
+loop records and tests every state, the initial one included, by one
+sequence: record, then guard, tolerance and step budget, then step.
 
 Alongside the update the flow tracks every quantity the continuous
 theory controls: the largest singular value (length-decreasing), the
@@ -400,13 +403,19 @@ def _top_mode(grid: Grid) -> tuple[float, np.ndarray]:
     zero = GraphState(grid=grid, t=0.0, f=None, psi=None,
                       pinned=np.zeros((grid.pinned_pos.shape[0], 1)))
     weights = {(i, i): 1.0 for i in range(grid.n)}
+
+    def norm(v):
+        # numpy's pairwise sum, not np.linalg.norm: BLAS ddot splits long
+        # vectors across its threads, and the bits follow the thread count
+        return float(np.sqrt(np.square(v[grid.stepped]).sum()))
+
     x = (1.0 - 2.0 * (grid.lattice_coords().sum(axis=1) % 2))[:, None]
     _interpolate_dependent(x, zero)
-    x /= np.linalg.norm(x[grid.stepped])
+    x /= norm(x)
     for _ in range(RHO_SWEEPS):
         y = compute_fields(zero.replace_values(x, 0.0), weights).residual
         _interpolate_dependent(y, zero)
-        rho = float(np.linalg.norm(y[grid.stepped]))
+        rho = norm(y)
         x = y / rho
     return rho, x
 
@@ -591,18 +600,6 @@ def _interpolate_dependent(f: np.ndarray, state: GraphState) -> None:
            uq + (ub - uq) / (1.0 + grid.dep_t[:, None]))
 
 
-def euler_step(state: GraphState, bundle: FieldBundle, dt: float,
-               t: float) -> GraphState:
-    """The state at time t after one explicit update of the stepped unknowns.
-
-    bundle is compute_fields(state) and dt at most stable_dt(grid, cfl).
-    Interpolated nodes then follow their rule.
-    """
-    f_new = state.f + dt * bundle.residual
-    _interpolate_dependent(f_new, state)
-    return state.replace_values(f_new, t)
-
-
 def super_step(state: GraphState, bundle: FieldBundle, dt: float, n: int,
                t: float, frac: float) -> GraphState:
     """The state at time t after one RKL1 super-step as long as n steps of dt.
@@ -613,19 +610,20 @@ def super_step(state: GraphState, bundle: FieldBundle, dt: float, n: int,
     s(s+1)/2 >= frac n (stage_count), at stage step w = 2 n dt / (s(s+1))
     <= dt / frac:
 
-        Y_0 = f,   Y_1 = Y_0 + w L(Y_0),
+        Y_{-1} = Y_0 = f,
         Y_j = mu_j Y_{j-1} + (1 - mu_j) Y_{j-2} + mu_j w L(Y_{j-1}),
-        mu_j = (2j - 1) / j,
+        mu_j = (2j - 1) / j,   j = 1, ..., s,
 
     with L the system residual and the interpolation rule applied after
-    every stage.  frac = 1 is stable wherever dt is; stage_fraction(grid,
-    dt) is the smallest frac that keeps w RHO_MARGIN rho <= 2 at every n,
-    with rho its estimate.  A mode with
-    L Y = lambda Y is multiplied by the Legendre polynomial
-    P_s(1 + w lambda), which stays in [-1, 1] while w |lambda| <= 2; it
-    tracks the exact exp(n dt lambda) only while |lambda| n dt is at most
-    about 1.  With n = 1 this is euler_step.  bundle is
-    compute_fields(state); the stages call compute_fields s - 1 more
+    every stage.  mu_1 = 1, so the first stage is Y_0 + w L(Y_0) bit for
+    bit (0 f adds a zero), and with n = 1 this is one explicit Euler step.
+    frac = 1 is stable wherever dt is; stage_fraction(grid, dt) is the
+    smallest frac that keeps w RHO_MARGIN rho <= 2 at every n, with rho
+    its estimate.  A mode with L Y = lambda Y is multiplied by the
+    Legendre polynomial P_s(1 + w lambda), which stays in [-1, 1] while
+    w |lambda| <= 2; it tracks the exact exp(n dt lambda) only while
+    |lambda| n dt is at most about 1.  bundle is compute_fields(state),
+    which stage 1 reads; the later stages call compute_fields s - 1
     times, in pairs: stages 2, 4, ... contract the Hessian of Y_{j-1} with
     the inverse metric of the stage before (Y_{j-2}, bundle's for stage 2),
     and stages 3, 5, ... build the metric of Y_{j-1}.  The lag is within
@@ -633,9 +631,10 @@ def super_step(state: GraphState, bundle: FieldBundle, dt: float, n: int,
     """
     s = stage_count(n, frac)
     w = 2.0 * n * dt / (s * (s + 1))
-    prev, cur = state, euler_step(state, bundle, w, t)
-    for j in range(2, s + 1):
-        bundle = compute_fields(cur, bundle.weights if j % 2 == 0 else None)
+    prev = cur = state
+    for j in range(1, s + 1):
+        if j > 1:
+            bundle = compute_fields(cur, bundle.weights if j % 2 == 0 else None)
         mu = (2 * j - 1) / j
         f = mu * cur.f + (1.0 - mu) * prev.f + (mu * w) * bundle.residual
         _interpolate_dependent(f, state)
@@ -656,48 +655,50 @@ def run_to_steady(state0: GraphState, tol_residual: float, max_steps: int,
     or after as many steps as have already been taken, whichever comes
     first.  Super-steps thus grow geometrically from one explicit step,
     and monitor_every = 1 is plain explicit Euler.
-    monitors, built from state0, take the records at t = 0, every
-    monitor_every-th step, and at the final step; the residual, the guard
-    (max_lambda <= LAMBDA_GUARD) and finiteness are checked after every
-    super-step.  Guard violations and non-finite values terminate the run
-    with the BlowUp outcome.
+    Every evaluated state, state0 and each super-step's result after k
+    explicit steps, goes through one sequence:
+      1. monitors, built from state0, record it if its residual is below
+         tol_residual, if k is a multiple of monitor_every (k = 0
+         included) or if k = max_steps;
+      2. the run ends BlowUp if max_lambda > LAMBDA_GUARD, else Converged
+         if the residual is below tol_residual, else MaxSteps if
+         k = max_steps;
+      3. otherwise the next super-step is taken, and a result with a
+         non-finite value ends the run BlowUp at the state before it.
     """
     if tol_residual <= 0:
         raise ValueError(f"tol_residual must be positive, got {tol_residual}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    if monitor_every < 1:
+        raise ValueError(f"monitor_every must be >= 1, got {monitor_every}")
     dt = stable_dt(state0.grid, cfl)
     frac = stage_fraction(state0.grid, dt)
     state = state0
     bundle = compute_fields(state)
     diss = dissipation_rate(state, bundle)
     diss_integral = 0.0
-    records = [monitors.record(state, bundle, dt, diss, diss_integral)]
-    if bundle.max_lambda > LAMBDA_GUARD:
-        return state, records, "BlowUp"
-    if bundle.residual_sup < tol_residual:
-        return state, records, "Converged"     # already stationary
-    outcome = "MaxSteps"
+    records = []
     k = 0
-    while k < max_steps:
+    while True:
+        done = bundle.residual_sup < tol_residual
+        if done or k % monitor_every == 0 or k == max_steps:
+            records.append(monitors.record(state, bundle, dt, diss, diss_integral))
+        if bundle.max_lambda > LAMBDA_GUARD:
+            return state, records, "BlowUp"
+        if done:
+            return state, records, "Converged"
+        if k == max_steps:
+            return state, records, "MaxSteps"
         n = min(monitor_every - k % monitor_every, max(1, k), max_steps - k)
         new = super_step(state, bundle, dt, n, state0.t + (k + n) * dt, frac)
         if not np.isfinite(new.f).all():
-            outcome = "BlowUp"
-            break
+            return state, records, "BlowUp"
         k += n
         state = new
         bundle = compute_fields(state)
         diss_prev, diss = diss, dissipation_rate(state, bundle)
         diss_integral += 0.5 * (n * dt) * (diss_prev + diss)
-        done = bundle.residual_sup < tol_residual
-        if done or k % monitor_every == 0 or k == max_steps:
-            records.append(monitors.record(state, bundle, dt, diss, diss_integral))
-        if done:
-            outcome = "Converged"
-            break
-        if bundle.max_lambda > LAMBDA_GUARD:
-            outcome = "BlowUp"
-            break
-    return state, records, outcome
 
 
 # ---------------------------------------------------------------------------

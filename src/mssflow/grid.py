@@ -150,7 +150,6 @@ class Grid(Closure):
     """A Closure with the stencil arms, cell fractions and the split into
     stepped and interpolated nodes that the flow runs on."""
 
-    offsets: np.ndarray                # (D, n) lattice step of each direction
     arm_src: np.ndarray                # (D, 2, K) row of each arm end in
                                        # [f; pinned]: >= K when cut, sides +, -
     arm_theta: np.ndarray              # (D, 2, K) arm length in lattice steps
@@ -400,8 +399,8 @@ def build_grid(spec: DomainSpec, target_h: float) -> Grid:
     for i in range(spec.dim):
         cell_frac *= np.minimum(arm_theta[i, 0], 0.5) \
             + np.minimum(arm_theta[i, 1], 0.5)
-    grid = Grid(**vars(closure), offsets=offsets, arm_src=arm_src,
-                arm_theta=arm_theta, cell_frac=cell_frac,
+    grid = Grid(**vars(closure), arm_src=arm_src, arm_theta=arm_theta,
+                cell_frac=cell_frac,
                 pinned_pos=np.vstack([ends for _, ends, _ in cuts]),
                 full_stencil=(arm_theta == 1.0).all(axis=(0, 1)))
     _mark_dependent_nodes(grid)

@@ -226,8 +226,8 @@ def test_criterion_5_steady_limit_is_minimal():
         assert outcome == "Converged"
         assert records[-1].residual_sup < 1e-9
         dt = flow.stable_dt(grid, 0.9)
-        stepped = flow.euler_step(final, flow.compute_fields(final), dt,
-                                  final.t + dt)
+        stepped = flow.super_step(final, flow.compute_fields(final), dt, 1,
+                                  final.t + dt, 1.0)
         drift = np.abs(stepped.f - final.f).max()
         assert drift < 1e-12, drift
         # and restarting reports immediate convergence

@@ -63,12 +63,13 @@ def test_ball_grid_classification_and_subspacings():
         assert (spec.signed_distance(grid.interior_pos) < 0).all()
         K = grid.num_interior
         src, theta = grid.arm_src, grid.arm_theta
-        assert src.shape == theta.shape == (len(grid.offsets), 2, K)
+        offsets = grid_mod._direction_offsets(grid.n)
+        assert src.shape == theta.shape == (len(offsets), 2, K)
         # arms whose end is interior are full lattice steps
         assert (theta[src < K] == 1.0).all()
         # cut arms end at their pinned row, on a boundary sphere
         d, side, k = np.nonzero(src >= K)
-        step = np.where(side == 0, 1, -1)[:, None] * grid.offsets[d] * grid.hs
+        step = np.where(side == 0, 1, -1)[:, None] * offsets[d] * grid.hs
         ends = grid.pinned_pos[src[d, side, k] - K]
         np.testing.assert_allclose(
             ends, grid.interior_pos[k] + theta[d, side, k][:, None] * step,
@@ -127,7 +128,8 @@ def test_closure_matches_the_flow_grid(spec, h, delta):
     K = grid.num_interior
     coords = np.stack(np.unravel_index(grid.interior_flat, grid.dims), axis=1)
     touching = np.zeros(K, bool)
-    for off in grid.offsets:
+    offsets = grid_mod._direction_offsets(grid.n)
+    for off in offsets:
         for sign in (1, -1):
             nb = coords + sign * off
             on = np.all((nb >= 0) & (nb < np.array(grid.dims)), axis=1)
@@ -137,7 +139,7 @@ def test_closure_matches_the_flow_grid(spec, h, delta):
     np.testing.assert_array_equal(touching,
                                   (grid.arm_src >= K).any(axis=(0, 1)))
     scale = max(1.0, float(np.abs(grid.lattice_positions()).max()))
-    search = grid_mod._search_rows(grid.d_bdry, grid.offsets, grid.hs, scale)
+    search = grid_mod._search_rows(grid.d_bdry, offsets, grid.hs, scale)
     assert touching.any() and search.size < K
     assert np.isin(np.nonzero(touching)[0], search).all()
 

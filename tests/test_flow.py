@@ -1,6 +1,10 @@
 """Time stepping, monitors, barrier fields and the invariant suite."""
 
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -195,7 +199,7 @@ def test_step_linear_data_is_stationary():
     grid = build_grid(BALL, 1.0 / 16)
     state = flow.make_state(grid, bd.linear_map([[0.2, -0.1], [0.05, 0.3]]))
     dt = flow.stable_dt(grid, 0.9)
-    new = flow.euler_step(state, flow.compute_fields(state), dt, dt)
+    new = flow.super_step(state, flow.compute_fields(state), dt, 1, dt, 1.0)
     assert new.t == dt
     assert np.abs(new.f - state.f).max() <= 1e-14
     assert flow.compute_fields(new).residual_sup <= 1e-12
@@ -205,7 +209,7 @@ def test_step_constant_data_is_exact_fixed_point():
     grid = build_grid(BALL, 1.0 / 16)
     state = flow.make_state(grid, bd.constant_map([0.7, -0.2], 2))
     dt = flow.stable_dt(grid, 0.9)
-    new = flow.euler_step(state, flow.compute_fields(state), dt, dt)
+    new = flow.super_step(state, flow.compute_fields(state), dt, 1, dt, 1.0)
     assert np.array_equal(new.f, state.f)
 
 
@@ -221,8 +225,8 @@ def test_sin_decay_matches_heat_scheme_at_small_amplitude():
     h = grid.hs[0]
     sup_prev = np.abs(state.f).max()
     for _ in range(200):
-        state = flow.euler_step(state, flow.compute_fields(state), dt,
-                                state.t + dt)
+        state = flow.super_step(state, flow.compute_fields(state), dt, 1,
+                                state.t + dt, 1.0)
         up = np.concatenate([u[1:], [0.0]])
         um = np.concatenate([[0.0], u[:-1]])
         u = u + dt * (up - 2 * u + um) / h ** 2
@@ -253,7 +257,12 @@ def test_super_step_multiplies_sin_mode_by_legendre_value(n, s, frac):
     assert new.t == n * dt
     np.testing.assert_allclose(new.f, factor * state.f, rtol=0, atol=1e-6 * amp)
     if n == 1:
-        assert np.array_equal(new.f, flow.euler_step(state, bundle, dt, dt).f)
+        # one explicit Euler step, and the interpolated nodes follow their
+        # rule u_q + (u_b - u_q) / (1 + t)
+        euler = state.f + dt * bundle.residual
+        uq, ub = euler[grid.dep_opp], state.pinned[grid.dep_pin]
+        euler[grid.dep_idx] = uq + (ub - uq) / (1.0 + grid.dep_t[:, None])
+        assert np.array_equal(new.f, euler)
 
 
 # z1^2 z2 = (x1 + i x2)^2 (x3 + i x4) on the unit 4-ball, plus a bump
@@ -384,6 +393,42 @@ def test_stage_fraction_rejects_an_unstable_step():
         flow.stage_fraction(grid, 1.5 * dt)
 
 
+def test_spectral_radius_estimate_ignores_the_blas_thread_count():
+    # the r = 13 shell of the criterion-7 exterior run: BLAS splits long
+    # dot products across its threads, so a norm taken through BLAS moved
+    # the estimate's last digits with the thread count
+    code = ("from mssflow import flow; from mssflow.domains import DomainSpec; "
+            "from mssflow.grid import build_grid; "
+            "print(repr(flow._top_mode(build_grid("
+            "DomainSpec.exterior(1.0, 13.0, 2), 0.203125))[0]))")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        printed.append(subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True).stdout)
+    assert printed[0] == printed[1]
+    assert float(printed[0]) == pytest.approx(193.68063472, rel=1e-10)
+
+
+@pytest.mark.parametrize("tol, max_steps, monitor_every, match", [
+    (0.0, 100, 10, "tol_residual"),
+    (1e-6, -1, 10, "max_steps"),
+    (1e-6, 100, 0, "monitor_every"),
+    (1e-6, 100, -5, "monitor_every"),
+], ids=["tol-zero", "max-steps-negative", "monitor-every-zero",
+        "monitor-every-negative"])
+def test_run_to_steady_rejects_bad_arguments(tol, max_steps, monitor_every,
+                                             match):
+    grid = build_grid(BALL, 1.0 / 16)
+    state = flow.make_state(grid, SMALL_TRIG)
+    with pytest.raises(ValueError, match=match):
+        flow.run_to_steady(state, tol, max_steps, monitor_every,
+                           flow.FlowMonitors(state, 0.1))
+
+
 def test_run_to_steady_constant_converges_in_zero_steps():
     grid = build_grid(BALL, 1.0 / 16)
     state = flow.make_state(grid, bd.constant_map([1.5], 2))
@@ -412,10 +457,31 @@ def test_blow_up_guard_checks_the_last_super_step(monkeypatch):
     assert outcome == "BlowUp"
 
 
+def test_guard_precedes_tolerance_after_a_super_step(monkeypatch):
+    # the run converges after 20 super-steps on its largest max_lambda,
+    # 7.719976; every earlier state stays at or below 7.719527.  With the
+    # guard between the two, the converged state itself ends the run as
+    # BlowUp: every state meets the guard before the tolerance
+    ball = DomainSpec.ball(1.0, 4)
+    state = flow.make_state(build_grid(ball, 0.2), bd.lawson_osserman_map(2.0))
+    final, records, outcome = flow.run_to_steady(
+        state, 1e-3, 100_000, 25, flow.FlowMonitors(state, 0.1))
+    assert outcome == "Converged"
+    assert records[-1].residual_sup < 1e-3
+    assert records[-1].max_lambda > 7.71975
+    monkeypatch.setattr(flow, "LAMBDA_GUARD", 7.71975)
+    guarded, guarded_records, outcome = flow.run_to_steady(
+        state, 1e-3, 100_000, 25, flow.FlowMonitors(state, 0.1))
+    assert outcome == "BlowUp"
+    assert guarded.t == final.t
+    assert len(guarded_records) == len(records)
+
+
 def test_converged_state_is_discrete_fixed_point(ball_run):
     _, _, _, _, final, records = ball_run
     dt = records[-1].step_dt
-    stepped = flow.euler_step(final, flow.compute_fields(final), dt, final.t + dt)
+    stepped = flow.super_step(final, flow.compute_fields(final), dt, 1,
+                              final.t + dt, 1.0)
     assert np.abs(stepped.f - final.f).max() < dt * 1e-6
 
 
