@@ -266,80 +266,73 @@ class ExteriorReport:
     notes: list
 
 
-def _shell_worker(conn, cfg: RunConfig, specs: list, force: bool) -> None:
-    """Forked worker: solve_once on each shell index received on conn and
-    send back (index, SolveResult or the exception it raised), until the
-    parent kills it.  The state goes back without its boundary map, which
-    may hold closures that do not pickle."""
-    while True:
-        i = conn.recv()
-        try:
-            res = solve_once(cfg, spec=specs[i], force=force)
-            if res.state is not None:
-                res.state.psi = None
-        except Exception as exc:
-            res = exc
-        conn.send((i, res))
+def _shell_child(conn, cfg: RunConfig, spec: DomainSpec, force: bool) -> None:
+    """Forked child: solve_once on one shell and send back its SolveResult,
+    or the exception it raised.  The state goes back without its boundary
+    map, which may hold closures that do not pickle."""
+    try:
+        res = solve_once(cfg, spec=spec, force=force)
+        if res.state is not None:
+            res.state.psi = None
+    except Exception as exc:
+        res = exc
+    conn.send(res)
 
 
 def _solve_shells(cfg: RunConfig, specs: list, force: bool) -> list:
-    """solve_once on each spec, concurrently in forked worker processes.
+    """solve_once on each spec, each in its own forked child process.
 
-    One worker per CPU this process may run on, at most one per shell;
-    workers take the shells largest first, the longest solves.  Forked
-    workers inherit solve_once and its inputs (patched or wrapped ones
-    included), so no callable is pickled and no module is imported again.
-    Returns the results in spec order up to and including the first whose
-    exit code is not EXIT_OK, as a serial loop would; an exception raised
-    by that shell's solve is raised instead.  Workers still solving are
-    killed.  A worker that dies without a result raises RuntimeError.
+    At most one child per CPU this process may run on is solving at a
+    time; children are started largest shell first, the longest solves.
+    Forked children inherit solve_once and its inputs (patched or wrapped
+    ones included), so no callable is pickled and no module is imported
+    again.  Returns the results in spec order up to and including the
+    first whose exit code is not EXIT_OK, as a serial loop would; an
+    exception raised by that shell's solve is raised instead.  Children
+    still solving are killed, and every child is reaped before returning.
+    A child that dies without a result raises RuntimeError.
     """
     import multiprocessing
     from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
+    cpus = len(os.sched_getaffinity(0))
     todo = list(range(len(specs)))        # popped from the end
-    results = {}
-    idle, busy, procs = [], {}, {}
+    results, running, procs, shells = {}, {}, [], []
     try:
-        for _ in range(min(len(specs), len(os.sched_getaffinity(0)))):
-            conn, child_conn = ctx.Pipe()
-            with child_conn:
-                proc = ctx.Process(target=_shell_worker, daemon=True,
-                                   args=(child_conn, cfg, specs, force))
-                proc.start()
-            procs[conn] = proc
-            idle.append(conn)
-        while True:
-            shells = []
-            for i in range(len(specs)):
-                if i not in results:
-                    break
-                if isinstance(results[i], Exception):
-                    raise results[i]
-                shells.append(results[i])
-                if results[i].exit_code != EXIT_OK or i == len(specs) - 1:
-                    return shells
-            while todo and idle:
-                conn = idle.pop()
-                busy[conn] = todo.pop()
-                conn.send(busy[conn])
-            for conn in wait(list(busy)):
-                try:
-                    i, res = conn.recv()
-                except EOFError:
-                    procs[conn].join()
-                    raise RuntimeError(
-                        f"the worker solving the shell r = "
-                        f"{specs[busy[conn]].radius} exited with code "
-                        f"{procs[conn].exitcode} without a result") from None
-                if not isinstance(res, Exception) and res.state is not None:
-                    res.state.psi = cfg.psi
-                results[i] = res
-                del busy[conn]
-                idle.append(conn)
+        for i in range(len(specs)):
+            while i not in results:
+                while todo and len(running) < cpus:
+                    j = todo.pop()
+                    conn, child_conn = ctx.Pipe()
+                    with child_conn:
+                        proc = ctx.Process(target=_shell_child, daemon=True,
+                                           args=(child_conn, cfg, specs[j],
+                                                 force))
+                        proc.start()
+                    procs.append((proc, conn))
+                    running[conn] = j, proc
+                for conn in wait(list(running)):
+                    j, proc = running.pop(conn)
+                    try:
+                        res = conn.recv()
+                    except EOFError:
+                        proc.join()
+                        raise RuntimeError(
+                            f"the child solving the shell r = "
+                            f"{specs[j].radius} exited with code "
+                            f"{proc.exitcode} without a result") from None
+                    if not isinstance(res, Exception) and res.state is not None:
+                        res.state.psi = cfg.psi
+                    results[j] = res
+            if isinstance(results[i], Exception):
+                raise results[i]
+            shells.append(results[i])
+            if results[i].exit_code != EXIT_OK:
+                break
+        return shells
     finally:
-        for conn, proc in procs.items():
+        for proc, conn in procs:
             proc.kill()
             proc.join()
             proc.close()

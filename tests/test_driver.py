@@ -985,7 +985,7 @@ def test_decay_table_is_the_unscreened_svd_maximum(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# exterior shells in forked workers
+# exterior shells in forked children
 # ---------------------------------------------------------------------------
 
 # two shells of trigonometric data, converged loosely to stay quick
@@ -999,8 +999,8 @@ SHELL_TRIG = (EXTERIOR.format(radii="9.0, 11.0", probes="2.5, 3.5")
 
 @pytest.fixture
 def deadline():
-    """Fails a test still running after a minute, where a lost worker
-    would otherwise hang it (forked workers do not inherit the alarm)."""
+    """Fails a test still running after a minute, where a lost child
+    would otherwise hang it (forked children do not inherit the alarm)."""
     def expire(signum, frame):
         raise TimeoutError("still running after 60 s")
     old = signal.signal(signal.SIGALRM, expire)
@@ -1050,8 +1050,8 @@ def _fake_shell(r_fail: float, code: int, r_slow: float | None = None):
 
 def test_first_failing_shell_ends_the_pipeline(tmp_path, monkeypatch,
                                                deadline):
-    # one worker per shell: the r = 13 worker is still solving when the
-    # r = 11 failure decides the run, and is stopped
+    # one child per CPU and shell: the r = 13 child is still solving when
+    # the r = 11 failure decides the run, and is stopped
     monkeypatch.setattr(driver, "solve_once",
                         _fake_shell(11.0, driver.EXIT_MAXSTEPS, r_slow=13.0))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
@@ -1088,3 +1088,73 @@ def test_worker_death_raises_instead_of_hanging(tmp_path, monkeypatch,
                                            "result"):
         driver.exterior_pipeline(cfg)
     assert not multiprocessing.active_children()
+
+
+SHELL_RADII = (9.0, 11.0, 13.0)
+
+
+def _logged_shells(tmp_path, monkeypatch, cpus, solve=None):
+    """_solve_shells on r = 9, 11, 13 with `cpus` CPUs and a solve_once
+    stand-in that appends `start r` and `end r` to a log; returns the
+    results and the log's lines."""
+    log = tmp_path / "shells.log"
+
+    def logged(cfg, spec=None, force=False):
+        with open(log, "a") as fh:
+            fh.write(f"start {spec.radius:g}\n")
+        time.sleep(0.2)
+        try:
+            return (solve or _fake_shell(None, driver.EXIT_OK))(cfg, spec,
+                                                                 force)
+        finally:
+            with open(log, "a") as fh:
+                fh.write(f"end {spec.radius:g}\n")
+    monkeypatch.setattr(driver, "solve_once", logged)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    cfg = load_config(write_cfg(tmp_path, EXTERIOR.format(
+        radii=", ".join(map(str, SHELL_RADII)), probes="2.5, 3.5")))
+    try:
+        shells = driver._solve_shells(
+            cfg, [DomainSpec.exterior(1.0, r, 2) for r in SHELL_RADII], False)
+    finally:
+        assert not multiprocessing.active_children()
+    return shells, log.read_text().splitlines()
+
+
+def _most_running(lines) -> int:
+    running = most = 0
+    for line in lines:
+        running += 1 if line.startswith("start") else -1
+        most = max(most, running)
+    return most
+
+
+def test_one_cpu_solves_the_shells_one_at_a_time_largest_first(
+        tmp_path, monkeypatch, deadline):
+    shells, lines = _logged_shells(tmp_path, monkeypatch, 1)
+    assert [res.exit_code for res in shells] == [0, 0, 0]
+    assert lines == ["start 13", "end 13", "start 11", "end 11",
+                     "start 9", "end 9"]
+
+
+def test_two_cpus_solve_at_most_two_shells_at_once(tmp_path, monkeypatch,
+                                                   deadline):
+    shells, lines = _logged_shells(tmp_path, monkeypatch, 2)
+    assert [res.exit_code for res in shells] == [0, 0, 0]
+    starts = [line for line in lines if line.startswith("start")]
+    assert sorted(starts) == ["start 11", "start 13", "start 9"]
+    assert set(starts[:2]) == {"start 13", "start 11"}
+    assert _most_running(lines) == 2
+
+
+def test_failure_before_a_raising_shell_is_returned_not_raised(
+        tmp_path, monkeypatch, deadline):
+    # r = 9 ends MaxSteps and r = 11 raises: a serial loop stops at r = 9
+    def solve(cfg, spec=None, force=False):
+        if spec.radius == 11.0:
+            raise DomainError("no shell at r = 11.0")
+        return _fake_shell(9.0, driver.EXIT_MAXSTEPS)(cfg, spec, force)
+    shells, _ = _logged_shells(tmp_path, monkeypatch, 3, solve)
+    assert len(shells) == 1
+    assert shells[0].outcome == "MaxSteps"
+    assert shells[0].exit_code == driver.EXIT_MAXSTEPS

@@ -257,12 +257,29 @@ def test_super_step_multiplies_sin_mode_by_legendre_value(n, s, frac):
     assert new.t == n * dt
     np.testing.assert_allclose(new.f, factor * state.f, rtol=0, atol=1e-6 * amp)
     if n == 1:
-        # one explicit Euler step, and the interpolated nodes follow their
-        # rule u_q + (u_b - u_q) / (1 + t)
-        euler = state.f + dt * bundle.residual
-        uq, ub = euler[grid.dep_opp], state.pinned[grid.dep_pin]
-        euler[grid.dep_idx] = uq + (ub - uq) / (1.0 + grid.dep_t[:, None])
-        assert np.array_equal(new.f, euler)
+        assert np.array_equal(new.f, _euler_step(state, bundle, dt))
+
+
+def _euler_step(state, bundle, dt):
+    """One explicit Euler step, with the interpolated nodes following
+    their rule u_q + (u_b - u_q) / (1 + t)."""
+    grid = state.grid
+    euler = state.f + dt * bundle.residual
+    uq, ub = euler[grid.dep_opp], state.pinned[grid.dep_pin]
+    euler[grid.dep_idx] = uq + (ub - uq) / (1.0 + grid.dep_t[:, None])
+    return euler
+
+
+def test_one_stage_super_step_interpolates_the_disk_nodes():
+    # the 1-D box has no interpolated nodes; the h = 1/32 disk has them,
+    # so here the rule of the one-stage check compares rows
+    grid = build_grid(BALL, 1.0 / 32)
+    assert grid.dep_idx.size > 0
+    state = flow.make_state(grid, SMALL_TRIG)
+    bundle = flow.compute_fields(state)
+    dt = flow.stable_dt(grid, 0.9)
+    new = flow.super_step(state, bundle, dt, 1, dt, 1.0)
+    assert np.array_equal(new.f, _euler_step(state, bundle, dt))
 
 
 # z1^2 z2 = (x1 + i x2)^2 (x3 + i x4) on the unit 4-ball, plus a bump
