@@ -13,6 +13,11 @@ arms as arrays over (direction, side, node): the row of each far end in
 on these arms are second-order accurate on full arms and first-order on
 clipped ones.
 
+No interior node lies on the lattice's outer layer: a box's faces are
+boundary nodes, and a spherical lattice covers the bounding box plus a
+ghost layer.  So every arm's lattice neighbour is one flat-index step
+away, interior_flat + sign * (offset @ strides), with no bounds check.
+
 One pass owns the lattice, the classification, the interior nodes with
 their boundary distance and the boundary crossings: `build_closure`
 stops there (a `Closure`, all the hypothesis checker's h/2 pass reads),
@@ -156,11 +161,11 @@ class Grid(Closure):
     cell_frac: np.ndarray              # (K,) covered fraction of each cell
     pinned_pos: np.ndarray             # (P, n) cut arm ends
     full_stencil: np.ndarray           # (K,) all arms unclipped
-    stepped: np.ndarray = field(default=None)       # (K,) evolved unknowns
-    dep_idx: np.ndarray = field(default=None)       # interpolated nodes
-    dep_opp: np.ndarray = field(default=None)       # their inward neighbors
-    dep_t: np.ndarray = field(default=None)         # cut fraction of the arm
-    dep_pin: np.ndarray = field(default=None)       # pinned row of that arm
+    stepped: np.ndarray                # (K,) evolved unknowns
+    dep_idx: np.ndarray                # interpolated nodes
+    dep_opp: np.ndarray                # their inward neighbors
+    dep_t: np.ndarray                  # cut fraction of the arm
+    dep_pin: np.ndarray                # pinned row of that arm
     # m -> interpolated and clipped rows with the clipped rows' weights
     stencils: dict = field(default_factory=dict, repr=False)
     # power-iteration estimate of the flow operator's spectral radius
@@ -195,7 +200,8 @@ def _crossing_fraction(spec: DomainSpec, p: np.ndarray, step: np.ndarray) -> np.
     return np.clip(t, tol, 1.0)
 
 
-def _mark_dependent_nodes(grid: Grid) -> None:
+def _mark_dependent_nodes(arm_src: np.ndarray, arm_theta: np.ndarray,
+                          interior_pos: np.ndarray) -> dict:
     """Split interior nodes into stepped unknowns and interpolated ones.
 
     Nodes with some cut stencil arm shorter than THETA_DEP are pinned by
@@ -203,56 +209,40 @@ def _mark_dependent_nodes(grid: Grid) -> None:
     tie): boundary crossing on one side, the opposite lattice neighbor on
     the other.  Nodes are taken by increasing arm length, and the opposite
     neighbor must be an interior node not already interpolated; a node
-    without one is a DomainError.
+    without one is a DomainError.  Returns the `Grid` fields of the split.
     """
-    K = grid.num_interior
-    src = grid.arm_src.reshape(-1, K)        # row 2 d + side
-    cut_t = np.where(src >= K, grid.arm_theta.reshape(-1, K), 1.0)
-    min_t = cut_t.min(axis=0)
-    argmin = cut_t.argmin(axis=0)
+    K = arm_src.shape[-1]
+    src = arm_src.reshape(-1, K)             # row 2 d + side
+    theta = arm_theta.reshape(-1, K)         # uncut arms have theta = 1
+    min_t = theta.min(axis=0)
+    argmin = theta.argmin(axis=0)
 
     dependent = np.zeros(K, dtype=bool)
     dep_rows = []
-    order = np.argsort(min_t, kind="stable")
-    for k in order[:np.count_nonzero(min_t < THETA_DEP)]:
+    low = np.nonzero(min_t < THETA_DEP)[0]
+    for k in low[np.argsort(min_t[low], kind="stable")]:
         arm = argmin[k]
         q = src[arm ^ 1, k]                  # the other side, same direction
         if q >= K or dependent[q]:
             raise DomainError(
-                f"interior node at {grid.interior_pos[k]} has a "
+                f"interior node at {interior_pos[k]} has a "
                 f"{min_t[k]:.3g}-step arm and no stepped node opposite it; "
                 f"refine the grid")
         dependent[k] = True
         dep_rows.append((k, q, min_t[k], src[arm, k] - K))
 
-    grid.stepped = ~dependent
-    grid.dep_idx = np.array([r[0] for r in dep_rows], dtype=np.int64)
-    grid.dep_opp = np.array([r[1] for r in dep_rows], dtype=np.int64)
-    grid.dep_t = np.array([r[2] for r in dep_rows], dtype=float)
-    grid.dep_pin = np.array([r[3] for r in dep_rows], dtype=np.int64)
+    return dict(stepped=~dependent,
+                dep_idx=np.array([r[0] for r in dep_rows], dtype=np.int64),
+                dep_opp=np.array([r[1] for r in dep_rows], dtype=np.int64),
+                dep_t=np.array([r[2] for r in dep_rows], dtype=float),
+                dep_pin=np.array([r[3] for r in dep_rows], dtype=np.int64))
 
 
-def _neighbours(multi: np.ndarray, step: np.ndarray, dims: tuple):
-    """Flat lattice index of each row of multi + step (0 where that point
-    is off the lattice), and whether it is on the lattice."""
-    nb = multi + step
-    in_lat = np.all((nb >= 0) & (nb < np.array(dims)), axis=1)
-    strides = np.array([int(np.prod(dims[i + 1:])) for i in range(len(dims))],
-                       dtype=np.int64)
-    return np.where(in_lat, nb @ strides, 0), in_lat
-
-
-def _search_rows(d_bdry: np.ndarray, offsets: np.ndarray, hs: np.ndarray,
-                 scale: float) -> np.ndarray:
-    """Interior rows that can have a non-interior lattice neighbour.
-
-    The signed distance is 1-Lipschitz, so a node whose neighbour along
-    some arm is not interior lies within that arm's length of the
-    boundary, up to the classification tolerance and rounding (both below
-    CLS_TOL * scale).  Ascending, like the interior rows.
-    """
-    reach = np.linalg.norm(offsets * hs, axis=1).max() + 2.0 * CLS_TOL * scale
-    return np.nonzero(d_bdry <= reach)[0]
+def _flat_steps(dims: tuple) -> np.ndarray:
+    """Flat-index step of each stencil direction on a lattice of shape
+    dims (C order)."""
+    strides = [int(np.prod(dims[i + 1:])) for i in range(len(dims))]
+    return _direction_offsets(len(dims)) @ np.array(strides, dtype=np.int64)
 
 
 def _classify(spec: DomainSpec, target_h: float) -> tuple[Closure, list]:
@@ -262,13 +252,16 @@ def _classify(spec: DomainSpec, target_h: float) -> tuple[Closure, list]:
     (directions in order, + before -): the interior rows, ascending, whose
     neighbour that way is not interior, the arm's far end (the boundary
     node, or where the arm crosses the boundary) and its length in lattice
-    steps (1 at a boundary node).  The crossing search only visits
-    `_search_rows`, which hold every cut arm.
+    steps (1 at a boundary node).  Every interior row is scanned per arm,
+    its neighbour one flat-index step away (`_flat_steps`): no interior
+    node lies on the lattice's outer layer, so no step leaves the lattice
+    or wraps round an axis.
 
     Box edges are fitted exactly (per-axis spacing snapped so faces land
     on lattice planes); spherical shapes use the requested spacing with a
-    one-node ghost margin around the bounding box.  So a box lattice has
-    no exterior node within one step of an interior one: every interior
+    one-node ghost margin around the bounding box, so the outer layer is
+    boundary (box faces) or exterior (ghost) nodes.  A box lattice has no
+    exterior node within one step of an interior one: every interior
     node's neighbours lie in the closed box, and each cut arm of a box
     ends at a boundary node on a face with theta = 1.  Only spherical
     shapes clip arms and search for crossings.
@@ -324,23 +317,19 @@ def _classify(spec: DomainSpec, target_h: float) -> tuple[Closure, list]:
 
     sample_pts = [pos[bnd_flat]] if bnd_flat.size else []
     cuts = []
-    offsets = _direction_offsets(n)
-    rows = _search_rows(closure.d_bdry, offsets, hs, scale)
-    near = np.stack(np.unravel_index(interior_flat[rows], dims), axis=1)
-    for off in offsets:
+    for off, step in zip(_direction_offsets(n), _flat_steps(dims)):
         for sign in (+1, -1):
-            nb_flat, in_lat = _neighbours(near, sign * off, dims)
-            nb_cls = np.where(in_lat, cls[nb_flat], CLS_EXTERIOR)
-            hit = np.nonzero(nb_cls != CLS_INTERIOR)[0]
-            cut = rows[hit]
-            ends = pos[nb_flat[hit]]
+            nb_flat = interior_flat + sign * step
+            nb_cls = cls[nb_flat]
+            cut = np.nonzero(nb_cls != CLS_INTERIOR)[0]
+            ends = pos[nb_flat[cut]]
             theta = np.ones(cut.size)
-            clipped = nb_cls[hit] == CLS_EXTERIOR
+            clipped = nb_cls[cut] == CLS_EXTERIOR
             if clipped.any():
                 p = closure.interior_pos[cut[clipped]]
-                step = np.broadcast_to(sign * off * hs, p.shape)
-                t = _crossing_fraction(spec, p, step)
-                cross = p + t[:, None] * step
+                seg = np.broadcast_to(sign * off * hs, p.shape)
+                t = _crossing_fraction(spec, p, seg)
+                cross = p + t[:, None] * seg
                 sample_pts.append(cross)
                 ends[clipped] = cross
                 theta[clipped] = t
@@ -374,19 +363,16 @@ def build_grid(spec: DomainSpec, target_h: float) -> Grid:
     """
     closure, cuts = _classify(spec, target_h)
     K = closure.num_interior
-    offsets = _direction_offsets(spec.dim)
     inv = np.full(closure.cls.size, -1, dtype=np.int64)
     inv[closure.interior_flat] = np.arange(K)
-    int_multi = np.stack(np.unravel_index(closure.interior_flat, closure.dims),
-                         axis=1)
-    arm_src = np.empty((len(offsets), 2, K), dtype=np.int64)
-    arm_theta = np.ones((len(offsets), 2, K))
+    steps = _flat_steps(closure.dims)
+    arm_src = np.empty((steps.size, 2, K), dtype=np.int64)
+    arm_theta = np.ones((steps.size, 2, K))
     P = 0
-    for d, off in enumerate(offsets):
+    for d, step in enumerate(steps):
         for side, sign in enumerate((+1, -1)):
             cut, _, theta = cuts[2 * d + side]
-            arm_src[d, side] = inv[_neighbours(int_multi, sign * off,
-                                               closure.dims)[0]]
+            arm_src[d, side] = inv[closure.interior_flat + sign * step]
             arm_src[d, side, cut] = K + P + np.arange(cut.size)
             arm_theta[d, side, cut] = theta
             P += cut.size
@@ -399,9 +385,9 @@ def build_grid(spec: DomainSpec, target_h: float) -> Grid:
     for i in range(spec.dim):
         cell_frac *= np.minimum(arm_theta[i, 0], 0.5) \
             + np.minimum(arm_theta[i, 1], 0.5)
-    grid = Grid(**vars(closure), arm_src=arm_src, arm_theta=arm_theta,
+    return Grid(**vars(closure), arm_src=arm_src, arm_theta=arm_theta,
                 cell_frac=cell_frac,
                 pinned_pos=np.vstack([ends for _, ends, _ in cuts]),
-                full_stencil=(arm_theta == 1.0).all(axis=(0, 1)))
-    _mark_dependent_nodes(grid)
-    return grid
+                full_stencil=(arm_theta == 1.0).all(axis=(0, 1)),
+                **_mark_dependent_nodes(arm_src, arm_theta,
+                                        closure.interior_pos))

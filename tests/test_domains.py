@@ -115,9 +115,8 @@ def test_lattice_index_round_trip():
 ], ids=["ball", "annulus", "shell-13", "box", "ball-3d"])
 def test_closure_matches_the_flow_grid(spec, h, delta):
     # the checker's h/2 pass builds only the closure: its sample must be
-    # the flow grid's bit for bit, and its crossing search, restricted to
-    # the nodes near the boundary, must visit every node that has a
-    # non-interior neighbour
+    # the flow grid's bit for bit, and the cut arms must be exactly the
+    # arms of the nodes that have a non-interior neighbour
     closure, grid = build_closure(spec, h), build_grid(spec, h)
     np.testing.assert_array_equal(closure.closure_points().view(np.uint64),
                                   grid.closure_points().view(np.uint64))
@@ -138,10 +137,58 @@ def test_closure_matches_the_flow_grid(spec, h, delta):
             touching |= nb_cls != CLS_INTERIOR
     np.testing.assert_array_equal(touching,
                                   (grid.arm_src >= K).any(axis=(0, 1)))
-    scale = max(1.0, float(np.abs(grid.lattice_positions()).max()))
-    search = grid_mod._search_rows(grid.d_bdry, offsets, grid.hs, scale)
-    assert touching.any() and search.size < K
-    assert np.isin(np.nonzero(touching)[0], search).all()
+    assert touching.any()
+
+
+@pytest.mark.parametrize("spec, h", [
+    (DomainSpec.box([1.0]), 1.0 / 32),
+    (DomainSpec.box([1.03], lo=[-0.4]), 0.1),
+    (DomainSpec.box([1.0, 1.0]), 1.0 / 16),
+    (DomainSpec.box([1.0, 0.7], lo=[0.3, -1.2]), 0.0225),
+    (DomainSpec.box([1.0, 1.0, 1.0]), 0.1),
+    (DomainSpec.box([1.0, 0.9, 1.1], lo=[-0.5, 0.2, 0.05]), 0.07),
+    (DomainSpec.ball(1.0, 1), 1.0 / 32),
+    (DomainSpec.ball(1.0, 2), 1.0 / 32),
+    (DomainSpec.ball(1.0, 3), 0.1),
+    (DomainSpec.ball(1.0, 4), 1.0 / 6),
+    (DomainSpec.annulus(0.5, 1.5, 2), 1.0 / 32),
+    (DomainSpec.exterior(1.0, 9.0, 2), 0.203125),
+    (DomainSpec.exterior(1.0, 13.0, 2), 0.203125),
+], ids=["box-1", "box-1-offset", "box-2", "box-2-offset", "box-3",
+        "box-3-offset", "ball-1", "ball-2", "ball-3", "ball-4", "annulus",
+        "shell-9", "shell-13"])
+def test_no_interior_node_on_the_outer_layer(spec, h):
+    # the arms step by flat lattice index, which stays on the lattice and
+    # off the opposite face only because the outermost node of every
+    # lattice line is a boundary (box face) or exterior (ghost) node
+    closure = build_closure(spec, h)
+    for axis in range(closure.n):
+        for end in (0, -1):
+            layer = np.take(closure.cls, end, axis=axis)
+            assert (layer != CLS_INTERIOR).all(), (axis, end)
+
+
+@pytest.mark.parametrize("theta_dep, interpolated", [
+    (0.5, 44), (0.75, 76), (0.9, 108), (1.01, None),
+], ids=["0.5", "0.75", "0.9", "1.01"])
+def test_interpolation_split_follows_theta_dep(monkeypatch, theta_dep,
+                                               interpolated):
+    # a longer threshold interpolates more of the h = 1/16 disk's nodes;
+    # past a full step every boundary-adjacent node would be interpolated,
+    # and one of them is left with no stepped node opposite it
+    monkeypatch.setattr(grid_mod, "THETA_DEP", theta_dep)
+    spec = DomainSpec.ball(1.0, 2)
+    if interpolated is None:
+        with pytest.raises(DomainError, match=r"interior node at "
+                           r"\[-0\.875 -0\.25 *\] .* no stepped node "
+                           r"opposite it"):
+            build_grid(spec, 1.0 / 16)
+        return
+    grid = build_grid(spec, 1.0 / 16)
+    assert grid.dep_idx.size == interpolated
+    assert (grid.dep_t < theta_dep).all()
+    assert grid.stepped[grid.dep_opp].all()
+    assert grid.stepped.sum() == grid.num_interior - interpolated
 
 
 def test_under_resolved_grid_rejected():
