@@ -51,6 +51,10 @@ DENSITY_TOL = 1e-3
 DENSITY_H, DENSITY_CUTOFF = 0.025, 1.0
 PLANE_HALFWIDTH, CAP_HALFWIDTH = 1.3, 0.8
 
+# field.dat rows formatted and written at a time, which bounds the text
+# held at once (one join of every row raises the run's peak memory)
+FIELD_BLOCK = 4096
+
 
 def _fmt(x) -> str:
     return repr(float(x))
@@ -70,7 +74,11 @@ def write_monitors_csv(path: str, records: list) -> None:
 
 
 def write_field_dat(path: str, state: flow.GraphState) -> None:
-    """Plain-text dump: header, then one row per interior node."""
+    """Plain-text dump: header, then one row per interior node.
+
+    Rows are formatted FIELD_BLOCK at a time with one %-pattern over
+    column lists and written as one string per block.
+    """
     grid = state.grid
     with open(path, "w") as fh:
         fh.write("# mssflow field dump\n")
@@ -80,11 +88,15 @@ def write_field_dat(path: str, state: flow.GraphState) -> None:
         fh.write(f"# domain = {_domain_echo(grid.spec)}\n")
         fh.write(f"# t = {_fmt(state.t)}\n")
         fh.write("# columns: flat_index x_1..x_n f_1..f_m\n")
-        # tolist() hands over Python floats, whose repr is _fmt's text
-        for flat, pos, f in zip(grid.interior_flat.tolist(),
-                                grid.interior_pos.tolist(), state.f.tolist()):
-            fh.write(" ".join([str(flat), *map(repr, pos), *map(repr, f)])
-                     + "\n")
+        # tolist() hands over Python ints and floats, whose %d and %r are
+        # str and repr, _fmt's text
+        row = " ".join(["%d"] + ["%r"] * (grid.n + state.m)) + "\n"
+        for lo in range(0, grid.num_interior, FIELD_BLOCK):
+            block = slice(lo, lo + FIELD_BLOCK)
+            cols = [grid.interior_flat[block].tolist(),
+                    *grid.interior_pos[block].T.tolist(),
+                    *state.f[block].T.tolist()]
+            fh.write("".join(row % r for r in zip(*cols)))
 
 
 def _domain_echo(spec: DomainSpec) -> str:

@@ -53,29 +53,47 @@ from .grid import Grid, axis_pairs
 LAMBDA_GUARD = 10.0
 
 
-@dataclass
 class GraphState:
     """Discrete flow state: interior values plus the pinned boundary trace.
 
-    f is (K, m) over the grid's interior ordering.  pinned (P, m) holds
-    the Dirichlet data at grid.pinned_pos, the ends of the clipped stencil
-    arms; it never changes during the flow.  The data's range, which the
-    maximum principle compares against, is frozen by FlowMonitors.
+    Both live in one stacked buffer, buf (1 + K + P, m): a zero pad row,
+    then f (K, m) over the grid's interior ordering, then pinned (P, m),
+    the Dirichlet data at grid.pinned_pos, the ends of the cut stencil
+    arms, which never changes during the flow.  f and pinned are views of
+    buf, so every arm end is a row of it (arm_src + 1) with no stacking,
+    and the last axis, whose flat-index step is 1, finds both arm ends of
+    every row in the shifted views buf[2:K + 2] and buf[:K].  Row 0 of the
+    second view is the pad, read only for the first row, whose arm that
+    way is cut and overwritten; zero keeps that arithmetic finite.  f None
+    leaves the values unset, for the caller to write.  The data's range,
+    which the maximum principle compares against, is frozen by
+    FlowMonitors.
     """
 
-    grid: Grid
-    t: float
-    f: np.ndarray
-    pinned: np.ndarray
-    psi: object                       # the boundary map family
+    def __init__(self, grid: Grid, t: float, f: np.ndarray | None,
+                 pinned: np.ndarray, psi):
+        K = grid.num_interior
+        self.grid, self.t, self.psi = grid, t, psi    # psi: the map family
+        self.buf = np.empty((1 + K + pinned.shape[0], pinned.shape[1]))
+        self.buf[0] = 0.0
+        if f is not None:
+            self.buf[1:K + 1] = f
+        self.buf[K + 1:] = pinned
+
+    @property
+    def f(self) -> np.ndarray:
+        return self.buf[1:self.grid.num_interior + 1]
+
+    @property
+    def pinned(self) -> np.ndarray:
+        return self.buf[self.grid.num_interior + 1:]
 
     @property
     def m(self) -> int:
-        return self.f.shape[1]
+        return self.buf.shape[1]
 
-    def replace_values(self, f: np.ndarray, t: float) -> "GraphState":
-        return GraphState(grid=self.grid, t=t, f=f, pinned=self.pinned,
-                          psi=self.psi)
+    def replace_values(self, f: np.ndarray | None, t: float) -> "GraphState":
+        return GraphState(self.grid, t, f, self.pinned, self.psi)
 
 
 def make_state(grid: Grid, psi, t: float = 0.0) -> GraphState:
@@ -99,21 +117,27 @@ def _row_put(rows: np.ndarray, m: int) -> np.ndarray:
 def _stencils(grid: Grid, m: int) -> tuple:
     """Static per-m row data, shared by all states on a grid.
 
-    On a row whose arms all have theta = 1 (grid.full_stencil) the clipped
-    three-point weights are exactly (0.5, -0.5, 0) and (1, 1, -2), so every
-    row gets the uniform arithmetic and only the R rows with a clipped arm
-    need their weights.  Returns (dep_put, rows, put, src, c1p, c1m, c10,
-    c2p, c2m, c20): the flat indices (see _row_put) of the interpolated
-    rows; the clipped rows (R,), their flat indices and their arm ends
-    src (D, 2, R); their first-difference weights (c1p, c1m, c10) for the
-    n axis directions, each (n, R, m), and their second-difference weights
-    (c2p, c2m, c20) for every direction, each (D, R, m).  The weights are
-    tiled so the kernel runs same-shape contiguous ufuncs (broadcasting
-    along the last axis is slow on this scale).  Built once per m and kept
-    on the grid.
+    Every row gets the uniform arithmetic, which reads the last axis's
+    arm ends as shifted views of the state's buffer; only the R rows with
+    a cut arm (arm_src >= K) need their weights, as their cut ends are
+    not the views' rows.  On a row whose arms all have theta = 1 the
+    weights are exactly (0.5, -0.5, 0) and (1, 1, -2), which reproduce the
+    uniform arithmetic bit for bit, so a cut arm at a box face costs
+    nothing in the bits.  Returns (dep_put, rows, put, src, clip_src,
+    c1p, c1m, c10, c2p, c2m, c20): the flat indices (see _row_put) of the
+    interpolated rows; the cut rows (R,) and their flat indices; the
+    buffer row of every arm end (D, 2, K), arm_src + 1 past the pad row,
+    and of the cut rows' arm ends (D, 2, R); their first-difference
+    weights (c1p, c1m, c10) for the n axis directions, each (n, R, m),
+    and their second-difference weights (c2p, c2m, c20) for every
+    direction, each (D, R, m).  The weights are tiled so the kernel runs
+    same-shape contiguous ufuncs (broadcasting along the last axis is slow
+    on this scale).  Built once per m and kept on the grid.
     """
     if m not in grid.stencils:
-        rows = np.nonzero(~grid.full_stencil)[0]
+        src = grid.arm_src + 1
+        cut = (grid.arm_src >= grid.num_interior).any(axis=(0, 1))
+        rows = np.nonzero(cut)[0]
         theta = grid.arm_theta[:, :, rows]
         tp, tm = theta[:, 0], theta[:, 1]
         denom = tp * tm * (tp + tm)
@@ -123,8 +147,8 @@ def _stencils(grid: Grid, m: int) -> tuple:
 
         ap, am, ad = tp[:grid.n], tm[:grid.n], denom[:grid.n]   # axes
         grid.stencils[m] = (
-            _row_put(grid.dep_idx, m), rows, _row_put(rows, m),
-            np.ascontiguousarray(grid.arm_src[:, :, rows]),
+            _row_put(grid.dep_idx, m), rows, _row_put(rows, m), src,
+            np.ascontiguousarray(src[:, :, rows]),
             tile(am * am / ad),
             tile(-ap * ap / ad),
             tile((ap * ap - am * am) / ad),
@@ -134,41 +158,51 @@ def _stencils(grid: Grid, m: int) -> tuple:
     return grid.stencils[m]
 
 
-def _differences(state: GraphState,
-                 jacobian: bool = True) -> tuple[list | None, dict]:
-    """One divided-difference pass over every stencil direction.
+def _differences(state: GraphState, jacobian: bool = True,
+                 mixed: bool = True) -> tuple[list | None, dict]:
+    """One divided-difference pass over the stencil directions.
 
     Returns the Jacobian as n columns J[i] = df/dx_i and the Hessian as
     columns H[i, j] = d2f/dx_i dx_j for i <= j, each of shape (K, m);
-    with jacobian false J is None and no first difference is formed.
-    Every arm end is a row of the stacked array [f; pinned].  All rows
-    take the uniform differences (0.5 (u+ - u-)) / h and (u+ + u-) - 2u;
-    the clipped rows, whose weighted differences are formed for every
-    direction at once, then overwrite theirs.  On a full-stencil row the
-    two agree bit for bit: the weights only drop multiplications by 1 and
-    additions of 0 u.
+    with jacobian false J is None and no first difference is formed, and
+    with mixed false only the pairs (i, i) are, and the diagonal
+    directions are not read.  Every arm end is a row of the state's
+    buffer [pad; f; pinned]: the last axis takes both ends of every row
+    as the shifted views buf[2:K + 2] and buf[:K], and every other
+    direction gathers both with one take.  All rows take the uniform
+    differences (u+ - u-) / (2h) and (u+ + u-) - 2u; the rows with a cut
+    arm, whose weighted differences are formed for every direction read
+    at once, then overwrite theirs.  On a row whose arms all have
+    theta = 1 the two agree bit for bit: the weights only drop
+    multiplications by 1 and additions of 0 u, and both scalings by 2 are
+    exact.
     """
     grid = state.grid
-    hs, n = grid.hs, grid.n
+    hs, n, K = grid.hs, grid.n, grid.num_interior
+    buf = state.buf
     F = state.f
-    FP = np.concatenate([F, state.pinned])
-    _, rows, put, src, c1p, c1m, c10, c2p, c2m, c20 = _stencils(grid, state.m)
+    (_, rows, put, src, clip_src,
+     c1p, c1m, c10, c2p, c2m, c20) = _stencils(grid, state.m)
+    D = src.shape[0] if mixed else n
     F2 = 2.0 * F
     FR = F.take(rows, axis=0)
-    ends = FP.take(src, axis=0)                      # (D, 2, R, m)
-    d2_clip = c2p * ends[:, 0] + c2m * ends[:, 1] + c20 * FR
+    ends = buf.take(clip_src[:D], axis=0)            # (D, 2, R, m)
+    d2_clip = c2p[:D] * ends[:, 0] + c2m[:D] * ends[:, 1] + c20[:D] * FR
     if jacobian:
         jac_clip = (c1p * ends[:n, 0] + c1m * ends[:n, 1] + c10 * FR) \
             / hs[:, None, None]
 
     def arms(d):
-        """Both arm ends of direction d on every row."""
-        return (FP.take(grid.arm_src[d, 0], axis=0),
-                FP.take(grid.arm_src[d, 1], axis=0))
+        """Both arm ends of direction d on every row, and the one that
+        second() may overwrite (None for views of buf)."""
+        if d == n - 1:                               # flat-index step 1
+            return buf[2:K + 2], buf[:K], None
+        up, um = buf.take(src[d], axis=0)
+        return up, um, up
 
-    def second(d, up, um):
-        """Second difference of direction d, formed in the buffer of up."""
-        d2 = np.add(up, um, out=up)
+    def second(d, up, um, scratch):
+        """Second difference of direction d."""
+        d2 = np.add(up, um, out=scratch)
         d2 -= F2
         np.put(d2, put, d2_clip[d])
         return d2
@@ -177,18 +211,18 @@ def _differences(state: GraphState,
     J = [None] * n if jacobian else None
     H = {}
     for i in range(n):
-        up, um = arms(i)
+        up, um, scratch = arms(i)
         if jacobian:
-            J[i] = up - um
-            J[i] *= 0.5
-            J[i] /= hs[i]
+            J[i] = np.subtract(up, um)
+            J[i] /= 2.0 * hs[i]
             np.put(J[i], put, jac_clip[i])
-        H[i, i] = second(i, up, um)
+        H[i, i] = second(i, up, um, scratch)
         H[i, i] /= hs[i] * hs[i]
-    for p, (i, j) in enumerate(axis_pairs(n)):
-        H[i, j] = second(n + 2 * p, *arms(n + 2 * p))
-        H[i, j] -= second(n + 2 * p + 1, *arms(n + 2 * p + 1))
-        H[i, j] /= 4.0 * hs[i] * hs[j]
+    if mixed:
+        for p, (i, j) in enumerate(axis_pairs(n)):
+            H[i, j] = second(n + 2 * p, *arms(n + 2 * p))
+            H[i, j] -= second(n + 2 * p + 1, *arms(n + 2 * p + 1))
+            H[i, j] /= 4.0 * hs[i] * hs[j]
     return J, H
 
 
@@ -263,8 +297,10 @@ class FieldBundle:
     lexicographic order, and weights the pair weights of gi by which the
     residual contracts the Hessian.  lam_max_sq is computed from g on first
     read, so the super-step stages, which read only the residual, never
-    pay for it.  A bundle built from another state's weights holds only
-    weights and residual; jac, g, gi and detg are None.
+    pay for it; so are sqrt_detg, which the area, the dissipation and the
+    *Omega record read, and residual_sq, which residual_sup and the
+    dissipation read.  A bundle built from another state's weights holds
+    only weights and residual; jac, g, gi and detg are None.
     residual_sup only counts stepped unknowns: interpolated near-boundary
     nodes do not satisfy the discrete system, they satisfy their
     interpolation rule.
@@ -283,6 +319,16 @@ class FieldBundle:
         """(K,) largest eigenvalue of J^T J: that of g minus 1."""
         return np.maximum(_top_eigenvalue(self.g, len(self.jac)) - 1.0, 0.0)
 
+    @cached_property
+    def sqrt_detg(self) -> np.ndarray:
+        """(K,) area element sqrt(det g)."""
+        return np.sqrt(self.detg)
+
+    @cached_property
+    def residual_sq(self) -> np.ndarray:
+        """(K,) squared norm of the residual per node."""
+        return _coldot_sum(self.residual, self.residual)
+
     @property
     def J(self) -> np.ndarray:
         """Jacobian stack (K, m, n)."""
@@ -297,7 +343,7 @@ class FieldBundle:
     def residual_sup(self) -> float:
         if self.residual.size == 0:
             return 0.0
-        r = _coldot_sum(self.residual, self.residual)[self.stepped]
+        r = self.residual_sq[self.stepped]
         return float(np.sqrt(r.max())) if r.size else 0.0
 
     @property
@@ -314,17 +360,26 @@ def compute_fields(state: GraphState, weights: dict | None = None
     Given weights, the pair weights of another bundle, only the residual
     is formed: this state's Hessian columns contracted with those weights,
     the same arithmetic, so a state's own weights give its residual bit
-    for bit.  The Jacobian columns and the metric are skipped.
+    for bit.  The Jacobian columns and the metric are skipped, and so are
+    the mixed Hessian pairs when no weight reads them.
     """
-    J, H = _differences(state, jacobian=weights is None)
+    J, H = _differences(state, jacobian=weights is None, mixed=weights is None
+                        or any(i != j for i, j in weights))
     g = gi = detg = None
     if weights is None:
         g = _metric(J)
         gi, detg = _metric_inverse(g, state.grid.n)
         weights = _pair_weights(gi)
+    # each column summed in place, term by term in weights order
     residual = np.empty_like(state.f)
+    term = np.empty(residual.shape[0])
     for A in range(state.m):
-        residual[:, A] = _accumulate(w * H[p][:, A] for p, w in weights.items())
+        col = residual[:, A]
+        pairs = iter(weights.items())
+        p, w = next(pairs)
+        np.multiply(w, H[p][:, A], out=col)
+        for p, w in pairs:
+            col += np.multiply(w, H[p][:, A], out=term)
     return FieldBundle(jac=J, g=g, gi=gi, detg=detg, weights=weights,
                        residual=residual, stepped=state.grid.stepped)
 
@@ -359,11 +414,11 @@ def dissipation_rate(state: GraphState, bundle: FieldBundle) -> float:
     JtR = [_coldot_sum(col, R) for col in bundle.jac]
     quad = _accumulate(w * JtR[i] * JtR[j]
                        for (i, j), w in bundle.weights.items())
-    hsq = _coldot_sum(R, R) - quad
+    hsq = bundle.residual_sq - quad
     # Second derivatives at interpolated nodes are unreliable by
     # construction; borrow the inward neighbor's dissipation density.
     hsq[grid.dep_idx] = hsq[grid.dep_opp]
-    return float((hsq * np.sqrt(bundle.detg) * grid.cell_frac).sum()
+    return float((hsq * bundle.sqrt_detg * grid.cell_frac).sum()
                  * grid.cellvol)
 
 
@@ -394,14 +449,15 @@ def _top_mode(grid: Grid) -> tuple[float, np.ndarray]:
     """Power-iteration estimate of the flow operator's spectral radius.
 
     The operator is the residual at g = I (identity pair weights, the
-    Hessian-only pass) with zero pinned data, acting on the stepped
-    unknowns; interpolated nodes follow their rule.  Starting from the
-    lattice checkerboard, its highest mode, RHO_SWEEPS sweeps each take
-    the ratio of the stepped rows' norms.  Returns (estimate, unit top
-    vector (K, 1)).
+    Hessian-only pass, which forms only the pairs (i, i) they read) with
+    zero pinned data, acting on the stepped unknowns; interpolated nodes
+    follow their rule.  Starting from the lattice checkerboard, its
+    highest mode, RHO_SWEEPS sweeps each take the ratio of the stepped
+    rows' norms.  Returns (estimate, unit top vector (K, 1)).
     """
-    zero = GraphState(grid=grid, t=0.0, f=None, psi=None,
-                      pinned=np.zeros((grid.pinned_pos.shape[0], 1)))
+    checkerboard = 1.0 - 2.0 * (grid.lattice_coords().sum(axis=1) % 2)
+    x = GraphState(grid, 0.0, checkerboard[:, None],
+                   np.zeros((grid.pinned_pos.shape[0], 1)), None)
     weights = {(i, i): 1.0 for i in range(grid.n)}
 
     def norm(v):
@@ -409,15 +465,15 @@ def _top_mode(grid: Grid) -> tuple[float, np.ndarray]:
         # vectors across its threads, and the bits follow the thread count
         return float(np.sqrt(np.square(v[grid.stepped]).sum()))
 
-    x = (1.0 - 2.0 * (grid.lattice_coords().sum(axis=1) % 2))[:, None]
-    _interpolate_dependent(x, zero)
-    x /= norm(x)
+    # every sweep writes the next iterate into x's buffer
+    _interpolate_dependent(x.f, x)
+    np.divide(x.f, norm(x.f), out=x.f)
     for _ in range(RHO_SWEEPS):
-        y = compute_fields(zero.replace_values(x, 0.0), weights).residual
-        _interpolate_dependent(y, zero)
+        y = compute_fields(x, weights).residual
+        _interpolate_dependent(y, x)
         rho = norm(y)
-        x = y / rho
-    return rho, x
+        np.divide(y, rho, out=x.f)
+    return rho, x.f
 
 
 def stage_fraction(grid: Grid, dt: float) -> float:
@@ -546,15 +602,18 @@ class FlowMonitors:
         """Monitor record of state; dissipation is dissipation_rate(state, bundle)."""
         grid = state.grid
         lam_sq = bundle.lam_max_sq
-        detg = bundle.detg
-        area = float((np.sqrt(detg) * grid.cell_frac).sum()
+        sqrt_detg = bundle.sqrt_detg
+        area = float((sqrt_detg * grid.cell_frac).sum()
                      * grid.cellvol) + self.static_boundary_area
 
+        # Both minima are read at a maximum: correctly rounded operations
+        # are monotone, so 1 / sqrt(det g) is least where det g is largest
+        # and (1 - x) - eps' (1 + x) where lambda^2 = x is, bit for bit.
         if self.eps is not None and 0.0 < self.eps <= 1.0:
             r = (1.0 - self.eps) ** 2
             eps_prime = (1.0 - r) / (1.0 + r)
-            p_min = float(((1.0 - lam_sq) - eps_prime * (1.0 + lam_sq)).min()) \
-                if lam_sq.size else np.nan
+            x = lam_sq.max() if lam_sq.size else np.nan
+            p_min = float((1.0 - x) - eps_prime * (1.0 + x))
         else:
             p_min = np.nan
 
@@ -569,7 +628,8 @@ class FlowMonitors:
         return MonitorRecord(
             t=state.t,
             max_lambda=bundle.max_lambda,
-            min_star_omega=float((1.0 / np.sqrt(detg)).min()) if detg.size else 1.0,
+            min_star_omega=float(1.0 / sqrt_detg.max()) if sqrt_detg.size
+            else 1.0,
             min_p_eig=p_min,
             area=area,
             dissipation=dissipation,
@@ -615,8 +675,11 @@ def super_step(state: GraphState, bundle: FieldBundle, dt: float, n: int,
         mu_j = (2j - 1) / j,   j = 1, ..., s,
 
     with L the system residual and the interpolation rule applied after
-    every stage.  mu_1 = 1, so the first stage is Y_0 + w L(Y_0) bit for
-    bit (0 f adds a zero), and with n = 1 this is one explicit Euler step.
+    every stage.  mu_1 = 1, so the first stage is formed as Y_0 + w L(Y_0),
+    bit for bit the recurrence's value (1 f + 0 f = f for finite f, signed
+    zeros included), and with n = 1 this is one explicit Euler step.  Each
+    stage writes into its own state's buffer (GraphState), with one
+    temporary.
     frac = 1 is stable wherever dt is; stage_fraction(grid, dt) is the
     smallest frac that keeps w RHO_MARGIN rho <= 2 at every n, with rho
     its estimate.  A mode with L Y = lambda Y is multiplied by the
@@ -633,12 +696,20 @@ def super_step(state: GraphState, bundle: FieldBundle, dt: float, n: int,
     w = 2.0 * n * dt / (s * (s + 1))
     prev = cur = state
     for j in range(1, s + 1):
-        if j > 1:
+        new = state.replace_values(None, t)
+        f = new.f                            # written in place, term by term
+        if j == 1:
+            np.multiply(bundle.residual, w, out=f)
+            f += cur.f
+        else:
             bundle = compute_fields(cur, bundle.weights if j % 2 == 0 else None)
-        mu = (2 * j - 1) / j
-        f = mu * cur.f + (1.0 - mu) * prev.f + (mu * w) * bundle.residual
+            mu = (2 * j - 1) / j
+            np.multiply(cur.f, mu, out=f)
+            term = np.multiply(prev.f, 1.0 - mu)
+            f += term
+            f += np.multiply(bundle.residual, mu * w, out=term)
         _interpolate_dependent(f, state)
-        prev, cur = cur, state.replace_values(f, t)
+        prev, cur = cur, new
     return cur
 
 

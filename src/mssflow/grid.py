@@ -245,6 +245,24 @@ def _flat_steps(dims: tuple) -> np.ndarray:
     return _direction_offsets(len(dims)) @ np.array(strides, dtype=np.int64)
 
 
+def _first_of_equal_rows(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a finite float array that no earlier row equals.
+
+    The rows' uint64 view, with -0.0 taken to 0.0 first, is equal exactly
+    where the rows are, so one stable lexsort of it brings every group of
+    equal rows together, in input order: the same rows as np.unique(rows,
+    axis=0, return_index=True), without its sort of the rows as records.
+    """
+    bits = (rows + 0.0).view(np.uint64)
+    order = np.lexsort(bits.T)
+    ranked = bits[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    keep = np.zeros(order.size, dtype=bool)
+    keep[order[first]] = True
+    return keep
+
+
 def _classify(spec: DomainSpec, target_h: float) -> tuple[Closure, list]:
     """The Closure at spacing target_h, and the cut stencil arms.
 
@@ -336,12 +354,11 @@ def _classify(spec: DomainSpec, target_h: float) -> tuple[Closure, list]:
             cuts.append((cut, ends, theta))
 
     if sample_pts:
+        # one sample per point to 9 decimals (the first in input order),
+        # sorted by its coordinates
         allpts = np.vstack(sample_pts)
-        rounded = np.round(allpts, 9)
-        _, keep = np.unique(rounded, axis=0, return_index=True)
-        samples = allpts[np.sort(keep)]
-        order = np.lexsort(samples.T[::-1])
-        closure.boundary_samples = samples[order]
+        samples = allpts[_first_of_equal_rows(np.round(allpts, 9))]
+        closure.boundary_samples = samples[np.lexsort(samples.T[::-1])]
     else:
         closure.boundary_samples = np.zeros((0, n))
     return closure, cuts

@@ -16,6 +16,8 @@ that no program mode runs.
   check that kernel against.
 - `jets_all`, the kernel's discrete jets as (K, m, n) and (K, m, n, n)
   stacks.
+- `write_field_dat_rows`, the field dump written one row at a time, which
+  the program's block writer must match byte for byte.
 - The Scherk graph, a closed-form minimal graph (criterion 2).
 - The odd reflection of a half-space graph across its flat edge and the
   sloped half-plane it is tested on (criterion 8).
@@ -34,6 +36,7 @@ import numpy as np
 
 from mssflow.boundary import linear_map
 from mssflow.domains import DomainSpec
+from mssflow.driver import _domain_echo, _fmt
 from mssflow.flow import GraphState, _differences, _symmetric, make_state
 from mssflow.grid import CLS_TOL, build_grid
 from mssflow.oracles import half_plane_state
@@ -197,6 +200,28 @@ def jets_all(state: GraphState) -> tuple[np.ndarray, np.ndarray]:
     """Jacobian (K, m, n) and Hessian (K, m, n, n) at every interior node."""
     J, H = _differences(state)
     return np.stack(J, axis=-1), _symmetric(H, state.grid.n)
+
+
+# ---------------------------------------------------------------------------
+# field dump
+# ---------------------------------------------------------------------------
+
+def write_field_dat_rows(path: str, state: GraphState) -> None:
+    """field.dat with one write per row: the header, then per interior node
+    its flat index and the reprs of its position and values."""
+    grid = state.grid
+    with open(path, "w") as fh:
+        fh.write("# mssflow field dump\n")
+        fh.write(f"# n = {grid.n}  m = {state.m}\n")
+        fh.write(f"# dims = {' '.join(str(d) for d in grid.dims)}\n")
+        fh.write(f"# h = {' '.join(_fmt(h) for h in grid.hs)}\n")
+        fh.write(f"# domain = {_domain_echo(grid.spec)}\n")
+        fh.write(f"# t = {_fmt(state.t)}\n")
+        fh.write("# columns: flat_index x_1..x_n f_1..f_m\n")
+        for flat, pos, f in zip(grid.interior_flat.tolist(),
+                                grid.interior_pos.tolist(), state.f.tolist()):
+            fh.write(" ".join([str(flat), *map(repr, pos), *map(repr, f)])
+                     + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mssflow import boundary as bd, flow, grid as grid_mod
 from mssflow.domains import DomainError, DomainSpec, estimate_c0_eta0
@@ -138,6 +139,24 @@ def test_closure_matches_the_flow_grid(spec, h, delta):
     np.testing.assert_array_equal(touching,
                                   (grid.arm_src >= K).any(axis=(0, 1)))
     assert touching.any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_first_of_equal_rows_keeps_the_rows_np_unique_keeps(data):
+    # the boundary sample's dedup: the first row of every group of equal
+    # rows, as np.unique(axis=0, return_index=True) finds them; -0.0 and
+    # 0.0 compare equal there, so they are one value here too
+    n = data.draw(st.integers(1, 4))
+    value = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-9, 5e-324]) \
+        | st.floats(-2.0, 2.0)
+    rows = np.array(data.draw(st.lists(
+        st.lists(value, min_size=n, max_size=n), min_size=1, max_size=40)))
+    rows = np.vstack([rows, rows[data.draw(st.lists(
+        st.integers(0, rows.shape[0] - 1), max_size=20))]])
+    _, first = np.unique(rows, axis=0, return_index=True)
+    keep = grid_mod._first_of_equal_rows(rows)
+    np.testing.assert_array_equal(np.nonzero(keep)[0], np.sort(first))
 
 
 @pytest.mark.parametrize("spec, h", [

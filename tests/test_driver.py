@@ -23,7 +23,8 @@ from mssflow import boundary as bd, cli, driver, flow
 from mssflow.config import ConfigError, load_config
 from mssflow.domains import DomainError, DomainSpec
 from mssflow.grid import build_grid
-from reference import LawsonOssermanMap, LinearMap, QuarticMap
+from reference import (LawsonOssermanMap, LinearMap, QuarticMap,
+                       write_field_dat_rows)
 
 BALL_SOLVE = """
 [run]
@@ -866,6 +867,24 @@ def test_field_dump_roundtrip(tmp_path):
     assert len(rows) == grid.num_interior
     first = rows[0].split()
     assert len(first) == 1 + 2 + 2   # index, x, f
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_field_dump_blocks_match_the_row_writer(tmp_path, m):
+    # K = 5,013 > FIELD_BLOCK rows, so the dump takes two blocks; values
+    # at the ends of repr's range and of sign
+    grid = build_grid(DomainSpec.ball(1.0, 2), 1.0 / 40)
+    assert driver.FIELD_BLOCK < grid.num_interior < 2 * driver.FIELD_BLOCK
+    special = [-0.0, 5e-324, 1e16, 1e-5, -1e16, 0.1]
+    f = np.resize(special, (grid.num_interior, m))
+    f[::7] *= np.pi
+    state = flow.make_state(grid, bd.constant_map([0.25] * m, 2))
+    state = state.replace_values(f, 1.0 / 3.0)
+    driver.write_field_dat(str(tmp_path / "blocks.dat"), state)
+    write_field_dat_rows(str(tmp_path / "rows.dat"), state)
+    blocks = (tmp_path / "blocks.dat").read_bytes()
+    assert blocks == (tmp_path / "rows.dat").read_bytes()
+    assert b" -0.0" in blocks and b" 5e-324" in blocks and b" 1e+16" in blocks
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,75 @@ def test_reused_weights_give_the_residual_bit_for_bit(spec, h, psi):
     assert np.array_equal(stage.residual, bundle.residual)
 
 
+def test_differences_form_the_mixed_pairs_only_when_asked():
+    # the estimator's pass forms only the pairs (i, i), bit for bit those
+    # of the default pass, which forms every pair
+    for spec, h in ((DomainSpec.ball(1.0, 3), 0.2),
+                    (DomainSpec.annulus(0.5, 1.5, 2), 1.0 / 16)):
+        n = spec.dim
+        psi = bd.TrigMap([0.3, -0.2],
+                         [[1.0, 2.0, -1.5][:n], [0.5, -1.0, 2.0][:n]])
+        state = flow.make_state(build_grid(spec, h), psi)
+        J, H = flow._differences(state)
+        assert len(J) == n
+        assert sorted(H) == [(i, j) for i in range(n) for j in range(i, n)]
+        none, diag = flow._differences(state, jacobian=False, mixed=False)
+        assert none is None and sorted(diag) == [(i, i) for i in range(n)]
+        assert all(np.array_equal(H[p], diag[p]) for p in diag)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _same_bits(a, b) -> bool:
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_bits(a[p], b[p]) for p in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_bits, a, b))
+    return np.array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("spec, h", [
+    (DomainSpec.box([1.0, 0.7], lo=[-0.5, -0.35]), 1.0 / 32),
+    (BALL, 1.0 / 32),
+    (DomainSpec.annulus(0.5, 1.5, 2), 1.0 / 16),
+    (DomainSpec.exterior(1.0, 9.0, 2), 0.203125),
+    (DomainSpec.box([1.0]), 1.0 / 32),
+    (DomainSpec.ball(1.0, 3), 0.2),
+    (DomainSpec.ball(1.0, 4), 1.0 / 6),
+], ids=["offset-box", "disk", "annulus", "shell-9", "box-1d", "ball-3d",
+        "ball-4d"])
+def test_stepped_state_gives_the_bundle_of_its_values(spec, h, m):
+    # super_step writes every stage into its own state's buffer; the same
+    # values copied into a new state give the same bundle, bit for bit,
+    # from a full call and from a call with given weights
+    n = spec.dim
+    psi = bd.TrigMap([0.02, -0.01, 0.015][:m],
+                     [[1.0 + A - 0.5 * i for i in range(n)] for A in range(m)],
+                     [0.3 * A for A in range(m)])
+    grid = build_grid(spec, h)
+    state = flow.make_state(grid, psi)
+    dt = flow.stable_dt(grid, 0.9)
+    # six steps in three stages: the given fields, reused weights, a metric
+    stepped = flow.super_step(state, flow.compute_fields(state), dt, 6,
+                              6 * dt, 1.0)
+    assert not np.array_equal(stepped.f, state.f)
+    copied = state.replace_values(stepped.f.copy(), stepped.t)
+    assert _same_bits(stepped.buf, copied.buf)
+    full = [flow.compute_fields(s) for s in (stepped, copied)]
+    given = [flow.compute_fields(s, full[0].weights)
+             for s in (stepped, copied)]
+    for a, b in (full, given):
+        for name in ("residual", "residual_sq", "weights"):
+            assert _same_bits(getattr(a, name), getattr(b, name)), name
+    a, b = full
+    for name in ("jac", "g", "gi", "detg", "sqrt_detg", "lam_max_sq"):
+        assert _same_bits(getattr(a, name), getattr(b, name)), name
+    assert _same_bits(given[0].residual, full[0].residual)
+
+
 def test_super_step_builds_the_metric_on_every_second_stage(monkeypatch):
     # s = 32 stages: stage 1 takes the given bundle (call 0), stage 2
     # reuses its weights, and stages 3, 5, ..., 31 build the metric that
@@ -546,6 +615,37 @@ def test_monitor_record_csv_columns():
         "t", "max_lambda", "min_star_omega", "min_p_eig", "area",
         "dissipation", "residual_sup", "boundary_grad_sup", "barrier_min",
         "dt")
+
+
+_RECORD_DETG = st.sampled_from([1.0, 1.0 + 2.0 ** -52, 2.0, 1e300]) \
+    | st.floats(1.0, 1e6)
+_RECORD_LAM_SQ = st.sampled_from([0.0, 5e-324, 0.25, 1.0, 4.0]) \
+    | st.floats(0.0, 1e3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_record_minima_read_at_the_maxima_equal_the_nodewise_minima(data):
+    """min *Omega and the min P-eigenvalue, which a record reads at the
+    largest det g and lambda^2, equal the minima over all nodes bit for
+    bit: ties, zeros and eps = 1 included."""
+    grid = _oracle_grid("box", 1)
+    K = grid.num_interior
+    state = flow.make_state(grid, bd.constant_map([0.0], 1))
+    eps = data.draw(st.sampled_from([1.0, 0.5]) | st.floats(0.01, 1.0))
+    detg = np.array(data.draw(st.lists(_RECORD_DETG, min_size=K, max_size=K)))
+    lam_sq = np.array(data.draw(st.lists(_RECORD_LAM_SQ, min_size=K,
+                                         max_size=K)))
+    bundle = flow.compute_fields(state)
+    bundle.detg = detg
+    bundle.__dict__["lam_max_sq"] = lam_sq       # the cached top eigenvalue
+    rec = flow.FlowMonitors(state, 0.1, eps=eps).record(state, bundle, 1.0,
+                                                       0.0, 0.0)
+    r = (1.0 - eps) ** 2
+    eps_prime = (1.0 - r) / (1.0 + r)
+    assert _same_bits(rec.min_star_omega, (1.0 / np.sqrt(detg)).min())
+    assert _same_bits(rec.min_p_eig,
+                      ((1.0 - lam_sq) - eps_prime * (1.0 + lam_sq)).min())
 
 
 def test_barrier_fields_at_initial_time():
