@@ -90,13 +90,12 @@ def write_field_dat(path: str, state: flow.GraphState) -> None:
         fh.write("# columns: flat_index x_1..x_n f_1..f_m\n")
         # tolist() hands over Python ints and floats, whose %d and %r are
         # str and repr, _fmt's text
-        row = " ".join(["%d"] + ["%r"] * (grid.n + state.m)) + "\n"
+        row = "%d" + " %r" * (grid.n + state.m) + "\n"
         for lo in range(0, grid.num_interior, FIELD_BLOCK):
-            block = slice(lo, lo + FIELD_BLOCK)
-            cols = [grid.interior_flat[block].tolist(),
-                    *grid.interior_pos[block].T.tolist(),
-                    *state.f[block].T.tolist()]
-            fh.write("".join(row % r for r in zip(*cols)))
+            b = slice(lo, lo + FIELD_BLOCK)
+            fh.write("".join(row % r for r in zip(
+                grid.interior_flat[b].tolist(),
+                *grid.interior_pos[b].T.tolist(), *state.f[b].T.tolist())))
 
 
 def _domain_echo(spec: DomainSpec) -> str:

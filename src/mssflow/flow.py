@@ -56,43 +56,30 @@ LAMBDA_GUARD = 10.0
 class GraphState:
     """Discrete flow state: interior values plus the pinned boundary trace.
 
-    Both live in one stacked buffer, buf (1 + K + P, m): a zero pad row,
-    then f (K, m) over the grid's interior ordering, then pinned (P, m),
-    the Dirichlet data at grid.pinned_pos, the ends of the cut stencil
-    arms, which never changes during the flow.  f and pinned are views of
-    buf, so every arm end is a row of it (arm_src + 1) with no stacking,
-    and the last axis, whose flat-index step is 1, finds both arm ends of
-    every row in the shifted views buf[2:K + 2] and buf[:K].  Row 0 of the
-    second view is the pad, read only for the first row, whose arm that
-    way is cut and overwritten; zero keeps that arithmetic finite.  f None
-    leaves the values unset, for the caller to write.  The data's range,
-    which the maximum principle compares against, is frozen by
-    FlowMonitors.
+    Both are views of one buffer, buf = [0; f; pinned] (1 + K + P, m): f
+    (K, m) over the grid's interior ordering, pinned (P, m) the Dirichlet
+    data at grid.pinned_pos, the ends of the cut stencil arms, which never
+    changes during the flow.  The zero pad row lets _differences read the
+    last axis's arm ends as shifted views.  f None leaves the values
+    unset.  The data's range, which the maximum principle compares
+    against, is frozen by FlowMonitors.
     """
 
-    def __init__(self, grid: Grid, t: float, f: np.ndarray | None,
-                 pinned: np.ndarray, psi):
+    def __init__(self, grid: Grid, t: float, f, pinned: np.ndarray, psi):
         K = grid.num_interior
         self.grid, self.t, self.psi = grid, t, psi    # psi: the map family
-        self.buf = np.empty((1 + K + pinned.shape[0], pinned.shape[1]))
+        self.buf = np.empty((1 + K + len(pinned), pinned.shape[1]))
         self.buf[0] = 0.0
+        self.f, self.pinned = self.buf[1:K + 1], self.buf[K + 1:]
+        self.pinned[:] = pinned
         if f is not None:
-            self.buf[1:K + 1] = f
-        self.buf[K + 1:] = pinned
-
-    @property
-    def f(self) -> np.ndarray:
-        return self.buf[1:self.grid.num_interior + 1]
-
-    @property
-    def pinned(self) -> np.ndarray:
-        return self.buf[self.grid.num_interior + 1:]
+            self.f[:] = f
 
     @property
     def m(self) -> int:
         return self.buf.shape[1]
 
-    def replace_values(self, f: np.ndarray | None, t: float) -> "GraphState":
+    def replace_values(self, f, t: float) -> "GraphState":
         return GraphState(self.grid, t, f, self.pinned, self.psi)
 
 
@@ -117,25 +104,20 @@ def _row_put(rows: np.ndarray, m: int) -> np.ndarray:
 def _stencils(grid: Grid, m: int) -> tuple:
     """Static per-m row data, shared by all states on a grid.
 
-    Every row gets the uniform arithmetic, which reads the last axis's
-    arm ends as shifted views of the state's buffer; only the R rows with
-    a cut arm (arm_src >= K) need their weights, as their cut ends are
-    not the views' rows.  On a row whose arms all have theta = 1 the
-    weights are exactly (0.5, -0.5, 0) and (1, 1, -2), which reproduce the
-    uniform arithmetic bit for bit, so a cut arm at a box face costs
-    nothing in the bits.  Returns (dep_put, rows, put, src, clip_src,
-    c1p, c1m, c10, c2p, c2m, c20): the flat indices (see _row_put) of the
-    interpolated rows; the cut rows (R,) and their flat indices; the
-    buffer row of every arm end (D, 2, K), arm_src + 1 past the pad row,
-    and of the cut rows' arm ends (D, 2, R); their first-difference
-    weights (c1p, c1m, c10) for the n axis directions, each (n, R, m),
-    and their second-difference weights (c2p, c2m, c20) for every
-    direction, each (D, R, m).  The weights are tiled so the kernel runs
-    same-shape contiguous ufuncs (broadcasting along the last axis is slow
-    on this scale).  Built once per m and kept on the grid.
+    Every row gets the uniform arithmetic and only the R rows with a cut
+    arm (arm_src >= K) need their weights; with theta = 1 on every arm
+    they are exactly (0.5, -0.5, 0) and (1, 1, -2), the uniform arithmetic
+    bit for bit.  Returns (dep_put, rows, put, src, c1p, c1m, c10, c2p,
+    c2m, c20): the flat indices (see _row_put) of the interpolated rows;
+    the cut rows (R,), their flat indices and their arm ends src (D, 2,
+    R); their first-difference weights (c1p, c1m, c10) for the n axis
+    directions, each (n, R, m), and their second-difference weights (c2p,
+    c2m, c20) for every direction, each (D, R, m).  The weights are tiled
+    so the kernel runs same-shape contiguous ufuncs (broadcasting along
+    the last axis is slow on this scale).  Built once per m and kept on
+    the grid.
     """
     if m not in grid.stencils:
-        src = grid.arm_src + 1
         cut = (grid.arm_src >= grid.num_interior).any(axis=(0, 1))
         rows = np.nonzero(cut)[0]
         theta = grid.arm_theta[:, :, rows]
@@ -147,8 +129,8 @@ def _stencils(grid: Grid, m: int) -> tuple:
 
         ap, am, ad = tp[:grid.n], tm[:grid.n], denom[:grid.n]   # axes
         grid.stencils[m] = (
-            _row_put(grid.dep_idx, m), rows, _row_put(rows, m), src,
-            np.ascontiguousarray(src[:, :, rows]),
+            _row_put(grid.dep_idx, m), rows, _row_put(rows, m),
+            np.ascontiguousarray(grid.arm_src[:, :, rows]),
             tile(am * am / ad),
             tile(-ap * ap / ad),
             tile((ap * ap - am * am) / ad),
@@ -165,44 +147,39 @@ def _differences(state: GraphState, jacobian: bool = True,
     Returns the Jacobian as n columns J[i] = df/dx_i and the Hessian as
     columns H[i, j] = d2f/dx_i dx_j for i <= j, each of shape (K, m);
     with jacobian false J is None and no first difference is formed, and
-    with mixed false only the pairs (i, i) are, and the diagonal
-    directions are not read.  Every arm end is a row of the state's
-    buffer [pad; f; pinned]: the last axis takes both ends of every row
-    as the shifted views buf[2:K + 2] and buf[:K], and every other
-    direction gathers both with one take.  All rows take the uniform
-    differences (u+ - u-) / (2h) and (u+ + u-) - 2u; the rows with a cut
-    arm, whose weighted differences are formed for every direction read
-    at once, then overwrite theirs.  On a row whose arms all have
-    theta = 1 the two agree bit for bit: the weights only drop
-    multiplications by 1 and additions of 0 u, and both scalings by 2 are
-    exact.
+    with mixed false only the pairs (i, i) are.  Every arm end is a row of
+    [f; pinned] = state.buf[1:]; the last axis, of flat-index step 1,
+    reads them as the shifted views buf[2:K + 2] and buf[:K].  All rows
+    take the uniform differences (u+ - u-) / (2h) and (u+ + u-) - 2u; the
+    cut rows, whose weighted differences are formed for every direction
+    read at once, then overwrite theirs (the pad row feeds only
+    overwritten arithmetic).
     """
     grid = state.grid
     hs, n, K = grid.hs, grid.n, grid.num_interior
     buf = state.buf
+    FP = buf[1:]
     F = state.f
-    (_, rows, put, src, clip_src,
-     c1p, c1m, c10, c2p, c2m, c20) = _stencils(grid, state.m)
+    _, rows, put, src, c1p, c1m, c10, c2p, c2m, c20 = _stencils(grid, state.m)
     D = src.shape[0] if mixed else n
     F2 = 2.0 * F
     FR = F.take(rows, axis=0)
-    ends = buf.take(clip_src[:D], axis=0)            # (D, 2, R, m)
+    ends = FP.take(src[:D], axis=0)                  # (D, 2, R, m)
     d2_clip = c2p[:D] * ends[:, 0] + c2m[:D] * ends[:, 1] + c20[:D] * FR
     if jacobian:
         jac_clip = (c1p * ends[:n, 0] + c1m * ends[:n, 1] + c10 * FR) \
             / hs[:, None, None]
 
     def arms(d):
-        """Both arm ends of direction d on every row, and the one that
-        second() may overwrite (None for views of buf)."""
-        if d == n - 1:                               # flat-index step 1
-            return buf[2:K + 2], buf[:K], None
-        up, um = buf.take(src[d], axis=0)
-        return up, um, up
+        """Both arm ends of direction d on every row."""
+        if d == n - 1:
+            return buf[2:K + 2], buf[:K]
+        return (FP.take(grid.arm_src[d, 0], axis=0),
+                FP.take(grid.arm_src[d, 1], axis=0))
 
-    def second(d, up, um, scratch):
-        """Second difference of direction d."""
-        d2 = np.add(up, um, out=scratch)
+    def second(d, up, um):
+        """Second difference of direction d, in the buffer of a gathered up."""
+        d2 = np.add(up, um, out=None if d == n - 1 else up)
         d2 -= F2
         np.put(d2, put, d2_clip[d])
         return d2
@@ -211,12 +188,12 @@ def _differences(state: GraphState, jacobian: bool = True,
     J = [None] * n if jacobian else None
     H = {}
     for i in range(n):
-        up, um, scratch = arms(i)
+        up, um = arms(i)
         if jacobian:
             J[i] = np.subtract(up, um)
             J[i] /= 2.0 * hs[i]
             np.put(J[i], put, jac_clip[i])
-        H[i, i] = second(i, up, um, scratch)
+        H[i, i] = second(i, up, um)
         H[i, i] /= hs[i] * hs[i]
     if mixed:
         for p, (i, j) in enumerate(axis_pairs(n)):
@@ -360,26 +337,17 @@ def compute_fields(state: GraphState, weights: dict | None = None
     Given weights, the pair weights of another bundle, only the residual
     is formed: this state's Hessian columns contracted with those weights,
     the same arithmetic, so a state's own weights give its residual bit
-    for bit.  The Jacobian columns and the metric are skipped, and so are
-    the mixed Hessian pairs when no weight reads them.
+    for bit.  The Jacobian columns and the metric are skipped.
     """
-    J, H = _differences(state, jacobian=weights is None, mixed=weights is None
-                        or any(i != j for i, j in weights))
+    J, H = _differences(state, jacobian=weights is None)
     g = gi = detg = None
     if weights is None:
         g = _metric(J)
         gi, detg = _metric_inverse(g, state.grid.n)
         weights = _pair_weights(gi)
-    # each column summed in place, term by term in weights order
     residual = np.empty_like(state.f)
-    term = np.empty(residual.shape[0])
     for A in range(state.m):
-        col = residual[:, A]
-        pairs = iter(weights.items())
-        p, w = next(pairs)
-        np.multiply(w, H[p][:, A], out=col)
-        for p, w in pairs:
-            col += np.multiply(w, H[p][:, A], out=term)
+        residual[:, A] = _accumulate(w * H[p][:, A] for p, w in weights.items())
     return FieldBundle(jac=J, g=g, gi=gi, detg=detg, weights=weights,
                        residual=residual, stepped=state.grid.stepped)
 
@@ -448,17 +416,16 @@ RHO_MARGIN = 1.1
 def _top_mode(grid: Grid) -> tuple[float, np.ndarray]:
     """Power-iteration estimate of the flow operator's spectral radius.
 
-    The operator is the residual at g = I (identity pair weights, the
-    Hessian-only pass, which forms only the pairs (i, i) they read) with
-    zero pinned data, acting on the stepped unknowns; interpolated nodes
-    follow their rule.  Starting from the lattice checkerboard, its
-    highest mode, RHO_SWEEPS sweeps each take the ratio of the stepped
-    rows' norms.  Returns (estimate, unit top vector (K, 1)).
+    The operator is the residual at g = I, the sum of the pure second
+    differences (only these are formed), with zero pinned data, acting on
+    the stepped unknowns; interpolated nodes follow their rule.  Starting
+    from the lattice checkerboard, its highest mode, RHO_SWEEPS sweeps
+    each take the ratio of the stepped rows' norms.  Returns (estimate,
+    unit top vector (K, 1)).
     """
     checkerboard = 1.0 - 2.0 * (grid.lattice_coords().sum(axis=1) % 2)
     x = GraphState(grid, 0.0, checkerboard[:, None],
                    np.zeros((grid.pinned_pos.shape[0], 1)), None)
-    weights = {(i, i): 1.0 for i in range(grid.n)}
 
     def norm(v):
         # numpy's pairwise sum, not np.linalg.norm: BLAS ddot splits long
@@ -469,7 +436,8 @@ def _top_mode(grid: Grid) -> tuple[float, np.ndarray]:
     _interpolate_dependent(x.f, x)
     np.divide(x.f, norm(x.f), out=x.f)
     for _ in range(RHO_SWEEPS):
-        y = compute_fields(x, weights).residual
+        H = _differences(x, jacobian=False, mixed=False)[1]
+        y = _accumulate(H[i, i] for i in range(grid.n))
         _interpolate_dependent(y, x)
         rho = norm(y)
         np.divide(y, rho, out=x.f)
@@ -675,11 +643,9 @@ def super_step(state: GraphState, bundle: FieldBundle, dt: float, n: int,
         mu_j = (2j - 1) / j,   j = 1, ..., s,
 
     with L the system residual and the interpolation rule applied after
-    every stage.  mu_1 = 1, so the first stage is formed as Y_0 + w L(Y_0),
-    bit for bit the recurrence's value (1 f + 0 f = f for finite f, signed
-    zeros included), and with n = 1 this is one explicit Euler step.  Each
-    stage writes into its own state's buffer (GraphState), with one
-    temporary.
+    every stage.  mu_1 = 1, so the first stage is Y_0 + w L(Y_0) bit for
+    bit (0 f adds a zero), and with n = 1 this is one explicit Euler step.
+    Each stage is written in place into its own state's buffer.
     frac = 1 is stable wherever dt is; stage_fraction(grid, dt) is the
     smallest frac that keeps w RHO_MARGIN rho <= 2 at every n, with rho
     its estimate.  A mode with L Y = lambda Y is multiplied by the
@@ -696,18 +662,13 @@ def super_step(state: GraphState, bundle: FieldBundle, dt: float, n: int,
     w = 2.0 * n * dt / (s * (s + 1))
     prev = cur = state
     for j in range(1, s + 1):
-        new = state.replace_values(None, t)
-        f = new.f                            # written in place, term by term
-        if j == 1:
-            np.multiply(bundle.residual, w, out=f)
-            f += cur.f
-        else:
+        if j > 1:
             bundle = compute_fields(cur, bundle.weights if j % 2 == 0 else None)
-            mu = (2 * j - 1) / j
-            np.multiply(cur.f, mu, out=f)
-            term = np.multiply(prev.f, 1.0 - mu)
-            f += term
-            f += np.multiply(bundle.residual, mu * w, out=term)
+        mu = (2 * j - 1) / j
+        new = state.replace_values(None, t)
+        f = np.multiply(cur.f, mu, out=new.f)
+        f += (1.0 - mu) * prev.f
+        f += (mu * w) * bundle.residual
         _interpolate_dependent(f, state)
         prev, cur = cur, new
     return cur

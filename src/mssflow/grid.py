@@ -246,21 +246,19 @@ def _flat_steps(dims: tuple) -> np.ndarray:
 
 
 def _first_of_equal_rows(rows: np.ndarray) -> np.ndarray:
-    """Mask of the rows of a finite float array that no earlier row equals.
+    """Sorted indices of the rows of a finite float array that no earlier
+    row equals, as np.unique(rows, axis=0, return_index=True) finds them.
 
     The rows' uint64 view, with -0.0 taken to 0.0 first, is equal exactly
     where the rows are, so one stable lexsort of it brings every group of
-    equal rows together, in input order: the same rows as np.unique(rows,
-    axis=0, return_index=True), without its sort of the rows as records.
+    equal rows together, in input order.
     """
     bits = (rows + 0.0).view(np.uint64)
     order = np.lexsort(bits.T)
     ranked = bits[order]
     first = np.ones(order.size, dtype=bool)
     first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    keep = np.zeros(order.size, dtype=bool)
-    keep[order[first]] = True
-    return keep
+    return np.sort(order[first])
 
 
 def _classify(spec: DomainSpec, target_h: float) -> tuple[Closure, list]:

@@ -155,8 +155,8 @@ def test_first_of_equal_rows_keeps_the_rows_np_unique_keeps(data):
     rows = np.vstack([rows, rows[data.draw(st.lists(
         st.integers(0, rows.shape[0] - 1), max_size=20))]])
     _, first = np.unique(rows, axis=0, return_index=True)
-    keep = grid_mod._first_of_equal_rows(rows)
-    np.testing.assert_array_equal(np.nonzero(keep)[0], np.sort(first))
+    np.testing.assert_array_equal(grid_mod._first_of_equal_rows(rows),
+                                  np.sort(first))
 
 
 @pytest.mark.parametrize("spec, h", [
