@@ -11,7 +11,7 @@ state and its barrier weights all read jets.  `PolynomialMap` builds one
 jet table at construction, each derivative term by exponent arithmetic,
 and its `jets` is one loop over that table.
 
-`sup_norms` is the only place that samples the data on a grid: one jets
+`sup_norms` is where the checker samples the data on a grid: one jets
 call over the closure sample of a `grid.Closure` gives the oscillation,
 the band sup-norms and the global sup|Dpsi|.  The checker calls it on the
 flow grid and on a closure at h/2 and adds a Richardson gap estimate to
@@ -20,7 +20,10 @@ lattice, its classification and the boundary crossings), never the
 stencil arms of a flow grid.  Lattice maxima are lower bounds and the
 gap assumes second-order saturation, so these are estimates, not
 certified bounds; certified bounds (ROADMAP item 2) replace the
-reductions inside `sup_norms`.
+reductions inside `sup_norms`.  The flow samples the data too:
+`flow.make_state` at the interior nodes and the cut-arm ends, and
+`flow.FlowMonitors` in a second jets call over the same closure on every
+solve (the data range, the barrier weights and the *Omega floor).
 
 Each reduction there is a spectral maximum over points: svd for sup|Dpsi|
 and the far-field table of the exterior driver, the certified direction

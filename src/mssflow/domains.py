@@ -130,10 +130,6 @@ class DomainSpec:
             return rho - self.radius
         return np.maximum(self.inner_radius - rho, rho - self.radius)
 
-    def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
-        """Distance to the computational boundary for points inside E."""
-        return -self.signed_distance(pts)
-
     def min_feature(self) -> float:
         """Width of the thinnest cross-section (resolution requirement)."""
         if self.kind == "box":

@@ -259,6 +259,10 @@ def _common_region_diff(prev_state: flow.GraphState,
 
 
 def _probe_ring(grid: Grid, rho: float) -> np.ndarray:
+    """Interior rows with |dist - rho| <= h, dist = |x|: the nodes over
+    which the far-field fit and the decay table's sup at rho are taken.
+    The ring is 2h wide and |Df - l| decays outward, so its sup sits at
+    the inner edge, near rho - h, not at rho."""
     dist = np.linalg.norm(grid.interior_pos, axis=1)
     return np.nonzero(np.abs(dist - rho) <= grid.h)[0]
 

@@ -105,7 +105,7 @@ def _stencils(grid: Grid, m: int) -> tuple:
     """Static per-m row data, shared by all states on a grid.
 
     Every row gets the uniform arithmetic and only the R rows with a cut
-    arm (arm_src >= K) need their weights; with theta = 1 on every arm
+    arm (grid.cut_rows) need their weights; with theta = 1 on every arm
     they are exactly (0.5, -0.5, 0) and (1, 1, -2), the uniform arithmetic
     bit for bit.  Returns (dep_put, rows, put, src, c1p, c1m, c10, c2p,
     c2m, c20): the flat indices (see _row_put) of the interpolated rows;
@@ -118,8 +118,7 @@ def _stencils(grid: Grid, m: int) -> tuple:
     the grid.
     """
     if m not in grid.stencils:
-        cut = (grid.arm_src >= grid.num_interior).any(axis=(0, 1))
-        rows = np.nonzero(cut)[0]
+        rows = grid.cut_rows
         theta = grid.arm_theta[:, :, rows]
         tp, tm = theta[:, 0], theta[:, 1]
         denom = tp * tm * (tp + tm)
@@ -520,14 +519,15 @@ class FlowMonitors:
         self.eps = eps
         self.delta = delta
         self.h = grid.h
-        self.boundary_adjacent = np.nonzero(
-            (grid.arm_src >= grid.num_interior).any(axis=(0, 1)))[0]
         _, wb = pinned_boundary_cells(state)
         self.static_boundary_area = float(wb.sum())
         geom = estimate_c0_eta0(grid.spec)
         if not 0.0 < delta <= geom.eta0:
             raise ValueError(f"delta = {delta} outside (0, eta0 = {geom.eta0}]")
-        vals, self._closure_jac, hess = state.psi.jets(grid.closure_points())
+        vals, jac, hess = state.psi.jets(grid.closure_points())
+        _, detg = _metric_inverse(
+            _metric([jac[:, :, i] for i in range(grid.n)]), grid.n)
+        self._star_omega_floor = float((1.0 / np.sqrt(detg)).min())
         data = np.vstack([state.f, state.pinned, vals[grid.num_interior:]])
         self.psi_lo, self.psi_hi = data.min(axis=0), data.max(axis=0)
         # closure rows start with the interior nodes in grid order
@@ -549,10 +549,7 @@ class FlowMonitors:
 
     def star_omega_floor(self) -> float:
         """min over the sampled closure of *Omega of the initial graph."""
-        jac = self._closure_jac
-        n = jac.shape[2]
-        _, detg = _metric_inverse(_metric([jac[:, :, i] for i in range(n)]), n)
-        return float((1.0 / np.sqrt(detg)).min())
+        return self._star_omega_floor
 
     def barrier_fields(self, state: GraphState) -> tuple[np.ndarray, np.ndarray]:
         """Log-barrier fields (S, S_mirror) over the band, (B, m) each.
@@ -585,8 +582,8 @@ class FlowMonitors:
         else:
             p_min = np.nan
 
-        bgrad = float(np.sqrt(lam_sq[self.boundary_adjacent].max())) \
-            if self.boundary_adjacent.size else 0.0
+        bgrad = float(np.sqrt(lam_sq[grid.cut_rows].max())) \
+            if grid.cut_rows.size else 0.0
 
         barrier_min = np.nan        # an empty band has no barrier
         if self.band_idx.size:

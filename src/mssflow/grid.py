@@ -25,10 +25,12 @@ and `build_grid` extends the same result into a `Grid` with the arms.
 
 Interior nodes hugging the boundary (some arm shorter than THETA_DEP)
 would force the explicit time step toward zero, so they are taken out of
-the stepped unknown set: their values are maintained by second-order
-linear interpolation along the shortest cut arm, between the boundary
-crossing and the opposite lattice neighbor.  A node whose opposite
-neighbor is not a stepped interior node makes the grid a DomainError.
+the stepped unknown set: their values are maintained by linear
+interpolation along the shortest cut arm, between the boundary crossing
+and the opposite lattice neighbor, which is exact on affine data.  The
+rule: the opposite neighbor of every interpolated node is a stepped
+interior node, so one pass interpolates them all; a grid where it fails
+is a DomainError.
 """
 
 from __future__ import annotations
@@ -160,6 +162,7 @@ class Grid(Closure):
     arm_theta: np.ndarray              # (D, 2, K) arm length in lattice steps
     cell_frac: np.ndarray              # (K,) covered fraction of each cell
     pinned_pos: np.ndarray             # (P, n) cut arm ends
+    cut_rows: np.ndarray               # (R,) rows with a cut arm, ascending
     full_stencil: np.ndarray           # (K,) all arms unclipped
     stepped: np.ndarray                # (K,) evolved unknowns
     dep_idx: np.ndarray                # interpolated nodes
@@ -204,38 +207,33 @@ def _mark_dependent_nodes(arm_src: np.ndarray, arm_theta: np.ndarray,
                           interior_pos: np.ndarray) -> dict:
     """Split interior nodes into stepped unknowns and interpolated ones.
 
-    Nodes with some cut stencil arm shorter than THETA_DEP are pinned by
-    linear interpolation along their shortest cut arm (the first one on a
-    tie): boundary crossing on one side, the opposite lattice neighbor on
-    the other.  Nodes are taken by increasing arm length, and the opposite
-    neighbor must be an interior node not already interpolated; a node
-    without one is a DomainError.  Returns the `Grid` fields of the split.
+    Every node with a cut stencil arm shorter than THETA_DEP is pinned by
+    linear interpolation along its shortest arm (the first one on a tie):
+    boundary crossing on one side, the opposite lattice neighbor on the
+    other.  The rows are in increasing arm length (stable).  A node whose
+    opposite neighbor is not a stepped interior node makes the grid a
+    DomainError, which names the first such node in that order.  Returns
+    the `Grid` fields of the split.
     """
     K = arm_src.shape[-1]
     src = arm_src.reshape(-1, K)             # row 2 d + side
     theta = arm_theta.reshape(-1, K)         # uncut arms have theta = 1
     min_t = theta.min(axis=0)
-    argmin = theta.argmin(axis=0)
-
-    dependent = np.zeros(K, dtype=bool)
-    dep_rows = []
     low = np.nonzero(min_t < THETA_DEP)[0]
-    for k in low[np.argsort(min_t[low], kind="stable")]:
-        arm = argmin[k]
-        q = src[arm ^ 1, k]                  # the other side, same direction
-        if q >= K or dependent[q]:
-            raise DomainError(
-                f"interior node at {interior_pos[k]} has a "
-                f"{min_t[k]:.3g}-step arm and no stepped node opposite it; "
-                f"refine the grid")
-        dependent[k] = True
-        dep_rows.append((k, q, min_t[k], src[arm, k] - K))
-
-    return dict(stepped=~dependent,
-                dep_idx=np.array([r[0] for r in dep_rows], dtype=np.int64),
-                dep_opp=np.array([r[1] for r in dep_rows], dtype=np.int64),
-                dep_t=np.array([r[2] for r in dep_rows], dtype=float),
-                dep_pin=np.array([r[3] for r in dep_rows], dtype=np.int64))
+    dep_idx = low[np.argsort(min_t[low], kind="stable")]
+    arm = theta[:, dep_idx].argmin(axis=0)
+    dep_opp = src[arm ^ 1, dep_idx]          # the other side, same direction
+    stepped = np.ones(K, dtype=bool)
+    stepped[dep_idx] = False
+    bad = np.nonzero((dep_opp >= K) | ~stepped[np.minimum(dep_opp, K - 1)])[0]
+    if bad.size:
+        k = dep_idx[bad[0]]
+        raise DomainError(
+            f"interior node at {interior_pos[k]} has a "
+            f"{min_t[k]:.3g}-step arm and no stepped node opposite it; "
+            f"refine the grid")
+    return dict(stepped=stepped, dep_idx=dep_idx, dep_opp=dep_opp,
+                dep_t=min_t[dep_idx], dep_pin=src[arm, dep_idx] - K)
 
 
 def _flat_steps(dims: tuple) -> np.ndarray:
@@ -319,7 +317,7 @@ def _classify(spec: DomainSpec, target_h: float) -> tuple[Closure, list]:
     interior_flat = np.nonzero(cls == CLS_INTERIOR)[0]
     closure.interior_flat = interior_flat
     closure.interior_pos = pos[interior_flat]
-    closure.d_bdry = spec.boundary_distance(closure.interior_pos)
+    closure.d_bdry = -sd[interior_flat]
 
     bnd_flat = np.nonzero(cls == CLS_BOUNDARY)[0]
     closure.boundary_nodes_pos = pos[bnd_flat]
@@ -374,7 +372,8 @@ def build_grid(spec: DomainSpec, target_h: float) -> Grid:
     Every interior node gets both arms of every direction: the row of the
     far end in [f; pinned] (the neighbour's interior row, or K plus the
     row of `pinned_pos` for a cut arm) and the arm length; then the cell
-    fractions and the stepped / interpolated split.
+    fractions, the rows with a cut arm and the stepped / interpolated
+    split.
     """
     closure, cuts = _classify(spec, target_h)
     K = closure.num_interior
@@ -403,6 +402,8 @@ def build_grid(spec: DomainSpec, target_h: float) -> Grid:
     return Grid(**vars(closure), arm_src=arm_src, arm_theta=arm_theta,
                 cell_frac=cell_frac,
                 pinned_pos=np.vstack([ends for _, ends, _ in cuts]),
+                cut_rows=np.flatnonzero(np.bincount(
+                    np.concatenate([cut for cut, _, _ in cuts]), minlength=K)),
                 full_stencil=(arm_theta == 1.0).all(axis=(0, 1)),
                 **_mark_dependent_nodes(arm_src, arm_theta,
                                         closure.interior_pos))

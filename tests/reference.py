@@ -18,6 +18,8 @@ that no program mode runs.
   stacks.
 - `write_field_dat_rows`, the field dump written one row at a time, which
   the program's block writer must match byte for byte.
+- `dependent_nodes_loop`, the interpolation split taken node by node in
+  arm-length order, which the program's array split must match.
 - The Scherk graph, a closed-form minimal graph (criterion 2).
 - The odd reflection of a half-space graph across its flat edge and the
   sloped half-plane it is tested on (criterion 8).
@@ -38,7 +40,7 @@ from mssflow.boundary import linear_map
 from mssflow.domains import DomainSpec
 from mssflow.driver import _domain_echo, _fmt
 from mssflow.flow import GraphState, _differences, _symmetric, make_state
-from mssflow.grid import CLS_TOL, build_grid
+from mssflow.grid import CLS_TOL, THETA_DEP, build_grid
 from mssflow.oracles import half_plane_state
 
 # ---------------------------------------------------------------------------
@@ -222,6 +224,41 @@ def write_field_dat_rows(path: str, state: GraphState) -> None:
                                 grid.interior_pos.tolist(), state.f.tolist()):
             fh.write(" ".join([str(flat), *map(repr, pos), *map(repr, f)])
                      + "\n")
+
+
+# ---------------------------------------------------------------------------
+# interpolation split
+# ---------------------------------------------------------------------------
+
+def dependent_nodes_loop(arm_src: np.ndarray, arm_theta: np.ndarray) -> dict:
+    """The stepped / interpolated split, one node at a time.
+
+    Nodes with an arm shorter than THETA_DEP are taken by increasing
+    shortest arm (stable), each interpolated along its shortest arm (the
+    first on a tie) from the node opposite; a node whose opposite row is
+    pinned or already interpolated raises ValueError.  Returns the `Grid`
+    fields of the split.
+    """
+    K = arm_src.shape[-1]
+    src = arm_src.reshape(-1, K)
+    theta = arm_theta.reshape(-1, K)
+    min_t = theta.min(axis=0)
+    argmin = theta.argmin(axis=0)
+    dependent = np.zeros(K, dtype=bool)
+    rows = []
+    low = np.nonzero(min_t < THETA_DEP)[0]
+    for k in low[np.argsort(min_t[low], kind="stable")]:
+        arm = argmin[k]
+        q = src[arm ^ 1, k]
+        if q >= K or dependent[q]:
+            raise ValueError(f"row {k} has no stepped node opposite it")
+        dependent[k] = True
+        rows.append((k, q, min_t[k], src[arm, k] - K))
+    return dict(stepped=~dependent,
+                dep_idx=np.array([r[0] for r in rows], dtype=np.int64),
+                dep_opp=np.array([r[1] for r in rows], dtype=np.int64),
+                dep_t=np.array([r[2] for r in rows], dtype=float),
+                dep_pin=np.array([r[3] for r in rows], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from mssflow import boundary as bd, flow, grid as grid_mod
 from mssflow.domains import DomainError, DomainSpec, estimate_c0_eta0
 from mssflow.grid import CLS_EXTERIOR, CLS_INTERIOR, build_closure, build_grid
@@ -138,6 +139,7 @@ def test_closure_matches_the_flow_grid(spec, h, delta):
             touching |= nb_cls != CLS_INTERIOR
     np.testing.assert_array_equal(touching,
                                   (grid.arm_src >= K).any(axis=(0, 1)))
+    np.testing.assert_array_equal(grid.cut_rows, np.nonzero(touching)[0])
     assert touching.any()
 
 
@@ -199,7 +201,7 @@ def test_interpolation_split_follows_theta_dep(monkeypatch, theta_dep,
     spec = DomainSpec.ball(1.0, 2)
     if interpolated is None:
         with pytest.raises(DomainError, match=r"interior node at "
-                           r"\[-0\.875 -0\.25 *\] .* no stepped node "
+                           r"\[-0\.8125 -0\.5625 *\] .* no stepped node "
                            r"opposite it"):
             build_grid(spec, 1.0 / 16)
         return
@@ -208,6 +210,82 @@ def test_interpolation_split_follows_theta_dep(monkeypatch, theta_dep,
     assert (grid.dep_t < theta_dep).all()
     assert grid.stepped[grid.dep_opp].all()
     assert grid.stepped.sum() == grid.num_interior - interpolated
+
+
+SPLIT_DOMAINS = {
+    "box-1": (DomainSpec.box([1.0]), 1.0 / 32),
+    "box-1-offset": (DomainSpec.box([1.03], lo=[-0.4]), 0.1),
+    "box-2": (DomainSpec.box([1.0, 1.0]), 1.0 / 16),
+    "box-2-offset": (DomainSpec.box([1.0, 0.7], lo=[-0.5, -0.35]), 0.0225),
+    "box-3": (DomainSpec.box([1.0, 1.0, 1.0]), 0.1),
+    "box-3-offset": (DomainSpec.box([1.0, 0.9, 1.1], lo=[-0.5, 0.2, 0.05]),
+                     0.07),
+    "box-4": (DomainSpec.box([1.0, 1.0, 1.0, 1.0]), 1.0 / 9),
+    "box-4-offset": (DomainSpec.box([1.0, 0.9, 1.1, 1.0],
+                                    lo=[0.3, -1.2, 0.0, -0.5]), 0.1),
+    "ball-1": (DomainSpec.ball(1.0, 1), 1.0 / 32),
+    "ball-2": (DomainSpec.ball(1.0, 2), 1.0 / 32),
+    "ball-3": (DomainSpec.ball(1.0, 3), 0.1),
+    "ball-4": (DomainSpec.ball(1.0, 4), 1.0 / 6),
+    "ball-4-fine": (DomainSpec.ball(1.0, 4), 1.0 / 12),
+    "annulus": (DomainSpec.annulus(0.5, 1.5, 2), 1.0 / 32),
+    "annulus-thin": (DomainSpec.annulus(0.5, 1.0, 2), 1.0 / 32),
+    "annulus-3": (DomainSpec.annulus(0.5, 1.5, 3), 0.1),
+    "annulus-16": (DomainSpec.annulus(15.0, 16.0, 2), 1.0 / 16),
+    "shell-9": (DomainSpec.exterior(1.0, 9.0, 2), 0.203125),
+    "shell-11": (DomainSpec.exterior(1.0, 11.0, 2), 0.203125),
+    "shell-13": (DomainSpec.exterior(1.0, 13.0, 2), 0.203125),
+    "shell-13-fine": (DomainSpec.exterior(1.0, 13.0, 2), 0.1015625),
+}
+
+
+@pytest.mark.parametrize("name", list(SPLIT_DOMAINS))
+def test_interpolation_split_matches_the_node_loop(name):
+    # the array split takes the nodes, in the same order, that the node
+    # loop of tests/reference.py takes one at a time, bit for bit
+    grid = build_grid(*SPLIT_DOMAINS[name])
+    ref = reference.dependent_nodes_loop(grid.arm_src, grid.arm_theta)
+    for key, want in ref.items():
+        got = getattr(grid, key)
+        assert got.dtype == want.dtype, key
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8),
+                                      err_msg=key)
+
+
+def test_interpolated_node_opposite_an_interpolated_one_rejected(monkeypatch):
+    # at THETA_DEP = 0.97 the unit 3-ball at h = 0.1 interpolates nodes
+    # whose opposite node is interpolated too; one pass would read a value
+    # not yet interpolated, so the grid is refused
+    monkeypatch.setattr(grid_mod, "THETA_DEP", 0.97)
+    with pytest.raises(DomainError, match="no stepped node opposite it"):
+        build_grid(DomainSpec.ball(1.0, 3), 0.1)
+
+
+@pytest.mark.parametrize("spec, h", [
+    (DomainSpec.ball(1.0, 2), 1.0 / 32),
+    (DomainSpec.annulus(0.5, 1.5, 2), 1.0 / 32),
+    (DomainSpec.exterior(1.0, 9.0, 2), 0.203125),
+    (DomainSpec.box([1.0, 0.7], lo=[-0.5, -0.35]), 1.0 / 32),
+    (DomainSpec.ball(1.0, 3), 0.1),
+    (DomainSpec.ball(1.0, 4), 1.0 / 6),
+], ids=["disk", "annulus", "shell-9", "box", "ball-3", "ball-4"])
+def test_every_built_grid_interpolates_from_stepped_nodes(monkeypatch,
+                                                          spec, h):
+    # whatever THETA_DEP in [0.5, 1) lets a grid build, every interpolated
+    # node reads a stepped interior node opposite it
+    built = 0
+    for theta_dep in (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99):
+        monkeypatch.setattr(grid_mod, "THETA_DEP", theta_dep)
+        try:
+            grid = build_grid(spec, h)
+        except DomainError:
+            continue
+        built += 1
+        assert (grid.dep_opp < grid.num_interior).all()
+        assert grid.stepped[grid.dep_opp].all()
+        assert (~grid.stepped[grid.dep_idx]).all()
+        assert grid.stepped.sum() == grid.num_interior - grid.dep_idx.size
+    assert built > 0
 
 
 def test_under_resolved_grid_rejected():
