@@ -6,10 +6,10 @@ themselves approximated by differencing: `PolynomialMap` (term lists of
 total degree <= 4) and `TrigMap` (plane waves).  The constant, linear and
 sphere-to-sphere families are term lists (`constant_map`, `linear_map`,
 `lawson_osserman_map`) labelled with their family name.  A map is just
-`n`, `m`, `family` and `jets`: the checker's figures, the flow's initial
-state and its barrier weights all read jets.  `PolynomialMap` builds one
-jet table at construction, each derivative term by exponent arithmetic,
-and its `jets` is one loop over that table.
+`n`, `m`, `family` and `jets`: the checker's figures (the flow's barrier
+weights among them) and the flow's initial state read jets.
+`PolynomialMap` builds one jet table at construction, each derivative
+term by exponent arithmetic, and its `jets` is one loop over that table.
 
 `sup_norms` is where the checker samples the data on a grid: one jets
 call over the closure sample of a `grid.Closure` gives the oscillation,
@@ -20,15 +20,18 @@ lattice, its classification and the boundary crossings), never the
 stencil arms of a flow grid.  Lattice maxima are lower bounds and the
 gap assumes second-order saturation, so these are estimates, not
 certified bounds; certified bounds (ROADMAP item 2) replace the
-reductions inside `sup_norms`.  The flow samples the data too:
-`flow.make_state` at the interior nodes and the cut-arm ends, and
-`flow.FlowMonitors` in a second jets call over the same closure on every
-solve (the data range, the barrier weights and the *Omega floor).
+reductions inside `sup_norms`.  The pass at h also forms, from the same
+sample, everything `flow.FlowMonitors` reads of the data: the
+per-component range, the barrier weights and the *Omega floor, with det
+g from the flow's own metric arithmetic.  The hypothesis report carries
+them, so check mode forms them too.  The flow samples the data itself
+only for its initial state (`flow.make_state`: the interior nodes and
+the cut-arm ends) and the area of flat-face boundary cells.
 
 Each reduction there is a spectral maximum over points: svd for sup|Dpsi|
 and the far-field table of the exterior driver, the certified direction
-rule `_direction_max` for sup|D^2 psi| and the barrier weight of
-`flow.FlowMonitors`; the rule owns its screen and returns one number.
+rule `_direction_max` for sup|D^2 psi| and the per-component sups of
+the barrier weights; the rule owns its screen and returns one number.
 Both screen first (`_live`): certified per-point bounds drop every point
 that cannot hold the maximum, LAPACK sees the rest (a bitwise-tied stack,
 as linear data gives, once), and every figure is bit-identical to an
@@ -51,6 +54,7 @@ from itertools import product
 import numpy as np
 
 from .domains import BoundaryGeometry
+from .flow import _metric, _metric_inverse
 # build_grid is not called here, but perfbench's tracer wraps it by name as
 # boundary.build_grid (and a tier-1 test checks that it finds it)
 from .grid import Closure, Grid, build_closure, build_grid  # noqa: F401
@@ -222,6 +226,11 @@ class HypothesisReport:
     boundary_bound: float     # mu = 1 ceiling for sup|Df| on the boundary
     passed: bool
     eps: float                # 1 - lhs; the strict length-decreasing margin
+    # what the flow's monitors read, from the sample at h, per component:
+    psi_lo: np.ndarray        # the data's range over the closure
+    psi_hi: np.ndarray
+    nu: np.ndarray            # the barrier weights (barrier_nu)
+    star_omega_floor: float   # least *Omega of the data's graph
     c: float | None = None    # condition-B gap, None for condition A
 
 
@@ -360,26 +369,42 @@ def _sup_hessian_norm(hess: np.ndarray) -> float:
     return _direction_max(hess)[0]
 
 
-def sup_norms(psi, grid: Closure, delta: float | None) -> tuple[PsiNorms, float]:
-    """Band norms and the global sup|Dpsi| of psi at one resolution.
+def sup_norms(psi, grid: Closure, delta: float | None,
+              barrier_delta: float | None = None) -> tuple:
+    """Band norms and the global sup|Dpsi| of psi at one resolution, and
+    at the flow's h what the flow's monitors read of the data.
 
     One jets call over grid.closure_points() feeds every figure.  w is the
     largest per-component range over the whole closure; the derivative
     sup-norms of the PsiNorms run over grid.closure_band_mask(delta), the
-    second element over every row.
+    second element over every row.  The third is None without
+    barrier_delta; with it, it is (lo, hi, d2, star_omega_floor): the
+    per-component range over the closure, the per-component sup|D^2 psi^A|
+    over closure_band_mask(barrier_delta) (the direction rule at m = 1,
+    the largest |eigenvalue|) and the least *Omega = 1 / sqrt(det g) of
+    the data's graph over the closure, det g formed as the flow forms it.
     """
     vals, jac, hess = psi.jets(grid.closure_points())
     band = grid.closure_band_mask(delta)
-    w = float(np.max(vals.max(axis=0) - vals.min(axis=0)))
+    # per column: a (B, m) axis-0 reduction is several times slower
+    lo, hi = (np.array([f(col) for col in vals.T]) for f in (np.min, np.max))
     d1 = top_singular_values(jac, None if delta is None else band)
+    monitor = None
+    if barrier_delta is not None:
+        rows = grid.closure_band_mask(barrier_delta)
+        detg = _metric_inverse(_metric(np.moveaxis(jac, -1, 0)), grid.n)[1]
+        monitor = (lo, hi, np.array([_sup_hessian_norm(hess[rows, A:A + 1])
+                                     for A in range(psi.m)]),
+                   float((1.0 / np.sqrt(detg)).min()))
     # the Hessian reduction sets the memory peak: free the rest first, and
     # copy out the band only when it is not the whole closure
     del vals, jac
     if delta is not None:
         hess = hess[band]
-    norms = PsiNorms(w=w, sup_dpsi=float(d1[band].max(initial=0.0)),
+    norms = PsiNorms(w=float(np.max(hi - lo)),
+                     sup_dpsi=float(d1[band].max(initial=0.0)),
                      sup_d2psi=_sup_hessian_norm(hess))
-    return norms, float(d1.max(initial=0.0))
+    return norms, float(d1.max(initial=0.0)), monitor
 
 
 def _richardson(coarse: float, fine: float) -> float:
@@ -415,14 +440,18 @@ def _check(psi, grid: Grid, boundary_geom: BoundaryGeometry, delta: float,
     whole closure for B (where the max is the first term); passes iff
     lhs < 1 - c, with c = 0 for A.  The first term is also reported as
     boundary_bound, the ceiling of the flow's boundary-gradient clause.
+    The pass at h (never the one at h/2) also gives what the flow's
+    monitors read: the data range psi_lo / psi_hi, the *Omega floor and
+    the barrier weights nu, barrier_nu of the range and the per-component
+    sups over the delta band.
     """
     d0 = delta0(boundary_geom)
     if not 0.0 < delta < d0:
         raise HypothesisError(f"delta = {delta} outside the admissible (0, {d0})")
     fine = build_closure(grid.spec, grid.h / 2.0)
     band_delta = delta if c is None else None
-    (band_c, glob_c), (band_f, glob_f) = (sup_norms(psi, g, band_delta)
-                                          for g in (grid, fine))
+    band_c, glob_c, (lo, hi, d2, floor) = sup_norms(psi, grid, band_delta, delta)
+    band_f, glob_f, _ = sup_norms(psi, fine, band_delta)
     band = PsiNorms(w=_richardson(band_c.w, band_f.w),
                     sup_dpsi=_richardson(band_c.sup_dpsi, band_f.sup_dpsi),
                     sup_d2psi=_richardson(band_c.sup_d2psi, band_f.sup_d2psi))
@@ -433,7 +462,9 @@ def _check(psi, grid: Grid, boundary_geom: BoundaryGeometry, delta: float,
         condition="A" if c is None else "B", w_psi=band.w,
         sup_dpsi_band=band.sup_dpsi, sup_d2psi_band=band.sup_d2psi,
         sup_dpsi_global=glob_dpsi, delta=delta, delta0=d0, lhs_condition=lhs,
-        boundary_bound=bound, passed=lhs < 1.0 - (0.0 if c is None else c), eps=1.0 - lhs, c=c)
+        boundary_bound=bound, passed=lhs < 1.0 - (0.0 if c is None else c), eps=1.0 - lhs,
+        psi_lo=lo, psi_hi=hi, star_omega_floor=floor,
+        nu=barrier_nu(hi - lo, delta, boundary_geom.c0, grid.n, d2), c=c)
 
 
 def check_condition_A(psi, grid: Grid, boundary_geom: BoundaryGeometry,

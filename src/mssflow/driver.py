@@ -191,16 +191,15 @@ def solve_once(cfg: RunConfig, spec: DomainSpec | None = None,
                            exit_code=EXIT_HYPOTHESIS, grid=grid)
 
     state = flow.make_state(grid, cfg.psi)
-    eps = rep.eps if rep.eps > 0 else None
-    monitors = flow.FlowMonitors(state, eps=eps, delta=cfg.delta)
+    monitors = flow.FlowMonitors(state, rep)
     final, records, outcome = flow.run_to_steady(
         state, cfg.tol_residual, cfg.max_steps, cfg.monitor_every,
         cfl=cfg.cfl, monitors=monitors)
 
     invariants = None
     code = _OUTCOME_EXIT[outcome]
-    if outcome == "Converged" and eps is not None:
-        invariants = flow.check_invariants(records, monitors, rep.boundary_bound)
+    if outcome == "Converged" and monitors.eps is not None:
+        invariants = flow.check_invariants(records, monitors)
         if not invariants.passed:
             code = EXIT_INVARIANT
     return SolveResult(outcome=outcome, state=final, records=records,

@@ -43,10 +43,6 @@ from functools import cached_property
 
 import numpy as np
 
-# _sup_hessian_norm keeps its private name: perfbench/make_reference.py
-# patches it by that name
-from .boundary import _sup_hessian_norm, barrier_nu
-from .domains import estimate_c0_eta0
 from .grid import Grid, axis_pairs
 
 # largest singular value of Df a run may reach before it ends as BlowUp
@@ -61,8 +57,9 @@ class GraphState:
     data at grid.pinned_pos, the ends of the cut stencil arms, which never
     changes during the flow.  The zero pad row lets _differences read the
     last axis's arm ends as shifted views.  f None leaves the values
-    unset.  The data's range, which the maximum principle compares
-    against, is frozen by FlowMonitors.
+    unset.  FlowMonitors frozen from the initial state read the data's
+    range, which the maximum principle compares against, from the
+    hypothesis report and the pinned values.
     """
 
     def __init__(self, grid: Grid, t: float, f, pinned: np.ndarray, psi):
@@ -501,47 +498,33 @@ class FlowMonitors:
     """Run-scoped aggregation context for per-step monitor records.
 
     Owns every value the records and the invariant suite are measured
-    against but the boundary-gradient ceiling (the hypothesis report's
-    boundary_bound), frozen at construction from the given state and one
-    sample of the data (psi) on the grid's closure: the margin eps (None
-    when the hypothesis left no margin), the grid spacing h, the
-    per-component range psi_lo / psi_hi of the state's values, its pinned
-    arm ends and the closure's boundary samples, the *Omega floor, and
-    the barrier's band geometry and data sup-norms.  Every program caller
-    builds them from the initial state, so the range is that of the data.
-    Records are then pure functions of the state.  delta, the barrier's
-    band width, must lie in (0, eta0].
+    against, frozen at construction from the given state and the
+    hypothesis report rep (kept as report).  The report's figures come
+    from the checker's one sample of the data on the grid's closure at h,
+    so rep must come from a check on the state's grid and data.  The
+    values: the margin eps (None when the hypothesis left no margin), the
+    boundary-gradient ceiling report.boundary_bound, the grid spacing h,
+    the per-component range psi_lo / psi_hi of the closure sample and the
+    state's pinned arm ends, the *Omega floor, and the barrier's band
+    width delta, weights nu, oscillation omega and band values band_psi
+    of the state.  Every program caller builds them from the initial
+    state, so band_psi is the data.  Records are then pure functions of
+    the state.
     """
 
-    def __init__(self, state: GraphState, delta: float,
-                 eps: float | None = None):
+    def __init__(self, state: GraphState, rep):
         grid = state.grid
-        self.eps = eps
-        self.delta = delta
+        self.report = rep
+        self.eps = rep.eps if rep.eps > 0 else None
+        self.delta = delta = rep.delta
         self.h = grid.h
-        _, wb = pinned_boundary_cells(state)
-        self.static_boundary_area = float(wb.sum())
-        geom = estimate_c0_eta0(grid.spec)
-        if not 0.0 < delta <= geom.eta0:
-            raise ValueError(f"delta = {delta} outside (0, eta0 = {geom.eta0}]")
-        vals, jac, hess = state.psi.jets(grid.closure_points())
-        _, detg = _metric_inverse(
-            _metric([jac[:, :, i] for i in range(grid.n)]), grid.n)
-        self._star_omega_floor = float((1.0 / np.sqrt(detg)).min())
-        data = np.vstack([state.f, state.pinned, vals[grid.num_interior:]])
-        self.psi_lo, self.psi_hi = data.min(axis=0), data.max(axis=0)
-        # closure rows start with the interior nodes in grid order
+        self.static_boundary_area = float(pinned_boundary_cells(state)[1].sum())
+        self.psi_lo = np.vstack([rep.psi_lo, state.pinned]).min(axis=0)
+        self.psi_hi = np.vstack([rep.psi_hi, state.pinned]).max(axis=0)
         self.band_idx = np.nonzero(grid.band_mask(delta))[0]
         band_d = grid.d_bdry[self.band_idx]
-        self.band_psi = vals[self.band_idx]
-        # per-component oscillation and band Hessian sup (the direction
-        # rule at m = 1: the largest |eigenvalue|)
-        self.omega = vals.max(axis=0) - vals.min(axis=0)
-        hb = hess[grid.closure_band_mask(delta)]
-        self.nu = np.array([
-            barrier_nu(self.omega[A], delta, geom.c0, grid.n,
-                       _sup_hessian_norm(hb[:, A:A + 1]))
-            for A in range(state.m)])
+        self.band_psi = state.f[self.band_idx]
+        self.nu, self.omega = rep.nu, rep.psi_hi - rep.psi_lo
         # static barrier part nu log(1 + k d) + (omega / delta) d, k = 1/delta
         k = 1.0 / delta
         self.band_base = self.nu[None, :] * np.log1p(k * band_d)[:, None] \
@@ -549,7 +532,7 @@ class FlowMonitors:
 
     def star_omega_floor(self) -> float:
         """min over the sampled closure of *Omega of the initial graph."""
-        return self._star_omega_floor
+        return self.report.star_omega_floor
 
     def barrier_fields(self, state: GraphState) -> tuple[np.ndarray, np.ndarray]:
         """Log-barrier fields (S, S_mirror) over the band, (B, m) each.
@@ -760,12 +743,10 @@ class InvariantReport:
 CONSISTENCY_C = 0.5
 
 
-def check_invariants(records: list, monitors: FlowMonitors,
-                     boundary_bound: float) -> InvariantReport:
+def check_invariants(records: list, monitors: FlowMonitors) -> InvariantReport:
     """Evaluate the six monitored invariants over a monitor series.
 
-    Every limit but the boundary-gradient ceiling (the hypothesis report's
-    boundary_bound) comes from the monitors that took the records, with
+    Every limit comes from the monitors that took the records, with
     tol_grid = 5 h (first-order boundary stencils dominate):
 
     (i)   max singular value stays below 1 - eps + tol_grid;
@@ -777,7 +758,8 @@ def check_invariants(records: list, monitors: FlowMonitors,
           (1e-10);
     (v)   discrete area decay matches the dissipation integral within
           CONSISTENCY_C (h^2 + dt), dt the last record's step;
-    (vi)  the boundary gradient stays below boundary_bound + tol_grid.
+    (vi)  the boundary gradient stays below the ceiling boundary_bound of
+          the monitors' hypothesis report plus tol_grid.
     """
     if not records:
         raise ValueError("empty monitor series")
@@ -838,7 +820,7 @@ def check_invariants(records: list, monitors: FlowMonitors,
 
     worst_t, worst = max(((r.t, r.boundary_grad_sup) for r in records),
                          key=lambda p: p[1])
-    lim = boundary_bound + tol_grid
+    lim = monitors.report.boundary_bound + tol_grid
     clauses.append(ClauseResult(
         "boundary_gradient_bound", worst <= lim, worst,
         f"boundary gradient {worst:.6g} vs ceiling {lim:.6g} at t={worst_t:.6g}"))

@@ -16,6 +16,10 @@ that no program mode runs.
   check that kernel against.
 - `jets_all`, the kernel's discrete jets as (K, m, n) and (K, m, n, n)
   stacks.
+- `sampled_monitor_figures`, what the flow's monitors read of the data,
+  sampled and reduced as the monitors did before they read the checker's
+  report; and `flow_monitors`, monitors on a report built from the
+  checker's pass at h alone, for flow tests that need no h/2 pass.
 - `write_field_dat_rows`, the field dump written one row at a time, which
   the program's block writer must match byte for byte.
 - `dependent_nodes_loop`, the interpolation split taken node by node in
@@ -36,10 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mssflow.boundary import linear_map
-from mssflow.domains import DomainSpec
+from mssflow.boundary import HypothesisReport, barrier_nu, linear_map, sup_norms
+from mssflow.domains import DomainSpec, estimate_c0_eta0
 from mssflow.driver import _domain_echo, _fmt
-from mssflow.flow import GraphState, _differences, _symmetric, make_state
+from mssflow.flow import (FlowMonitors, GraphState, _differences, _metric,
+                          _metric_inverse, _symmetric, make_state)
 from mssflow.grid import CLS_TOL, THETA_DEP, build_grid
 from mssflow.oracles import half_plane_state
 
@@ -202,6 +207,60 @@ def jets_all(state: GraphState) -> tuple[np.ndarray, np.ndarray]:
     """Jacobian (K, m, n) and Hessian (K, m, n, n) at every interior node."""
     J, H = _differences(state)
     return np.stack(J, axis=-1), _symmetric(H, state.grid.n)
+
+
+# ---------------------------------------------------------------------------
+# the data's figures for the flow's monitors
+# ---------------------------------------------------------------------------
+
+def sampled_monitor_figures(state: GraphState, delta: float) -> dict:
+    """The monitors' figures from a jets call of their own on the closure.
+
+    psi_lo / psi_hi: the range of the state's values, its pinned arm ends
+    and the closure's boundary samples; omega, the closure sample's
+    per-component range; nu, the barrier weights with sup|D^2 psi^A| the
+    largest |eigenvalue| (LAPACK on every row) over
+    closure_band_mask(delta); band_psi, the sample's band rows, and
+    band_base, the static barrier part over them; star_omega_floor, the
+    least 1 / sqrt(det g) over the closure.
+    """
+    grid = state.grid
+    vals, jac, hess = state.psi.jets(grid.closure_points())
+    _, detg = _metric_inverse(
+        _metric([jac[:, :, i] for i in range(grid.n)]), grid.n)
+    data = np.vstack([state.f, state.pinned, vals[grid.num_interior:]])
+    omega = vals.max(axis=0) - vals.min(axis=0)
+    hb = hess[grid.closure_band_mask(delta)]
+    c0 = estimate_c0_eta0(grid.spec).c0
+    nu = np.array([barrier_nu(omega[A], delta, c0, grid.n,
+                              np.abs(np.linalg.eigvalsh(hb[:, A])).max())
+                   for A in range(state.m)])
+    band = grid.band_mask(delta)
+    band_d = grid.d_bdry[band]
+    k = 1.0 / delta
+    return {"psi_lo": data.min(axis=0), "psi_hi": data.max(axis=0),
+            "omega": omega, "nu": nu, "band_psi": vals[:grid.num_interior][band],
+            "band_base": nu[None, :] * np.log1p(k * band_d)[:, None]
+            + (omega[None, :] / delta) * band_d[:, None],
+            "star_omega_floor": float((1.0 / np.sqrt(detg)).min())}
+
+
+def flow_monitors(state: GraphState, delta: float = 0.1,
+                  eps: float = 0.0) -> FlowMonitors:
+    """FlowMonitors(state, rep), with rep holding the figures the checker's
+    pass at h forms (sup_norms, then barrier_nu as the checker applies
+    it), the margin eps (none unless positive) and nan for every figure
+    the monitors do not read."""
+    grid = state.grid
+    lo, hi, d2, floor = sup_norms(state.psi, grid, delta, delta)[2]
+    nu = barrier_nu(hi - lo, delta, estimate_c0_eta0(grid.spec).c0, grid.n, d2)
+    nan = float("nan")
+    rep = HypothesisReport(
+        condition="A", w_psi=nan, sup_dpsi_band=nan, sup_d2psi_band=nan,
+        sup_dpsi_global=nan, delta=delta, delta0=nan, lhs_condition=nan,
+        boundary_bound=nan, passed=eps > 0.0, eps=eps, psi_lo=lo, psi_hi=hi,
+        nu=nu, star_omega_floor=floor)
+    return FlowMonitors(state, rep)
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,7 @@ def test_criterion_5_steady_limit_is_minimal():
         psi = bd.TrigMap([0.02, 0.01], [[2.0, 1.0], [1.0, 2.0]])
         state = flow.make_state(grid, psi)
         final, records, outcome = flow.run_to_steady(
-            state, 1e-9, 200_000, 100, flow.FlowMonitors(state, 0.1))
+            state, 1e-9, 200_000, 100, reference.flow_monitors(state))
         assert outcome == "Converged"
         assert records[-1].residual_sup < 1e-9
         dt = flow.stable_dt(grid, 0.9)
@@ -232,7 +232,7 @@ def test_criterion_5_steady_limit_is_minimal():
         assert drift < 1e-12, drift
         # and restarting reports immediate convergence
         _, records2, outcome2 = flow.run_to_steady(
-            final, 1e-9, 100, 10, flow.FlowMonitors(final, 0.1))
+            final, 1e-9, 100, 10, reference.flow_monitors(final))
         assert outcome2 == "Converged" and len(records2) == 1
 
 

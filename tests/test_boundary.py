@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference
 from mssflow import boundary as bd, flow
 from mssflow.domains import BoundaryGeometry, DomainSpec, estimate_c0_eta0
 from mssflow.grid import build_closure, build_grid
@@ -90,20 +91,20 @@ BUMP = bd.PolynomialMap([([1.0, 1.0, -0.5, -1.0, -0.5],
 
 
 def test_sup_norms_examples(box_grid, ball_grid):
-    norms, glob = bd.sup_norms(bd.linear_map(np.diag([0.3, 0.1])), box_grid, None)
+    norms, glob, _ = bd.sup_norms(bd.linear_map(np.diag([0.3, 0.1])), box_grid, None)
     np.testing.assert_allclose([norms.sup_dpsi, norms.sup_d2psi, glob],
                                [0.3, 0.0, 0.3], atol=1e-14)
     trig = bd.TrigMap([0.1, 0.0], [[np.pi, 0.0], [0.0, 0.0]])
-    norms, glob = bd.sup_norms(trig, box_grid, None)
+    norms, glob, _ = bd.sup_norms(trig, box_grid, None)
     np.testing.assert_allclose(norms.sup_dpsi, np.pi / 10, rtol=1e-12)
     np.testing.assert_allclose(norms.sup_d2psi, np.pi ** 2 / 10, rtol=1e-12)
     assert glob == norms.sup_dpsi
-    norms, glob = bd.sup_norms(bd.constant_map([5.0], 2), box_grid, None)
+    norms, glob, _ = bd.sup_norms(bd.constant_map([5.0], 2), box_grid, None)
     assert norms.sup_dpsi == norms.sup_d2psi == glob == 0.0
     # n = 3, m = 2: zero Hessians are screened out before any eigensolve
     A = np.array([[0.3, 0.1, 0.0], [0.0, 0.2, -0.1]])
     cube = build_grid(DomainSpec.box([1.0, 1.0, 1.0]), 1.0 / 10)
-    norms, _ = bd.sup_norms(bd.linear_map(A), cube, None)
+    norms, _, _ = bd.sup_norms(bd.linear_map(A), cube, None)
     np.testing.assert_allclose(norms.sup_dpsi, np.linalg.svd(A)[1][0], rtol=1e-14)
     assert norms.sup_d2psi == 0.0
 
@@ -114,7 +115,7 @@ def test_sup_norms_examples(box_grid, ball_grid):
     band = ball_grid.closure_band_mask(0.1)
     assert band.sum() == (ball_grid.d_bdry < 0.1).sum() \
         + ball_grid.boundary_samples.shape[0]
-    norms, glob = bd.sup_norms(BUMP, ball_grid, 0.1)
+    norms, glob, _ = bd.sup_norms(BUMP, ball_grid, 0.1)
     np.testing.assert_allclose(norms.sup_dpsi, slope[band].max(), rtol=1e-12)
     np.testing.assert_allclose(glob, slope.max(), rtol=1e-12)
     assert norms.sup_dpsi < 0.5 < glob
@@ -360,7 +361,7 @@ def test_condition_B_examples(box_grid):
     # Richardson-extrapolated, plugged into the rule
     trig = bd.TrigMap([0.01, 0.004], [[2.0, 0.0], [1.0, 1.0]])
     fine = build_grid(BOX, box_grid.h / 2.0)
-    (co, _), (fi, _) = (bd.sup_norms(trig, g, None) for g in (box_grid, fine))
+    (co, _, _), (fi, _, _) = (bd.sup_norms(trig, g, None) for g in (box_grid, fine))
     rep2 = bd.check_condition_B(trig, box_grid, geom, 0.1, 0.5)
     assert rep2.w_psi == bd._richardson(co.w, fi.w)
     assert rep2.sup_dpsi_band == rep2.sup_dpsi_global \
@@ -432,7 +433,7 @@ def test_refinement_pass_is_conservative(ball_grid):
         for delta, rep in (
                 (0.1, bd.check_condition_A(psi, grid, geom, 0.1)),
                 (None, bd.check_condition_B(psi, grid, geom, 0.1, 0.5))):
-            coarse, glob = bd.sup_norms(psi, grid, delta)
+            coarse, glob, _ = bd.sup_norms(psi, grid, delta)
             assert rep.w_psi >= coarse.w
             assert rep.sup_dpsi_band >= coarse.sup_dpsi
             assert rep.sup_d2psi_band >= coarse.sup_d2psi
@@ -458,10 +459,11 @@ class _Counted:
 def test_one_sample_of_the_data_per_grid(ball_grid):
     # each checker samples psi once on the working grid and once at h/2;
     # the initial state takes its interior and pinned values in two
-    # batches; monitor setup samples it once on the closure
+    # batches; monitor setup reads the checker's report and samples
+    # nothing
     geom = estimate_c0_eta0(BALL)
     psi = _Counted(BALL_TRIG)
-    bd.check_condition_A(psi, ball_grid, geom, 0.1)
+    rep = bd.check_condition_A(psi, ball_grid, geom, 0.1)
     assert psi.calls == 2
     psi.calls = 0
     bd.check_condition_B(psi, ball_grid, geom, 0.1, 0.5)
@@ -471,8 +473,8 @@ def test_one_sample_of_the_data_per_grid(ball_grid):
     state = flow.make_state(ball_grid, psi)
     assert psi.calls == 2
     psi.calls = 0
-    flow.FlowMonitors(state, eps=0.5, delta=0.1).star_omega_floor()
-    assert psi.calls == 1
+    flow.FlowMonitors(state, rep).star_omega_floor()
+    assert psi.calls == 0
 
 
 # ---------------------------------------------------------------------------
@@ -558,20 +560,28 @@ def test_screened_reductions_match_lapack_on_every_row(name):
             vals, jac, hess = psi.jets(grid.closure_points())
             band = grid.closure_band_mask(delta)
             d1 = _lapack_sigma(jac)
-            norms, glob = bd.sup_norms(psi, grid, delta)
+            norms, glob, monitor = bd.sup_norms(psi, grid, delta,
+                                                monitor_delta)
             assert norms.w == float(np.max(vals.max(axis=0) - vals.min(axis=0)))
             assert norms.sup_dpsi == float(d1[band].max())
             assert glob == float(d1.max())
             assert norms.sup_d2psi == _lapack_d2(hess[band])
 
-            monitors = flow.FlowMonitors(flow.make_state(grid, psi),
-                                         delta=monitor_delta)
             hb = hess[grid.closure_band_mask(monitor_delta)]
-            geom = estimate_c0_eta0(spec)
-            nu = [bd.barrier_nu(monitors.omega[A], monitor_delta, geom.c0,
-                                grid.n, _lapack_abs_eig(hb[:, A]).max())
-                  for A in range(psi.m)]
-            assert monitors.nu.tolist() == nu
+            d2 = [_lapack_abs_eig(hb[:, A]).max() for A in range(psi.m)]
+            assert monitor[2].tolist() == d2
+        # the barrier weights the report carries for the flow at h
+        geom = estimate_c0_eta0(spec)
+        grid = build_grid(spec, h)
+        rep = (bd.check_condition_A(psi, grid, geom, monitor_delta)
+               if delta is not None
+               else bd.check_condition_B(psi, grid, geom, monitor_delta, 0.5))
+        hb = psi.jets(grid.closure_points())[2][
+            grid.closure_band_mask(monitor_delta)]
+        nu = [bd.barrier_nu(rep.psi_hi[A] - rep.psi_lo[A], monitor_delta,
+                            geom.c0, grid.n, _lapack_abs_eig(hb[:, A]).max())
+              for A in range(psi.m)]
+        assert rep.nu.tolist() == nu
 
 
 def _tied(shape):
@@ -699,11 +709,16 @@ def test_screen_prunes_lapack_rows(monkeypatch):
         assert len(counts.rows["svd"]) == 1
         assert 0 < counts.rows["svd"][0] < band.size
         assert 0 < sum(counts.rows["eigvalsh"]) < 6 * band.sum()
+    # the barrier weights' per-component sups, formed first at h: one
+    # eigensolve per component, on fewer rows than the band
     counts.rows["eigvalsh"].clear()
-    flow.FlowMonitors(flow.make_state(grid, BALL_TRIG), delta=0.1)
-    assert len(counts.rows["eigvalsh"]) == 2      # one per component
+    bd.sup_norms(BALL_TRIG, grid, 0.1)
+    checker = len(counts.rows["eigvalsh"])
+    counts.rows["eigvalsh"].clear()
+    bd.sup_norms(BALL_TRIG, grid, 0.1, 0.1)
+    assert len(counts.rows["eigvalsh"]) == checker + 2
     band_rows = grid.closure_band_mask(0.1).sum()
-    assert all(0 < r < band_rows for r in counts.rows["eigvalsh"])
+    assert all(0 < r < band_rows for r in counts.rows["eigvalsh"][:2])
 
 
 # eps z1^2 z2 on C^2 = R^4, and the 3-D trigonometric data of ROADMAP's
@@ -726,3 +741,80 @@ def test_direction_rule_memory_is_chunked(monkeypatch, psi, dim, h, delta):
     bd._sup_hessian_norm(hess)
     assert sum(counts.rows["eigvalsh"]) > bd._EIG_CHUNK
     assert max(counts.rows["eigvalsh"]) <= bd._EIG_CHUNK
+
+
+# ---------------------------------------------------------------------------
+# the monitors' figures come from the checker's sample at h
+# ---------------------------------------------------------------------------
+
+# (domain, data, h, delta, condition-B gap c or None): the disk, an
+# annulus, the offset boxes of CI in 2-D and 3-D, the 3- and 4-balls, and
+# the r = 9 shell, whose condition-B checker figures use the whole closure
+# while the barrier's use the delta band
+MONITOR_CASES = {
+    "disk": (BALL, BALL_TRIG, 1.0 / 32, 0.1, None),
+    "annulus": (DomainSpec.annulus(0.5, 1.0, 2),
+                bd.TrigMap([0.0015, 0.001], [[2.0, 1.0], [0.0, 2.0]]),
+                1.0 / 32, 0.007, None),
+    "box": (DomainSpec.box([1.0, 0.7], [-0.5, -0.35]), BALL_TRIG, 1.0 / 32,
+            0.1, None),
+    "box3": (DomainSpec.box([1.0, 0.9, 1.1], [-0.5, 0.2, 0.05]), TRIG3, 0.1,
+             0.1, None),
+    "ball3": (DomainSpec.ball(1.0, 3), TRIG3, 0.1, 0.1, None),
+    "ball4": (DomainSpec.ball(1.0, 4), POLY4, 1.0 / 6, 0.1, None),
+    "shell9": (DomainSpec.exterior(1.0, 9.0, 2),
+               WORKLOADS["exterior-shells"][0], 0.203125, 0.012, 0.5),
+}
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", list(MONITOR_CASES))
+def test_monitor_figures_equal_their_own_sample(monkeypatch, case):
+    # the monitors read from the report what a jets call of their own on
+    # the closure gives, bit for bit; the h/2 pass, which adds nothing to
+    # these figures, resamples the grid itself to keep the 4-ball cheap
+    spec, psi, h, delta, c = MONITOR_CASES[case]
+    grid = build_grid(spec, h)
+    monkeypatch.setattr(bd, "build_closure", lambda spec, h: grid)
+    geom = estimate_c0_eta0(spec)
+    rep = (bd.check_condition_A(psi, grid, geom, delta) if c is None
+           else bd.check_condition_B(psi, grid, geom, delta, c))
+    if c is not None:
+        assert not grid.closure_band_mask(delta).all()
+    state = flow.make_state(grid, psi)
+    monitors = flow.FlowMonitors(state, rep)
+    want = reference.sampled_monitor_figures(state, delta)
+    for name in ("nu", "omega", "psi_lo", "psi_hi", "band_psi", "band_base"):
+        assert _same_bits(getattr(monitors, name), want[name]), name
+    assert _same_bits(monitors.star_omega_floor(), want["star_omega_floor"])
+    assert monitors.band_idx.size > 0
+
+
+@pytest.mark.parametrize("c", [None, 0.5], ids=["A", "B"])
+def test_h2_pass_forms_no_monitor_figure(monkeypatch, ball_grid, c):
+    # the rows each direction-rule and metric call sees.  At h the barrier
+    # weights add one rule call per component on the delta band and the
+    # *Omega floor one metric call on the closure; the h/2 pass forms the
+    # checker's figure alone
+    calls = []
+    rule, metric = bd._sup_hessian_norm, bd._metric_inverse
+    monkeypatch.setattr(bd, "_sup_hessian_norm",
+                        lambda hess: calls.append(hess.shape[:2]) or rule(hess))
+    monkeypatch.setattr(bd, "_metric_inverse",
+                        lambda g, n: calls.append(g[0, 0].size) or metric(g, n))
+    geom = estimate_c0_eta0(BALL)
+    if c is None:
+        bd.check_condition_A(BALL_TRIG, ball_grid, geom, 0.1)
+    else:
+        bd.check_condition_B(BALL_TRIG, ball_grid, geom, 0.1, c)
+    band_delta = 0.1 if c is None else None
+    fine = build_closure(BALL, ball_grid.h / 2.0)
+    band = ball_grid.closure_band_mask(0.1).sum()
+    assert calls == [ball_grid.closure_band_mask(None).size,
+                     (band, 1), (band, 1),
+                     (ball_grid.closure_band_mask(band_delta).sum(), 2),
+                     (fine.closure_band_mask(band_delta).sum(), 2)]

@@ -24,7 +24,7 @@ from mssflow.config import ConfigError, load_config
 from mssflow.domains import DomainError, DomainSpec
 from mssflow.grid import build_grid
 from reference import (LawsonOssermanMap, LinearMap, QuarticMap,
-                       write_field_dat_rows)
+                       flow_monitors, write_field_dat_rows)
 
 BALL_SOLVE = """
 [run]
@@ -898,7 +898,7 @@ def test_lawson_osserman_large_scale_blows_up():
     psi = bd.lawson_osserman_map(12.0)
     state = flow.make_state(grid, psi)
     final, records, outcome = flow.run_to_steady(
-        state, 1e-6, 2000, 100, flow.FlowMonitors(state, 0.1))
+        state, 1e-6, 2000, 100, flow_monitors(state))
     assert outcome == "BlowUp"
 
 

@@ -27,7 +27,7 @@ def ball_run():
     rep = bd.check_condition_A(SMALL_TRIG, grid, geom, 0.1)
     assert rep.passed
     state = flow.make_state(grid, SMALL_TRIG)
-    monitors = flow.FlowMonitors(state, 0.1, eps=rep.eps)
+    monitors = flow.FlowMonitors(state, rep)
     final, records, outcome = flow.run_to_steady(
         state, 1e-6, 100_000, 25, monitors)
     assert outcome == "Converged"
@@ -152,8 +152,8 @@ def test_field_kernel_matches_pointwise_reference(data):
     # monitors: the minima of *Omega and of the strict-margin tensor
     lams = [jets.singular_values(jet) for jet in pointwise]
     diss = flow.dissipation_rate(state, bundle)
-    rec = flow.FlowMonitors(state, 0.1, eps=eps).record(state, bundle, 1.0,
-                                                       diss, 0.0)
+    rec = jets.flow_monitors(state, eps=eps).record(state, bundle, 1.0,
+                                                    diss, 0.0)
     tol = 1e-12 * (1.0 + max(lam[0] ** 2 for lam in lams))
     assert abs(rec.min_star_omega - min(map(jets.star_omega, lams))) <= tol
     assert abs(rec.min_p_eig
@@ -512,14 +512,14 @@ def test_run_to_steady_rejects_bad_arguments(tol, max_steps, monitor_every,
     state = flow.make_state(grid, SMALL_TRIG)
     with pytest.raises(ValueError, match=match):
         flow.run_to_steady(state, tol, max_steps, monitor_every,
-                           flow.FlowMonitors(state, 0.1))
+                           jets.flow_monitors(state))
 
 
 def test_run_to_steady_constant_converges_in_zero_steps():
     grid = build_grid(BALL, 1.0 / 16)
     state = flow.make_state(grid, bd.constant_map([1.5], 2))
     final, records, outcome = flow.run_to_steady(
-        state, 1e-6, 100, 10, flow.FlowMonitors(state, 0.1))
+        state, 1e-6, 100, 10, jets.flow_monitors(state))
     assert outcome == "Converged"
     assert final.t == 0.0 and len(records) == 1
 
@@ -528,7 +528,7 @@ def test_blow_up_guard():
     grid = build_grid(BALL, 1.0 / 16)
     steep = flow.make_state(grid, bd.linear_map([[20.0, 0.0], [0.0, 0.0]]))
     _, _, outcome = flow.run_to_steady(steep, 1e-6, 100, 10,
-                                       flow.FlowMonitors(steep, 0.1))
+                                       jets.flow_monitors(steep))
     assert outcome == "BlowUp"
 
 
@@ -539,7 +539,7 @@ def test_blow_up_guard_checks_the_last_super_step(monkeypatch):
     assert flow.compute_fields(state).max_lambda < 23.88
     monkeypatch.setattr(flow, "LAMBDA_GUARD", 23.88)
     _, _, outcome = flow.run_to_steady(state, 1e-6, 1, 1,
-                                       flow.FlowMonitors(state, 0.1))
+                                       jets.flow_monitors(state))
     assert outcome == "BlowUp"
 
 
@@ -551,13 +551,13 @@ def test_guard_precedes_tolerance_after_a_super_step(monkeypatch):
     ball = DomainSpec.ball(1.0, 4)
     state = flow.make_state(build_grid(ball, 0.2), bd.lawson_osserman_map(2.0))
     final, records, outcome = flow.run_to_steady(
-        state, 1e-3, 100_000, 25, flow.FlowMonitors(state, 0.1))
+        state, 1e-3, 100_000, 25, jets.flow_monitors(state))
     assert outcome == "Converged"
     assert records[-1].residual_sup < 1e-3
     assert records[-1].max_lambda > 7.71975
     monkeypatch.setattr(flow, "LAMBDA_GUARD", 7.71975)
     guarded, guarded_records, outcome = flow.run_to_steady(
-        state, 1e-3, 100_000, 25, flow.FlowMonitors(state, 0.1))
+        state, 1e-3, 100_000, 25, jets.flow_monitors(state))
     assert outcome == "BlowUp"
     assert guarded.t == final.t
     assert len(guarded_records) == len(records)
@@ -578,7 +578,7 @@ def test_super_steps_converge_to_the_explicit_euler_state(ball_run):
     grid, _, _, _, final, _ = ball_run
     state = flow.make_state(grid, SMALL_TRIG)
     euler, _, outcome = flow.run_to_steady(state, 1e-6, 100_000, 1,
-                                           flow.FlowMonitors(state, 0.1))
+                                           jets.flow_monitors(state))
     assert outcome == "Converged"
     assert np.abs(final.f - euler.f).max() <= 1e-6 / 5.78
 
@@ -588,7 +588,7 @@ def test_step_budget_ends_on_the_last_explicit_step():
     state0 = flow.make_state(grid, SMALL_TRIG, t=0.25)
     dt = flow.stable_dt(grid, 0.9)
     final, records, outcome = flow.run_to_steady(
-        state0, 1e-9, 60, 25, flow.FlowMonitors(state0, 0.1))
+        state0, 1e-9, 60, 25, jets.flow_monitors(state0))
     assert outcome == "MaxSteps"
     assert final.t == state0.t + 60 * dt
     assert [r.t for r in records] == [state0.t + k * dt for k in (0, 25, 50, 60)]
@@ -600,7 +600,7 @@ def test_determinism_of_runs():
     for _ in range(2):
         state = flow.make_state(grid, SMALL_TRIG)
         final, records, _ = flow.run_to_steady(
-            state, 1e-4, 5000, 50, flow.FlowMonitors(state, 0.1))
+            state, 1e-4, 5000, 50, jets.flow_monitors(state))
         outs.append((final.f.copy(), [r.csv_row() for r in records]))
     assert np.array_equal(outs[0][0], outs[1][0])
     assert outs[0][1] == outs[1][1]
@@ -639,8 +639,8 @@ def test_record_minima_read_at_the_maxima_equal_the_nodewise_minima(data):
     bundle = flow.compute_fields(state)
     bundle.detg = detg
     bundle.__dict__["lam_max_sq"] = lam_sq       # the cached top eigenvalue
-    rec = flow.FlowMonitors(state, 0.1, eps=eps).record(state, bundle, 1.0,
-                                                       0.0, 0.0)
+    rec = jets.flow_monitors(state, eps=eps).record(state, bundle, 1.0,
+                                                    0.0, 0.0)
     r = (1.0 - eps) ** 2
     eps_prime = (1.0 - r) / (1.0 + r)
     assert _same_bits(rec.min_star_omega, (1.0 / np.sqrt(detg)).min())
@@ -651,17 +651,13 @@ def test_record_minima_read_at_the_maxima_equal_the_nodewise_minima(data):
 def test_barrier_fields_at_initial_time():
     grid = build_grid(BALL, 1.0 / 16)
     state = flow.make_state(grid, SMALL_TRIG)
-    monitors = flow.FlowMonitors(state, delta=0.1)
+    monitors = jets.flow_monitors(state)
     S, S_mirror = monitors.barrier_fields(state)
     # with f = psi both fields reduce to nu log(1 + k d) + (omega/delta) d
     assert S.shape == S_mirror.shape == (monitors.band_idx.size, 2)
     assert monitors.band_idx.size > 0
     assert S.min() >= 0.0 and S_mirror.min() >= 0.0
     np.testing.assert_allclose(S, S_mirror, atol=1e-15)
-    eta0 = estimate_c0_eta0(BALL).eta0
-    for delta in (0.0, -0.1, eta0 * 1.01):
-        with pytest.raises(ValueError, match="outside"):
-            flow.FlowMonitors(state, delta=delta)
 
 
 def test_barrier_stays_nonnegative_along_flow(ball_run):
@@ -674,8 +670,8 @@ def test_barrier_stays_nonnegative_along_flow(ball_run):
 
 
 def test_invariant_suite_passes_on_ball_run(ball_run):
-    _, rep, _, monitors, _, records = ball_run
-    report = flow.check_invariants(records, monitors, rep.boundary_bound)
+    _, _, _, monitors, _, records = ball_run
+    report = flow.check_invariants(records, monitors)
     assert report.passed, [c.detail for c in report.clauses if not c.passed]
     assert len(report.clauses) == 6
 
@@ -693,11 +689,11 @@ FAULTS = {
 @pytest.mark.parametrize("clause", FAULTS)
 def test_invariant_fault_injection(ball_run, clause):
     # one corrupted record field trips exactly the clause that reads it
-    _, rep, _, monitors, _, records = ball_run
+    _, _, _, monitors, _, records = ball_run
     corrupted = list(records)
     corrupted[3] = dataclasses.replace(
         records[3], **FAULTS[clause](records[3], monitors))
-    report = flow.check_invariants(corrupted, monitors, rep.boundary_bound)
+    report = flow.check_invariants(corrupted, monitors)
     assert [c.name for c in report.clauses if not c.passed] == [clause]
 
 
@@ -711,7 +707,7 @@ def test_grid_refinement_second_order_interior():
         grid = build_grid(spec, h)
         state = flow.make_state(grid, psi)
         final, _, outcome = flow.run_to_steady(
-            state, 1e-10, 400_000, 1000, flow.FlowMonitors(state, 0.1))
+            state, 1e-10, 400_000, 1000, jets.flow_monitors(state))
         assert outcome == "Converged"
         index = {tuple(c): k for k, c in enumerate(grid.lattice_coords().tolist())}
         solutions[h] = (final, index)

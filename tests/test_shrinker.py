@@ -33,7 +33,7 @@ def test_phi_profile_shape():
 def flat_square_area(h):
     state = oracles.plane_state(h=h, halfwidth=0.5)
     bundle = flow.compute_fields(state)
-    rec = flow.FlowMonitors(state, 0.1).record(
+    rec = reference.flow_monitors(state).record(
         state, bundle, 1.0, flow.dissipation_rate(state, bundle), 0.0)
     return rec.area
 
