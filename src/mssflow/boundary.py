@@ -22,11 +22,11 @@ gap assumes second-order saturation, so these are estimates, not
 certified bounds; certified bounds (ROADMAP item 2) replace the
 reductions inside `sup_norms`.  The pass at h also forms, from the same
 sample, everything `flow.FlowMonitors` reads of the data: the
-per-component range, the barrier weights and the *Omega floor, with det
-g from the flow's own metric arithmetic.  The hypothesis report carries
-them, so check mode forms them too.  The flow samples the data itself
-only for its initial state (`flow.make_state`: the interior nodes and
-the cut-arm ends) and the area of flat-face boundary cells.
+per-component range, the barrier weights, the *Omega floor and the area
+of the flat-face boundary cells, with det g from the flow's own metric
+arithmetic.  The hypothesis report carries them, so check mode forms
+them too.  The flow samples the data itself only for its initial state
+(`flow.make_state`: the interior nodes and the cut-arm ends).
 
 Each reduction there is a spectral maximum over points: svd for sup|Dpsi|
 and the far-field table of the exterior driver, the certified direction
@@ -54,7 +54,7 @@ from itertools import product
 import numpy as np
 
 from .domains import BoundaryGeometry
-from .flow import _metric, _metric_inverse
+from .flow import _metric, _metric_inverse, boundary_cell_weights
 # build_grid is not called here, but perfbench's tracer wraps it by name as
 # boundary.build_grid (and a tier-1 test checks that it finds it)
 from .grid import Closure, Grid, build_closure, build_grid  # noqa: F401
@@ -213,8 +213,11 @@ class PsiNorms:
     sup_d2psi: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HypothesisReport:
+    """The checker's verdict and figures.  It holds arrays, so reports
+    compare and hash by identity."""
+
     condition: str            # 'A' or 'B'
     w_psi: float
     sup_dpsi_band: float
@@ -231,6 +234,7 @@ class HypothesisReport:
     psi_hi: np.ndarray
     nu: np.ndarray            # the barrier weights (barrier_nu)
     star_omega_floor: float   # least *Omega of the data's graph
+    boundary_area: float      # area of the flat-face boundary cells
     c: float | None = None    # condition-B gap, None for condition A
 
 
@@ -378,11 +382,14 @@ def sup_norms(psi, grid: Closure, delta: float | None,
     largest per-component range over the whole closure; the derivative
     sup-norms of the PsiNorms run over grid.closure_band_mask(delta), the
     second element over every row.  The third is None without
-    barrier_delta; with it, it is (lo, hi, d2, star_omega_floor): the
-    per-component range over the closure, the per-component sup|D^2 psi^A|
-    over closure_band_mask(barrier_delta) (the direction rule at m = 1,
-    the largest |eigenvalue|) and the least *Omega = 1 / sqrt(det g) of
-    the data's graph over the closure, det g formed as the flow forms it.
+    barrier_delta; with it, it is (lo, hi, d2, star_omega_floor,
+    boundary_area): the per-component range over the closure, the
+    per-component sup|D^2 psi^A| over closure_band_mask(barrier_delta)
+    (the direction rule at m = 1, the largest |eigenvalue|), the least
+    *Omega = 1 / sqrt(det g) of the data's graph over the closure, det g
+    formed as the flow forms it, and from the same det g the area of the
+    flat-face boundary cells (`flow.boundary_cell_weights`; 0 without a
+    flat face).
     """
     vals, jac, hess = psi.jets(grid.closure_points())
     band = grid.closure_band_mask(delta)
@@ -393,9 +400,10 @@ def sup_norms(psi, grid: Closure, delta: float | None,
     if barrier_delta is not None:
         rows = grid.closure_band_mask(barrier_delta)
         detg = _metric_inverse(_metric(np.moveaxis(jac, -1, 0)), grid.n)[1]
+        area = boundary_cell_weights(grid, detg[grid.num_interior:])[1]
         monitor = (lo, hi, np.array([_sup_hessian_norm(hess[rows, A:A + 1])
                                      for A in range(psi.m)]),
-                   float((1.0 / np.sqrt(detg)).min()))
+                   float((1.0 / np.sqrt(detg)).min()), float(area.sum()))
     # the Hessian reduction sets the memory peak: free the rest first, and
     # copy out the band only when it is not the whole closure
     del vals, jac
@@ -441,16 +449,17 @@ def _check(psi, grid: Grid, boundary_geom: BoundaryGeometry, delta: float,
     lhs < 1 - c, with c = 0 for A.  The first term is also reported as
     boundary_bound, the ceiling of the flow's boundary-gradient clause.
     The pass at h (never the one at h/2) also gives what the flow's
-    monitors read: the data range psi_lo / psi_hi, the *Omega floor and
-    the barrier weights nu, barrier_nu of the range and the per-component
-    sups over the delta band.
+    monitors read: the data range psi_lo / psi_hi, the *Omega floor, the
+    flat-face boundary area and the barrier weights nu, barrier_nu of the
+    range and the per-component sups over the delta band.
     """
     d0 = delta0(boundary_geom)
     if not 0.0 < delta < d0:
         raise HypothesisError(f"delta = {delta} outside the admissible (0, {d0})")
     fine = build_closure(grid.spec, grid.h / 2.0)
     band_delta = delta if c is None else None
-    band_c, glob_c, (lo, hi, d2, floor) = sup_norms(psi, grid, band_delta, delta)
+    band_c, glob_c, (lo, hi, d2, floor, area) = sup_norms(psi, grid,
+                                                          band_delta, delta)
     band_f, glob_f, _ = sup_norms(psi, fine, band_delta)
     band = PsiNorms(w=_richardson(band_c.w, band_f.w),
                     sup_dpsi=_richardson(band_c.sup_dpsi, band_f.sup_dpsi),
@@ -463,7 +472,7 @@ def _check(psi, grid: Grid, boundary_geom: BoundaryGeometry, delta: float,
         sup_dpsi_band=band.sup_dpsi, sup_d2psi_band=band.sup_d2psi,
         sup_dpsi_global=glob_dpsi, delta=delta, delta0=d0, lhs_condition=lhs,
         boundary_bound=bound, passed=lhs < 1.0 - (0.0 if c is None else c), eps=1.0 - lhs,
-        psi_lo=lo, psi_hi=hi, star_omega_floor=floor,
+        psi_lo=lo, psi_hi=hi, star_omega_floor=floor, boundary_area=area,
         nu=barrier_nu(hi - lo, delta, boundary_geom.c0, grid.n, d2), c=c)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import flow, oracles, shrinker
 from .boundary import (HypothesisReport, check_condition_A, check_condition_B,
-                       top_singular_values)
+                       constant_map, top_singular_values)
 from .config import ConfigError, RunConfig
 from .domains import DomainSpec, estimate_c0_eta0
 from .grid import Grid, build_grid
@@ -282,12 +282,11 @@ class ExteriorReport:
 
 def _shell_child(conn, cfg: RunConfig, spec: DomainSpec, force: bool) -> None:
     """Forked child: solve_once on one shell and send back its SolveResult,
-    or the exception it raised.  The state goes back without its boundary
-    map, which may hold closures that do not pickle."""
+    or the exception it raised.  A result holds values, grids and reports,
+    never the boundary map (which may hold closures that do not pickle),
+    so it pickles whole."""
     try:
         res = solve_once(cfg, spec=spec, force=force)
-        if res.state is not None:
-            res.state.psi = None
     except Exception as exc:
         res = exc
     conn.send(res)
@@ -336,8 +335,6 @@ def _solve_shells(cfg: RunConfig, specs: list, force: bool) -> list:
                             f"the child solving the shell r = "
                             f"{specs[j].radius} exited with code "
                             f"{proc.exitcode} without a result") from None
-                    if not isinstance(res, Exception) and res.state is not None:
-                        res.state.psi = cfg.psi
                     results[j] = res
             if isinstance(results[i], Exception):
                 raise results[i]
@@ -493,11 +490,11 @@ def run_density_oracle(cfg: RunConfig, out_dir: str) -> int:
     residual = float("nan")
     if plane:
         off = d["offset"]       # 0.0 unless the state is offset_plane
-        if name == "half_plane":
-            state = oracles.half_plane_state(h=h, halfwidth=halfwidth)
-        else:
-            state = oracles.plane_state(h=h, halfwidth=halfwidth, offset=off)
-        theta = shrinker.gaussian_density(state, tau, DENSITY_CUTOFF)
+        psi = constant_map([off], 2)
+        oracle = oracles.half_plane_state if name == "half_plane" \
+            else oracles.plane_state
+        state = oracle(h=h, halfwidth=halfwidth, psi=psi)
+        theta = shrinker.gaussian_density(state, psi, tau, DENSITY_CUTOFF)
         expected = _radial_density_reference(state.grid.n, tau, off,
                                              DENSITY_CUTOFF)
         if name == "half_plane":

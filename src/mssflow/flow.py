@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, axis_pairs
+from .grid import Closure, Grid, axis_pairs
 
 # largest singular value of Df a run may reach before it ends as BlowUp
 LAMBDA_GUARD = 10.0
@@ -57,14 +57,13 @@ class GraphState:
     data at grid.pinned_pos, the ends of the cut stencil arms, which never
     changes during the flow.  The zero pad row lets _differences read the
     last axis's arm ends as shifted views.  f None leaves the values
-    unset.  FlowMonitors frozen from the initial state read the data's
-    range, which the maximum principle compares against, from the
-    hypothesis report and the pinned values.
+    unset.  The state is only these values: the data map enters the flow
+    through the pinned trace and the hypothesis report's figures.
     """
 
-    def __init__(self, grid: Grid, t: float, f, pinned: np.ndarray, psi):
+    def __init__(self, grid: Grid, t: float, f, pinned: np.ndarray):
         K = grid.num_interior
-        self.grid, self.t, self.psi = grid, t, psi    # psi: the map family
+        self.grid, self.t = grid, t
         self.buf = np.empty((1 + K + len(pinned), pinned.shape[1]))
         self.buf[0] = 0.0
         self.f, self.pinned = self.buf[1:K + 1], self.buf[K + 1:]
@@ -77,7 +76,7 @@ class GraphState:
         return self.buf.shape[1]
 
     def replace_values(self, f, t: float) -> "GraphState":
-        return GraphState(self.grid, t, f, self.pinned, self.psi)
+        return GraphState(self.grid, t, f, self.pinned)
 
 
 def make_state(grid: Grid, psi, t: float = 0.0) -> GraphState:
@@ -85,7 +84,7 @@ def make_state(grid: Grid, psi, t: float = 0.0) -> GraphState:
     f0 = psi.jets(grid.interior_pos)[0]
     # one batch: evaluating row subsets can round differently
     pinned = psi.jets(grid.pinned_pos)[0]
-    return GraphState(grid=grid, t=t, f=f0, pinned=pinned, psi=psi)
+    return GraphState(grid=grid, t=t, f=f0, pinned=pinned)
 
 
 # ---------------------------------------------------------------------------
@@ -348,27 +347,19 @@ def compute_fields(state: GraphState, weights: dict | None = None
                        residual=residual, stepped=state.grid.stepped)
 
 
-def pinned_boundary_cells(state: GraphState):
-    """Graph points and quadrature weights of flat-face boundary nodes.
+def boundary_cell_weights(grid: Closure, detg: np.ndarray) -> tuple:
+    """Flat-face rows of the boundary sample and their quadrature weights.
 
-    Lattice nodes on flat boundary faces carry the cell fraction that
-    makes box quadratures exact (1/2 per face, 1/4 on edges, ...).  Their
-    area element comes from the pinned data's Jacobian, which is the only
-    derivative information available on the boundary itself; it is static
-    for the whole run.  Returns (points in R^(n+m), weights), possibly
+    detg is det g of the data's graph at grid.boundary_samples.  The rows
+    are the samples with a cell fraction (grid.boundary_frac: 1/2 per box
+    face, 1/4 on edges, ...; none on spheres), which makes box quadratures
+    exact; their weights are frac * cellvol * sqrt(det g), the area
+    element from the data's Jacobian, the only derivative information
+    available on the boundary itself.  Returns (rows, weights), possibly
     empty.
     """
-    grid = state.grid
-    n = grid.n
-    sel = grid.boundary_nodes_frac > 0
-    if not sel.any():
-        return np.zeros((0, n + state.m)), np.zeros(0)
-    bp = grid.boundary_nodes_pos[sel]
-    vals, jac, _ = state.psi.jets(bp)
-    z = np.concatenate([bp, vals], axis=1)
-    _, detb = _metric_inverse(_metric([jac[:, :, i] for i in range(n)]), n)
-    w = grid.boundary_nodes_frac[sel] * grid.cellvol * np.sqrt(detb)
-    return z, w
+    rows = np.flatnonzero(grid.boundary_frac)
+    return rows, grid.boundary_frac[rows] * grid.cellvol * np.sqrt(detg[rows])
 
 
 def dissipation_rate(state: GraphState, bundle: FieldBundle) -> float:
@@ -421,7 +412,7 @@ def _top_mode(grid: Grid) -> tuple[float, np.ndarray]:
     """
     checkerboard = 1.0 - 2.0 * (grid.lattice_coords().sum(axis=1) % 2)
     x = GraphState(grid, 0.0, checkerboard[:, None],
-                   np.zeros((grid.pinned_pos.shape[0], 1)), None)
+                   np.zeros((grid.pinned_pos.shape[0], 1)))
 
     def norm(v):
         # numpy's pairwise sum, not np.linalg.norm: BLAS ddot splits long
@@ -505,11 +496,13 @@ class FlowMonitors:
     values: the margin eps (None when the hypothesis left no margin), the
     boundary-gradient ceiling report.boundary_bound, the grid spacing h,
     the per-component range psi_lo / psi_hi of the closure sample and the
-    state's pinned arm ends, the *Omega floor, and the barrier's band
-    width delta, weights nu, oscillation omega and band values band_psi
-    of the state.  Every program caller builds them from the initial
-    state, so band_psi is the data.  Records are then pure functions of
-    the state.
+    state's pinned arm ends, the *Omega floor, the static area of the
+    flat-face boundary cells (report.boundary_area, which every record's
+    area adds), and the barrier's band width delta, weights nu,
+    oscillation omega and band values band_psi of the state.  Every
+    program caller builds them from the initial state, so band_psi is the
+    data.  Construction samples nothing, and records are pure functions
+    of the state.
     """
 
     def __init__(self, state: GraphState, rep):
@@ -518,7 +511,6 @@ class FlowMonitors:
         self.eps = rep.eps if rep.eps > 0 else None
         self.delta = delta = rep.delta
         self.h = grid.h
-        self.static_boundary_area = float(pinned_boundary_cells(state)[1].sum())
         self.psi_lo = np.vstack([rep.psi_lo, state.pinned]).min(axis=0)
         self.psi_hi = np.vstack([rep.psi_hi, state.pinned]).max(axis=0)
         self.band_idx = np.nonzero(grid.band_mask(delta))[0]
@@ -552,7 +544,7 @@ class FlowMonitors:
         lam_sq = bundle.lam_max_sq
         sqrt_detg = bundle.sqrt_detg
         area = float((sqrt_detg * grid.cell_frac).sum()
-                     * grid.cellvol) + self.static_boundary_area
+                     * grid.cellvol) + self.report.boundary_area
 
         # Both minima are read at a maximum: correctly rounded operations
         # are monotone, so 1 / sqrt(det g) is least where det g is largest

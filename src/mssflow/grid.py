@@ -75,6 +75,9 @@ class Closure:
     This is all the hypothesis checker reads of a resolution: the interior
     nodes, their distance to the boundary, and the boundary sample (the
     boundary-class nodes plus every crossing of a clipped stencil arm).
+    boundary_frac gives each sample the covered fraction of its cell for
+    the flat-face quadrature: on a box the samples are exactly the
+    boundary nodes, 1/2 per face (1/4 on an edge, ...); on spheres 0.
     `Grid` extends it with the stencil arms the flow steps on.
     """
 
@@ -87,8 +90,7 @@ class Closure:
     interior_pos: np.ndarray           # (K, n)
     d_bdry: np.ndarray                 # (K,) distance to computational boundary
     boundary_samples: np.ndarray       # (B, n) points on the true boundary
-    boundary_nodes_pos: np.ndarray     # lattice nodes classified as boundary
-    boundary_nodes_frac: np.ndarray    # cell-volume fraction for quadrature
+    boundary_frac: np.ndarray          # (B,) cell-volume fraction for quadrature
 
     @property
     def n(self) -> int:
@@ -304,8 +306,7 @@ def _classify(spec: DomainSpec, target_h: float) -> tuple[Closure, list]:
 
     closure = Closure(spec=spec, hs=hs, los=los, dims=dims, cls=None,
                       interior_flat=None, interior_pos=None, d_bdry=None,
-                      boundary_samples=None, boundary_nodes_pos=None,
-                      boundary_nodes_frac=None)
+                      boundary_samples=None, boundary_frac=None)
 
     pos = closure.lattice_positions()
     sd = spec.signed_distance(pos)
@@ -320,15 +321,6 @@ def _classify(spec: DomainSpec, target_h: float) -> tuple[Closure, list]:
     closure.d_bdry = -sd[interior_flat]
 
     bnd_flat = np.nonzero(cls == CLS_BOUNDARY)[0]
-    closure.boundary_nodes_pos = pos[bnd_flat]
-    if spec.kind == "box":
-        lo, hi = spec.bounding_box()
-        on_face = (np.abs(closure.boundary_nodes_pos - lo) < CLS_TOL * scale) | \
-                  (np.abs(closure.boundary_nodes_pos - hi) < CLS_TOL * scale)
-        closure.boundary_nodes_frac = 0.5 ** on_face.sum(axis=1)
-    else:
-        closure.boundary_nodes_frac = np.zeros(bnd_flat.size)
-
     sample_pts = [pos[bnd_flat]] if bnd_flat.size else []
     cuts = []
     for off, step in zip(_direction_offsets(n), _flat_steps(dims)):
@@ -357,6 +349,14 @@ def _classify(spec: DomainSpec, target_h: float) -> tuple[Closure, list]:
         closure.boundary_samples = samples[np.lexsort(samples.T[::-1])]
     else:
         closure.boundary_samples = np.zeros((0, n))
+    samples = closure.boundary_samples
+    if spec.kind == "box":
+        # the samples are the boundary nodes: 1/2 per face a node lies on
+        on_face = (np.abs(samples - lo) < CLS_TOL * scale) | \
+                  (np.abs(samples - hi) < CLS_TOL * scale)
+        closure.boundary_frac = 0.5 ** on_face.sum(axis=1)
+    else:
+        closure.boundary_frac = np.zeros(samples.shape[0])
     return closure, cuts
 
 

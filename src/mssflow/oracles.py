@@ -5,15 +5,16 @@ pin the Gaussian-density dichotomy at the origin (1 on the plane through
 it, 1/2 on the half-plane whose edge passes through it; the plane lifted
 by an offset gives the Gaussian factor), and the radius sqrt(2n)
 sphere cap solves the self-shrinker system exactly, so every discrete
-residual on it is pure truncation error.  Flat data is one constant
-polynomial term; the cap has its own map class.
+residual on it is pure truncation error.  The plane states take their
+flat data as an argument (one constant polynomial term, `constant_map`),
+since the density reads the data on the boundary too; the cap has its
+own map class.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .boundary import constant_map
 from .domains import DomainSpec
 from .flow import GraphState, make_state
 from .grid import build_grid
@@ -39,21 +40,22 @@ class SphereCapMap:
         return f[:, None], jac, hess
 
 
-def plane_state(h: float, halfwidth: float, offset: float = 0.0) -> GraphState:
-    """Horizontal graph of height offset over a centered square."""
+def plane_state(h: float, halfwidth: float, psi) -> GraphState:
+    """Graph of psi over a centered square: with psi =
+    constant_map([offset], 2) the horizontal plane of height offset."""
     spec = DomainSpec.box(np.full(2, 2.0 * halfwidth),
                           lo=np.full(2, -halfwidth))
     grid = build_grid(spec, h)
-    return make_state(grid, constant_map([offset], 2))
+    return make_state(grid, psi)
 
 
-def half_plane_state(h: float, halfwidth: float) -> GraphState:
-    """Flat half-plane over a rectangle resting on the line x_2 = 0; its
-    straight edge passes through the origin: the boundary-point density
-    oracle."""
+def half_plane_state(h: float, halfwidth: float, psi) -> GraphState:
+    """Graph of psi over a rectangle resting on the line x_2 = 0: with
+    psi = constant_map([0.0], 2) the flat half-plane whose straight edge
+    passes through the origin, the boundary-point density oracle."""
     spec = DomainSpec.box([2.0 * halfwidth, halfwidth], lo=[-halfwidth, 0.0])
     grid = build_grid(spec, h)
-    return make_state(grid, constant_map([0.0], 2))
+    return make_state(grid, psi)
 
 
 def sphere_cap_state(h: float, halfwidth: float) -> GraphState:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .flow import GraphState, compute_fields, pinned_boundary_cells
+from .flow import (GraphState, _metric, _metric_inverse, boundary_cell_weights,
+                   compute_fields)
 
 
 def phi_quintic(r: np.ndarray, cutoff: float = 1.0) -> np.ndarray:
@@ -28,7 +29,7 @@ def phi_quintic(r: np.ndarray, cutoff: float = 1.0) -> np.ndarray:
     return 1.0 - s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
-def gaussian_density(state: GraphState, time_gap: float,
+def gaussian_density(state: GraphState, psi, time_gap: float,
                      cutoff: float) -> float:
     """Cutoff-weighted Gaussian density of the graph around the origin.
 
@@ -39,16 +40,20 @@ def gaussian_density(state: GraphState, time_gap: float,
     phi's support.  Interior nodes carry full cells; lattice nodes sitting
     on flat boundary faces carry the matching cell fraction, which is what
     makes the half-plane value come out at 1/2 instead of 1/2 + O(h).
+    Those boundary points are the graph of psi, the state's Dirichlet
+    data, over the grid's boundary sample, weighted by
+    flow.boundary_cell_weights.
     """
     grid = state.grid
     bundle = compute_fields(state)
+    vals, jac, _ = psi.jets(grid.boundary_samples)
+    rows, wb = boundary_cell_weights(grid, _metric_inverse(
+        _metric(np.moveaxis(jac, -1, 0)), grid.n)[1])
 
-    z = np.concatenate([grid.interior_pos, state.f], axis=1)
-    w = grid.cell_frac * grid.cellvol * np.sqrt(bundle.detg)
-    zb, wb = pinned_boundary_cells(state)
-    if wb.size:
-        z = np.vstack([z, zb])
-        w = np.concatenate([w, wb])
+    z = np.vstack([np.concatenate([grid.interior_pos, state.f], axis=1),
+                   np.concatenate([grid.boundary_samples, vals], axis=1)[rows]])
+    w = np.concatenate([grid.cell_frac * grid.cellvol * np.sqrt(bundle.detg),
+                        wb])
     dist = np.linalg.norm(z, axis=1)
     mask = dist <= cutoff
     rho = (4.0 * np.pi * time_gap) ** (-0.5 * grid.n) \

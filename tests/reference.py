@@ -18,8 +18,10 @@ that no program mode runs.
   stacks.
 - `sampled_monitor_figures`, what the flow's monitors read of the data,
   sampled and reduced as the monitors did before they read the checker's
-  report; and `flow_monitors`, monitors on a report built from the
-  checker's pass at h alone, for flow tests that need no h/2 pass.
+  report; `flat_face_area`, the flat-face boundary area node by node, as
+  the monitors took it before it came from the checker's sample; and
+  `flow_monitors`, monitors on a report built from the checker's pass at
+  h alone, for flow tests that need no h/2 pass.
 - `write_field_dat_rows`, the field dump written one row at a time, which
   the program's block writer must match byte for byte.
 - `dependent_nodes_loop`, the interpolation split taken node by node in
@@ -45,7 +47,7 @@ from mssflow.domains import DomainSpec, estimate_c0_eta0
 from mssflow.driver import _domain_echo, _fmt
 from mssflow.flow import (FlowMonitors, GraphState, _differences, _metric,
                           _metric_inverse, _symmetric, make_state)
-from mssflow.grid import CLS_TOL, THETA_DEP, build_grid
+from mssflow.grid import CLS_BOUNDARY, CLS_TOL, THETA_DEP, build_grid
 from mssflow.oracles import half_plane_state
 
 # ---------------------------------------------------------------------------
@@ -213,8 +215,9 @@ def jets_all(state: GraphState) -> tuple[np.ndarray, np.ndarray]:
 # the data's figures for the flow's monitors
 # ---------------------------------------------------------------------------
 
-def sampled_monitor_figures(state: GraphState, delta: float) -> dict:
-    """The monitors' figures from a jets call of their own on the closure.
+def sampled_monitor_figures(state: GraphState, psi, delta: float) -> dict:
+    """The monitors' figures from a jets call of their own on the closure,
+    psi the state's data.
 
     psi_lo / psi_hi: the range of the state's values, its pinned arm ends
     and the closure's boundary samples; omega, the closure sample's
@@ -225,7 +228,7 @@ def sampled_monitor_figures(state: GraphState, delta: float) -> dict:
     least 1 / sqrt(det g) over the closure.
     """
     grid = state.grid
-    vals, jac, hess = state.psi.jets(grid.closure_points())
+    vals, jac, hess = psi.jets(grid.closure_points())
     _, detg = _metric_inverse(
         _metric([jac[:, :, i] for i in range(grid.n)]), grid.n)
     data = np.vstack([state.f, state.pinned, vals[grid.num_interior:]])
@@ -245,21 +248,40 @@ def sampled_monitor_figures(state: GraphState, delta: float) -> dict:
             "star_omega_floor": float((1.0 / np.sqrt(detg)).min())}
 
 
-def flow_monitors(state: GraphState, delta: float = 0.1,
+def flat_face_area(grid, psi) -> float:
+    """Area of the flat-face boundary cells of the graph of psi, node by
+    node: the lattice nodes classified as boundary, each with the cell
+    fraction 1/2 per box face it lies on (none off a box), jets at those
+    nodes alone, and det g by `_metric_inverse`."""
+    nodes = grid.lattice_positions()[grid.cls.ravel() == CLS_BOUNDARY]
+    if grid.spec.kind != "box" or not nodes.size:
+        return 0.0
+    lo, hi = grid.spec.bounding_box()
+    scale = max(1.0, float(np.abs(grid.lattice_positions()).max()))
+    on_face = (np.abs(nodes - lo) < CLS_TOL * scale) | \
+              (np.abs(nodes - hi) < CLS_TOL * scale)
+    frac = 0.5 ** on_face.sum(axis=1)
+    _, jac, _ = psi.jets(nodes)
+    _, detg = _metric_inverse(
+        _metric([jac[:, :, i] for i in range(grid.n)]), grid.n)
+    return float((frac * grid.cellvol * np.sqrt(detg)).sum())
+
+
+def flow_monitors(state: GraphState, psi, delta: float = 0.1,
                   eps: float = 0.0) -> FlowMonitors:
-    """FlowMonitors(state, rep), with rep holding the figures the checker's
-    pass at h forms (sup_norms, then barrier_nu as the checker applies
-    it), the margin eps (none unless positive) and nan for every figure
-    the monitors do not read."""
+    """FlowMonitors(state, rep), psi the state's data, with rep holding
+    the figures the checker's pass at h forms (sup_norms, then barrier_nu
+    as the checker applies it), the margin eps (none unless positive)
+    and nan for every figure the monitors do not read."""
     grid = state.grid
-    lo, hi, d2, floor = sup_norms(state.psi, grid, delta, delta)[2]
+    lo, hi, d2, floor, area = sup_norms(psi, grid, delta, delta)[2]
     nu = barrier_nu(hi - lo, delta, estimate_c0_eta0(grid.spec).c0, grid.n, d2)
     nan = float("nan")
     rep = HypothesisReport(
         condition="A", w_psi=nan, sup_dpsi_band=nan, sup_d2psi_band=nan,
         sup_dpsi_global=nan, delta=delta, delta0=nan, lhs_condition=nan,
         boundary_bound=nan, passed=eps > 0.0, eps=eps, psi_lo=lo, psi_hi=hi,
-        nu=nu, star_omega_floor=floor)
+        nu=nu, star_omega_floor=floor, boundary_area=area)
     return FlowMonitors(state, rep)
 
 
@@ -386,8 +408,9 @@ class OddReflectionMap:
         return vals, jac, hess
 
 
-def reflect_halfspace(state: GraphState) -> tuple[GraphState, float]:
-    """Odd doubling of a graph over a box resting on the hyperplane x_n = 0.
+def reflect_halfspace(state: GraphState, psi) -> tuple[GraphState, float]:
+    """Odd doubling of a graph over a box resting on the hyperplane x_n = 0,
+    psi the state's data.
 
     The trace on the reflecting face must vanish (tolerance 1e-10).  The
     doubled state lives on the mirrored box; values on the mirror half are
@@ -403,9 +426,9 @@ def reflect_halfspace(state: GraphState) -> tuple[GraphState, float]:
         raise ValueError("reflection needs a box domain resting on x_n = 0")
 
     lo, hi = spec.bounding_box()
-    face = np.abs(grid.boundary_nodes_pos[:, n - 1]) <= CLS_TOL
+    face = np.abs(grid.boundary_samples[:, n - 1]) <= CLS_TOL
     if face.any():
-        trace = state.psi.jets(grid.boundary_nodes_pos[face])[0]
+        trace = psi.jets(grid.boundary_samples[face])[0]
         worst = float(np.abs(trace).max())
         if worst > 1e-10:
             raise ValueError(
@@ -418,7 +441,7 @@ def reflect_halfspace(state: GraphState) -> tuple[GraphState, float]:
     if not np.array_equal(grid2.hs, grid.hs):
         raise ValueError(f"the doubled box is meshed at {grid2.hs}, not at the "
                          f"state's spacing {grid.hs}")
-    odd = OddReflectionMap(state.psi, n)
+    odd = OddReflectionMap(psi, n)
     out = make_state(grid2, odd, t=state.t)
 
     # Carry the evolved interior values across (make_state seeded them
@@ -448,10 +471,12 @@ def reflect_halfspace(state: GraphState) -> tuple[GraphState, float]:
     return out, kink
 
 
-def sloped_half_plane_state(h: float, halfwidth: float, slope) -> GraphState:
-    """Linear graph x -> slope x over the half-plane oracle's rectangle."""
-    grid = half_plane_state(h=h, halfwidth=halfwidth).grid
-    return make_state(grid, linear_map(slope))
+def sloped_half_plane_state(h: float, halfwidth: float,
+                            slope) -> tuple[GraphState, object]:
+    """Linear graph x -> slope x over the half-plane oracle's rectangle,
+    and its data map."""
+    psi = linear_map(slope)
+    return half_plane_state(h=h, halfwidth=halfwidth, psi=psi), psi
 
 
 # ---------------------------------------------------------------------------

@@ -152,12 +152,13 @@ def annulus_result(tmp_path_factory):
 def test_criterion_1_gaussian_density_dichotomy():
     with criterion(1, "Gaussian density 1 in the interior, 1/2 on the edge"):
         tau = 0.005
-        plane = oracles.plane_state(h=0.025, halfwidth=1.3)
-        theta_int = shrinker.gaussian_density(plane, tau, 1.0)
+        flat = bd.constant_map([0.0], 2)
+        plane = oracles.plane_state(h=0.025, halfwidth=1.3, psi=flat)
+        theta_int = shrinker.gaussian_density(plane, flat, tau, 1.0)
         assert abs(theta_int - 1.0) <= 1e-3, theta_int
 
-        half = oracles.half_plane_state(h=0.025, halfwidth=1.3)
-        theta_edge = shrinker.gaussian_density(half, tau, 1.0)
+        half = oracles.half_plane_state(h=0.025, halfwidth=1.3, psi=flat)
+        theta_edge = shrinker.gaussian_density(half, flat, tau, 1.0)
         assert abs(theta_edge - 0.5) <= 1e-3, theta_edge
 
 
@@ -222,7 +223,7 @@ def test_criterion_5_steady_limit_is_minimal():
         psi = bd.TrigMap([0.02, 0.01], [[2.0, 1.0], [1.0, 2.0]])
         state = flow.make_state(grid, psi)
         final, records, outcome = flow.run_to_steady(
-            state, 1e-9, 200_000, 100, reference.flow_monitors(state))
+            state, 1e-9, 200_000, 100, reference.flow_monitors(state, psi))
         assert outcome == "Converged"
         assert records[-1].residual_sup < 1e-9
         dt = flow.stable_dt(grid, 0.9)
@@ -232,7 +233,7 @@ def test_criterion_5_steady_limit_is_minimal():
         assert drift < 1e-12, drift
         # and restarting reports immediate convergence
         _, records2, outcome2 = flow.run_to_steady(
-            final, 1e-9, 100, 10, reference.flow_monitors(final))
+            final, 1e-9, 100, 10, reference.flow_monitors(final, psi))
         assert outcome2 == "Converged" and len(records2) == 1
 
 
@@ -276,9 +277,9 @@ def test_criterion_7_exterior_asymptotics(tmp_path_factory):
 
 def test_criterion_8_reflection_oracle():
     with criterion(8, "odd linear half-space data doubles to a linear graph"):
-        state = reference.sloped_half_plane_state(h=1.0 / 32, halfwidth=1.0,
-                                                  slope=[[0.0, 0.4]])
-        doubled, kink = reference.reflect_halfspace(state)
+        state, psi = reference.sloped_half_plane_state(
+            h=1.0 / 32, halfwidth=1.0, slope=[[0.0, 0.4]])
+        doubled, kink = reference.reflect_halfspace(state, psi)
         assert kink == 0.0
         bundle = flow.compute_fields(doubled)
         assert bundle.residual_sup <= 1e-12

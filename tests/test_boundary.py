@@ -460,7 +460,7 @@ def test_one_sample_of_the_data_per_grid(ball_grid):
     # each checker samples psi once on the working grid and once at h/2;
     # the initial state takes its interior and pinned values in two
     # batches; monitor setup reads the checker's report and samples
-    # nothing
+    # nothing, on a box with flat faces too
     geom = estimate_c0_eta0(BALL)
     psi = _Counted(BALL_TRIG)
     rep = bd.check_condition_A(psi, ball_grid, geom, 0.1)
@@ -475,6 +475,27 @@ def test_one_sample_of_the_data_per_grid(ball_grid):
     psi.calls = 0
     flow.FlowMonitors(state, rep).star_omega_floor()
     assert psi.calls == 0
+
+    box3 = DomainSpec.box([1.0, 0.9, 1.1], [-0.5, 0.2, 0.05])
+    grid = build_grid(box3, 0.1)
+    psi = _Counted(TRIG3)
+    rep = bd.check_condition_A(psi, grid, estimate_c0_eta0(box3), 0.1)
+    state = flow.make_state(grid, psi)
+    assert rep.boundary_area > 0.0
+    psi.calls = 0
+    flow.FlowMonitors(state, rep)
+    assert psi.calls == 0
+
+
+def test_reports_compare_by_identity(ball_grid):
+    # a report holds arrays: equality and hashing go by identity and
+    # never raise
+    geom = estimate_c0_eta0(BALL)
+    rep = bd.check_condition_A(BALL_TRIG, ball_grid, geom, 0.1)
+    other = bd.check_condition_A(BALL_TRIG, ball_grid, geom, 0.1)
+    assert rep == rep
+    assert (rep == other) is False
+    assert len({rep, other}) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -787,11 +808,46 @@ def test_monitor_figures_equal_their_own_sample(monkeypatch, case):
         assert not grid.closure_band_mask(delta).all()
     state = flow.make_state(grid, psi)
     monitors = flow.FlowMonitors(state, rep)
-    want = reference.sampled_monitor_figures(state, delta)
+    want = reference.sampled_monitor_figures(state, psi, delta)
     for name in ("nu", "omega", "psi_lo", "psi_hi", "band_psi", "band_base"):
         assert _same_bits(getattr(monitors, name), want[name]), name
     assert _same_bits(monitors.star_omega_floor(), want["star_omega_floor"])
     assert monitors.band_idx.size > 0
+    # the flat-face area: the node-by-node sum on a box, 0.0 elsewhere
+    area = reference.flat_face_area(grid, psi)
+    assert _same_bits(rep.boundary_area, area)
+    assert (area > 0.0) == (spec.kind == "box")
+
+
+# (edges, lo, h): per n a box on lattice-aligned faces and an offset box
+# whose spacing is snapped
+AREA_BOXES = {
+    "n1": ([1.0], [0.0], 0.1), "n1-offset": ([1.03], [-0.4], 0.1),
+    "n2": ([1.0, 1.0], [0.0, 0.0], 1.0 / 16),
+    "n2-offset": ([1.0, 0.7], [0.3, -1.2], 0.0225),
+    "n3": ([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], 0.1),
+    "n3-offset": ([1.0, 0.9, 1.1], [-0.5, 0.2, 0.05], 0.1),
+    "n4": ([1.0] * 4, [0.0] * 4, 1.0 / 9),
+    "n4-offset": ([1.0, 0.9, 1.1, 1.05], [-0.5, 0.2, 0.05, -0.3], 0.09),
+}
+
+
+@pytest.mark.parametrize("case", list(AREA_BOXES))
+def test_boundary_area_is_the_node_by_node_sum(monkeypatch, case):
+    # the report's flat-face area, from the checker's closure-wide jets
+    # batch, equals jets at the boundary nodes alone summed node by node,
+    # bit for bit; the h/2 pass resamples the grid itself
+    edges, lo, h = AREA_BOXES[case]
+    spec = DomainSpec.box(edges, lo)
+    n = spec.dim
+    psi = bd.TrigMap([0.01, 0.005], [[2.0, 1.0, 0.5, 0.3][:n],
+                                     [0.0, 2.0, 1.0, 0.7][:n]], [0.0, 0.5])
+    grid = build_grid(spec, h)
+    monkeypatch.setattr(bd, "build_closure", lambda spec, h: grid)
+    rep = bd.check_condition_A(psi, grid, estimate_c0_eta0(spec), 0.1)
+    area = reference.flat_face_area(grid, psi)
+    assert area > 0.0
+    assert _same_bits(rep.boundary_area, area)
 
 
 @pytest.mark.parametrize("c", [None, 0.5], ids=["A", "B"])

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 import reference
 from mssflow import boundary as bd, flow, grid as grid_mod
 from mssflow.domains import DomainError, DomainSpec, estimate_c0_eta0
-from mssflow.grid import CLS_EXTERIOR, CLS_INTERIOR, build_closure, build_grid
+from mssflow.grid import (CLS_BOUNDARY, CLS_EXTERIOR, CLS_INTERIOR,
+                          build_closure, build_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +327,18 @@ def test_interpolated_nodes_reference_stepped_neighbors():
 
 def test_box_faces_carry_quadrature_fractions():
     grid = build_grid(DomainSpec.box([1.0, 1.0]), 1.0 / 16)
-    fr = grid.boundary_nodes_frac
+    fr = grid.boundary_frac
+    assert fr.shape == (grid.boundary_samples.shape[0],)
     assert set(np.round(fr, 12)) == {0.25, 0.5}
     assert (fr == 0.25).sum() == 4    # corners
+    # curved boundaries have no flat face
+    for spec, h in ((DomainSpec.ball(1.0, 2), 1.0 / 16),
+                    (DomainSpec.annulus(0.5, 1.0, 2), 1.0 / 32),
+                    (DomainSpec.exterior(1.0, 9.0, 2), 0.203125)):
+        closure = build_closure(spec, h)
+        assert closure.boundary_samples.shape[0] > 0
+        assert (closure.boundary_frac == 0.0).all()
+        assert closure.boundary_frac.shape == (closure.boundary_samples.shape[0],)
 
 
 @pytest.mark.parametrize("edges, lo, h", [
@@ -351,5 +361,5 @@ def test_box_arms_end_on_faces(edges, lo, h):
     on_face = (np.abs(pinned - lo) <= 1e-12) | (np.abs(pinned - hi) <= 1e-12)
     assert inside.all() and on_face.any(axis=1).all()
     closure = build_closure(spec, h)
-    np.testing.assert_array_equal(closure.boundary_samples,
-                                  closure.boundary_nodes_pos)
+    nodes = closure.lattice_positions()[closure.cls.ravel() == CLS_BOUNDARY]
+    np.testing.assert_array_equal(closure.boundary_samples, nodes)

@@ -152,8 +152,8 @@ def test_field_kernel_matches_pointwise_reference(data):
     # monitors: the minima of *Omega and of the strict-margin tensor
     lams = [jets.singular_values(jet) for jet in pointwise]
     diss = flow.dissipation_rate(state, bundle)
-    rec = jets.flow_monitors(state, eps=eps).record(state, bundle, 1.0,
-                                                    diss, 0.0)
+    rec = jets.flow_monitors(state, psi, eps=eps).record(state, bundle, 1.0,
+                                                         diss, 0.0)
     tol = 1e-12 * (1.0 + max(lam[0] ** 2 for lam in lams))
     assert abs(rec.min_star_omega - min(map(jets.star_omega, lams))) <= tol
     assert abs(rec.min_p_eig
@@ -459,7 +459,7 @@ def test_stage_fraction_sizes_a_stable_super_step():
     assert [flow.stage_count(500, c) for c in (1.0, frac, 0.5 * frac)] \
         == [32, 27, 19]
     _, top = flow._top_mode(grid)
-    state = flow.GraphState(grid=grid, t=0.0, f=1e-6 * top, psi=None,
+    state = flow.GraphState(grid=grid, t=0.0, f=1e-6 * top,
                             pinned=np.zeros((grid.pinned_pos.shape[0], 1)))
     norm = np.linalg.norm(state.f[grid.stepped])
     grown = []
@@ -512,34 +512,37 @@ def test_run_to_steady_rejects_bad_arguments(tol, max_steps, monitor_every,
     state = flow.make_state(grid, SMALL_TRIG)
     with pytest.raises(ValueError, match=match):
         flow.run_to_steady(state, tol, max_steps, monitor_every,
-                           jets.flow_monitors(state))
+                           jets.flow_monitors(state, SMALL_TRIG))
 
 
 def test_run_to_steady_constant_converges_in_zero_steps():
     grid = build_grid(BALL, 1.0 / 16)
-    state = flow.make_state(grid, bd.constant_map([1.5], 2))
+    psi = bd.constant_map([1.5], 2)
+    state = flow.make_state(grid, psi)
     final, records, outcome = flow.run_to_steady(
-        state, 1e-6, 100, 10, jets.flow_monitors(state))
+        state, 1e-6, 100, 10, jets.flow_monitors(state, psi))
     assert outcome == "Converged"
     assert final.t == 0.0 and len(records) == 1
 
 
 def test_blow_up_guard():
     grid = build_grid(BALL, 1.0 / 16)
-    steep = flow.make_state(grid, bd.linear_map([[20.0, 0.0], [0.0, 0.0]]))
+    psi = bd.linear_map([[20.0, 0.0], [0.0, 0.0]])
+    steep = flow.make_state(grid, psi)
     _, _, outcome = flow.run_to_steady(steep, 1e-6, 100, 10,
-                                       jets.flow_monitors(steep))
+                                       jets.flow_monitors(steep, psi))
     assert outcome == "BlowUp"
 
 
 def test_blow_up_guard_checks_the_last_super_step(monkeypatch):
     # the one-step budget ends on the first state above the guard
     ball = DomainSpec.ball(1.0, 4)
-    state = flow.make_state(build_grid(ball, 0.2), bd.lawson_osserman_map(12.0))
+    psi = bd.lawson_osserman_map(12.0)
+    state = flow.make_state(build_grid(ball, 0.2), psi)
     assert flow.compute_fields(state).max_lambda < 23.88
     monkeypatch.setattr(flow, "LAMBDA_GUARD", 23.88)
     _, _, outcome = flow.run_to_steady(state, 1e-6, 1, 1,
-                                       jets.flow_monitors(state))
+                                       jets.flow_monitors(state, psi))
     assert outcome == "BlowUp"
 
 
@@ -549,15 +552,16 @@ def test_guard_precedes_tolerance_after_a_super_step(monkeypatch):
     # guard between the two, the converged state itself ends the run as
     # BlowUp: every state meets the guard before the tolerance
     ball = DomainSpec.ball(1.0, 4)
-    state = flow.make_state(build_grid(ball, 0.2), bd.lawson_osserman_map(2.0))
+    psi = bd.lawson_osserman_map(2.0)
+    state = flow.make_state(build_grid(ball, 0.2), psi)
     final, records, outcome = flow.run_to_steady(
-        state, 1e-3, 100_000, 25, jets.flow_monitors(state))
+        state, 1e-3, 100_000, 25, jets.flow_monitors(state, psi))
     assert outcome == "Converged"
     assert records[-1].residual_sup < 1e-3
     assert records[-1].max_lambda > 7.71975
     monkeypatch.setattr(flow, "LAMBDA_GUARD", 7.71975)
     guarded, guarded_records, outcome = flow.run_to_steady(
-        state, 1e-3, 100_000, 25, jets.flow_monitors(state))
+        state, 1e-3, 100_000, 25, jets.flow_monitors(state, psi))
     assert outcome == "BlowUp"
     assert guarded.t == final.t
     assert len(guarded_records) == len(records)
@@ -578,7 +582,7 @@ def test_super_steps_converge_to_the_explicit_euler_state(ball_run):
     grid, _, _, _, final, _ = ball_run
     state = flow.make_state(grid, SMALL_TRIG)
     euler, _, outcome = flow.run_to_steady(state, 1e-6, 100_000, 1,
-                                           jets.flow_monitors(state))
+                                           jets.flow_monitors(state, SMALL_TRIG))
     assert outcome == "Converged"
     assert np.abs(final.f - euler.f).max() <= 1e-6 / 5.78
 
@@ -588,7 +592,7 @@ def test_step_budget_ends_on_the_last_explicit_step():
     state0 = flow.make_state(grid, SMALL_TRIG, t=0.25)
     dt = flow.stable_dt(grid, 0.9)
     final, records, outcome = flow.run_to_steady(
-        state0, 1e-9, 60, 25, jets.flow_monitors(state0))
+        state0, 1e-9, 60, 25, jets.flow_monitors(state0, SMALL_TRIG))
     assert outcome == "MaxSteps"
     assert final.t == state0.t + 60 * dt
     assert [r.t for r in records] == [state0.t + k * dt for k in (0, 25, 50, 60)]
@@ -600,7 +604,7 @@ def test_determinism_of_runs():
     for _ in range(2):
         state = flow.make_state(grid, SMALL_TRIG)
         final, records, _ = flow.run_to_steady(
-            state, 1e-4, 5000, 50, jets.flow_monitors(state))
+            state, 1e-4, 5000, 50, jets.flow_monitors(state, SMALL_TRIG))
         outs.append((final.f.copy(), [r.csv_row() for r in records]))
     assert np.array_equal(outs[0][0], outs[1][0])
     assert outs[0][1] == outs[1][1]
@@ -631,7 +635,8 @@ def test_record_minima_read_at_the_maxima_equal_the_nodewise_minima(data):
     bit: ties, zeros and eps = 1 included."""
     grid = _oracle_grid("box", 1)
     K = grid.num_interior
-    state = flow.make_state(grid, bd.constant_map([0.0], 1))
+    psi = bd.constant_map([0.0], 1)
+    state = flow.make_state(grid, psi)
     eps = data.draw(st.sampled_from([1.0, 0.5]) | st.floats(0.01, 1.0))
     detg = np.array(data.draw(st.lists(_RECORD_DETG, min_size=K, max_size=K)))
     lam_sq = np.array(data.draw(st.lists(_RECORD_LAM_SQ, min_size=K,
@@ -639,8 +644,8 @@ def test_record_minima_read_at_the_maxima_equal_the_nodewise_minima(data):
     bundle = flow.compute_fields(state)
     bundle.detg = detg
     bundle.__dict__["lam_max_sq"] = lam_sq       # the cached top eigenvalue
-    rec = jets.flow_monitors(state, eps=eps).record(state, bundle, 1.0,
-                                                    0.0, 0.0)
+    rec = jets.flow_monitors(state, psi, eps=eps).record(state, bundle, 1.0,
+                                                         0.0, 0.0)
     r = (1.0 - eps) ** 2
     eps_prime = (1.0 - r) / (1.0 + r)
     assert _same_bits(rec.min_star_omega, (1.0 / np.sqrt(detg)).min())
@@ -651,7 +656,7 @@ def test_record_minima_read_at_the_maxima_equal_the_nodewise_minima(data):
 def test_barrier_fields_at_initial_time():
     grid = build_grid(BALL, 1.0 / 16)
     state = flow.make_state(grid, SMALL_TRIG)
-    monitors = jets.flow_monitors(state)
+    monitors = jets.flow_monitors(state, SMALL_TRIG)
     S, S_mirror = monitors.barrier_fields(state)
     # with f = psi both fields reduce to nu log(1 + k d) + (omega/delta) d
     assert S.shape == S_mirror.shape == (monitors.band_idx.size, 2)
@@ -707,7 +712,7 @@ def test_grid_refinement_second_order_interior():
         grid = build_grid(spec, h)
         state = flow.make_state(grid, psi)
         final, _, outcome = flow.run_to_steady(
-            state, 1e-10, 400_000, 1000, jets.flow_monitors(state))
+            state, 1e-10, 400_000, 1000, jets.flow_monitors(state, psi))
         assert outcome == "Converged"
         index = {tuple(c): k for k, c in enumerate(grid.lattice_coords().tolist())}
         solutions[h] = (final, index)
