@@ -327,8 +327,10 @@ def _direction_max(hess: np.ndarray) -> tuple[float, float]:
     would never raise F and lose all their cells in the first round, so
     dropping them changes neither end (a tied stack, solved once, may
     refine deeper within the budget than its copies would).  An empty or
-    all-zero stack gives (0, 0) and never reaches LAPACK.
+    all-zero stack gives (0, 0) before any screen or LAPACK call.
     """
+    if not hess.any():
+        return 0.0, 0.0
     B, m, n, _ = hess.shape
     lower = _norm2_bounds(hess.reshape(B * m, n, n))[1].reshape(B, m).max(1)
     live = _live(hess, np.sqrt(np.einsum("bAij,bAij->b", hess, hess)), lower)

@@ -12,6 +12,13 @@ Exit codes: 0 success, 1 configuration error, 2 hypothesis failed (no
 --force), 3 blow-up guard tripped, 4 step budget exhausted, 5 invariant
 clause or oracle mismatch (also a rising decay table), 6 successive
 exterior shells disagree more under refinement.
+
+Exterior mode solves each shell in a child forked with os.fork.  The
+child builds the shell's ShellResult (report block, records, final field,
+agreement region and, on the outermost shell, the far field) and writes
+it pickled to its own os.pipe; the parent reads the pipes with select,
+compares the shells and writes the artifacts.  No grid, flow state or
+field bundle crosses a pipe.
 """
 
 from __future__ import annotations
@@ -73,29 +80,49 @@ def write_monitors_csv(path: str, records: list) -> None:
             fh.write(",".join(_fmt(v) for v in r.csv_row()) + "\n")
 
 
-def write_field_dat(path: str, state: flow.GraphState) -> None:
+@dataclass
+class FieldDump:
+    """What field.dat holds: the domain and lattice, the time, and one row
+    per interior node (flat lattice index, position, values)."""
+
+    spec: DomainSpec
+    dims: tuple
+    hs: np.ndarray
+    t: float
+    flat: np.ndarray              # (K,) flat lattice indices, ascending
+    pos: np.ndarray               # (K, n)
+    f: np.ndarray                 # (K, m)
+
+    @classmethod
+    def of(cls, state: flow.GraphState) -> FieldDump:
+        grid = state.grid
+        return cls(grid.spec, grid.dims, grid.hs, state.t,
+                   grid.interior_flat, grid.interior_pos, state.f)
+
+
+def write_field_dat(path: str, field: FieldDump) -> None:
     """Plain-text dump: header, then one row per interior node.
 
     Rows are formatted FIELD_BLOCK at a time with one %-pattern over
     column lists and written as one string per block.
     """
-    grid = state.grid
+    n, m = field.spec.dim, field.f.shape[1]
     with open(path, "w") as fh:
         fh.write("# mssflow field dump\n")
-        fh.write(f"# n = {grid.n}  m = {state.m}\n")
-        fh.write(f"# dims = {' '.join(str(d) for d in grid.dims)}\n")
-        fh.write(f"# h = {' '.join(_fmt(h) for h in grid.hs)}\n")
-        fh.write(f"# domain = {_domain_echo(grid.spec)}\n")
-        fh.write(f"# t = {_fmt(state.t)}\n")
+        fh.write(f"# n = {n}  m = {m}\n")
+        fh.write(f"# dims = {' '.join(str(d) for d in field.dims)}\n")
+        fh.write(f"# h = {' '.join(_fmt(h) for h in field.hs)}\n")
+        fh.write(f"# domain = {_domain_echo(field.spec)}\n")
+        fh.write(f"# t = {_fmt(field.t)}\n")
         fh.write("# columns: flat_index x_1..x_n f_1..f_m\n")
         # tolist() hands over Python ints and floats, whose %d and %r are
         # str and repr, _fmt's text
-        row = "%d" + " %r" * (grid.n + state.m) + "\n"
-        for lo in range(0, grid.num_interior, FIELD_BLOCK):
+        row = "%d" + " %r" * (n + m) + "\n"
+        for lo in range(0, field.flat.size, FIELD_BLOCK):
             b = slice(lo, lo + FIELD_BLOCK)
             fh.write("".join(row % r for r in zip(
-                grid.interior_flat[b].tolist(),
-                *grid.interior_pos[b].T.tolist(), *state.f[b].T.tolist())))
+                field.flat[b].tolist(), *field.pos[b].T.tolist(),
+                *field.f[b].T.tolist())))
 
 
 def _domain_echo(spec: DomainSpec) -> str:
@@ -224,7 +251,8 @@ def run_solve(cfg: RunConfig, out_dir: str, force: bool = False) -> int:
     lines += _hypothesis_lines(res.hypothesis)
     if res.records:
         write_monitors_csv(os.path.join(out_dir, "monitors.csv"), res.records)
-        write_field_dat(os.path.join(out_dir, "field.dat"), res.state)
+        write_field_dat(os.path.join(out_dir, "field.dat"),
+                        FieldDump.of(res.state))
         last = res.records[-1]
         lines += ["", f"outcome: {res.outcome}",
                   f"final residual sup = {_fmt(last.residual_sup)}",
@@ -246,17 +274,6 @@ def run_solve(cfg: RunConfig, out_dir: str, force: bool = False) -> int:
 # exterior exhaustion
 # ---------------------------------------------------------------------------
 
-def _common_region_diff(prev_state: flow.GraphState,
-                        state: flow.GraphState, radius: float) -> float:
-    """Sup difference over shared lattice nodes with |x| <= radius."""
-    grid = prev_state.grid
-    k = np.nonzero(np.linalg.norm(grid.interior_pos, axis=1) <= radius)[0]
-    k2 = state.grid.lattice_index(grid.lattice_coords()[k])
-    shared = k2 >= 0
-    return float(np.abs(prev_state.f[k[shared]] - state.f[k2[shared]])
-                 .max(initial=0.0))
-
-
 def _probe_ring(grid: Grid, rho: float) -> np.ndarray:
     """Interior rows with |dist - rho| <= h, dist = |x|: the nodes over
     which the far-field fit and the decay table's sup at rho are taken.
@@ -266,11 +283,96 @@ def _probe_ring(grid: Grid, rho: float) -> np.ndarray:
     return np.nonzero(np.abs(dist - rho) <= grid.h)[0]
 
 
+def _far_field(state: flow.GraphState, probe_radii: list) -> tuple:
+    """(l, fit rms, decay table) of a converged shell: the asymptotic
+    gradient l, the least-squares fit (the mean) of Df over the outermost
+    probe ring, the rms of that fit, and (probe radius, sup |Df - l|)
+    for the probe radii ascending."""
+    J = flow.compute_fields(state).J
+    rings = [(rho, _probe_ring(state.grid, rho)) for rho in sorted(probe_radii)]
+    outer = J[rings[-1][1]]
+    l_est = outer.mean(axis=0)
+    fit_rms = float(np.sqrt(((outer - l_est) ** 2).sum(axis=(1, 2)).mean()))
+    table = [(rho, float(top_singular_values(J[ring] - l_est).max())
+              if ring.size else float("nan")) for rho, ring in rings]
+    return l_est, fit_rms, table
+
+
+@dataclass
+class ShellResult:
+    """What the parent process reads of one exterior shell, built by the
+    child that solved it: values only, no grid, state or field bundle.
+
+    The region holds the rows with |x| <= r_1/2 + h, a one-step margin
+    around the fixed agreement region |x| <= r_1/2: two shells' lattices
+    may round one node's position differently, so a shell finds there
+    every node of its neighbour's region.  The far field comes from the
+    outermost shell when it converged.
+    """
+
+    lines: list                   # the shell's block of report.txt
+    outcome: str
+    exit_code: int
+    hypothesis: HypothesisReport
+    invariants: flow.InvariantReport | None
+    records: list
+    field: FieldDump | None = None    # None when the flow did not run
+    region: tuple | None = None       # (lattice coords, values, |x| <= r_1/2)
+    far_field: tuple | None = None    # (l, fit rms, decay table)
+
+
+def _shell_result(cfg: RunConfig, spec: DomainSpec,
+                  res: SolveResult) -> ShellResult:
+    """The ShellResult of solve_once's result `res` on the shell `spec`."""
+    lines = [f"--- shell r = {_fmt(spec.radius)} ---"]
+    if res.grid is not None:
+        lines += _geometry_header(res.grid) + _hypothesis_lines(res.hypothesis)
+    out = ShellResult(lines, res.outcome, res.exit_code, res.hypothesis,
+                      res.invariants, res.records)
+    if not res.records:
+        lines += ["outcome: HypothesisFail (flow not started)", ""]
+        return out
+    last = res.records[-1]
+    lines += [f"outcome: {res.outcome}",
+              f"final residual sup = {_fmt(last.residual_sup)}",
+              f"final max lambda = {_fmt(last.max_lambda)}",
+              _stage_line(res, cfg.monitor_every)]
+    if res.invariants is not None:
+        lines += _invariant_lines(res.invariants)
+    lines.append("")
+    out.field = FieldDump.of(res.state)
+    out.region = _agreement_region(res.grid, res.state.f, 0.5 * cfg.radii[0])
+    if res.exit_code == EXIT_OK and spec.radius == cfg.radii[-1]:
+        out.far_field = _far_field(res.state, cfg.probe_radii)
+    return out
+
+
+def _agreement_region(grid: Grid, f: np.ndarray, radius: float) -> tuple:
+    """Lattice coordinates and values of the rows with |x| <= radius + h,
+    and which of them have |x| <= radius (see ShellResult)."""
+    dist = np.linalg.norm(grid.interior_pos, axis=1)
+    rows = np.nonzero(dist <= radius + grid.h)[0]
+    return grid.lattice_coords()[rows], f[rows], dist[rows] <= radius
+
+
+def _common_region_diff(prev: ShellResult, res: ShellResult) -> float:
+    """Sup difference over the nodes of prev's agreement region that are
+    interior nodes of res too, matched by lattice coordinates."""
+    coords, f, inside = prev.region
+    coords2, f2, _ = res.region
+    index = {c: j for j, c in enumerate(map(tuple, coords2.tolist()))}
+    pairs = [(i, index[c]) for i, c in enumerate(map(tuple, coords.tolist()))
+             if inside[i] and c in index]
+    k, k2 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return float(np.abs(f[k] - f2[k2]).max(initial=0.0))
+
+
 @dataclass
 class ExteriorReport:
-    """Shell-by-shell results, agreement diffs and the far-field table."""
+    """Shell-by-shell results (ShellResult per radius, up to and including
+    the first that failed), agreement diffs and the far-field table."""
 
-    shells: list                  # SolveResult per radius
+    shells: list
     agreement: list               # sup diffs on the fixed common region
     agreement_region: float
     l_estimate: np.ndarray | None
@@ -280,62 +382,82 @@ class ExteriorReport:
     notes: list
 
 
-def _shell_child(conn, cfg: RunConfig, spec: DomainSpec, force: bool) -> None:
-    """Forked child: solve_once on one shell and send back its SolveResult,
-    or the exception it raised.  A result holds values, grids and reports,
-    never the boundary map (which may hold closures that do not pickle),
-    so it pickles whole."""
+def _shell_child(fd: int, cfg: RunConfig, spec: DomainSpec,
+                 force: bool) -> None:
+    """Forked child: solve_once on one shell, then write its ShellResult,
+    or the exception the solve raised, to the pipe's write end fd.  Ends
+    the process with os._exit, code 0 once the result is written: the
+    child never returns into the parent's stack and never flushes the
+    parent's buffered output."""
+    import pickle
+
+    code = 1
     try:
-        res = solve_once(cfg, spec=spec, force=force)
-    except Exception as exc:
-        res = exc
-    conn.send(res)
+        try:
+            res = _shell_result(cfg, spec,
+                                solve_once(cfg, spec=spec, force=force))
+        except Exception as exc:
+            res = exc
+        with open(fd, "wb") as fh:
+            pickle.dump(res, fh)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _solve_shells(cfg: RunConfig, specs: list, force: bool) -> list:
-    """solve_once on each spec, each in its own forked child process.
+    """The ShellResult of each spec, each solved in its own forked child.
 
     At most one child per CPU this process may run on is solving at a
     time; children are started largest shell first, the longest solves.
     Forked children inherit solve_once and its inputs (patched or wrapped
     ones included), so no callable is pickled and no module is imported
-    again.  Returns the results in spec order up to and including the
-    first whose exit code is not EXIT_OK, as a serial loop would; an
-    exception raised by that shell's solve is raised instead.  Children
+    again.  Each child writes its pickled result to its own pipe, read
+    here as it arrives.  Returns the results in spec order up to and
+    including the first whose exit code is not EXIT_OK, as a serial loop
+    would; an exception raised by that shell's solve is raised instead.
+    A child that ends without a result raises RuntimeError with its exit
+    code (the negated signal number, if a signal ended it).  Children
     still solving are killed, and every child is reaped before returning.
-    A child that dies without a result raises RuntimeError.
     """
-    import multiprocessing
-    from multiprocessing.connection import wait
+    import pickle
+    import select
+    import signal
 
-    ctx = multiprocessing.get_context("fork")
     cpus = len(os.sched_getaffinity(0))
     todo = list(range(len(specs)))        # popped from the end
-    results, running, procs, shells = {}, {}, [], []
+    results, running, shells = {}, {}, []   # running: read fd -> child
     try:
         for i in range(len(specs)):
             while i not in results:
                 while todo and len(running) < cpus:
                     j = todo.pop()
-                    conn, child_conn = ctx.Pipe()
-                    with child_conn:
-                        proc = ctx.Process(target=_shell_child, daemon=True,
-                                           args=(child_conn, cfg, specs[j],
-                                                 force))
-                        proc.start()
-                    procs.append((proc, conn))
-                    running[conn] = j, proc
-                for conn in wait(list(running)):
-                    j, proc = running.pop(conn)
+                    r, w = os.pipe()
                     try:
-                        res = conn.recv()
-                    except EOFError:
-                        proc.join()
+                        pid = os.fork()
+                        if pid == 0:
+                            _shell_child(w, cfg, specs[j], force)
+                    except OSError:
+                        os.close(r)
+                        raise
+                    finally:
+                        os.close(w)     # else the read end never sees EOF
+                    running[r] = j, pid, bytearray()
+                for r in select.select(list(running), [], [])[0]:
+                    j, pid, buf = running[r]
+                    chunk = os.read(r, 1 << 16)
+                    if chunk:
+                        buf += chunk
+                        continue
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    del running[r]
+                    os.close(r)
+                    if code:
                         raise RuntimeError(
                             f"the child solving the shell r = "
-                            f"{specs[j].radius} exited with code "
-                            f"{proc.exitcode} without a result") from None
-                    results[j] = res
+                            f"{specs[j].radius} exited with code {code} "
+                            f"without a result")
+                    results[j] = pickle.loads(buf)
             if isinstance(results[i], Exception):
                 raise results[i]
             shells.append(results[i])
@@ -343,11 +465,10 @@ def _solve_shells(cfg: RunConfig, specs: list, force: bool) -> list:
                 break
         return shells
     finally:
-        for proc, conn in procs:
-            proc.kill()
-            proc.join()
-            proc.close()
-            conn.close()
+        for r, (_, pid, _) in running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
 
 
 def exterior_pipeline(cfg: RunConfig, force: bool = False) -> ExteriorReport:
@@ -357,70 +478,38 @@ def exterior_pipeline(cfg: RunConfig, force: bool = False) -> ExteriorReport:
     boundary (they do not depend on the truncation radius), the same
     Dirichlet family, and nested lattices, so successive solutions are
     compared node-by-node on the fixed region |x| <= r_1 / 2.  The shells
-    are independent problems and are solved concurrently (_solve_shells);
-    the first that fails, in radius order, ends the pipeline.
+    are independent problems and are solved concurrently, each in a
+    forked child that sends back its ShellResult (_solve_shells): the
+    report block, field, agreement region and, from the outermost shell,
+    the far field are formed in the children.  The first shell that
+    fails, in radius order, ends the pipeline.
     """
     notes = []
-    region = 0.5 * cfg.radii[0]
     shells = _solve_shells(cfg, [
         DomainSpec.exterior(cfg.domain.inner_radius, r, cfg.domain.dim)
         for r in cfg.radii], force)
     solved = [res for res in shells if res.exit_code == EXIT_OK]
-    diffs = [_common_region_diff(prev.state, res.state, region)
+    diffs = [_common_region_diff(prev, res)
              for prev, res in zip(solved, solved[1:])]
-    if len(solved) < len(shells):
-        return ExteriorReport(shells=shells, agreement=diffs,
-                              agreement_region=region, l_estimate=None,
-                              fit_rms=float("nan"), decay_table=[],
-                              exit_code=shells[-1].exit_code, notes=notes)
-
-    code = EXIT_OK
-    if any(b > a for a, b in zip(diffs, diffs[1:])):
-        notes.append("shell agreement worsened under r-refinement")
-        code = EXIT_AGREEMENT
-
-    # Asymptotic gradient: least squares (the mean) over the outermost ring.
-    final = shells[-1]
-    J = flow.compute_fields(final.state).J
-    ring = _probe_ring(final.grid, max(cfg.probe_radii))
-    l_est = J[ring].mean(axis=0)
-    fit_rms = float(np.sqrt(((J[ring] - l_est) ** 2).sum(axis=(1, 2))
-                            .mean()))
-    table = []
-    for rho in sorted(cfg.probe_radii):
-        ring = _probe_ring(final.grid, rho)
-        dev = J[ring] - l_est
-        sup = float(top_singular_values(dev).max()) \
-            if ring.size else float("nan")
-        table.append((rho, sup))
-    if any(b[1] > a[1] + 1e-12 for a, b in zip(table, table[1:])):
-        notes.append("decay table is not non-increasing")
-        if code == EXIT_OK:
-            code = EXIT_INVARIANT
+    code = shells[-1].exit_code   # EXIT_OK only when every shell solved
+    l_est, fit_rms, table = shells[-1].far_field or (None, float("nan"), [])
+    if code == EXIT_OK:
+        if any(b > a for a, b in zip(diffs, diffs[1:])):
+            notes.append("shell agreement worsened under r-refinement")
+            code = EXIT_AGREEMENT
+        if any(b[1] > a[1] + 1e-12 for a, b in zip(table, table[1:])):
+            notes.append("decay table is not non-increasing")
+            if code == EXIT_OK:
+                code = EXIT_INVARIANT
     return ExteriorReport(shells=shells, agreement=diffs,
-                          agreement_region=region, l_estimate=l_est,
-                          fit_rms=fit_rms, decay_table=table,
-                          exit_code=code, notes=notes)
+                          agreement_region=0.5 * cfg.radii[0],
+                          l_estimate=l_est, fit_rms=fit_rms,
+                          decay_table=table, exit_code=code, notes=notes)
 
 
 def run_exterior(cfg: RunConfig, out_dir: str, force: bool = False) -> int:
     rep = exterior_pipeline(cfg, force=force)
-    lines = []
-    for r, res in zip(cfg.radii, rep.shells):
-        lines += [f"--- shell r = {_fmt(r)} ---"]
-        lines += _geometry_header(res.grid)
-        lines += _hypothesis_lines(res.hypothesis)
-        if res.records:
-            last = res.records[-1]
-            lines += [f"outcome: {res.outcome}",
-                      f"final residual sup = {_fmt(last.residual_sup)}",
-                      f"final max lambda = {_fmt(last.max_lambda)}",
-                      _stage_line(res, cfg.monitor_every)]
-            if res.invariants is not None:
-                lines += _invariant_lines(res.invariants)
-        else:
-            lines += ["outcome: HypothesisFail (flow not started)"]
-        lines.append("")
+    lines = [line for res in rep.shells for line in res.lines]
     for d in rep.agreement:
         lines.append(f"agreement with previous shell on |x| <= "
                      f"{_fmt(rep.agreement_region)}: sup diff = {_fmt(d)}")
@@ -447,7 +536,7 @@ def run_exterior(cfg: RunConfig, out_dir: str, force: bool = False) -> int:
                            float("nan")))
         return rep.exit_code
     write_monitors_csv(os.path.join(out_dir, "monitors.csv"), final.records)
-    write_field_dat(os.path.join(out_dir, "field.dat"), final.state)
+    write_field_dat(os.path.join(out_dir, "field.dat"), final.field)
     last = final.records[-1]
     print(summary_line("exterior",
                        final.outcome if rep.exit_code == EXIT_OK else "Failed",

@@ -268,7 +268,7 @@ def test_criterion_7_exterior_asymptotics(tmp_path_factory):
         assert len(rep.decay_table) >= 3
         sups = [s for _, s in rep.decay_table]
         assert all(b <= a + 1e-12 for a, b in zip(sups, sups[1:])), sups
-        h = rep.shells[-1].grid.h
+        h = max(rep.shells[-1].field.hs)
         assert rep.agreement and max(rep.agreement) <= 10.0 * h, rep.agreement
         for res in rep.shells:
             assert res.outcome == "Converged"

@@ -219,6 +219,22 @@ def test_vector_hessian_norm_against_dense_sampling(ball_grid, make_hessians,
         assert lower <= BALL_TRIG_ITERATION <= upper == value
 
 
+@pytest.mark.parametrize("shape", [(1212, 1, 2, 2), (1212, 2, 2, 2),
+                                   (3644, 2, 2, 2), (0, 2, 2, 2)])
+def test_direction_max_skips_the_screen_on_zero_stacks(monkeypatch, shape):
+    # linear data's Hessian stacks (check-linear's shapes): (0, 0) with no
+    # screen over the samples
+    calls = []
+
+    def counted(mats):
+        calls.append(mats.shape)
+        return norm2_bounds(mats)
+    norm2_bounds = bd._norm2_bounds
+    monkeypatch.setattr(bd, "_norm2_bounds", counted)
+    assert bd._direction_max(np.zeros(shape)) == (0.0, 0.0)
+    assert calls == []
+
+
 def _seeded_hessians(n, m, seed, count=40):
     h = np.random.default_rng(seed).standard_normal((count, m, n, n))
     return h + np.swapaxes(h, -1, -2)

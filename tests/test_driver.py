@@ -2,9 +2,9 @@
 
 import ast
 import contextlib
+import dataclasses
 import io
 import json
-import multiprocessing
 import os
 import pathlib
 import re
@@ -14,6 +14,7 @@ import sys
 import tempfile
 import textwrap
 import time
+import types
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from mssflow import boundary as bd, cli, driver, flow
 from mssflow.config import ConfigError, load_config
 from mssflow.domains import DomainError, DomainSpec
-from mssflow.grid import build_grid
+from mssflow.grid import Closure, Grid, build_grid
 from reference import (LawsonOssermanMap, LinearMap, QuarticMap,
                        flow_monitors, write_field_dat_rows)
 
@@ -880,7 +881,8 @@ def test_field_dump_blocks_match_the_row_writer(tmp_path, m):
     f[::7] *= np.pi
     state = flow.make_state(grid, bd.constant_map([0.25] * m, 2))
     state = state.replace_values(f, 1.0 / 3.0)
-    driver.write_field_dat(str(tmp_path / "blocks.dat"), state)
+    driver.write_field_dat(str(tmp_path / "blocks.dat"),
+                           driver.FieldDump.of(state))
     write_field_dat_rows(str(tmp_path / "rows.dat"), state)
     blocks = (tmp_path / "blocks.dat").read_bytes()
     assert blocks == (tmp_path / "rows.dat").read_bytes()
@@ -943,7 +945,7 @@ def test_exterior_zero_data_gives_zero_field_and_gradient(tmp_path):
     assert rep.exit_code == 0
     for res in rep.shells:
         assert res.outcome == "Converged"
-        assert np.abs(res.state.f).max() == 0.0
+        assert np.abs(res.field.f).max() == 0.0
     assert np.abs(rep.l_estimate).max() <= 1e-15
     assert all(s <= 1e-15 for _, s in rep.decay_table)
 
@@ -992,9 +994,10 @@ def test_decay_table_is_the_unscreened_svd_maximum(tmp_path):
                      "wave_vector_1 = 2.0, 0.5")
             .replace("h = 0.2\n", "h = 0.203125\n\n[flow]\ntol_residual = 1e-7\n"
                      "max_steps = 400000\nmonitor_every = 500\n"))
-    rep = driver.exterior_pipeline(load_config(write_cfg(tmp_path, text)))
+    cfg = load_config(write_cfg(tmp_path, text))
+    rep = driver.exterior_pipeline(cfg)
     assert rep.exit_code == 0, rep.notes
-    final = rep.shells[-1]
+    final = driver.solve_once(cfg, spec=DomainSpec.exterior(1.0, 13.0, 2))
     J = flow.compute_fields(final.state).J
     table = []
     for rho in (2.5, 3.5, 4.5):
@@ -1029,28 +1032,145 @@ def deadline():
     signal.signal(signal.SIGALRM, old)
 
 
-def _shell_report(res) -> list:
-    return (driver._geometry_header(res.grid)
-            + driver._hypothesis_lines(res.hypothesis)
-            + driver._invariant_lines(res.invariants)
-            + [",".join(map(driver._fmt, r.csv_row())) + " "
-               + r.comp_min.tobytes().hex() + r.comp_max.tobytes().hex()
-               for r in res.records])
+@contextlib.contextmanager
+def leaves_no_child():
+    """Fails unless the block leaves this process with no child, running
+    or unreaped, and with as many open file descriptors as it found."""
+    fds = len(os.listdir("/proc/self/fd"))
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def _walk(obj, seen=None):
+    """obj and every value reachable from it through dataclass fields,
+    instance attributes, lists, tuples and dicts, depth first."""
+    seen = set() if seen is None else seen
+    yield obj
+    if isinstance(obj, (np.ndarray, str, int, float, type)) or obj is None \
+            or id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if dataclasses.is_dataclass(obj):
+        items = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    elif isinstance(obj, dict):
+        items = [*obj.keys(), *obj.values()]
+    else:
+        items = list(vars(obj).values()) if hasattr(obj, "__dict__") else []
+    for item in items:
+        yield from _walk(item, seen)
+
+
+def _encoded(obj) -> list:
+    """What _walk reaches from obj: arrays as dtype, shape and bytes,
+    floats by repr, other values as themselves or their type's name."""
+    out = []
+    for v in _walk(obj):
+        if isinstance(v, np.ndarray):
+            out.append((v.dtype.str, v.shape, v.tobytes()))
+        elif isinstance(v, float):
+            out.append(repr(float(v)))
+        elif v is None or isinstance(v, (str, int)):
+            out.append(v)
+        else:
+            out.append(type(v).__name__)
+    return out
 
 
 def test_worker_shells_equal_in_process_solves(tmp_path, deadline):
     cfg = load_config(write_cfg(tmp_path, SHELL_TRIG))
-    rep = driver.exterior_pipeline(cfg)
+    with leaves_no_child():
+        rep = driver.exterior_pipeline(cfg)
     assert rep.exit_code == 0 and len(rep.shells) == 2
-    assert not multiprocessing.active_children()
     for r, res in zip(cfg.radii, rep.shells):
-        ref = driver.solve_once(cfg, spec=DomainSpec.exterior(1.0, r, 2))
+        spec = DomainSpec.exterior(1.0, r, 2)
+        ref = driver._shell_result(cfg, spec,
+                                   driver.solve_once(cfg, spec=spec))
         assert res.outcome == ref.outcome == "Converged"
         assert len(res.records) > 1
-        assert res.grid is res.state.grid
-        assert res.state.t == ref.state.t
-        assert res.state.f.tobytes() == ref.state.f.tobytes()
-        assert _shell_report(res) == _shell_report(ref)
+        assert (res.far_field is not None) == (r == cfg.radii[-1])
+        assert _encoded(res) == _encoded(ref)
+
+
+def test_shell_result_holds_values_only(tmp_path, deadline):
+    # what a child sends back: no grid, closure, state or field bundle,
+    # and no array with more rows than the shell has interior nodes
+    cfg = load_config(write_cfg(tmp_path, SHELL_TRIG))
+    spec = DomainSpec.exterior(1.0, 9.0, 2)
+    with leaves_no_child():
+        res, = driver._solve_shells(cfg, [spec], False)
+    assert res.exit_code == 0
+    K = build_grid(spec, cfg.h).num_interior
+    for v in _walk(res):
+        assert not isinstance(v, (Grid, Closure, flow.GraphState,
+                                  flow.FieldBundle)), type(v)
+        if isinstance(v, np.ndarray):
+            assert v.ndim == 0 or len(v) <= K, v.shape
+
+
+def test_exterior_run_imports_no_multiprocessing(tmp_path):
+    path = write_cfg(tmp_path, EXTERIOR.format(radii="9.0, 11.0",
+                                               probes="2.5, 3.5"))
+    code = ("import sys; from mssflow import cli; "
+            "code = cli.main(sys.argv[1:]); "
+            "print(code, 'multiprocessing' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code, "exterior", "--config",
+                        path, "--out", str(tmp_path / "out")],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "0 False"
+
+
+def test_failing_real_shell_is_written(tmp_path, deadline):
+    # the step budget lets r = 9 converge and stops r = 11: the run's
+    # records and field are r = 11's, as an in-process solve writes them
+    path = write_cfg(tmp_path, SHELL_TRIG.replace(
+        "[flow]\n", "[flow]\nmax_steps = 1200\n"))
+    out = tmp_path / "out"
+    with leaves_no_child():
+        assert cli.main(["exterior", "--config", path, "--out", str(out)]) \
+            == driver.EXIT_MAXSTEPS
+    report = (out / "report.txt").read_text()
+    assert "outcome: Converged" in report and "outcome: MaxSteps" in report
+    ref = driver.solve_once(load_config(path),
+                            spec=DomainSpec.exterior(1.0, 11.0, 2))
+    assert ref.outcome == "MaxSteps" and len(ref.records) >= 2
+    driver.write_monitors_csv(str(tmp_path / "monitors.csv"), ref.records)
+    driver.write_field_dat(str(tmp_path / "field.dat"),
+                           driver.FieldDump.of(ref.state))
+    for name in ("monitors.csv", "field.dat"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def _region_only(grid, f):
+    """A shell result stand-in holding only the agreement region."""
+    return types.SimpleNamespace(region=driver._agreement_region(grid, f, 4.5))
+
+
+@pytest.mark.parametrize("h, radii", [(0.1, (9.0, 11.0)),
+                                      (0.15, (11.0, 13.0))])
+def test_agreement_region_matches_nodes_that_round_apart(h, radii):
+    # at these spacings some nodes of the first shell's region |x| <= 4.5
+    # lie just outside it by the second shell's positions; they are still
+    # compared, as a lookup in the second shell's whole interior does
+    a, b = (build_grid(DomainSpec.exterior(1.0, r, 2), h) for r in radii)
+    k = np.nonzero(np.linalg.norm(a.interior_pos, axis=1) <= 4.5)[0]
+    k2 = b.lattice_index(a.lattice_coords()[k])
+    k, k2 = k[k2 >= 0], k2[k2 >= 0]
+    apart = np.linalg.norm(b.interior_pos[k2], axis=1) > 4.5
+    assert apart.any()
+    rng = np.random.default_rng(3)
+    edge = np.zeros((a.num_interior, 2))
+    edge[k[apart]] = 1.0
+    for fa, fb in ((rng.standard_normal((a.num_interior, 2)),
+                    rng.standard_normal((b.num_interior, 2))),
+                   (edge, np.zeros((b.num_interior, 2)))):
+        assert driver._common_region_diff(
+            _region_only(a, fa), _region_only(b, fb)) \
+            == float(np.abs(fa[k] - fb[k2]).max())
 
 
 def _fake_shell(r_fail: float, code: int, r_slow: float | None = None):
@@ -1076,10 +1196,10 @@ def test_first_failing_shell_ends_the_pipeline(tmp_path, monkeypatch,
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     cfg = load_config(write_cfg(tmp_path, EXTERIOR.format(
         radii="9.0, 11.0, 13.0", probes="2.5, 3.5")))
-    rep = driver.exterior_pipeline(cfg)
+    with leaves_no_child():
+        rep = driver.exterior_pipeline(cfg)
     assert [res.exit_code for res in rep.shells] == [0, driver.EXIT_MAXSTEPS]
     assert rep.exit_code == driver.EXIT_MAXSTEPS and rep.agreement == []
-    assert not multiprocessing.active_children()
 
 
 def test_worker_domain_error_is_a_configuration_error(tmp_path, monkeypatch,
@@ -1089,12 +1209,12 @@ def test_worker_domain_error_is_a_configuration_error(tmp_path, monkeypatch,
     monkeypatch.setattr(driver, "solve_once", solve)
     path = write_cfg(tmp_path, EXTERIOR.format(radii="9.0, 11.0",
                                                probes="2.5, 3.5"))
-    assert cli.main(["exterior", "--config", path,
-                     "--out", str(tmp_path / "out")]) == 1
+    with leaves_no_child():
+        assert cli.main(["exterior", "--config", path,
+                         "--out", str(tmp_path / "out")]) == 1
     # the first shell's error, as a serial loop would raise it
     assert capsys.readouterr().err == \
         "configuration error: no shell at r = 9.0\n"
-    assert not multiprocessing.active_children()
 
 
 def test_worker_death_raises_instead_of_hanging(tmp_path, monkeypatch,
@@ -1103,10 +1223,9 @@ def test_worker_death_raises_instead_of_hanging(tmp_path, monkeypatch,
                         lambda cfg, spec=None, force=False: os._exit(3))
     cfg = load_config(write_cfg(tmp_path, EXTERIOR.format(
         radii="9.0, 11.0, 13.0", probes="2.5, 3.5")))
-    with pytest.raises(RuntimeError, match="exited with code 3 without a "
-                                           "result"):
+    with leaves_no_child(), pytest.raises(
+            RuntimeError, match="exited with code 3 without a result"):
         driver.exterior_pipeline(cfg)
-    assert not multiprocessing.active_children()
 
 
 SHELL_RADII = (9.0, 11.0, 13.0)
@@ -1132,11 +1251,9 @@ def _logged_shells(tmp_path, monkeypatch, cpus, solve=None):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     cfg = load_config(write_cfg(tmp_path, EXTERIOR.format(
         radii=", ".join(map(str, SHELL_RADII)), probes="2.5, 3.5")))
-    try:
+    with leaves_no_child():
         shells = driver._solve_shells(
             cfg, [DomainSpec.exterior(1.0, r, 2) for r in SHELL_RADII], False)
-    finally:
-        assert not multiprocessing.active_children()
     return shells, log.read_text().splitlines()
 
 

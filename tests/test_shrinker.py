@@ -193,11 +193,11 @@ def test_odd_reflection_map_jets():
 
 
 def test_transformed_states_dump_in_grid_format(tmp_path):
-    from mssflow.driver import write_field_dat
+    from mssflow.driver import FieldDump, write_field_dat
     state, psi = reference.sloped_half_plane_state(h=1.0 / 16, halfwidth=1.0,
                                                     slope=[[0.0, 0.3]])
     doubled, _ = reference.reflect_halfspace(state, psi)
     path = tmp_path / "doubled.dat"
-    write_field_dat(str(path), doubled)
+    write_field_dat(str(path), FieldDump.of(doubled))
     rows = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     assert len(rows) == doubled.grid.num_interior
