@@ -13,12 +13,13 @@ Exit codes: 0 success, 1 configuration error, 2 hypothesis failed (no
 clause or oracle mismatch (also a rising decay table), 6 successive
 exterior shells disagree more under refinement.
 
-Exterior mode solves each shell in a child forked with os.fork.  The
-child builds the shell's ShellResult (report block, records, final field,
-agreement region and, on the outermost shell, the far field) and writes
-it pickled to its own os.pipe; the parent reads the pipes with select,
-compares the shells and writes the artifacts.  No grid, flow state or
-field bundle crosses a pipe.
+solve_once returns the same values-only SolveResult in every mode: the
+rendered report block, outcome, exit code, reports, records and final
+field, with, for an exterior shell, the agreement region and the far
+field.  The grid and the flow state stay local to it.  Exterior mode
+solves each shell in a child forked with os.fork; the child writes the
+shell's SolveResult pickled to its own os.pipe, and the parent reads the
+pipes with select, compares the shells and writes the artifacts.
 """
 
 from __future__ import annotations
@@ -169,13 +170,12 @@ def _hypothesis_lines(rep: HypothesisReport) -> list:
     return lines
 
 
-def _stage_line(res: SolveResult, monitor_every: int) -> str:
+def _stage_line(grid: Grid, dt: float, monitor_every: int) -> str:
     """The super-step stage rule of a flow run: dt times the operator's
     estimated spectral radius, and the stages of a super-step that spans
     a whole record interval."""
-    dt = res.records[-1].step_dt
-    frac = flow.stage_fraction(res.grid, dt)
-    return (f"stage rule: dt * rho = {_fmt(dt * res.grid.rho_estimate)}, "
+    frac = flow.stage_fraction(grid, dt)
+    return (f"stage rule: dt * rho = {_fmt(dt * grid.rho_estimate)}, "
             f"{flow.stage_count(monitor_every, frac)} stages per "
             f"{monitor_every}-step super-step")
 
@@ -188,15 +188,51 @@ def _invariant_lines(report: flow.InvariantReport) -> list:
     return lines
 
 
+def _report_block(cfg: RunConfig, grid: Grid, res: SolveResult) -> list:
+    """The block of report.txt of a solve on grid.  A solve run's block is
+    its whole report, in paragraphs; an exterior shell's block is headed
+    by its radius, has no blank line inside and one after."""
+    shell = cfg.mode == "exterior"
+    gap, tail = ([], [""]) if shell else ([""], [])
+    lines = [f"--- shell r = {_fmt(grid.spec.radius)} ---"] if shell else []
+    lines += (_geometry_header(grid) + gap + _hypothesis_lines(res.hypothesis)
+              + gap)
+    if not res.records:
+        return lines + ["outcome: HypothesisFail (flow not started)"] + tail
+    last = res.records[-1]
+    lines += [f"outcome: {res.outcome}",
+              f"final residual sup = {_fmt(last.residual_sup)}",
+              f"final max lambda = {_fmt(last.max_lambda)}"]
+    if not shell:
+        lines.append(f"steps dt = {_fmt(last.step_dt)}, "
+                     f"final t = {_fmt(last.t)}")
+    lines.append(_stage_line(grid, last.step_dt, cfg.monitor_every))
+    if res.invariants is not None:
+        lines += gap + _invariant_lines(res.invariants)
+    return lines + tail
+
+
 @dataclass
 class SolveResult:
+    """What one solve leaves once its grid and flow state are gone: values
+    only, so that an exterior shell's result crosses a pipe whole.
+
+    An exterior shell's region holds the rows with |x| <= r_1/2 + h, a
+    one-step margin around the fixed agreement region |x| <= r_1/2: two
+    shells' lattices may round one node's position differently, so a
+    shell finds there every node of its neighbour's region.  The far
+    field comes from the outermost shell when it converged.
+    """
+
+    lines: list                   # the solve's block of report.txt
     outcome: str
-    state: flow.GraphState
-    records: list
+    exit_code: int
     hypothesis: HypothesisReport
     invariants: flow.InvariantReport | None
-    exit_code: int
-    grid: Grid
+    records: list
+    field: FieldDump | None = None    # None when the flow did not run
+    region: tuple | None = None       # (lattice coords, values, |x| <= r_1/2)
+    far_field: tuple | None = None    # (l, fit rms, decay table)
 
 
 def _check(cfg: RunConfig, grid: Grid) -> HypothesisReport:
@@ -208,30 +244,45 @@ def _check(cfg: RunConfig, grid: Grid) -> HypothesisReport:
 
 def solve_once(cfg: RunConfig, spec: DomainSpec | None = None,
                force: bool = False) -> SolveResult:
-    """Hypothesis check, flow run and invariant suite on one domain."""
+    """Hypothesis check, flow run and invariant suite on one domain, and
+    the values the run writes.  In exterior mode the agreement region and,
+    on the outermost shell, the far field are formed here too, while the
+    flow state is alive."""
     spec = cfg.domain if spec is None else spec
     grid = build_grid(spec, cfg.h)
     rep = _check(cfg, grid)
-    if not rep.passed and not force:
-        return SolveResult(outcome="HypothesisFail", state=None, records=[],
-                           hypothesis=rep, invariants=None,
-                           exit_code=EXIT_HYPOTHESIS, grid=grid)
+    res = SolveResult([], "HypothesisFail", EXIT_HYPOTHESIS, rep, None, [])
+    if rep.passed or force:
+        state = flow.make_state(grid, cfg.psi)
+        monitors = flow.FlowMonitors(state, rep)
+        final, res.records, res.outcome = flow.run_to_steady(
+            state, cfg.tol_residual, cfg.max_steps, cfg.monitor_every,
+            cfl=cfg.cfl, monitors=monitors)
+        res.exit_code = _OUTCOME_EXIT[res.outcome]
+        if res.outcome == "Converged" and monitors.eps is not None:
+            res.invariants = flow.check_invariants(res.records, monitors)
+            if not res.invariants.passed:
+                res.exit_code = EXIT_INVARIANT
+        res.field = FieldDump.of(final)
+        if cfg.mode == "exterior":
+            res.region = _agreement_region(grid, final.f, 0.5 * cfg.radii[0])
+            if res.exit_code == EXIT_OK and spec.radius == cfg.radii[-1]:
+                res.far_field = _far_field(final, cfg.probe_radii)
+    res.lines = _report_block(cfg, grid, res)
+    return res
 
-    state = flow.make_state(grid, cfg.psi)
-    monitors = flow.FlowMonitors(state, rep)
-    final, records, outcome = flow.run_to_steady(
-        state, cfg.tol_residual, cfg.max_steps, cfg.monitor_every,
-        cfl=cfg.cfl, monitors=monitors)
 
-    invariants = None
-    code = _OUTCOME_EXIT[outcome]
-    if outcome == "Converged" and monitors.eps is not None:
-        invariants = flow.check_invariants(records, monitors)
-        if not invariants.passed:
-            code = EXIT_INVARIANT
-    return SolveResult(outcome=outcome, state=final, records=records,
-                       hypothesis=rep, invariants=invariants,
-                       exit_code=code, grid=grid)
+def _write_final(out_dir: str, mode: str, res: SolveResult,
+                 outcome: str) -> None:
+    """monitors.csv and field.dat of the run's final solve, when its flow
+    ran, and the summary line."""
+    residual = max_lambda = float("nan")
+    if res.records:
+        write_monitors_csv(os.path.join(out_dir, "monitors.csv"), res.records)
+        write_field_dat(os.path.join(out_dir, "field.dat"), res.field)
+        residual = res.records[-1].residual_sup
+        max_lambda = res.records[-1].max_lambda
+    print(summary_line(mode, outcome, residual, max_lambda))
 
 
 def run_check_hypothesis(cfg: RunConfig, out_dir: str) -> int:
@@ -247,26 +298,8 @@ def run_check_hypothesis(cfg: RunConfig, out_dir: str) -> int:
 
 def run_solve(cfg: RunConfig, out_dir: str, force: bool = False) -> int:
     res = solve_once(cfg, force=force)
-    lines = _geometry_header(res.grid) + [""]
-    lines += _hypothesis_lines(res.hypothesis)
-    if res.records:
-        write_monitors_csv(os.path.join(out_dir, "monitors.csv"), res.records)
-        write_field_dat(os.path.join(out_dir, "field.dat"),
-                        FieldDump.of(res.state))
-        last = res.records[-1]
-        lines += ["", f"outcome: {res.outcome}",
-                  f"final residual sup = {_fmt(last.residual_sup)}",
-                  f"final max lambda = {_fmt(last.max_lambda)}",
-                  f"steps dt = {_fmt(last.step_dt)}, final t = {_fmt(last.t)}",
-                  _stage_line(res, cfg.monitor_every)]
-        if res.invariants is not None:
-            lines += [""] + _invariant_lines(res.invariants)
-        print(summary_line("solve", res.outcome, last.residual_sup,
-                           last.max_lambda))
-    else:
-        lines += ["", "outcome: HypothesisFail (flow not started)"]
-        print(summary_line("solve", res.outcome, float("nan"), float("nan")))
-    _write_report(out_dir, lines)
+    _write_final(out_dir, "solve", res, res.outcome)
+    _write_report(out_dir, res.lines)
     return res.exit_code
 
 
@@ -298,64 +331,15 @@ def _far_field(state: flow.GraphState, probe_radii: list) -> tuple:
     return l_est, fit_rms, table
 
 
-@dataclass
-class ShellResult:
-    """What the parent process reads of one exterior shell, built by the
-    child that solved it: values only, no grid, state or field bundle.
-
-    The region holds the rows with |x| <= r_1/2 + h, a one-step margin
-    around the fixed agreement region |x| <= r_1/2: two shells' lattices
-    may round one node's position differently, so a shell finds there
-    every node of its neighbour's region.  The far field comes from the
-    outermost shell when it converged.
-    """
-
-    lines: list                   # the shell's block of report.txt
-    outcome: str
-    exit_code: int
-    hypothesis: HypothesisReport
-    invariants: flow.InvariantReport | None
-    records: list
-    field: FieldDump | None = None    # None when the flow did not run
-    region: tuple | None = None       # (lattice coords, values, |x| <= r_1/2)
-    far_field: tuple | None = None    # (l, fit rms, decay table)
-
-
-def _shell_result(cfg: RunConfig, spec: DomainSpec,
-                  res: SolveResult) -> ShellResult:
-    """The ShellResult of solve_once's result `res` on the shell `spec`."""
-    lines = [f"--- shell r = {_fmt(spec.radius)} ---"]
-    if res.grid is not None:
-        lines += _geometry_header(res.grid) + _hypothesis_lines(res.hypothesis)
-    out = ShellResult(lines, res.outcome, res.exit_code, res.hypothesis,
-                      res.invariants, res.records)
-    if not res.records:
-        lines += ["outcome: HypothesisFail (flow not started)", ""]
-        return out
-    last = res.records[-1]
-    lines += [f"outcome: {res.outcome}",
-              f"final residual sup = {_fmt(last.residual_sup)}",
-              f"final max lambda = {_fmt(last.max_lambda)}",
-              _stage_line(res, cfg.monitor_every)]
-    if res.invariants is not None:
-        lines += _invariant_lines(res.invariants)
-    lines.append("")
-    out.field = FieldDump.of(res.state)
-    out.region = _agreement_region(res.grid, res.state.f, 0.5 * cfg.radii[0])
-    if res.exit_code == EXIT_OK and spec.radius == cfg.radii[-1]:
-        out.far_field = _far_field(res.state, cfg.probe_radii)
-    return out
-
-
 def _agreement_region(grid: Grid, f: np.ndarray, radius: float) -> tuple:
     """Lattice coordinates and values of the rows with |x| <= radius + h,
-    and which of them have |x| <= radius (see ShellResult)."""
+    and which of them have |x| <= radius (see SolveResult)."""
     dist = np.linalg.norm(grid.interior_pos, axis=1)
     rows = np.nonzero(dist <= radius + grid.h)[0]
     return grid.lattice_coords()[rows], f[rows], dist[rows] <= radius
 
 
-def _common_region_diff(prev: ShellResult, res: ShellResult) -> float:
+def _common_region_diff(prev: SolveResult, res: SolveResult) -> float:
     """Sup difference over the nodes of prev's agreement region that are
     interior nodes of res too, matched by lattice coordinates."""
     coords, f, inside = prev.region
@@ -369,7 +353,7 @@ def _common_region_diff(prev: ShellResult, res: ShellResult) -> float:
 
 @dataclass
 class ExteriorReport:
-    """Shell-by-shell results (ShellResult per radius, up to and including
+    """Shell-by-shell results (SolveResult per radius, up to and including
     the first that failed), agreement diffs and the far-field table."""
 
     shells: list
@@ -384,7 +368,7 @@ class ExteriorReport:
 
 def _shell_child(fd: int, cfg: RunConfig, spec: DomainSpec,
                  force: bool) -> None:
-    """Forked child: solve_once on one shell, then write its ShellResult,
+    """Forked child: solve_once on one shell, then write its SolveResult,
     or the exception the solve raised, to the pipe's write end fd.  Ends
     the process with os._exit, code 0 once the result is written: the
     child never returns into the parent's stack and never flushes the
@@ -394,8 +378,7 @@ def _shell_child(fd: int, cfg: RunConfig, spec: DomainSpec,
     code = 1
     try:
         try:
-            res = _shell_result(cfg, spec,
-                                solve_once(cfg, spec=spec, force=force))
+            res = solve_once(cfg, spec=spec, force=force)
         except Exception as exc:
             res = exc
         with open(fd, "wb") as fh:
@@ -406,7 +389,7 @@ def _shell_child(fd: int, cfg: RunConfig, spec: DomainSpec,
 
 
 def _solve_shells(cfg: RunConfig, specs: list, force: bool) -> list:
-    """The ShellResult of each spec, each solved in its own forked child.
+    """The SolveResult of each spec, each solved in its own forked child.
 
     At most one child per CPU this process may run on is solving at a
     time; children are started largest shell first, the longest solves.
@@ -479,7 +462,7 @@ def exterior_pipeline(cfg: RunConfig, force: bool = False) -> ExteriorReport:
     Dirichlet family, and nested lattices, so successive solutions are
     compared node-by-node on the fixed region |x| <= r_1 / 2.  The shells
     are independent problems and are solved concurrently, each in a
-    forked child that sends back its ShellResult (_solve_shells): the
+    forked child that sends back its SolveResult (_solve_shells): the
     report block, field, agreement region and, from the outermost shell,
     the far field are formed in the children.  The first shell that
     fails, in radius order, ends the pipeline.
@@ -515,7 +498,6 @@ def run_exterior(cfg: RunConfig, out_dir: str, force: bool = False) -> int:
                      f"{_fmt(rep.agreement_region)}: sup diff = {_fmt(d)}")
     lines += rep.notes
 
-    final = rep.shells[-1]
     if rep.l_estimate is not None:
         lines += ["asymptotic gradient estimate (rows are components):"]
         for A in range(rep.l_estimate.shape[0]):
@@ -530,17 +512,10 @@ def run_exterior(cfg: RunConfig, out_dir: str, force: bool = False) -> int:
             for rho, sup in rep.decay_table:
                 fh.write(f"{_fmt(rho)},{_fmt(sup)}\n")
     _write_report(out_dir, lines)
-
-    if not final.records:
-        print(summary_line("exterior", final.outcome, float("nan"),
-                           float("nan")))
-        return rep.exit_code
-    write_monitors_csv(os.path.join(out_dir, "monitors.csv"), final.records)
-    write_field_dat(os.path.join(out_dir, "field.dat"), final.field)
-    last = final.records[-1]
-    print(summary_line("exterior",
-                       final.outcome if rep.exit_code == EXIT_OK else "Failed",
-                       last.residual_sup, last.max_lambda))
+    final = rep.shells[-1]
+    _write_final(out_dir, "exterior", final,
+                 "Failed" if final.records and rep.exit_code != EXIT_OK
+                 else final.outcome)
     return rep.exit_code
 
 

@@ -997,11 +997,14 @@ def test_decay_table_is_the_unscreened_svd_maximum(tmp_path):
     cfg = load_config(write_cfg(tmp_path, text))
     rep = driver.exterior_pipeline(cfg)
     assert rep.exit_code == 0, rep.notes
-    final = driver.solve_once(cfg, spec=DomainSpec.exterior(1.0, 13.0, 2))
-    J = flow.compute_fields(final.state).J
+    # the r = 13 state, rebuilt from the field the pipeline wrote
+    field = rep.shells[-1].field
+    grid = build_grid(field.spec, cfg.h)
+    J = flow.compute_fields(flow.make_state(grid, cfg.psi).replace_values(
+        field.f, field.t)).J
     table = []
     for rho in (2.5, 3.5, 4.5):
-        dev = J[driver._probe_ring(final.grid, rho)] - rep.l_estimate
+        dev = J[driver._probe_ring(grid, rho)] - rep.l_estimate
         table.append((rho, float(np.linalg.svd(dev, compute_uv=False)[:, 0].max())))
     assert rep.decay_table == table
 
@@ -1087,8 +1090,7 @@ def test_worker_shells_equal_in_process_solves(tmp_path, deadline):
     assert rep.exit_code == 0 and len(rep.shells) == 2
     for r, res in zip(cfg.radii, rep.shells):
         spec = DomainSpec.exterior(1.0, r, 2)
-        ref = driver._shell_result(cfg, spec,
-                                   driver.solve_once(cfg, spec=spec))
+        ref = driver.solve_once(cfg, spec=spec)
         assert res.outcome == ref.outcome == "Converged"
         assert len(res.records) > 1
         assert (res.far_field is not None) == (r == cfg.radii[-1])
@@ -1096,19 +1098,23 @@ def test_worker_shells_equal_in_process_solves(tmp_path, deadline):
 
 
 def test_shell_result_holds_values_only(tmp_path, deadline):
-    # what a child sends back: no grid, closure, state or field bundle,
-    # and no array with more rows than the shell has interior nodes
-    cfg = load_config(write_cfg(tmp_path, SHELL_TRIG))
+    # what a shell's child sends back, and what a solve run writes: no
+    # grid, closure, state or field bundle, and no array with more rows
+    # than the domain has interior nodes
+    shells = load_config(write_cfg(tmp_path, SHELL_TRIG))
     spec = DomainSpec.exterior(1.0, 9.0, 2)
     with leaves_no_child():
-        res, = driver._solve_shells(cfg, [spec], False)
-    assert res.exit_code == 0
-    K = build_grid(spec, cfg.h).num_interior
-    for v in _walk(res):
-        assert not isinstance(v, (Grid, Closure, flow.GraphState,
-                                  flow.FieldBundle)), type(v)
-        if isinstance(v, np.ndarray):
-            assert v.ndim == 0 or len(v) <= K, v.shape
+        shell, = driver._solve_shells(shells, [spec], False)
+    ball = load_config(write_cfg(tmp_path, BALL_SOLVE, "ball.cfg"))
+    for res, cfg, spec in ((shell, shells, spec),
+                           (driver.solve_once(ball), ball, ball.domain)):
+        assert res.exit_code == 0
+        K = build_grid(spec, cfg.h).num_interior
+        for v in _walk(res):
+            assert not isinstance(v, (Grid, Closure, flow.GraphState,
+                                      flow.FieldBundle)), type(v)
+            if isinstance(v, np.ndarray):
+                assert v.ndim == 0 or len(v) <= K, v.shape
 
 
 def test_exterior_run_imports_no_multiprocessing(tmp_path):
@@ -1139,10 +1145,70 @@ def test_failing_real_shell_is_written(tmp_path, deadline):
                             spec=DomainSpec.exterior(1.0, 11.0, 2))
     assert ref.outcome == "MaxSteps" and len(ref.records) >= 2
     driver.write_monitors_csv(str(tmp_path / "monitors.csv"), ref.records)
-    driver.write_field_dat(str(tmp_path / "field.dat"),
-                           driver.FieldDump.of(ref.state))
+    driver.write_field_dat(str(tmp_path / "field.dat"), ref.field)
     for name in ("monitors.csv", "field.dat"):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+# report.txt's layout, line by line: the labels of the geometry header,
+# the hypothesis lines (condition B adds the threshold), a flow run's
+# outcome lines and the invariant suite
+_HEAD = ["domain", "grid", "collar"]
+_HYP_A = ["condition", "w(psi)", "sup|Dpsi| band", "sup|D2psi| band",
+          "sup|Dpsi| global", "delta", "lhs", "pass"]
+_HYP_B = _HYP_A[:-1] + ["threshold", "pass"]
+_RAN = ["outcome", "final residual sup", "final max lambda"]
+_SUITE = [f"[PASS] {name}" for name in (
+    "max_lambda_le_1_minus_eps", "star_omega_floor", "p_tensor_nonnegative",
+    "max_principle", "area_dissipation_consistency",
+    "boundary_gradient_bound")] + ["invariants"]
+
+
+def _shell_layout(r, ran=True, suite=True) -> list:
+    """One shell's block: a flow run's lines, with or without the
+    invariant suite, or the outcome of a flow not started."""
+    if not ran:
+        return [f"--- shell r = {r} ---", *_HEAD, *_HYP_B, "outcome", ""]
+    return [f"--- shell r = {r} ---", *_HEAD, *_HYP_B, *_RAN, "stage rule",
+            *(_SUITE if suite else []), ""]
+
+
+_FAR_FIELD = ["agreement with previous shell on |x| <= 4.5",
+              "asymptotic gradient estimate (rows are components):", "  l[0]",
+              "fit rms on the outermost ring", "decay table (probe radius",
+              "  2.5", "  3.5"]
+_SOLVE_FAIL = BALL_SOLVE.replace("amplitudes = 0.01, 0.005",
+                                 "amplitudes = 0.12, 0.08")
+_SHELL_FAIL = SHELL_TRIG.replace("amplitudes = 0.002", "amplitudes = 0.05")
+
+
+@pytest.mark.parametrize("text, force, code, layout", [
+    (BALL_SOLVE, False, 0, _HEAD + [""] + _HYP_A + [
+        "", *_RAN, "steps dt", "stage rule", "", *_SUITE]),
+    (_SOLVE_FAIL, False, 2, _HEAD + [""] + _HYP_A + ["", "outcome"]),
+    (_SOLVE_FAIL, True, 0, _HEAD + [""] + _HYP_A + [
+        "", *_RAN, "steps dt", "stage rule"]),
+    (SHELL_TRIG, False, 0,
+     _shell_layout(9.0) + _shell_layout(11.0) + _FAR_FIELD),
+    (SHELL_TRIG.replace("[flow]\n", "[flow]\nmax_steps = 1200\n"), False, 4,
+     _shell_layout(9.0) + _shell_layout(11.0, suite=False)),
+    (_SHELL_FAIL, False, 2, _shell_layout(9.0, ran=False)),
+    (_SHELL_FAIL, True, 0, _shell_layout(9.0, suite=False)
+     + _shell_layout(11.0, suite=False) + _FAR_FIELD),
+], ids=["solve", "solve-hypothesis-fail", "solve-forced", "exterior",
+        "exterior-max-steps", "exterior-hypothesis-fail", "exterior-forced"])
+def test_report_layout(tmp_path, deadline, text, force, code, layout):
+    # each line up to its first " = ", ": " or " -> ", so that the
+    # numbers can move and the layout still holds
+    path = write_cfg(tmp_path, text)
+    mode = load_config(path).mode
+    out = tmp_path / "out"
+    assert cli.main([mode, "--config", path, "--out", str(out)]
+                    + (["--force"] if force else [])) == code
+    report = (out / "report.txt").read_text().splitlines()
+    assert [re.split(" = |: | -> ", line, maxsplit=1)[0]
+            if not line.startswith("--- shell") else line
+            for line in report] == layout
 
 
 def _region_only(grid, f):
@@ -1181,9 +1247,9 @@ def _fake_shell(r_fail: float, code: int, r_slow: float | None = None):
             time.sleep(600.0)
         failed = spec.radius == r_fail
         return driver.SolveResult(
-            outcome="MaxSteps" if failed else "Converged", state=None,
-            records=[], hypothesis=None, invariants=None,
-            exit_code=code if failed else driver.EXIT_OK, grid=None)
+            lines=[], outcome="MaxSteps" if failed else "Converged",
+            exit_code=code if failed else driver.EXIT_OK, hypothesis=None,
+            invariants=None, records=[])
     return solve
 
 
